@@ -63,7 +63,7 @@ use std::time::Instant;
 use qp_bench::workloads;
 use qp_chem::basis::BasisSettings;
 use qp_chem::grids::GridSettings;
-use qp_chem::multipole::{solve_poisson, MultipoleMoments};
+use qp_chem::multipole::solve_poisson;
 use qp_core::basis_cache::cache_counters;
 use qp_core::dfpt::{dfpt_direction, DfptOptions};
 use qp_core::operators;
@@ -623,10 +623,7 @@ fn assembly_leg(build: impl Fn() -> System) -> (System, AssemblyLeg) {
 fn rho_potential(sys: &System, n1: &[f64], use_tree: bool) -> (f64, Vec<f64>) {
     let t = Instant::now();
     let plan = sys.hartree_plan();
-    let moments = match plan.as_deref() {
-        Some(pl) => MultipoleMoments::compute_planned(&sys.structure, &sys.grid, n1, pl),
-        None => MultipoleMoments::compute(&sys.structure, &sys.grid, n1, sys.lmax),
-    };
+    let moments = sys.multipole_moments(n1);
     let hartree = solve_poisson(&sys.structure, &sys.grid, &moments);
     let natoms = sys.structure.len();
     let mut v1 = vec![0.0; sys.grid.len()];

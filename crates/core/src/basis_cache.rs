@@ -47,6 +47,11 @@ pub struct BasisValueCache {
     clock: AtomicU64,
     resident_bytes: AtomicUsize,
     cap_bytes: usize,
+    /// This cache's own hits, misses and evictions (the global metrics sum
+    /// every cache in the process).
+    hits: AtomicU64,
+    misses: AtomicU64,
+    evictions: AtomicU64,
 }
 
 impl BasisValueCache {
@@ -59,6 +64,9 @@ impl BasisValueCache {
             clock: AtomicU64::new(0),
             resident_bytes: AtomicUsize::new(0),
             cap_bytes,
+            hits: AtomicU64::new(0),
+            misses: AtomicU64::new(0),
+            evictions: AtomicU64::new(0),
         }
     }
 
@@ -89,6 +97,16 @@ impl BasisValueCache {
         self.resident_bytes.load(Ordering::Relaxed)
     }
 
+    /// This cache's `(hits, misses, evictions)` so far; unlike
+    /// [`cache_counters`], untouched by other caches in the process.
+    pub fn counters(&self) -> (u64, u64, u64) {
+        (
+            self.hits.load(Ordering::Relaxed),
+            self.misses.load(Ordering::Relaxed),
+            self.evictions.load(Ordering::Relaxed),
+        )
+    }
+
     /// The table for batch `bid`, building it with `build` on a miss.
     pub fn get(&self, bid: usize, build: impl FnOnce() -> BatchBasisTable) -> Arc<BatchBasisTable> {
         let tick = self.clock.fetch_add(1, Ordering::Relaxed) + 1;
@@ -96,9 +114,11 @@ impl BasisValueCache {
         let mut slot = self.slots[bid].lock().unwrap();
         if let Some(t) = slot.as_ref() {
             metrics().hits.inc();
+            self.hits.fetch_add(1, Ordering::Relaxed);
             return t.clone();
         }
         metrics().misses.inc();
+        self.misses.fetch_add(1, Ordering::Relaxed);
         let table = Arc::new(build());
         let bytes = table_bytes(&table);
         *slot = Some(table.clone());
@@ -136,6 +156,7 @@ impl BasisValueCache {
                     .fetch_sub(table_bytes(&t), Ordering::Relaxed);
                 let m = metrics();
                 m.evictions.inc();
+                self.evictions.fetch_add(1, Ordering::Relaxed);
                 // Rebuild churn: evictions per table build. ≳1 means the
                 // cap thrashes — every build evicts another live table.
                 m.eviction_rate
@@ -193,11 +214,11 @@ mod tests {
     #[test]
     fn second_lookup_is_a_hit() {
         let cache = BasisValueCache::new(4, usize::MAX);
-        let (h0, m0, _) = cache_counters();
+        let (h0, m0, _) = cache.counters();
         let a = cache.get(2, || toy_table(3));
         let b = cache.get(2, || panic!("must not rebuild"));
         assert!(Arc::ptr_eq(&a, &b));
-        let (h1, m1, _) = cache_counters();
+        let (h1, m1, _) = cache.counters();
         assert_eq!(h1 - h0, 1);
         assert_eq!(m1 - m0, 1);
     }
@@ -210,16 +231,16 @@ mod tests {
         cache.get(0, || toy_table(8));
         cache.get(1, || toy_table(8));
         assert_eq!(cache.resident_bytes(), 2 * one);
-        let (_, _, e0) = cache_counters();
+        let (_, _, e0) = cache.counters();
         cache.get(2, || toy_table(8)); // evicts slot 0 (oldest)
-        let (_, _, e1) = cache_counters();
+        let (_, _, e1) = cache.counters();
         assert_eq!(e1 - e0, 1);
         assert_eq!(cache.resident_bytes(), 2 * one);
         // Slot 0 rebuilds (miss), slot 2 still resident (hit).
-        let (_, m0, _) = cache_counters();
+        let (_, m0, _) = cache.counters();
         cache.get(2, || panic!("2 was just inserted"));
         cache.get(0, || toy_table(8));
-        let (_, m1, _) = cache_counters();
+        let (_, m1, _) = cache.counters();
         assert_eq!(m1 - m0, 1);
     }
 

@@ -21,7 +21,6 @@ use crate::operators;
 use crate::scf::ScfResult;
 use crate::system::System;
 use crate::{CoreError, Result};
-use qp_chem::multipole::{solve_poisson, MultipoleMoments};
 use qp_chem::xc;
 use qp_linalg::DMatrix;
 
@@ -486,46 +485,9 @@ pub fn dfpt_direction_preemptible(
         // Rho: response electrostatic potential (Eq. 9) + xc kernel (Eq. 12).
         let v1: Vec<f64> = {
             let _s = crate::phase_span(qp_trace::Phase::Rho, "rho.v1");
-            // The Hartree geometry plan caches the per-(point, atom)
-            // distances, harmonics and spline brackets across all DFPT
-            // iterations; planned and direct branches are bit-identical
-            // and the choice depends only on system size.
-            let plan = system.hartree_plan();
-            let moments = match plan.as_deref() {
-                Some(pl) => {
-                    MultipoleMoments::compute_planned(&system.structure, &system.grid, &n1, pl)
-                }
-                None => {
-                    MultipoleMoments::compute(&system.structure, &system.grid, &n1, system.lmax)
-                }
-            };
-            let hartree = solve_poisson(&system.structure, &system.grid, &moments);
-            let natoms = system.structure.len();
-            // Per-point potentials land in their own slots; the
-            // index-ordered parallel fill keeps the result bit-identical
-            // at any thread count.
-            let mut v1 = vec![0.0; system.grid.len()];
-            let est = (natoms * hartree.n_lm * 8).max(1) as u64;
-            // Tree mode serves the far field from aggregated cluster
-            // moments (QP_FARFIELD_TOL budget) instead of the O(natoms)
-            // per-point sum.
-            match system.farfield_tree() {
-                Some(tree) => {
-                    let far = qp_grid::FarField::aggregate(tree, &hartree, qp_grid::farfield_tol());
-                    qp_par::fill_slice_hinted(&mut v1, est, |gi| {
-                        far.eval(tree, &hartree, system.grid.points[gi].position)
-                            + shared.fxc[gi] * n1[gi]
-                    });
-                }
-                None => match plan.as_deref() {
-                    Some(pl) => qp_par::fill_slice_hinted(&mut v1, est, |gi| {
-                        hartree.eval_planned(pl, gi) + shared.fxc[gi] * n1[gi]
-                    }),
-                    None => qp_par::fill_slice_hinted(&mut v1, est, |gi| {
-                        let p = &system.grid.points[gi];
-                        hartree.eval_atoms(p.position, 0..natoms) + shared.fxc[gi] * n1[gi]
-                    }),
-                },
+            let mut v1 = system.hartree_potential(&system.multipole_moments(&n1), None);
+            for (v, (f, n)) in v1.iter_mut().zip(shared.fxc.iter().zip(&n1)) {
+                *v += f * n;
             }
             v1
         };
@@ -561,6 +523,13 @@ pub fn dfpt_direction_preemptible(
             iter_span.arg("residual", residual);
         }
         p1 = p1_new;
+        if !residual.is_finite() {
+            return Err(CoreError::NonFinite {
+                what: "DFPT self-consistency",
+                iteration: iter,
+                residual,
+            });
+        }
 
         if residual < opts.tol {
             let n1 = system.density_on_grid(&p1);

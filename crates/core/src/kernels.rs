@@ -215,7 +215,6 @@ pub fn rho_phase(
 ) -> RhoPhaseOutput {
     use qp_chem::multipole::{solve_poisson, MultipoleMoments};
 
-    let spline_before = qp_chem::spline::spline_constructions();
     let moments = MultipoleMoments::compute(&system.structure, &system.grid, n1, system.lmax);
 
     // The (p,m) angular-momentum loop of the Adams-Moulton integrator runs
@@ -232,7 +231,7 @@ pub fn rho_phase(
     let integrator_occupancy = pm_counters.report("pm", 1).occupancy();
 
     let hartree = solve_poisson(&system.structure, &system.grid, &moments);
-    let splines_constructed = qp_chem::spline::spline_constructions() - spline_before;
+    let splines_constructed = hartree.splines_constructed;
 
     // Interpolation kernel: evaluate v1 at every grid point, batch-parallel.
     let natoms = system.structure.len();

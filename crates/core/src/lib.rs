@@ -80,6 +80,20 @@ pub enum CoreError {
         /// Last residual.
         residual: f64,
     },
+    /// A self-consistency residual became NaN or infinite; the cycle stops
+    /// at the first such iteration.
+    NonFinite {
+        /// Which cycle.
+        what: &'static str,
+        /// The iteration that produced it.
+        iteration: usize,
+        /// The residual.
+        residual: f64,
+    },
+    /// The distributed DFPT driver was given a ground state with
+    /// fractional (smeared) occupations; its Sternheimer update assumes
+    /// integer ones.
+    FractionalOccupations,
     /// Linear algebra failed underneath.
     Linalg(qp_linalg::LinalgError),
     /// Checkpoint save/load failed (I/O, corruption, version mismatch).
@@ -102,6 +116,20 @@ impl std::fmt::Display for CoreError {
             } => write!(
                 f,
                 "{what} did not converge after {iterations} iterations (residual {residual:.3e})"
+            ),
+            CoreError::NonFinite {
+                what,
+                iteration,
+                residual,
+            } => write!(
+                f,
+                "{what} stopped at iteration {iteration}: the residual is {residual}"
+            ),
+            CoreError::FractionalOccupations => write!(
+                f,
+                "the distributed DFPT driver needs integer occupations, but the ground \
+                 state has fractional ones; hint: drop --smearing, or drop \
+                 --ranks/--checkpoint-dir to run DFPT on the serial driver"
             ),
             CoreError::Linalg(e) => write!(f, "linear algebra error: {e}"),
             CoreError::Checkpoint(e) => write!(f, "checkpoint error: {e}"),

@@ -27,14 +27,24 @@ fn batch_block_est(system: &System) -> u64 {
 
 /// Assemble the overlap matrix.
 pub fn overlap(system: &System) -> DMatrix {
-    weighted_product(system, |_| 1.0)
+    weighted_product(system, &all_batches(system), |_| 1.0)
 }
 
 /// Assemble a local-potential matrix for `v` given *at grid points*
 /// (slice parallel to `system.grid.points`).
 pub fn potential_matrix(system: &System, v: &[f64]) -> DMatrix {
+    potential_matrix_on(system, v, &all_batches(system))
+}
+
+/// [`potential_matrix`] over the points of `batches` only (ascending batch
+/// ids; `v` is read at those points alone): the same per-batch triangles
+/// and the same merge, restricted to the listed batches. Over every batch
+/// it is [`potential_matrix`]; summed over a partition of the batches it
+/// is `potential_matrix` up to the order of the additions — the
+/// distributed driver's per-rank `H¹`.
+pub fn potential_matrix_on(system: &System, v: &[f64], batches: &[usize]) -> DMatrix {
     assert_eq!(v.len(), system.n_points());
-    weighted_product(system, |gi| v[gi])
+    weighted_product(system, batches, |gi| v[gi])
 }
 
 /// Assemble the dipole matrix for Cartesian direction `dir`
@@ -60,28 +70,31 @@ pub fn potential_matrix_blocks(system: &System, v: &[f64]) -> Option<BlockSparse
 /// Block-sparse kinetic matrix (see [`kinetic`]).
 pub fn kinetic_blocks(system: &System) -> Option<BlockSparseMatrix> {
     let plan = system.screen()?;
-    let partials = assemble_partials(system, |batch, table| kinetic_block(system, batch, table));
+    let partials = assemble_partials(system, &all_batches(system), |batch, table| {
+        kinetic_block(system, batch, table)
+    });
     Some(merge_blocks(&partials, plan))
 }
 
-/// Per-batch contributions: each worker pulls its batch table from the
-/// basis cache and reduces the batch's points into one `nf × nf` upper
-/// triangle.  The merge (dense or block-sparse) stays on the calling
-/// thread in batch order, keeping the reduction deterministic.
+fn all_batches(system: &System) -> Vec<usize> {
+    (0..system.batches.len()).collect()
+}
+
+/// Per-batch contributions of `batches`: each worker pulls its batch
+/// table from the basis cache and reduces the batch's points into one
+/// `nf × nf` upper triangle.  The merge (dense or block-sparse) stays on
+/// the calling thread in batch order, keeping the reduction deterministic.
 fn assemble_partials(
     system: &System,
+    batches: &[usize],
     per_batch: impl Fn(&Batch, &BatchBasisTable) -> DMatrix + Sync,
 ) -> Vec<(Arc<BatchBasisTable>, DMatrix)> {
-    qp_par::map_vec_hinted(
-        (0..system.batches.len()).collect::<Vec<usize>>(),
-        batch_block_est(system),
-        |bid| {
-            let batch = &system.batches[bid];
-            let table = system.table(batch.id);
-            let block = per_batch(batch, &table);
-            (table, block)
-        },
-    )
+    qp_par::map_vec_hinted(batches.to_vec(), batch_block_est(system), |bid| {
+        let batch = &system.batches[bid];
+        let table = system.table(batch.id);
+        let block = per_batch(batch, &table);
+        (table, block)
+    })
 }
 
 /// One batch's quadrature block `B_ab = Σ_p w_p f(p) χ_a(p) χ_b(p)`
@@ -242,19 +255,29 @@ fn mirror_blocks(m: &mut BlockSparseMatrix) {
     }
 }
 
-/// Shared quadrature core: `M_μν = Σ_p w_p f(p) χ_μ(p) χ_ν(p)`.
+/// Merge batch triangles into the dense matrix.
 ///
 /// With a screening plan active the batch triangles scatter into the
 /// block-sparse support and densify at the end; without one they merge
 /// densely.  Both routes produce identical bytes (see [`merge_blocks`]).
-fn weighted_product(system: &System, f: impl Fn(usize) -> f64 + Sync) -> DMatrix {
-    let partials = assemble_partials(system, |batch, table| {
+fn merge(system: &System, partials: &[(Arc<BatchBasisTable>, DMatrix)]) -> DMatrix {
+    match system.screen() {
+        Some(plan) => merge_blocks(partials, plan).to_dense(),
+        None => merge_dense(partials, system.n_basis()),
+    }
+}
+
+/// Shared quadrature core: `M_μν = Σ_p w_p f(p) χ_μ(p) χ_ν(p)` over the
+/// points of `batches`.
+fn weighted_product(
+    system: &System,
+    batches: &[usize],
+    f: impl Fn(usize) -> f64 + Sync,
+) -> DMatrix {
+    let partials = assemble_partials(system, batches, |batch, table| {
         weighted_block(system, batch, table, &f)
     });
-    match system.screen() {
-        Some(plan) => merge_blocks(&partials, plan).to_dense(),
-        None => merge_dense(&partials, system.n_basis()),
-    }
+    merge(system, &partials)
 }
 
 fn weighted_product_blocks(
@@ -262,7 +285,7 @@ fn weighted_product_blocks(
     f: impl Fn(usize) -> f64 + Sync,
 ) -> Option<BlockSparseMatrix> {
     let plan = system.screen()?;
-    let partials = assemble_partials(system, |batch, table| {
+    let partials = assemble_partials(system, &all_batches(system), |batch, table| {
         weighted_block(system, batch, table, &f)
     });
     Some(merge_blocks(&partials, plan))
@@ -270,11 +293,10 @@ fn weighted_product_blocks(
 
 /// Assemble the kinetic-energy matrix `T_μν = ½ ∫ ∇χ_μ·∇χ_ν`.
 pub fn kinetic(system: &System) -> DMatrix {
-    let partials = assemble_partials(system, |batch, table| kinetic_block(system, batch, table));
-    match system.screen() {
-        Some(plan) => merge_blocks(&partials, plan).to_dense(),
-        None => merge_dense(&partials, system.n_basis()),
-    }
+    let partials = assemble_partials(system, &all_batches(system), |batch, table| {
+        kinetic_block(system, batch, table)
+    });
+    merge(system, &partials)
 }
 
 /// Atom count below which the block-sparse DM build is never preferred:
@@ -707,6 +729,50 @@ mod tests {
             {
                 assert_eq!(s.to_bits(), l.to_bits());
             }
+        }
+    }
+
+    #[test]
+    fn rank_restricted_potential_matrix_sums_to_the_full_one() {
+        use crate::screening::ScreeningMode;
+        use qp_chem::structures::polyethylene;
+        let mut gs = GridSettings::light();
+        gs.n_radial = 14;
+        gs.max_angular = 14;
+        for mode in [ScreeningMode::Off, ScreeningMode::On] {
+            let s = System::build_with_screening(
+                polyethylene(3),
+                BasisSettings::Light,
+                &gs,
+                150,
+                2,
+                mode,
+            );
+            let v: Vec<f64> = s
+                .grid
+                .points
+                .iter()
+                .map(|p| (0.3 * p.position[0]).sin() + 0.1 * p.position[2])
+                .collect();
+            let full = potential_matrix(&s, &v);
+            let all: Vec<usize> = (0..s.batches.len()).collect();
+            let on_all = potential_matrix_on(&s, &v, &all);
+            for (x, y) in full.as_slice().iter().zip(on_all.as_slice()) {
+                assert_eq!(x.to_bits(), y.to_bits(), "{mode:?}: all batches differ");
+            }
+            // Three "ranks" own every third batch; their sum is the full
+            // matrix up to the order of the additions.
+            let mut sum = DMatrix::zeros(s.n_basis(), s.n_basis());
+            for rank in 0..3 {
+                let mine: Vec<usize> = all.iter().copied().filter(|b| b % 3 == rank).collect();
+                sum.axpy(1.0, &potential_matrix_on(&s, &v, &mine)).unwrap();
+            }
+            let scale = full.as_slice().iter().fold(0.0f64, |m, x| m.max(x.abs()));
+            assert!(
+                sum.max_abs_diff(&full) <= 1e-12 * scale,
+                "{mode:?}: 3-way split deviates by {} at scale {scale}",
+                sum.max_abs_diff(&full)
+            );
         }
     }
 

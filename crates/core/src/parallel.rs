@@ -9,8 +9,12 @@
 //!    across ranks — per-row AllReduce (baseline), packed (§3.2.1), or
 //!    packed + hierarchical (§3.2.2),
 //! 3. redundantly solves the radial Poisson problem ("trading redundant
-//!    calculations for communication avoidance", §4.2),
-//! 4. assembles its partial `H¹` block and AllReduces it,
+//!    calculations for communication avoidance", §4.2) and evaluates the
+//!    potential at its own points with the production Hartree evaluator
+//!    ([`System::hartree_potential`]: planned, direct or far-field tree),
+//! 4. assembles its partial `H¹` with the production per-batch kernel and
+//!    merge restricted to its batches
+//!    ([`operators::potential_matrix_on`]) and AllReduces it,
 //! 5. performs the (replicated) Sternheimer update.
 //!
 //! Deterministic rank-ordered reductions make every rank take identical
@@ -22,8 +26,6 @@ use crate::operators;
 use crate::scf::ScfResult;
 use crate::system::System;
 use crate::{CoreError, Result};
-use qp_chem::harmonics::{num_harmonics, real_spherical_harmonics};
-use qp_chem::multipole::{solve_poisson, MultipoleMoments};
 use qp_chem::xc;
 use qp_grid::mapping::{LoadBalancingMapping, LocalityEnhancingMapping, TaskMapping};
 use qp_linalg::DMatrix;
@@ -95,6 +97,8 @@ pub(crate) struct DirWork<'a> {
     collectives: CollectiveScheme,
     mixing: f64,
     mixer: DfptMixer,
+    max_iter: usize,
+    tol: f64,
     dir: usize,
     dip: DMatrix,
     fxc: Vec<f64>,
@@ -105,9 +109,6 @@ pub(crate) struct DirWork<'a> {
     c_virt: DMatrix,
     nb: usize,
     n_occ: usize,
-    n_lm: usize,
-    row_len: usize,
-    natoms: usize,
 }
 
 /// The loop-carried state of one rank's DFPT direction: the mixed `C¹`,
@@ -120,24 +121,53 @@ pub(crate) struct DirState {
     pub(crate) mixer: MixState,
 }
 
+/// How one rank's DFPT loop ended.
+enum Ending {
+    Converged,
+    NonFinite,
+    MaxIter,
+}
+
+/// What one rank's DFPT loop hands out of the SPMD region.
+pub(crate) struct RankOutcome {
+    ending: Ending,
+    iterations: usize,
+    /// The last residual computed (`∞` when no iteration ran).
+    residual: f64,
+    p1: DMatrix,
+    /// Rank 0's traffic log (empty on the other ranks).
+    traffic: Vec<TrafficRecord>,
+    /// Grid points the rank owns.
+    points: usize,
+}
+
 impl<'a> DirWork<'a> {
+    /// Precompute one direction's data. The Sternheimer update takes the
+    /// occupied manifold as the first `n_occupied()` orbitals at occupation
+    /// 2, so a ground state with any other occupations is refused here,
+    /// before the first iteration.
     pub(crate) fn new(
         system: &'a System,
         ground: &'a ScfResult,
         dir: usize,
         opts: &DfptOptions,
         cfg: &ParallelConfig,
-    ) -> Self {
-        let n_lm = num_harmonics(system.lmax);
+    ) -> Result<Self> {
         let nb = system.n_basis();
         let n_occ = system.n_occupied();
+        let aufbau = |(i, &f): (usize, &f64)| f == if i < n_occ { 2.0 } else { 0.0 };
+        if !ground.occupations.iter().enumerate().all(aufbau) {
+            return Err(CoreError::FractionalOccupations);
+        }
         let c = &ground.orbitals;
-        DirWork {
+        Ok(DirWork {
             system,
             ground,
             collectives: cfg.collectives,
             mixing: opts.mixing,
             mixer: opts.mixer,
+            max_iter: opts.max_iter,
+            tol: opts.tol,
             dir,
             dip: operators::dipole_matrix(system, dir),
             fxc: ground
@@ -149,10 +179,7 @@ impl<'a> DirWork<'a> {
             c_virt: DMatrix::from_fn(nb, nb - n_occ, |mu, a| c[(mu, n_occ + a)]),
             nb,
             n_occ,
-            n_lm,
-            row_len: system.grid.radial.len() * n_lm,
-            natoms: system.structure.len(),
-        }
+        })
     }
 
     /// Fresh loop state (zero `C¹`/`P¹`, empty mixer history).
@@ -180,20 +207,63 @@ impl<'a> DirWork<'a> {
         }
     }
 
-    /// The batch indices `assignment` maps to `rank`.
-    pub(crate) fn my_batches(assignment: &[usize], rank: usize) -> Vec<usize> {
-        assignment
-            .iter()
-            .enumerate()
-            .filter(|(_, &r)| r == rank)
-            .map(|(b, _)| b)
-            .collect()
+    /// One rank's DFPT loop: iterations `start_iter + 1 ..= max_iter` from
+    /// `state` on the batches `assignment` maps to this rank, stopping at
+    /// convergence or at the first non-finite residual. Each iteration is
+    /// a fault-injection point; `checkpoint` sees the state after every
+    /// other iteration.
+    pub(crate) fn run_rank(
+        &self,
+        comm: &qp_mpi::Comm,
+        assignment: &[usize],
+        mut state: DirState,
+        start_iter: usize,
+        mut checkpoint: impl FnMut(usize, &DirState, f64) -> std::result::Result<(), CommError>,
+    ) -> std::result::Result<RankOutcome, CommError> {
+        let rank = comm.rank();
+        let my_batches: Vec<usize> = (0..assignment.len())
+            .filter(|&b| assignment[b] == rank)
+            .collect();
+        let mut ending = Ending::MaxIter;
+        let mut iterations = start_iter;
+        let mut residual = f64::INFINITY;
+        for iter in (start_iter + 1)..=self.max_iter {
+            // A planned crash or stall at iteration `iter` fires here,
+            // before the iteration's collectives.
+            comm.fault_point("dfpt.iter", iter as u64)?;
+            iterations = iter;
+            residual = self.iteration(comm, &my_batches, iter, &mut state)?;
+            if residual < self.tol {
+                ending = Ending::Converged;
+                break;
+            }
+            if !residual.is_finite() {
+                ending = Ending::NonFinite;
+                break;
+            }
+            checkpoint(iter, &state, residual)?;
+        }
+        Ok(RankOutcome {
+            ending,
+            iterations,
+            residual,
+            p1: state.p1,
+            traffic: if rank == 0 {
+                comm.traffic().snapshot()
+            } else {
+                Vec::new()
+            },
+            points: my_batches
+                .iter()
+                .map(|&b| self.system.batches[b].len())
+                .sum(),
+        })
     }
 
     /// One distributed DFPT iteration: Sumup → rho synthesis → Poisson →
     /// `H¹` AllReduce → Sternheimer. Advances `state` in place and returns
     /// the residual `‖ΔP¹‖`.
-    pub(crate) fn iteration(
+    fn iteration(
         &self,
         comm: &qp_mpi::Comm,
         my_batches: &[usize],
@@ -201,8 +271,7 @@ impl<'a> DirWork<'a> {
         state: &mut DirState,
     ) -> std::result::Result<f64, CommError> {
         let system = self.system;
-        let (nb, n_occ, n_lm, row_len, natoms) =
-            (self.nb, self.n_occ, self.n_lm, self.row_len, self.natoms);
+        let (nb, n_occ) = (self.nb, self.n_occ);
         let c = &self.ground.orbitals;
         let eps = &self.ground.eigenvalues;
         let rank = comm.rank();
@@ -211,42 +280,28 @@ impl<'a> DirWork<'a> {
             iter_span.arg("iter", iter).arg("dir", self.dir);
         }
         // ---- Sumup on own batches (GEMM form, see `System::batch_density`) ----
+        // The rank's share of n¹ on the full grid: zero off its own points.
         let sumup_span = crate::phase_span(qp_trace::Phase::Sumup, "sumup.local_n1");
-        let local_n1: Vec<Vec<f64>> = my_batches
-            .iter()
-            .map(|&b| system.batch_density(b, &state.p1))
-            .collect();
-        drop(sumup_span);
-
-        // ---- Partial rho_multipole rows from own points ----
-        let rho_span = crate::phase_span(qp_trace::Phase::Rho, "rho.partial_rows");
-        let mut rows = vec![vec![0.0; row_len]; natoms];
-        let mut ylm = vec![0.0; n_lm];
-        let fourpi = 4.0 * std::f64::consts::PI;
-        for (bi, &b) in my_batches.iter().enumerate() {
-            let batch = &system.batches[b];
-            for (pi, pt) in batch.points.iter().enumerate() {
-                let gp = &system.grid.points[pt.grid_index as usize];
-                let ia = gp.atom as usize;
-                let center = system.structure.atoms[ia].position;
-                let d = [
-                    gp.position[0] - center[0],
-                    gp.position[1] - center[1],
-                    gp.position[2] - center[2],
-                ];
-                real_spherical_harmonics(system.lmax, d, &mut ylm);
-                let f = fourpi * gp.w_angular * gp.partition * local_n1[bi][pi];
-                let base = gp.shell as usize * n_lm;
-                for (lm, y) in ylm.iter().enumerate() {
-                    rows[ia][base + lm] += f * y;
-                }
+        let mut n1 = vec![0.0; system.n_points()];
+        let mut own_points = Vec::new();
+        for &b in my_batches {
+            let local = system.batch_density(b, &state.p1);
+            for (pt, v) in system.batches[b].points.iter().zip(local) {
+                n1[pt.grid_index as usize] = v;
+                own_points.push(pt.grid_index as usize);
             }
         }
+        drop(sumup_span);
 
+        // ---- Partial rho_multipole rows: the moments of the rank's share ----
+        let rho_span = crate::phase_span(qp_trace::Phase::Rho, "rho.partial_rows");
+        let mut moments = system.multipole_moments(&n1);
         drop(rho_span);
 
         // ---- Synthesize rho_multipole across ranks ----
         let synth_span = crate::phase_span(qp_trace::Phase::Rho, "rho.synthesize");
+        let rows = &moments.moments;
+        let natoms = rows.len();
         let reduced_rows: Vec<Vec<f64>> = match self.collectives {
             CollectiveScheme::PerRow => {
                 let mut out = Vec::with_capacity(natoms);
@@ -270,6 +325,7 @@ impl<'a> DirWork<'a> {
                     .collect::<std::result::Result<_, _>>()?
             }
             CollectiveScheme::PackedHierarchical => {
+                let row_len = rows.first().map_or(0, Vec::len);
                 let packed: Vec<f64> = rows.iter().flat_map(|r| r.iter().copied()).collect();
                 let reduced = qp_mpi::hierarchical::hierarchical_allreduce(
                     comm,
@@ -280,61 +336,23 @@ impl<'a> DirWork<'a> {
                 reduced.chunks(row_len).map(|c| c.to_vec()).collect()
             }
         };
-
+        moments.moments = reduced_rows;
         drop(synth_span);
 
-        // ---- Redundant Poisson solve (producer) on every rank ----
-        let poisson_span = crate::phase_span(qp_trace::Phase::Rho, "rho.poisson");
-        let moments = MultipoleMoments {
-            lmax: system.lmax,
-            n_lm,
-            moments: reduced_rows,
-        };
-        let hartree = solve_poisson(&system.structure, &system.grid, &moments);
-        // In tree mode the far part of the per-point Hartree sum is served
-        // from aggregated cluster moments (QP_FARFIELD_TOL budget); every
-        // rank aggregates from the same redundant Poisson solution, so the
-        // replicated potential stays rank-independent.
-        let far = system.farfield_tree().map(|tree| {
-            (
-                tree,
-                qp_grid::FarField::aggregate(tree, &hartree, qp_grid::farfield_tol()),
-            )
-        });
-        drop(poisson_span);
+        // ---- Redundant Poisson solve on every rank, v¹ at own points ----
+        // Every rank solves (and, in tree mode, aggregates) from the same
+        // synthesized moments, so the replicated potential stays
+        // rank-independent.
+        let v1_span = crate::phase_span(qp_trace::Phase::Rho, "rho.v1");
+        let mut v1 = system.hartree_potential(&moments, Some(&own_points));
+        for &gi in &own_points {
+            v1[gi] += self.fxc[gi] * n1[gi];
+        }
+        drop(v1_span);
 
         // ---- Partial H1 from own batches ----
         let h_span = crate::phase_span(qp_trace::Phase::H, "h1.partial");
-        let mut h1_partial = DMatrix::zeros(nb, nb);
-        for (bi, &b) in my_batches.iter().enumerate() {
-            let batch = &system.batches[b];
-            let table = system.table(b);
-            let nf = table.fn_indices.len();
-            for (pi, pt) in batch.points.iter().enumerate() {
-                let gi = pt.grid_index as usize;
-                let gp = &system.grid.points[gi];
-                let v_h = match &far {
-                    Some((tree, ff)) => ff.eval(tree, &hartree, gp.position),
-                    None => hartree.eval_atoms(gp.position, 0..natoms),
-                };
-                let v1 = v_h + self.fxc[gi] * local_n1[bi][pi];
-                let w = gp.weight * v1;
-                if w == 0.0 {
-                    continue;
-                }
-                let row = &table.values[pi * nf..(pi + 1) * nf];
-                for a in 0..nf {
-                    if row[a] == 0.0 {
-                        continue;
-                    }
-                    let fa = table.fn_indices[a];
-                    for bq in 0..nf {
-                        let fb = table.fn_indices[bq];
-                        h1_partial[(fa, fb)] += w * row[a] * row[bq];
-                    }
-                }
-            }
-        }
+        let h1_partial = operators::potential_matrix_on(system, &v1, my_batches);
         let h1_flat = comm.allreduce(ReduceOp::Sum, h1_partial.as_slice())?;
         let mut h1 = DMatrix::from_vec(nb, nb, h1_flat).expect("nb x nb");
         h1.axpy(-1.0, &self.dip).expect("same dims");
@@ -368,6 +386,32 @@ impl<'a> DirWork<'a> {
     }
 }
 
+/// Rank 0's outcome as the direction's result: the typed error when the
+/// loop went non-finite or ran out of iterations (with the last residual).
+pub(crate) fn direction_result(outcomes: Vec<RankOutcome>) -> Result<ParallelDirectionResult> {
+    const WHAT: &str = "parallel DFPT self-consistency";
+    let points_per_rank = outcomes.iter().map(|o| o.points).collect();
+    let first = outcomes.into_iter().next().expect("at least one rank");
+    match first.ending {
+        Ending::Converged => Ok(ParallelDirectionResult {
+            p1: first.p1,
+            iterations: first.iterations,
+            traffic: first.traffic,
+            points_per_rank,
+        }),
+        Ending::NonFinite => Err(CoreError::NonFinite {
+            what: WHAT,
+            iteration: first.iterations,
+            residual: first.residual,
+        }),
+        Ending::MaxIter => Err(CoreError::NoConvergence {
+            what: WHAT,
+            iterations: first.iterations,
+            residual: first.residual,
+        }),
+    }
+}
+
 /// Map a communication failure onto the core error type.
 pub(crate) fn comm_failure(e: CommError) -> CoreError {
     CoreError::NoConvergence {
@@ -390,60 +434,24 @@ pub fn parallel_dfpt_direction(
     cfg: &ParallelConfig,
 ) -> Result<ParallelDirectionResult> {
     let assignment = assign_batches(system, cfg);
-    let work = DirWork::new(system, ground, dir, opts, cfg);
-
-    let outputs = run_spmd(cfg.n_ranks, cfg.ranks_per_node, |comm| {
-        let rank = comm.rank();
-        let my_batches = DirWork::my_batches(&assignment, rank);
-        let my_points: usize = my_batches.iter().map(|&b| system.batches[b].len()).sum();
-
-        let mut state = work.initial_state();
-        let mut iterations = 0usize;
-        let mut converged = false;
-
-        for iter in 1..=opts.max_iter {
-            iterations = iter;
-            let residual = work.iteration(comm, &my_batches, iter, &mut state)?;
-            if residual < opts.tol {
-                converged = true;
-                break;
-            }
-        }
-
-        let traffic = if rank == 0 {
-            comm.traffic().snapshot()
-        } else {
-            Vec::new()
-        };
-        Ok((converged, iterations, state.p1.clone(), traffic, my_points))
+    let work = DirWork::new(system, ground, dir, opts, cfg)?;
+    let outcomes = run_spmd(cfg.n_ranks, cfg.ranks_per_node, |comm| {
+        work.run_rank(comm, &assignment, work.initial_state(), 0, |_, _, _| Ok(()))
     })
     .map_err(comm_failure)?;
-
-    let (converged, iterations, p1, traffic, _) = outputs[0].clone();
-    if !converged {
-        return Err(CoreError::NoConvergence {
-            what: "parallel DFPT self-consistency",
-            iterations,
-            residual: f64::NAN,
-        });
-    }
-    let points_per_rank = outputs.iter().map(|o| o.4).collect();
-    Ok(ParallelDirectionResult {
-        p1,
-        iterations,
-        traffic,
-        points_per_rank,
-    })
+    direction_result(outcomes)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::dfpt::dfpt_direction;
+    use crate::resil::{parallel_dfpt_direction_resilient, ResilienceConfig};
     use crate::scf::{scf, ScfOptions};
+    use crate::screening::ScreeningMode;
     use qp_chem::basis::BasisSettings;
     use qp_chem::grids::GridSettings;
-    use qp_chem::structures::water;
+    use qp_chem::structures::{polyethylene, water};
     use qp_mpi::CollectiveKind;
 
     fn setup() -> (System, ScfResult) {
@@ -451,6 +459,24 @@ mod tests {
         gs.n_radial = 24;
         gs.max_angular = 26;
         let sys = System::build(water(), BasisSettings::Light, &gs, 120, 2);
+        let ground = scf(&sys, &ScfOptions::default()).unwrap();
+        (sys, ground)
+    }
+
+    /// polymer:4 on the coarse grid at the production expansion order,
+    /// screening forced on (its 14 atoms are below the `Auto` threshold):
+    /// far-side (point, atom) pairs take the Poisson tails, and `H¹`
+    /// merges through the screened blocks.
+    fn polymer_setup() -> (System, ScfResult) {
+        let sys = System::build_with_screening(
+            polyethylene(4),
+            BasisSettings::Light,
+            &GridSettings::coarse(),
+            200,
+            4,
+            ScreeningMode::On,
+        );
+        assert!(sys.screen().is_some());
         let ground = scf(&sys, &ScfOptions::default()).unwrap();
         (sys, ground)
     }
@@ -466,23 +492,77 @@ mod tests {
 
     #[test]
     fn parallel_matches_serial_reference() {
-        let (sys, ground) = setup();
+        for (name, (sys, ground)) in [("water", setup()), ("polymer:4", polymer_setup())] {
+            let opts = DfptOptions::default();
+            let serial = dfpt_direction(&sys, &ground, 2, &opts).unwrap();
+            for mapping in [MappingKind::LoadBalancing, MappingKind::LocalityEnhancing] {
+                let par = parallel_dfpt_direction(
+                    &sys,
+                    &ground,
+                    2,
+                    &opts,
+                    &cfg(mapping, CollectiveScheme::PerRow),
+                )
+                .unwrap();
+                assert!(
+                    par.p1.max_abs_diff(&serial.p1) < 1e-6,
+                    "{name} {mapping:?}: parallel deviates by {}",
+                    par.p1.max_abs_diff(&serial.p1)
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn smeared_ground_state_is_refused_before_the_first_iteration() {
+        let (sys, _) = setup();
+        let smeared = ScfOptions {
+            smearing: Some(0.02),
+            ..ScfOptions::default()
+        };
+        let ground = scf(&sys, &smeared).unwrap();
+        assert!(ground.occupations.iter().any(|&f| f != 0.0 && f != 2.0));
         let opts = DfptOptions::default();
-        let serial = dfpt_direction(&sys, &ground, 2, &opts).unwrap();
-        for mapping in [MappingKind::LoadBalancing, MappingKind::LocalityEnhancing] {
-            let par = parallel_dfpt_direction(
-                &sys,
-                &ground,
-                2,
-                &opts,
-                &cfg(mapping, CollectiveScheme::PerRow),
-            )
-            .unwrap();
+        let c = cfg(MappingKind::LocalityEnhancing, CollectiveScheme::Packed);
+        let plain = parallel_dfpt_direction(&sys, &ground, 0, &opts, &c).unwrap_err();
+        let supervised = parallel_dfpt_direction_resilient(
+            &sys,
+            &ground,
+            0,
+            &opts,
+            &c,
+            &ResilienceConfig::with_interval(2),
+        )
+        .unwrap_err();
+        for err in [plain, supervised] {
+            assert!(matches!(err, CoreError::FractionalOccupations), "{err}");
+            let msg = err.to_string();
             assert!(
-                par.p1.max_abs_diff(&serial.p1) < 1e-6,
-                "{mapping:?}: parallel deviates by {}",
-                par.p1.max_abs_diff(&serial.p1)
+                msg.contains("--smearing") && msg.contains("--ranks"),
+                "{msg}"
             );
+        }
+    }
+
+    #[test]
+    fn non_finite_residual_stops_both_drivers_with_a_typed_error() {
+        let (sys, ground) = setup();
+        let opts = DfptOptions {
+            mixing: f64::NAN,
+            ..DfptOptions::default()
+        };
+        let serial = dfpt_direction(&sys, &ground, 0, &opts).err();
+        let c = cfg(MappingKind::LocalityEnhancing, CollectiveScheme::Packed);
+        let par = parallel_dfpt_direction(&sys, &ground, 0, &opts, &c).err();
+        for err in [serial, par] {
+            match err {
+                Some(CoreError::NonFinite {
+                    iteration,
+                    residual,
+                    ..
+                }) => assert!(iteration == 1 && residual.is_nan()),
+                other => panic!("expected a non-finite stop, got {other:?}"),
+            }
         }
     }
 

@@ -19,7 +19,10 @@
 //! MPI job on fresh hardware.
 
 use crate::dfpt::DfptOptions;
-use crate::parallel::{assign_batches, DirWork, ParallelConfig, ParallelDirectionResult};
+use crate::parallel::{
+    assign_batches, comm_failure, direction_result, DirWork, ParallelConfig,
+    ParallelDirectionResult,
+};
 use crate::scf::{scf_resumable, ScfOptions, ScfResult, ScfState};
 use crate::system::System;
 use crate::{CoreError, Result};
@@ -106,7 +109,7 @@ pub fn parallel_dfpt_direction_resilient(
     rcfg: &ResilienceConfig,
 ) -> Result<ResilientDirectionResult> {
     let assignment = assign_batches(system, cfg);
-    let work = DirWork::new(system, ground, dir, opts, cfg);
+    let work = DirWork::new(system, ground, dir, opts, cfg)?;
     let interval = rcfg.checkpoint_interval;
 
     let ck_path = rcfg
@@ -141,11 +144,7 @@ pub fn parallel_dfpt_direction_resilient(
 
     let run = supervisor.run(|sup, _attempt| {
         let out = run_spmd_with(cfg.n_ranks, cfg.ranks_per_node, spmd_opts.clone(), |comm| {
-            let rank = comm.rank();
-            let my_batches = DirWork::my_batches(&assignment, rank);
-            let my_points: usize = my_batches.iter().map(|&b| system.batches[b].len()).sum();
-
-            let (mut state, start_iter) = match &*store.lock() {
+            let (state, start_iter) = match &*store.lock() {
                 Some(ck) => (
                     work.state_from(
                         ck.c1.clone(),
@@ -157,21 +156,15 @@ pub fn parallel_dfpt_direction_resilient(
                 ),
                 None => (work.initial_state(), 0),
             };
-            let mut iterations = start_iter;
-            let mut converged = false;
-
-            for iter in (start_iter + 1)..=opts.max_iter {
-                // The injection point: a planned crash or stall at
-                // iteration `iter` fires here, before the iteration's
-                // collectives.
-                comm.fault_point("dfpt.iter", iter as u64)?;
-                iterations = iter;
-                let residual = work.iteration(comm, &my_batches, iter, &mut state)?;
-                if residual < opts.tol {
-                    converged = true;
-                    break;
-                }
-                if rank == 0 && interval > 0 && iter % interval == 0 {
+            work.run_rank(
+                comm,
+                &assignment,
+                state,
+                start_iter,
+                |iter, state, residual| {
+                    if comm.rank() != 0 || interval == 0 || iter % interval != 0 {
+                        return Ok(());
+                    }
                     let (diis_in, diis_res) = state.mixer.history();
                     let ck = DfptCheckpoint {
                         dir,
@@ -190,15 +183,9 @@ pub fn parallel_dfpt_direction_resilient(
                         }
                     }
                     *store.lock() = Some(ck);
-                }
-            }
-
-            let traffic = if rank == 0 {
-                comm.traffic().snapshot()
-            } else {
-                Vec::new()
-            };
-            Ok((converged, iterations, state.p1.clone(), traffic, my_points))
+                    Ok(())
+                },
+            )
         });
         for bytes in written.lock().drain(..) {
             sup.note_checkpoint(bytes);
@@ -209,24 +196,9 @@ pub fn parallel_dfpt_direction_resilient(
     if let Some(e) = io_error.into_inner() {
         return Err(ck_err(e));
     }
-    let outputs = run.map_err(crate::parallel::comm_failure)?;
-
-    let (converged, iterations, p1, traffic, _) = outputs[0].clone();
-    if !converged {
-        return Err(CoreError::NoConvergence {
-            what: "parallel DFPT self-consistency",
-            iterations,
-            residual: f64::NAN,
-        });
-    }
-    let points_per_rank = outputs.iter().map(|o| o.4).collect();
+    let direction = direction_result(run.map_err(comm_failure)?)?;
     Ok(ResilientDirectionResult {
-        direction: ParallelDirectionResult {
-            p1,
-            iterations,
-            traffic,
-            points_per_rank,
-        },
+        direction,
         stats: supervisor.into_stats(),
     })
 }

@@ -10,9 +10,7 @@ use crate::mixing::pulay_extrapolate;
 use crate::operators;
 use crate::system::System;
 use crate::{CoreError, Result};
-use qp_chem::multipole::{solve_poisson, MultipoleMoments};
 use qp_chem::xc;
-use qp_grid::FarField;
 use qp_linalg::{generalized_symmetric_eigen, DMatrix};
 
 /// SCF options.
@@ -209,45 +207,8 @@ pub fn scf_preemptible(
             iter_span.arg("iter", iter);
         }
         let density = system.density_on_grid(&p_mat);
-        // Hartree potential of the electron density. The geometry plan
-        // (distances, harmonics, spline brackets per (point, atom)) is
-        // precomputed once per system; the planned and direct branches are
-        // bit-identical, and which one runs depends only on system size.
-        let plan = system.hartree_plan();
-        let moments = match plan.as_deref() {
-            Some(pl) => {
-                MultipoleMoments::compute_planned(&system.structure, &system.grid, &density, pl)
-            }
-            None => {
-                MultipoleMoments::compute(&system.structure, &system.grid, &density, system.lmax)
-            }
-        };
-        let hartree = solve_poisson(&system.structure, &system.grid, &moments);
-        let natoms = system.structure.len();
-        // Each point's potential lands in its own slot; the index-ordered
-        // parallel fill returns bit-identical values at any thread count.
-        let mut v_h = vec![0.0; system.grid.len()];
-        let est = (natoms * hartree.n_lm * 8).max(1) as u64;
-        // The hierarchical far field (when the mode enables it) replaces
-        // the O(natoms) per-point sum by near-set + cluster expansions,
-        // within the QP_FARFIELD_TOL budget; otherwise the planned and
-        // direct branches are bit-identical.
-        match system.farfield_tree() {
-            Some(tree) => {
-                let far = FarField::aggregate(tree, &hartree, qp_grid::farfield_tol());
-                qp_par::fill_slice_hinted(&mut v_h, est, |ip| {
-                    far.eval(tree, &hartree, system.grid.points[ip].position)
-                });
-            }
-            None => match plan.as_deref() {
-                Some(pl) => {
-                    qp_par::fill_slice_hinted(&mut v_h, est, |ip| hartree.eval_planned(pl, ip))
-                }
-                None => qp_par::fill_slice_hinted(&mut v_h, est, |ip| {
-                    hartree.eval_atoms(system.grid.points[ip].position, 0..natoms)
-                }),
-            },
-        }
+        // Hartree potential of the electron density.
+        let v_h = system.hartree_potential(&system.multipole_moments(&density), None);
         let v_xc: Vec<f64> = density.iter().map(|&n| xc::v_xc(n.max(0.0))).collect();
         let v_eff: Vec<f64> = v_h.iter().zip(v_xc.iter()).map(|(a, b)| a + b).collect();
         let v_eff_mat = operators::potential_matrix(system, &v_eff);

@@ -11,9 +11,9 @@ use crate::screening::{ScreenPlan, ScreeningMode};
 use qp_chem::basis::{BasisSet, BasisSettings};
 use qp_chem::geometry::Structure;
 use qp_chem::grids::{GridSettings, IntegrationGrid};
-use qp_chem::multipole::HartreePlan;
+use qp_chem::multipole::{solve_poisson, HartreePlan, MultipoleMoments};
 use qp_grid::batch::{batches_from_grid, Batch};
-use qp_grid::ClusterTree;
+use qp_grid::{ClusterTree, FarField};
 use qp_linalg::vecops::dist3;
 use std::sync::{Arc, OnceLock};
 
@@ -258,6 +258,60 @@ impl System {
             .clone()
     }
 
+    /// Multipole moments (`rho_multipole`) of a density given at every grid
+    /// point: from the Hartree plan's tables when the plan exists, directly
+    /// otherwise. The two are bit-identical, and which one runs depends
+    /// only on system size.
+    pub fn multipole_moments(&self, density: &[f64]) -> MultipoleMoments {
+        match self.hartree_plan().as_deref() {
+            Some(pl) => MultipoleMoments::compute_planned(&self.structure, &self.grid, density, pl),
+            None => MultipoleMoments::compute(&self.structure, &self.grid, density, self.lmax),
+        }
+    }
+
+    /// The Hartree potential of `moments` on the grid: one radial Poisson
+    /// solve, then the potential at the grid indices in `points` (`None`:
+    /// every point); the other slots stay `0.0`.
+    ///
+    /// The evaluation is the hierarchical far field when the mode enables
+    /// the cluster tree (within the `QP_FARFIELD_TOL` budget), otherwise
+    /// the planned or the direct per-atom sum, which are bit-identical.
+    /// Each point's value lands in its own slot, so the result is
+    /// bit-identical at any thread count.
+    pub fn hartree_potential(
+        &self,
+        moments: &MultipoleMoments,
+        points: Option<&[usize]>,
+    ) -> Vec<f64> {
+        let hartree = solve_poisson(&self.structure, &self.grid, moments);
+        let natoms = self.structure.len();
+        let est = (natoms * hartree.n_lm * 8).max(1) as u64;
+        let far = self.farfield_tree().map(|tree| {
+            (
+                tree,
+                FarField::aggregate(tree, &hartree, qp_grid::farfield_tol()),
+            )
+        });
+        let plan = self.hartree_plan();
+        let eval = |gi: usize| match (&far, plan.as_deref()) {
+            (Some((tree, ff)), _) => ff.eval(tree, &hartree, self.grid.points[gi].position),
+            (None, Some(pl)) => hartree.eval_planned(pl, gi),
+            (None, None) => hartree.eval_atoms(self.grid.points[gi].position, 0..natoms),
+        };
+        let mut v = vec![0.0; self.grid.len()];
+        match points {
+            None => qp_par::fill_slice_hinted(&mut v, est, eval),
+            Some(points) => {
+                let mut at = vec![0.0; points.len()];
+                qp_par::fill_slice_hinted(&mut at, est, |i| eval(points[i]));
+                for (&gi, x) in points.iter().zip(at) {
+                    v[gi] = x;
+                }
+            }
+        }
+        v
+    }
+
     fn tabulate_batch(&self, batch: &Batch) -> BatchBasisTable {
         let basis = &self.basis;
         // Prune: functions whose support reaches any point of the batch.
@@ -416,11 +470,11 @@ mod tests {
     fn repeated_lookup_hits_cache() {
         let s = small_system();
         s.warm_tables();
-        let (h0, m0, _) = crate::basis_cache::cache_counters();
+        let (h0, m0, _) = s.basis_cache().counters();
         for b in s.batches.iter() {
             s.table(b.id);
         }
-        let (h1, m1, _) = crate::basis_cache::cache_counters();
+        let (h1, m1, _) = s.basis_cache().counters();
         assert_eq!(h1 - h0, s.batches.len() as u64, "all warm lookups hit");
         assert_eq!(m1, m0, "no rebuild after warm-up");
     }

@@ -281,13 +281,24 @@ pub struct HartreeSolution {
     pub n_lm: usize,
     /// Atom centers.
     pub centers: Vec<[f64; 3]>,
-    /// `splines[atom][lm]`: `v_lm(r)` for `r ≤ r_outer`.
-    pub splines: Vec<Vec<CubicSpline>>,
+    /// Radial knots, shared by every `(atom, lm)` spline.
+    knots: Vec<f64>,
+    /// `coef[atom][(k * n_lm + lm) * 2 + {0, 1}]`: value and second
+    /// derivative at knot `k` of the natural cubic spline of `v_lm(r)`,
+    /// `r ≤ r_outer`. Knot-major, so one bracketing interval of an atom
+    /// reads two contiguous rows for all of its channels.
+    coef: Vec<Vec<f64>>,
     /// `tails[atom][lm]`: far-field coefficient `q_lm` with
     /// `v_lm(r > r_outer) = 4π/(2l+1) · q_lm / r^{l+1}`.
     pub tails: Vec<Vec<f64>>,
+    /// `tail_pref[atom][lm] = 4π/(2l+1) · q_lm`, formed once per solve.
+    tail_pref: Vec<Vec<f64>>,
     /// Outermost tabulated radius.
     pub r_outer: f64,
+    /// Cubic splines [`solve_poisson`] constructed for this solution (its
+    /// share of the Fig. 9c count), counted on the threads that built
+    /// them; `0` from [`from_channels`](Self::from_channels).
+    pub splines_constructed: u64,
 }
 
 /// Solve the (response) Poisson equation for a density given on the grid,
@@ -310,8 +321,9 @@ pub fn solve_poisson(
     // serial sweep at any thread count.
     let per_atom = qp_par::map_vec((0..moments.moments.len()).collect::<Vec<usize>>(), |ia| {
         let mom = &moments.moments[ia];
-        let mut atom_splines = Vec::with_capacity(n_lm);
-        let mut atom_tails = Vec::with_capacity(n_lm);
+        let built_before = crate::spline::thread_spline_constructions();
+        let mut splines = Vec::with_capacity(n_lm);
+        let mut tails = Vec::with_capacity(n_lm);
         for lm in 0..n_lm {
             let (l, _m) = crate::harmonics::lm_from_index(lm);
             let li = l as i32;
@@ -335,32 +347,137 @@ pub fn solve_poisson(
             let v: Vec<f64> = (0..n_r)
                 .map(|k| pref * (inner[k] / radii[k].powi(li + 1) + radii[k].powi(li) * outer[k]))
                 .collect();
-            atom_tails.push(inner[n_r - 1]);
-            atom_splines.push(CubicSpline::natural(radii.to_vec(), v));
+            tails.push(inner[n_r - 1]);
+            splines.push(CubicSpline::natural(radii.to_vec(), v));
         }
-        (atom_splines, atom_tails)
+        let built = crate::spline::thread_spline_constructions() - built_before;
+        (splines, tails, built)
     });
     let mut splines = Vec::with_capacity(structure.len());
     let mut tails = Vec::with_capacity(structure.len());
-    for (atom_splines, atom_tails) in per_atom {
+    let mut splines_constructed = 0;
+    for (atom_splines, atom_tails, built) in per_atom {
         splines.push(atom_splines);
         tails.push(atom_tails);
+        splines_constructed += built;
     }
-    HartreeSolution {
-        lmax,
-        n_lm,
-        centers: structure.atoms.iter().map(|a| a.position).collect(),
-        splines,
-        tails,
-        r_outer: radii[n_r - 1],
-    }
+    let centers = structure.atoms.iter().map(|a| a.position).collect();
+    let mut sol = HartreeSolution::from_channels(lmax, centers, &splines, tails, radii[n_r - 1]);
+    sol.splines_constructed = splines_constructed;
+    sol
 }
 
 impl HartreeSolution {
+    /// A solution from its radial channels: `splines[atom][lm]` is `v_lm(r)`
+    /// up to `r_outer`, every channel on one knot vector, and
+    /// `tails[atom][lm]` its far-field coefficient `q_lm`. Only the knot
+    /// values and second derivatives are kept, packed per atom into the
+    /// knot-major table the evaluator reads.
+    pub fn from_channels(
+        lmax: usize,
+        centers: Vec<[f64; 3]>,
+        splines: &[Vec<CubicSpline>],
+        tails: Vec<Vec<f64>>,
+        r_outer: f64,
+    ) -> Self {
+        let n_lm = num_harmonics(lmax);
+        assert!(splines.len() == centers.len() && tails.len() == centers.len());
+        let knots = splines
+            .first()
+            .and_then(|channels| channels.first())
+            .map_or_else(Vec::new, |s| s.knots().to_vec());
+        let n_r = knots.len();
+        let coef = splines
+            .iter()
+            .map(|channels| {
+                assert_eq!(channels.len(), n_lm, "one spline per (l, m) channel");
+                let mut coef = vec![0.0; n_r * n_lm * 2];
+                for (lm, spline) in channels.iter().enumerate() {
+                    assert!(spline.knots() == knots, "every channel on one knot vector");
+                    let knot_data = spline.values().iter().zip(spline.second_derivatives());
+                    for (k, (&y, &y2)) in knot_data.enumerate() {
+                        coef[(k * n_lm + lm) * 2] = y;
+                        coef[(k * n_lm + lm) * 2 + 1] = y2;
+                    }
+                }
+                coef
+            })
+            .collect();
+        let fourpi = 4.0 * std::f64::consts::PI;
+        let tail_pref = tails
+            .iter()
+            .map(|q| {
+                (0..n_lm)
+                    .map(|lm| {
+                        let (l, _) = crate::harmonics::lm_from_index(lm);
+                        fourpi / (2.0 * l as f64 + 1.0) * q[lm]
+                    })
+                    .collect()
+            })
+            .collect();
+        HartreeSolution {
+            lmax,
+            n_lm,
+            centers,
+            knots,
+            coef,
+            tails,
+            tail_pref,
+            r_outer,
+            splines_constructed: 0,
+        }
+    }
+
+    /// Add atom `ia`'s potential at distance `r` along the direction with
+    /// harmonics `ylm` to the running sum `v`; `bracket` yields the spline
+    /// interval and weights of [`CubicSpline::locate`] at `r.max(1e-6)`
+    /// and is called only inside `r_outer`.
+    ///
+    /// The one kernel behind [`eval_atoms`](Self::eval_atoms) and
+    /// [`eval_planned`](Self::eval_planned). What does not depend on the
+    /// channel is formed once: `h²`, `a³ − a` and `b³ − b` per atom (every
+    /// channel shares the knots), `r^{l+1}` once per `l`, and
+    /// `4π/(2l+1)·q_lm` once per solve. Each is the value the per-channel
+    /// expression computed, and the rest of that expression keeps its
+    /// operation order, so every term — and the running sum — has the
+    /// bits of [`CubicSpline::eval_at`] and of the per-channel tail.
+    #[inline]
+    fn add_atom(
+        &self,
+        mut v: f64,
+        ia: usize,
+        r: f64,
+        ylm: &[f64],
+        bracket: impl FnOnce() -> (usize, f64, f64),
+    ) -> f64 {
+        let n_lm = self.n_lm;
+        if r <= self.r_outer {
+            let (k, a, b) = bracket();
+            let h = self.knots[k + 1] - self.knots[k];
+            let hh = h * h;
+            let (ca, cb) = (a * a * a - a, b * b * b - b);
+            let rows = &self.coef[ia][2 * k * n_lm..2 * (k + 2) * n_lm];
+            let (lo, hi) = rows.split_at(2 * n_lm);
+            for (lm, y) in ylm[..n_lm].iter().enumerate() {
+                let (y0, d0) = (lo[2 * lm], lo[2 * lm + 1]);
+                let (y1, d1) = (hi[2 * lm], hi[2 * lm + 1]);
+                v += (a * y0 + b * y1 + (ca * d0 + cb * d1) * hh / 6.0) * y;
+            }
+        } else {
+            let pq = &self.tail_pref[ia];
+            for l in 0..=self.lmax {
+                let rl1 = r.powi(l as i32 + 1);
+                for lm in l * l..(l + 1) * (l + 1) {
+                    v += pq[lm] / rl1 * ylm[lm];
+                }
+            }
+        }
+        v
+    }
+
     /// Evaluate the potential at `p`, summing the contribution of the listed
     /// atoms (callers prune by distance; pass `0..natoms` for all).
     pub fn eval_atoms(&self, p: [f64; 3], atoms: impl IntoIterator<Item = usize>) -> f64 {
-        let fourpi = 4.0 * std::f64::consts::PI;
         let mut ylm = vec![0.0; self.n_lm];
         let mut v = 0.0;
         for ia in atoms {
@@ -368,17 +485,9 @@ impl HartreeSolution {
             let d = [p[0] - c[0], p[1] - c[1], p[2] - c[2]];
             let r = (d[0] * d[0] + d[1] * d[1] + d[2] * d[2]).sqrt();
             real_spherical_harmonics(self.lmax, d, &mut ylm);
-            if r <= self.r_outer {
-                for lm in 0..self.n_lm {
-                    v += self.splines[ia][lm].eval(r.max(1e-6)) * ylm[lm];
-                }
-            } else {
-                for lm in 0..self.n_lm {
-                    let (l, _) = crate::harmonics::lm_from_index(lm);
-                    let pref = fourpi / (2.0 * l as f64 + 1.0);
-                    v += pref * self.tails[ia][lm] / r.powi(l as i32 + 1) * ylm[lm];
-                }
-            }
+            v = self.add_atom(v, ia, r, &ylm, || {
+                CubicSpline::locate(&self.knots, r.max(1e-6))
+            });
         }
         v
     }
@@ -391,42 +500,23 @@ impl HartreeSolution {
     /// Plan-accelerated [`eval`](Self::eval) at grid point `ip`: distances,
     /// harmonics, and the shared spline bracket come from the
     /// [`HartreePlan`] tables instead of being recomputed. Atoms are summed
-    /// in ascending order and every scalar expression matches `eval_atoms`
-    /// exactly, so the result is bit-identical to `eval(grid.points[ip])`.
+    /// in ascending order through the same per-atom kernel as `eval_atoms`,
+    /// and the plan's values are the ones `eval_atoms` computes, so the
+    /// result is bit-identical to `eval(grid.points[ip])`.
     pub fn eval_planned(&self, plan: &HartreePlan, ip: usize) -> f64 {
         debug_assert_eq!(plan.natoms, self.centers.len());
         debug_assert_eq!(plan.lmax, self.lmax);
-        let fourpi = 4.0 * std::f64::consts::PI;
         let natoms = plan.natoms;
         let n_lm = self.n_lm;
         let mut v = 0.0;
         for ia in 0..natoms {
             let idx = ip * natoms + ia;
-            let r = plan.r[idx];
             let ylm = &plan.ylm[idx * n_lm..(idx + 1) * n_lm];
-            if r <= self.r_outer {
-                let (k, a, b) = (plan.k[idx] as usize, plan.a[idx], plan.b[idx]);
-                for lm in 0..n_lm {
-                    v += self.splines[ia][lm].eval_at(k, a, b) * ylm[lm];
-                }
-            } else {
-                for lm in 0..n_lm {
-                    let (l, _) = crate::harmonics::lm_from_index(lm);
-                    let pref = fourpi / (2.0 * l as f64 + 1.0);
-                    v += pref * self.tails[ia][lm] / r.powi(l as i32 + 1) * ylm[lm];
-                }
-            }
+            v = self.add_atom(v, ia, plan.r[idx], ylm, || {
+                (plan.k[idx] as usize, plan.a[idx], plan.b[idx])
+            });
         }
         v
-    }
-
-    /// Total bytes of all spline tables — the `delta_v_hart_part_spl`
-    /// volume of Fig. 12(a).
-    pub fn spline_table_bytes(&self) -> usize {
-        self.splines
-            .iter()
-            .flat_map(|per_atom| per_atom.iter().map(|s| s.memory_bytes()))
-            .sum()
     }
 }
 
@@ -825,7 +915,8 @@ mod tests {
     #[test]
     fn planned_moments_and_eval_are_bit_identical_to_direct() {
         // Two off-axis atoms so the harmonics, partition weights, and both
-        // spline/tail branches of the evaluator are all exercised.
+        // spline/tail branches of the evaluator are all exercised, at the
+        // test order 3 and the production order 4.
         let s2 = Structure::new(vec![
             Atom::new(Element::O, [0.1, -0.2, 0.05]),
             Atom::new(Element::H, [1.7, 0.4, -0.3]),
@@ -839,33 +930,44 @@ mod tests {
                 (-0.8 * r1 * r1).exp() * (1.0 + 0.3 * p.position[0])
             })
             .collect();
-        let lmax = 3;
-        let plan = HartreePlan::build(&s2, &grid, lmax);
-        assert_eq!(plan.natoms(), 2);
-        assert!(plan.memory_bytes() > 0);
+        for lmax in [3, 4] {
+            let plan = HartreePlan::build(&s2, &grid, lmax);
+            assert_eq!(plan.natoms(), 2);
+            assert!(plan.memory_bytes() > 0);
 
-        let direct = MultipoleMoments::compute(&s2, &grid, &n, lmax);
-        let planned = MultipoleMoments::compute_planned(&s2, &grid, &n, &plan);
-        for (ia, (d, p)) in direct
-            .moments
-            .iter()
-            .zip(planned.moments.iter())
-            .enumerate()
-        {
-            for (j, (dv, pv)) in d.iter().zip(p.iter()).enumerate() {
+            let direct = MultipoleMoments::compute(&s2, &grid, &n, lmax);
+            let planned = MultipoleMoments::compute_planned(&s2, &grid, &n, &plan);
+            for (ia, (d, p)) in direct
+                .moments
+                .iter()
+                .zip(planned.moments.iter())
+                .enumerate()
+            {
+                for (j, (dv, pv)) in d.iter().zip(p.iter()).enumerate() {
+                    assert_eq!(
+                        dv.to_bits(),
+                        pv.to_bits(),
+                        "lmax {lmax}: moment mismatch atom {ia} slot {j}"
+                    );
+                }
+            }
+
+            let sol = solve_poisson(&s2, &grid, &direct);
+            let spline_pairs = plan.r.iter().filter(|&&r| r <= sol.r_outer).count();
+            assert!(
+                spline_pairs > 0 && spline_pairs < plan.r.len(),
+                "lmax {lmax}: both branches must run ({spline_pairs} of {} pairs inside r_outer)",
+                plan.r.len()
+            );
+            for ip in 0..grid.points.len() {
+                let d = sol.eval(grid.points[ip].position);
+                let p = sol.eval_planned(&plan, ip);
                 assert_eq!(
-                    dv.to_bits(),
-                    pv.to_bits(),
-                    "moment mismatch atom {ia} slot {j}"
+                    d.to_bits(),
+                    p.to_bits(),
+                    "lmax {lmax}: potential mismatch at point {ip}"
                 );
             }
-        }
-
-        let sol = solve_poisson(&s2, &grid, &direct);
-        for ip in (0..grid.points.len()).step_by(7) {
-            let d = sol.eval(grid.points[ip].position);
-            let p = sol.eval_planned(&plan, ip);
-            assert_eq!(d.to_bits(), p.to_bits(), "potential mismatch at point {ip}");
         }
     }
 

@@ -7,14 +7,26 @@
 //! metric of Fig. 9(c).  A spline *construction* is the expensive step that the
 //! locality-enhancing mapping lets neighbouring atoms share (Fig. 4).
 
+use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Global count of cubic-spline constructions — the quantity of Fig. 9(c).
 static SPLINE_CONSTRUCTIONS: AtomicU64 = AtomicU64::new(0);
 
+thread_local! {
+    /// Constructions made on this thread: lets a solve count its own,
+    /// whatever other threads construct meanwhile.
+    static THREAD_CONSTRUCTIONS: Cell<u64> = const { Cell::new(0) };
+}
+
 /// Read the global spline-construction counter.
 pub fn spline_constructions() -> u64 {
     SPLINE_CONSTRUCTIONS.load(Ordering::Relaxed)
+}
+
+/// Spline constructions made on the calling thread so far.
+pub fn thread_spline_constructions() -> u64 {
+    THREAD_CONSTRUCTIONS.with(Cell::get)
 }
 
 /// Reset the global spline-construction counter (benchmark harness use).
@@ -41,6 +53,7 @@ impl CubicSpline {
             assert!(w[1] > w[0], "x must be strictly increasing");
         }
         SPLINE_CONSTRUCTIONS.fetch_add(1, Ordering::Relaxed);
+        THREAD_CONSTRUCTIONS.with(|c| c.set(c.get() + 1));
 
         let n = x.len();
         let mut y2 = vec![0.0; n];
@@ -72,6 +85,16 @@ impl CubicSpline {
     /// Knot abscissae.
     pub fn knots(&self) -> &[f64] {
         &self.x
+    }
+
+    /// Knot values.
+    pub fn values(&self) -> &[f64] {
+        &self.y
+    }
+
+    /// Second derivatives at the knots.
+    pub fn second_derivatives(&self) -> &[f64] {
+        &self.y2
     }
 
     /// Evaluate at `t`. Outside the knot range the boundary polynomial is

@@ -427,14 +427,7 @@ mod tests {
             atom_tails.push(q);
             splines.push(atom_splines);
         }
-        HartreeSolution {
-            lmax,
-            n_lm: num_harmonics(lmax),
-            centers: centers.to_vec(),
-            splines,
-            tails: atom_tails,
-            r_outer,
-        }
+        HartreeSolution::from_channels(lmax, centers.to_vec(), &splines, atom_tails, r_outer)
     }
 
     mod random_geometries {

@@ -264,12 +264,14 @@ impl DMatrix {
     }
 
     /// Largest absolute difference to `other` (`inf`-norm of the difference).
+    /// NaN if any difference is NaN (`f64::max` would skip it), so a
+    /// residual taken from a non-finite matrix never passes a `< tol` test.
     pub fn max_abs_diff(&self, other: &DMatrix) -> f64 {
         self.data
             .iter()
             .zip(other.data.iter())
             .map(|(a, b)| (a - b).abs())
-            .fold(0.0, f64::max)
+            .fold(0.0, |m, d| if d > m || d.is_nan() { d } else { m })
     }
 
     /// Symmetrize in place: `A <- (A + A^T)/2`. Grid-integrated operator
@@ -405,6 +407,14 @@ mod tests {
         let mut expect = c.matmul(&c.transpose()).unwrap();
         expect.scale(2.0);
         assert!(p.max_abs_diff(&expect) < 1e-12);
+    }
+
+    #[test]
+    fn max_abs_diff_propagates_nan() {
+        let a = DMatrix::from_vec(1, 3, vec![1.0, f64::NAN, 0.0]).unwrap();
+        let b = DMatrix::from_vec(1, 3, vec![0.0, 0.0, 5.0]).unwrap();
+        assert!(a.max_abs_diff(&b).is_nan());
+        assert_eq!(b.max_abs_diff(&DMatrix::zeros(1, 3)), 5.0);
     }
 
     #[test]

@@ -18,9 +18,11 @@ use std::time::Instant;
 pub enum Phase {
     /// Density-matrix update kernels.
     Dm,
-    /// Sum-up of the electrostatic multipole potential.
+    /// Sum-up of the (response) density on the grid from the density
+    /// matrix (Eq. 8).
     Sumup,
-    /// Charge-density (rho) accumulation.
+    /// The (response) electrostatic potential: multipole moments, radial
+    /// Poisson solve and the potential on the grid (Eq. 9).
     Rho,
     /// Response-Hamiltonian integration.
     H,

@@ -79,6 +79,28 @@ for mol in water polymer:8; do
 done
 rm -rf "$ff_dir"
 
+echo "== SPMD: distributed polarizability vs the serial record (QP_THREADS=1)"
+# The distributed driver runs the serial driver's kernels on each rank's
+# batches and sums the partial moments and H1 across ranks, so it differs
+# only in the order of additions: alpha at 2 and 4 ranks must land within
+# 1e-6 Bohr^3 of the serial --result-json.
+spmd_dir="$(mktemp -d)"
+QP_LOG=warn QP_THREADS=1 ./target/release/qperturb --builtin polymer:8 \
+    --grid coarse --result-json "$spmd_dir/serial.json" > /dev/null
+for ranks in 2 4; do
+  QP_LOG=warn QP_THREADS=1 ./target/release/qperturb --builtin polymer:8 \
+      --grid coarse --ranks "$ranks" \
+      --result-json "$spmd_dir/ranks_$ranks.json" > /dev/null
+  jq -e --slurpfile ref "$spmd_dir/serial.json" '
+      [.alpha[][]] as $t
+      | [$ref[0].alpha[][]] as $r
+      | [range($t | length) | (($t[.] - $r[.]) | if . < 0 then -. else . end)]
+      | max < 1e-6' "$spmd_dir/ranks_$ranks.json" > /dev/null \
+    || { echo "polymer:8 --ranks $ranks: alpha deviates from serial by >= 1e-6"; exit 1; }
+  echo "-- polymer:8 --ranks $ranks alpha == serial alpha (within 1e-6)"
+done
+rm -rf "$spmd_dir"
+
 echo "== profile smoke: qperturb --profile on water (schema + artifact)"
 cargo build -q --release -p qp-cli -p qp-bench
 profile_dir="$(mktemp -d)"
