@@ -87,7 +87,10 @@ fn main() {
         "profile_report: case {case}, {} direction(s), serial + {}-thread legs",
         n_dirs, opts.threads
     );
-    let report = profile_case(&case, build.as_ref(), &opts);
+    let report = profile_case(&case, build.as_ref(), &opts).unwrap_or_else(|e| {
+        eprintln!("profile_report: SCF failed: {e}");
+        std::process::exit(1)
+    });
     print!("{}", report.render_text());
 
     if let Some(base) = value("--out") {

@@ -3,14 +3,19 @@
 //!
 //! Per field direction `J`:
 //!
-//! * **DM**    — response density matrix `P¹ = Σ_i f_i (C¹C + CC¹)` (Eq. 7)
 //! * **Sumup** — response density `n¹(r) = Σ P¹_μν χ_μ χ_ν` (Eq. 8)
 //! * **Rho**   — response electrostatic potential `v¹_es,tot` via the
 //!   multipole Poisson solver (Eq. 9)
 //! * **H**     — response Hamiltonian
 //!   `H¹_μν = ⟨χ_μ| v¹_es,tot + f_xc n¹ − r_J |χ_ν⟩` (Eqs. 10–12)
-//! * Sternheimer update: first-order perturbation of the occupied orbitals,
-//!   `C¹_i = Σ_a C_a H¹(MO)_ai / (ε_i − ε_a)`, mixed until `‖ΔP¹‖ < tol`.
+//! * Sternheimer update: the response density matrix from the
+//!   occupation-aware pair formula ([`sternheimer_response`]; Eq. 7 at
+//!   integer occupations), mixed into `P¹` until `‖ΔP¹‖ < tol`.
+//!
+//! One loop, `Direction::run`, runs the cycle over a `qp_mpi::Comm`:
+//! each rank does the grid work of its own batches and collectives rebuild
+//! the replicated moments and `H¹`, so the serial entry points here are
+//! the one-rank case of the distributed drivers in [`crate::parallel`].
 //!
 //! The perturbation convention follows Eq. 11 (`ĥ¹ = … − r_J`), so the
 //! polarizability is `α_IJ = ∫ r_I n¹_J = Tr[P¹_J D_I] > 0` for physical
@@ -18,11 +23,13 @@
 
 use crate::mixing::{DfptMixer, MixState};
 use crate::operators;
+use crate::parallel::{comm_failure, synthesize_moments, CollectiveScheme};
 use crate::scf::ScfResult;
 use crate::system::System;
 use crate::{CoreError, Result};
 use qp_chem::xc;
 use qp_linalg::DMatrix;
+use qp_mpi::{Comm, CommError, ReduceOp};
 
 /// The symmetric Sternheimer weight matrix in the MO basis:
 ///
@@ -285,18 +292,19 @@ pub struct DfptResult {
 pub struct DirectionResponse {
     /// Converged response density matrix.
     pub p1: DMatrix,
-    /// Response density at grid points.
-    pub n1: Vec<f64>,
     /// Iterations used.
     pub iterations: usize,
 }
 
-/// The loop-carried state of one serial DFPT direction between iterations:
+/// The loop-carried state of one DFPT direction between iterations:
 /// everything needed to resume the Sternheimer self-consistency at
 /// `iteration + 1` and replay the remaining iterations **bit-exactly**
 /// (the mixer is deterministic in its inputs, so a resumed cycle walks the
-/// identical floating-point sequence). Snapshotted by the serving layer
-/// (`qp-serve`) into `QPCK` job checkpoints at preemption boundaries.
+/// identical floating-point sequence). The distributed drivers' ranks hold
+/// identical copies at every iteration boundary, so rank 0's is a
+/// consistent global cut. Snapshotted into `QPCK` checkpoints by the
+/// supervised driver and by the serving layer (`qp-serve`) at preemption
+/// boundaries.
 #[derive(Debug, Clone)]
 pub struct DfptDirState {
     /// Completed DFPT iterations.
@@ -320,48 +328,11 @@ pub enum DirOutcome {
     Preempted(DfptDirState),
 }
 
-/// Build `P¹` from ground-state and response coefficients (Eq. 7, f = 2):
-/// the **DM** phase.
-pub fn response_density_matrix(c: &DMatrix, c1: &DMatrix, n_occ: usize) -> DMatrix {
-    let nb = c.rows();
-    // P¹ = 2 (M + Mᵀ) with M = C¹_occ · C_occᵀ — one Level-3 product on the
-    // blocked parallel GEMM instead of the former per-orbital triple loop.
-    let c1_occ = DMatrix::from_fn(nb, n_occ, |mu, i| c1[(mu, i)]);
-    let c_occ_t = DMatrix::from_fn(n_occ, nb, |i, nu| c[(nu, i)]);
-    let m = c1_occ.par_matmul(&c_occ_t).expect("conforming dims");
-    DMatrix::from_fn(nb, nb, |mu, nu| 2.0 * (m[(mu, nu)] + m[(nu, mu)]))
-}
-
-/// Linear-scaling [`response_density_matrix`] on the screened pair support
-/// (Shang et al., arXiv:2009.03551): `M = C¹_occ · C_occᵀ` visits only the
-/// surviving atom-pair blocks, and within each block only the
-/// `K_GROUP`-aligned occupied-index segments where both coefficient
-/// factors have support. For localized `C`/`C¹` (each occupied column
-/// confined to an atom neighbourhood) the cost is
-/// `O(surviving (pair, segment) blocks)` — linear in system size — instead
-/// of the dense `O(n_basis² · n_occ)`.
-///
-/// Bit-identity: the segment truncation skips only exact-`±0.0`
-/// contributions, and every surviving segment reproduces the dense GEMM's
-/// own `K_GROUP` accumulation grouping, so on-support entries match
-/// [`response_density_matrix`] bit for bit at any thread count;
-/// off-support entries (dropped by the masked product) come back as exact
-/// `+0.0`.
-pub fn response_density_matrix_screened(
-    plan: &crate::screening::ScreenPlan,
-    c: &DMatrix,
-    c1: &DMatrix,
-    n_occ: usize,
-    parallel: bool,
-) -> DMatrix {
-    let nb = c.rows();
-    let mut m = plan.empty_blocks();
-    let c1_occ = DMatrix::from_fn(nb, n_occ, |mu, i| c1[(mu, i)]);
-    let c_occ = DMatrix::from_fn(nb, n_occ, |nu, i| c[(nu, i)]);
-    m.rank_k_update_ab_screened(&c1_occ, &c_occ, parallel)
-        .expect("partition matches coefficients");
-    let md = m.to_dense();
-    DMatrix::from_fn(nb, nb, |mu, nu| 2.0 * (md[(mu, nu)] + md[(nu, mu)]))
+/// `f_xc(n₀)` at every grid point (Eq. 12).
+pub(crate) fn fxc_on_grid(ground: &ScfResult) -> Vec<f64> {
+    let mut fxc = vec![0.0; ground.density.len()];
+    qp_par::fill_slice_hinted(&mut fxc, 60, |i| xc::f_xc(ground.density[i].max(0.0)));
+    fxc
 }
 
 /// Direction-independent data the three field directions share: the
@@ -384,13 +355,209 @@ impl DfptShared {
             dips: (0..3)
                 .map(|d| operators::dipole_matrix(system, d))
                 .collect(),
-            fxc: {
-                let mut fxc = vec![0.0; ground.density.len()];
-                qp_par::fill_slice_hinted(&mut fxc, 60, |i| xc::f_xc(ground.density[i].max(0.0)));
-                fxc
-            },
+            fxc: fxc_on_grid(ground),
             c_t: ground.orbitals.transpose(),
         }
+    }
+}
+
+/// What one field direction's DFPT loop reads, and [`Direction::run`], the
+/// one DFPT iteration loop of the crate. The serial entry points run it on
+/// a one-rank [`Comm::solo`] over every batch; the distributed drivers
+/// ([`crate::parallel`], [`crate::resil`]) run it on each SPMD rank over
+/// the batches mapped to that rank.
+pub(crate) struct Direction<'a> {
+    pub(crate) system: &'a System,
+    pub(crate) ground: &'a ScfResult,
+    pub(crate) opts: &'a DfptOptions,
+    /// Cartesian direction of the field.
+    pub(crate) dir: usize,
+    /// `D_dir`, the perturbation `r_dir` as a matrix.
+    pub(crate) dip: &'a DMatrix,
+    /// `f_xc(n₀)` at every grid point.
+    pub(crate) fxc: &'a [f64],
+    /// `Cᵀ`.
+    pub(crate) c_t: &'a DMatrix,
+}
+
+impl Direction<'_> {
+    /// The DFPT cycle of this direction on `comm`, this rank working on
+    /// `batches` (ascending ids; together the ranks cover every batch
+    /// once). From `resume` (or zero `P¹`), iterate until `‖ΔP¹‖ < tol`,
+    /// the first non-finite residual, or `max_iter`.
+    ///
+    /// Each iteration is a fault-injection point (a no-op without a fault
+    /// hook), and after every iteration that neither converged nor failed
+    /// `on_iter` sees the loop-carried state: it may checkpoint it, and it
+    /// returns `false` to preempt the cycle there. The collectives fold in
+    /// rank order and everything after them is replicated, so every rank
+    /// takes the same branch at the same iteration; on one rank the
+    /// collectives hand back the caller's own bits and the loop is the
+    /// serial driver.
+    ///
+    /// The outer error is a communication failure; the inner result is the
+    /// cycle's own outcome.
+    pub(crate) fn run(
+        &self,
+        comm: &Comm,
+        batches: &[usize],
+        collectives: CollectiveScheme,
+        resume: Option<DfptDirState>,
+        on_iter: &mut dyn FnMut(&DfptDirState) -> std::result::Result<bool, CommError>,
+    ) -> std::result::Result<Result<DirOutcome>, CommError> {
+        const WHAT: &str = "DFPT self-consistency";
+        let system = self.system;
+        let nb = system.n_basis();
+        let mut dir_span = qp_trace::SpanGuard::begin(
+            qp_trace::thread_rank(),
+            qp_trace::Phase::Dfpt,
+            "dfpt.direction",
+        );
+        if dir_span.is_recording() {
+            dir_span.arg("dir", self.dir).arg("basis", nb);
+        }
+        // Work not covered by a finer phase_span (mixing, residual norms)
+        // lands in the "dfpt" bucket rather than "other".
+        let _label = qp_par::LabelGuard::set("dfpt");
+        let dir_label = ["x", "y", "z"][self.dir.min(2)];
+        let residual_gauge =
+            qp_trace::global_metrics().gauge("dfpt.residual", &[("dir", dir_label)]);
+
+        let mut state = resume.unwrap_or_else(|| DfptDirState {
+            iteration: 0,
+            p1: DMatrix::zeros(nb, nb),
+            residual: f64::INFINITY,
+            diis_in: Vec::new(),
+            diis_res: Vec::new(),
+        });
+        // The grid points this rank evaluates v¹ at.
+        let points: Vec<usize> = batches
+            .iter()
+            .flat_map(|&b| system.batches[b].points.iter())
+            .map(|pt| pt.grid_index as usize)
+            .collect();
+
+        while state.iteration < self.opts.max_iter {
+            let iter = state.iteration + 1;
+            // A planned crash or stall at iteration `iter` fires here,
+            // before the iteration's collectives.
+            comm.fault_point("dfpt.iter", iter as u64)?;
+            let mut iter_span = qp_trace::SpanGuard::begin(
+                qp_trace::thread_rank(),
+                qp_trace::Phase::Dfpt,
+                "dfpt.iter",
+            );
+            if iter_span.is_recording() {
+                iter_span.arg("iter", iter);
+            }
+            let p1_target = self.response(comm, batches, &points, collectives, &state.p1)?;
+
+            // Mix P¹: linear or Pulay/DIIS per `opts.mixer`, the history
+            // moving through the mixer and back into the state.
+            let mut mixer = MixState::with_history(
+                self.opts.mixer,
+                self.opts.mixing,
+                std::mem::take(&mut state.diis_in),
+                std::mem::take(&mut state.diis_res),
+            );
+            let p1 = mixer.step(&state.p1, &p1_target);
+            (state.diis_in, state.diis_res) = mixer.into_history();
+            state.residual = p1.max_abs_diff(&state.p1);
+            state.p1 = p1;
+            state.iteration = iter;
+            residual_gauge.set(state.residual);
+            if iter_span.is_recording() {
+                iter_span.arg("residual", state.residual);
+            }
+            if !state.residual.is_finite() {
+                return Ok(Err(CoreError::NonFinite {
+                    what: WHAT,
+                    iteration: iter,
+                    residual: state.residual,
+                }));
+            }
+            if state.residual < self.opts.tol {
+                return Ok(Ok(DirOutcome::Converged(DirectionResponse {
+                    p1: state.p1,
+                    iterations: iter,
+                })));
+            }
+            if !on_iter(&state)? {
+                return Ok(Ok(DirOutcome::Preempted(state)));
+            }
+        }
+        Ok(Err(CoreError::NoConvergence {
+            what: WHAT,
+            iterations: self.opts.max_iter,
+            residual: state.residual,
+        }))
+    }
+
+    /// One pass of Fig. 1 from `p1`: the unmixed `P¹` the Sternheimer
+    /// equation returns for the potential `p1` induces.
+    fn response(
+        &self,
+        comm: &Comm,
+        batches: &[usize],
+        points: &[usize],
+        collectives: CollectiveScheme,
+        p1: &DMatrix,
+    ) -> std::result::Result<DMatrix, CommError> {
+        let system = self.system;
+        let nb = system.n_basis();
+        let c = &self.ground.orbitals;
+        let (eps, occ) = (&self.ground.eigenvalues, &self.ground.occupations);
+
+        // Sumup: this rank's share of n¹ (Eq. 8), zero off its points.
+        let n1 = {
+            let _s = crate::phase_span(qp_trace::Phase::Sumup, "sumup.n1");
+            system.density_on(p1, batches)
+        };
+
+        // Rho: the moments of the share, summed across ranks; then one
+        // radial Poisson solve per rank (redundant, which avoids
+        // communicating the potential), v¹ at this rank's points (Eq. 9)
+        // and the xc kernel (Eq. 12).
+        let v1 = {
+            let _s = crate::phase_span(qp_trace::Phase::Rho, "rho.v1");
+            let mut moments = system.multipole_moments(&n1);
+            synthesize_moments(comm, collectives, &mut moments)?;
+            let mut v1 = system.hartree_potential(&moments, Some(points));
+            for &gi in points {
+                v1[gi] += self.fxc[gi] * n1[gi];
+            }
+            v1
+        };
+
+        // H: the response Hamiltonian (Eqs. 10-11), this rank's batches
+        // summed across ranks: induced part − r_J.
+        let h1 = {
+            let _s = crate::phase_span(qp_trace::Phase::H, "h1.integrate");
+            let part = operators::potential_matrix_on(system, &v1, batches);
+            let sum = comm.allreduce(ReduceOp::Sum, part.as_slice())?;
+            let mut h1 = DMatrix::from_vec(nb, nb, sum).expect("nb x nb");
+            h1.axpy(-1.0, self.dip).expect("nb x nb");
+            h1
+        };
+
+        // Sternheimer update in the MO basis (occupation-aware GEMM form —
+        // handles both integer and Fermi-Dirac ground states), replicated
+        // on every rank. With a screening plan active, the MO transform
+        // skips the non-coupling O*×O*/V*×V* blocks and C·W restricts each
+        // column class to its coupling k-range — bit-identical to the
+        // dense contraction.
+        let _s = crate::phase_span(qp_trace::Phase::Sternheimer, "sternheimer");
+        Ok(if system.screen().is_some() {
+            let h1_mo = h1_mo_screened(self.c_t, &h1, c, occ);
+            sternheimer_response_screened(c, eps, occ, &h1_mo)
+        } else {
+            let h1_mo = self
+                .c_t
+                .par_matmul(&h1)
+                .and_then(|m| m.par_matmul(c))
+                .expect("nb-square chain");
+            sternheimer_response(c, eps, occ, &h1_mo)
+        })
     }
 }
 
@@ -428,6 +595,9 @@ pub fn dfpt_direction_with(
 /// preempted-then-resumed cycle replays the identical floating-point
 /// sequence as an uninterrupted one, so the converged `P¹` (and every
 /// polarizability element contracted from it) matches to the bit.
+///
+/// Runs the crate's one DFPT loop on the calling thread over a one-rank
+/// [`Comm::solo`] covering every batch.
 pub fn dfpt_direction_preemptible(
     system: &System,
     ground: &ScfResult,
@@ -437,126 +607,27 @@ pub fn dfpt_direction_preemptible(
     resume: Option<DfptDirState>,
     on_iter: &mut dyn FnMut(&DfptDirState) -> bool,
 ) -> Result<DirOutcome> {
-    let nb = system.n_basis();
-    let dip = &shared.dips[dir];
-    let c = &ground.orbitals;
-    let eps = &ground.eigenvalues;
-
-    let mut dir_span = qp_trace::SpanGuard::begin(
-        qp_trace::thread_rank(),
-        qp_trace::Phase::Dfpt,
-        "dfpt.direction",
-    );
-    if dir_span.is_recording() {
-        dir_span.arg("dir", dir).arg("basis", nb);
-    }
-    // Work not covered by a finer phase_span (mixing, residual norms)
-    // lands in the "dfpt" bucket rather than "other".
-    let _label = qp_par::LabelGuard::set("dfpt");
-    let dir_label = ["x", "y", "z"][dir.min(2)];
-    let residual_gauge = qp_trace::global_metrics().gauge("dfpt.residual", &[("dir", dir_label)]);
-
-    let (start_iter, mut p1, mut mixer) = match resume {
-        Some(st) => (
-            st.iteration,
-            st.p1,
-            MixState::with_history(opts.mixer, opts.mixing, st.diis_in, st.diis_res),
-        ),
-        None => (
-            0,
-            DMatrix::zeros(nb, nb),
-            MixState::new(opts.mixer, opts.mixing),
-        ),
+    let direction = Direction {
+        system,
+        ground,
+        opts,
+        dir,
+        dip: &shared.dips[dir],
+        fxc: &shared.fxc,
+        c_t: &shared.c_t,
     };
-    let mut residual = f64::INFINITY;
-
-    for iter in (start_iter + 1)..=opts.max_iter {
-        let mut iter_span =
-            qp_trace::SpanGuard::begin(qp_trace::thread_rank(), qp_trace::Phase::Dfpt, "dfpt.iter");
-        if iter_span.is_recording() {
-            iter_span.arg("iter", iter);
-        }
-        // Sumup: response density on the grid (Eq. 8).
-        let n1 = {
-            let _s = crate::phase_span(qp_trace::Phase::Sumup, "sumup.n1");
-            system.density_on_grid(&p1)
-        };
-
-        // Rho: response electrostatic potential (Eq. 9) + xc kernel (Eq. 12).
-        let v1: Vec<f64> = {
-            let _s = crate::phase_span(qp_trace::Phase::Rho, "rho.v1");
-            let mut v1 = system.hartree_potential(&system.multipole_moments(&n1), None);
-            for (v, (f, n)) in v1.iter_mut().zip(shared.fxc.iter().zip(&n1)) {
-                *v += f * n;
-            }
-            v1
-        };
-
-        // H: response Hamiltonian (Eqs. 10-11): induced part − r_J.
-        let mut h1 = {
-            let _s = crate::phase_span(qp_trace::Phase::H, "h1.integrate");
-            operators::potential_matrix(system, &v1)
-        };
-        h1.axpy(-1.0, dip)?;
-
-        // Sternheimer update in the MO basis (occupation-aware GEMM form —
-        // handles both integer and Fermi-Dirac ground states).  With a
-        // screening plan active, the MO transform skips the non-coupling
-        // O*×O*/V*×V* blocks and C·W restricts each column class to its
-        // coupling k-range — bit-identical to the dense contraction.
-        let p1_target = {
-            let _s = crate::phase_span(qp_trace::Phase::Sternheimer, "sternheimer");
-            if system.screen().is_some() {
-                let h1_mo = h1_mo_screened(&shared.c_t, &h1, c, &ground.occupations);
-                sternheimer_response_screened(c, eps, &ground.occupations, &h1_mo)
-            } else {
-                let h1_mo = shared.c_t.par_matmul(&h1)?.par_matmul(c)?;
-                sternheimer_response(c, eps, &ground.occupations, &h1_mo)
-            }
-        };
-
-        // Mix P¹ (DM phase): linear or Pulay/DIIS per `opts.mixer`.
-        let p1_new = mixer.step(&p1, &p1_target);
-        residual = p1_new.max_abs_diff(&p1);
-        residual_gauge.set(residual);
-        if iter_span.is_recording() {
-            iter_span.arg("residual", residual);
-        }
-        p1 = p1_new;
-        if !residual.is_finite() {
-            return Err(CoreError::NonFinite {
-                what: "DFPT self-consistency",
-                iteration: iter,
-                residual,
-            });
-        }
-
-        if residual < opts.tol {
-            let n1 = system.density_on_grid(&p1);
-            return Ok(DirOutcome::Converged(DirectionResponse {
-                p1,
-                n1,
-                iterations: iter,
-            }));
-        }
-
-        let (diis_in, diis_res) = mixer.history();
-        let state = DfptDirState {
-            iteration: iter,
-            p1: p1.clone(),
-            residual,
-            diis_in: diis_in.to_vec(),
-            diis_res: diis_res.to_vec(),
-        };
-        if !on_iter(&state) {
-            return Ok(DirOutcome::Preempted(state));
-        }
-    }
-    Err(CoreError::NoConvergence {
-        what: "DFPT self-consistency",
-        iterations: opts.max_iter,
-        residual,
-    })
+    let all: Vec<usize> = (0..system.batches.len()).collect();
+    // On one rank every scheme hands the moments back unchanged; the
+    // packed one does it in a single call.
+    direction
+        .run(
+            &Comm::solo(),
+            &all,
+            CollectiveScheme::Packed,
+            resume,
+            &mut |st| Ok(on_iter(st)),
+        )
+        .map_err(comm_failure)?
 }
 
 /// Run the full DFPT calculation: all three directions + polarizability.
@@ -626,7 +697,8 @@ mod tests {
         let resp = dfpt_direction(&sys, &ground, 0, &DfptOptions::default()).unwrap();
         let tr = resp.p1.trace_product(&ground.overlap).unwrap();
         assert!(tr.abs() < 1e-8, "Tr[P1 S] = {tr}");
-        let q1 = sys.grid.integrate_values(&resp.n1);
+        let n1 = sys.density_on_grid(&resp.p1);
+        let q1 = sys.grid.integrate_values(&n1);
         assert!(q1.abs() < 1e-3, "∫n1 = {q1}");
     }
 
@@ -712,74 +784,6 @@ mod tests {
         let c1 = DMatrix::zeros(nb, 3);
         let p1 = response_density_matrix(&c, &c1, 3);
         assert_eq!(p1.frobenius_norm(), 0.0);
-    }
-}
-
-#[cfg(test)]
-mod screened_dm_proptests {
-    use super::*;
-    use crate::screening::ScreenPlan;
-    use proptest::prelude::*;
-    use qp_chem::basis::{BasisSet, BasisSettings};
-    use qp_chem::structures::polyethylene;
-    use qp_linalg::DMatrix;
-
-    // Random geometries (jittered polyethylene chains → random screened
-    // pair supports) with random coefficients: the screened response-DM
-    // must reproduce `response_density_matrix` bit for bit on the pair
-    // support — at 1, 2 and 8 pool threads — and emit exact +0.0 off it.
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(12))]
-
-        #[test]
-        fn screened_response_dm_bit_identical_across_thread_counts(
-            monomers in 3usize..6,
-            jitter in prop::collection::vec(-0.25f64..0.25, 3 * 40),
-            vals in prop::collection::vec(-1.0f64..1.0, 512),
-        ) {
-            let mut structure = polyethylene(monomers);
-            for (i, atom) in structure.atoms.iter_mut().enumerate() {
-                for d in 0..3 {
-                    atom.position[d] += jitter[(3 * i + d) % jitter.len()];
-                }
-            }
-            let basis = BasisSet::build(&structure, BasisSettings::Light);
-            let plan = ScreenPlan::build(&structure, &basis);
-            let nb = basis.len();
-            let v = |r: usize, c: usize| vals[(r * 131 + c * 17) % vals.len()];
-            let c_mat = DMatrix::from_fn(nb, nb, v);
-            let n_occ = (nb / 3).max(1);
-            let c1 = DMatrix::from_fn(nb, n_occ, |r, c| v(r + 7, c + 3));
-
-            let dense = response_density_matrix(&c_mat, &c1, n_occ);
-            let screened: Vec<DMatrix> = [1usize, 2, 8]
-                .iter()
-                .map(|&t| {
-                    let _lease = qp_par::ThreadLease::exactly(t);
-                    response_density_matrix_screened(&plan, &c_mat, &c1, n_occ, true)
-                })
-                .collect();
-            for s in &screened[1..] {
-                for (a, b) in screened[0].as_slice().iter().zip(s.as_slice()) {
-                    prop_assert_eq!(a.to_bits(), b.to_bits());
-                }
-            }
-            for i in 0..nb {
-                for j in 0..nb {
-                    let on = plan
-                        .neighbours
-                        .contains(plan.fn_atom[i] as usize, plan.fn_atom[j] as usize);
-                    if on {
-                        prop_assert_eq!(
-                            screened[0][(i, j)].to_bits(),
-                            dense[(i, j)].to_bits()
-                        );
-                    } else {
-                        prop_assert_eq!(screened[0][(i, j)].to_bits(), 0.0f64.to_bits());
-                    }
-                }
-            }
-        }
     }
 }
 
@@ -966,4 +970,17 @@ mod sternheimer_tests {
         let p1 = sternheimer_response(&c, &eps, &occ, &h1);
         assert!(p1.max_abs_diff(&p1.transpose()) < 1e-12);
     }
+}
+
+/// Build `P¹` from ground-state and response coefficients (Eq. 7, f = 2):
+/// the integer-occupation special case of [`sternheimer_response`], the
+/// reference for the qp-cl DM kernel and the pair-formula tests.
+#[cfg(test)]
+pub(crate) fn response_density_matrix(c: &DMatrix, c1: &DMatrix, n_occ: usize) -> DMatrix {
+    let nb = c.rows();
+    // P¹ = 2 (M + Mᵀ) with M = C¹_occ · C_occᵀ.
+    let c1_occ = DMatrix::from_fn(nb, n_occ, |mu, i| c1[(mu, i)]);
+    let c_occ_t = DMatrix::from_fn(n_occ, nb, |i, nu| c[(nu, i)]);
+    let m = c1_occ.par_matmul(&c_occ_t).expect("conforming dims");
+    DMatrix::from_fn(nb, nb, |mu, nu| 2.0 * (m[(mu, nu)] + m[(nu, mu)]))
 }

@@ -13,13 +13,14 @@
 //!    response density matrix `P¹` (Eq. 7, phase **DM**), response density
 //!    `n¹(r)` (Eq. 8, phase **Sumup**), response electrostatic potential via
 //!    multipole Poisson (Eq. 9, phase **Rho**), response Hamiltonian `H¹`
-//!    (Eqs. 10–12, phase **H**), Sternheimer update of `C¹`, repeat until
+//!    (Eqs. 10–12, phase **H**), Sternheimer update of `P¹`, repeat until
 //!    `‖ΔP¹‖` is below threshold.
 //! 3. Polarizability `α_IJ = ∂μ_I/∂ξ_J` (Eq. 13).
 //!
 //! [`kernels`] expresses the four accelerated phases through the `qp-cl`
 //! runtime (counters feed the paper's figure harnesses), and [`parallel`]
-//! distributes the cycle over `qp-mpi` ranks with either §3.1 task mapping.
+//! runs the same DFPT loop over `qp-mpi` ranks with either §3.1 task
+//! mapping.
 
 // `for d in 0..3` indexing several parallel arrays at once is the clearest
 // form for Cartesian components; the iterator rewrite obscures it.
@@ -27,7 +28,6 @@
 
 pub mod basis_cache;
 pub mod dfpt;
-pub mod dist;
 pub mod farfield;
 pub mod kernels;
 pub mod mixing;
@@ -90,10 +90,6 @@ pub enum CoreError {
         /// The residual.
         residual: f64,
     },
-    /// The distributed DFPT driver was given a ground state with
-    /// fractional (smeared) occupations; its Sternheimer update assumes
-    /// integer ones.
-    FractionalOccupations,
     /// Linear algebra failed underneath.
     Linalg(qp_linalg::LinalgError),
     /// Checkpoint save/load failed (I/O, corruption, version mismatch).
@@ -124,12 +120,6 @@ impl std::fmt::Display for CoreError {
             } => write!(
                 f,
                 "{what} stopped at iteration {iteration}: the residual is {residual}"
-            ),
-            CoreError::FractionalOccupations => write!(
-                f,
-                "the distributed DFPT driver needs integer occupations, but the ground \
-                 state has fractional ones; hint: drop --smearing, or drop \
-                 --ranks/--checkpoint-dir to run DFPT on the serial driver"
             ),
             CoreError::Linalg(e) => write!(f, "linear algebra error: {e}"),
             CoreError::Checkpoint(e) => write!(f, "checkpoint error: {e}"),

@@ -1,12 +1,10 @@
 //! Self-consistency accelerators shared by the ground-state SCF and the
 //! DFPT response cycle: plain linear mixing and Pulay/DIIS extrapolation.
 //!
-//! The SCF loop has used DIIS over the density matrix since PR 1; this
-//! module extracts that machinery so the DFPT drivers (serial
-//! [`crate::dfpt::dfpt_direction`] and the distributed
-//! [`crate::parallel`] `DirWork` body) can accelerate the Sternheimer
-//! self-consistency the same way — the "accelerated self-consistency"
-//! half of the hot-path work, next to the GEMM-form response build.
+//! [`MixState`] is the one mixer of the workspace: the SCF loop
+//! ([`crate::scf::scf_preemptible`]) mixes the density matrix `P` through
+//! it, and the DFPT loop ([`crate::dfpt`], serial and distributed alike)
+//! mixes the response density matrix `P¹`.
 //!
 //! Everything here is deterministic: the extrapolation is a fixed-order
 //! dense solve over the residual history, so mixed iterates are
@@ -15,9 +13,9 @@
 
 use qp_linalg::DMatrix;
 
-/// Which mixer drives the DFPT self-consistency. The SCF has its own knob
-/// ([`crate::scf::ScfOptions::pulay`]); this enum is the DFPT equivalent,
-/// carried in [`crate::dfpt::DfptOptions::mixer`].
+/// Which mixer drives a self-consistency cycle: carried in
+/// [`crate::dfpt::DfptOptions::mixer`], and derived from
+/// [`crate::scf::ScfOptions::pulay`] for the SCF.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DfptMixer {
     /// Plain linear mixing with the `mixing` factor.
@@ -142,6 +140,17 @@ impl MixState {
     pub fn history(&self) -> (&[DMatrix], &[DMatrix]) {
         match self {
             MixState::Linear { .. } => (&[], &[]),
+            MixState::Pulay {
+                inputs, residuals, ..
+            } => (inputs, residuals),
+        }
+    }
+
+    /// Consume the state, handing its history back — the inverse of
+    /// [`MixState::with_history`].
+    pub fn into_history(self) -> (Vec<DMatrix>, Vec<DMatrix>) {
+        match self {
+            MixState::Linear { .. } => (Vec::new(), Vec::new()),
             MixState::Pulay {
                 inputs, residuals, ..
             } => (inputs, residuals),

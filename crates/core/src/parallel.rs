@@ -2,9 +2,10 @@
 //!
 //! The parallel decomposition is FHI-aims': *grid work is distributed*
 //! (batches mapped to ranks by either §3.1 strategy), *matrices are
-//! replicated* and synthesized by collectives. Per DFPT iteration each rank
+//! replicated* and synthesized by collectives. Every rank runs the one DFPT
+//! loop of [`crate::dfpt`] over its own batches; per iteration it
 //!
-//! 1. computes `n¹` on its own batches (Sumup),
+//! 1. computes its share of `n¹` (Sumup),
 //! 2. accumulates its partial `rho_multipole` rows and synthesizes them
 //!    across ranks — per-row AllReduce (baseline), packed (§3.2.1), or
 //!    packed + hierarchical (§3.2.2),
@@ -15,22 +16,28 @@
 //! 4. assembles its partial `H¹` with the production per-batch kernel and
 //!    merge restricted to its batches
 //!    ([`operators::potential_matrix_on`]) and AllReduces it,
-//! 5. performs the (replicated) Sternheimer update.
+//! 5. performs the (replicated) occupation-aware Sternheimer update and
+//!    mixes `P¹`.
 //!
 //! Deterministic rank-ordered reductions make every rank take identical
-//! branches, so no extra control-flow synchronization is needed.
+//! branches, so no extra control-flow synchronization is needed. Only the
+//! order of the additions in the two reductions differs from the serial
+//! driver, which is the same loop on one rank. [`parallel_dfpt_direction`]
+//! is the supervised driver of [`crate::resil`] with checkpoints and
+//! restarts off.
+//!
+//! [`operators::potential_matrix_on`]: crate::operators::potential_matrix_on
 
-use crate::dfpt::{response_density_matrix, DfptOptions};
-use crate::mixing::{DfptMixer, MixState};
-use crate::operators;
+use crate::dfpt::DfptOptions;
+use crate::resil::{parallel_dfpt_direction_resilient, ResilienceConfig};
 use crate::scf::ScfResult;
 use crate::system::System;
 use crate::{CoreError, Result};
-use qp_chem::xc;
+use qp_chem::multipole::MultipoleMoments;
 use qp_grid::mapping::{LoadBalancingMapping, LocalityEnhancingMapping, TaskMapping};
 use qp_linalg::DMatrix;
 use qp_mpi::packed::PackedAllReduce;
-use qp_mpi::{run_spmd, CommError, ReduceOp, TrafficRecord};
+use qp_mpi::{Comm, CommError, ReduceOp, TrafficRecord};
 
 /// Which §3.1 task mapping distributes the batches.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -78,7 +85,7 @@ pub struct ParallelDirectionResult {
     pub points_per_rank: Vec<usize>,
 }
 
-/// Compute this rank's batch assignment (identical on every rank).
+/// The rank of every batch (identical on every rank).
 pub(crate) fn assign_batches(system: &System, cfg: &ParallelConfig) -> Vec<usize> {
     match cfg.mapping {
         MappingKind::LoadBalancing => LoadBalancingMapping.assign(&system.batches, cfg.n_ranks),
@@ -88,328 +95,52 @@ pub(crate) fn assign_batches(system: &System, cfg: &ParallelConfig) -> Vec<usize
     }
 }
 
-/// Per-direction precomputation plus the full Fig. 1 iteration body,
-/// shared by the plain driver below and the supervised resilient driver in
-/// [`crate::resil`].
-pub(crate) struct DirWork<'a> {
-    system: &'a System,
-    ground: &'a ScfResult,
-    collectives: CollectiveScheme,
-    mixing: f64,
-    mixer: DfptMixer,
-    max_iter: usize,
-    tol: f64,
-    dir: usize,
-    dip: DMatrix,
-    fxc: Vec<f64>,
-    /// `Cᵀ` — the MO transform's left factor, built once per direction.
-    c_t: DMatrix,
-    /// The virtual-orbital columns `C_virt` (`nb × (nb − n_occ)`), the left
-    /// factor of the GEMM-form Sternheimer update.
-    c_virt: DMatrix,
-    nb: usize,
-    n_occ: usize,
-}
-
-/// The loop-carried state of one rank's DFPT direction: the mixed `C¹`,
-/// its `P¹`, and the mixer history. Identical on every rank at each
-/// iteration boundary (deterministic collectives), which is what makes
-/// rank 0's checkpoint of it a consistent global cut.
-pub(crate) struct DirState {
-    pub(crate) c1: DMatrix,
-    pub(crate) p1: DMatrix,
-    pub(crate) mixer: MixState,
-}
-
-/// How one rank's DFPT loop ended.
-enum Ending {
-    Converged,
-    NonFinite,
-    MaxIter,
-}
-
-/// What one rank's DFPT loop hands out of the SPMD region.
-pub(crate) struct RankOutcome {
-    ending: Ending,
-    iterations: usize,
-    /// The last residual computed (`∞` when no iteration ran).
-    residual: f64,
-    p1: DMatrix,
-    /// Rank 0's traffic log (empty on the other ranks).
-    traffic: Vec<TrafficRecord>,
-    /// Grid points the rank owns.
-    points: usize,
-}
-
-impl<'a> DirWork<'a> {
-    /// Precompute one direction's data. The Sternheimer update takes the
-    /// occupied manifold as the first `n_occupied()` orbitals at occupation
-    /// 2, so a ground state with any other occupations is refused here,
-    /// before the first iteration.
-    pub(crate) fn new(
-        system: &'a System,
-        ground: &'a ScfResult,
-        dir: usize,
-        opts: &DfptOptions,
-        cfg: &ParallelConfig,
-    ) -> Result<Self> {
-        let nb = system.n_basis();
-        let n_occ = system.n_occupied();
-        let aufbau = |(i, &f): (usize, &f64)| f == if i < n_occ { 2.0 } else { 0.0 };
-        if !ground.occupations.iter().enumerate().all(aufbau) {
-            return Err(CoreError::FractionalOccupations);
-        }
-        let c = &ground.orbitals;
-        Ok(DirWork {
-            system,
-            ground,
-            collectives: cfg.collectives,
-            mixing: opts.mixing,
-            mixer: opts.mixer,
-            max_iter: opts.max_iter,
-            tol: opts.tol,
-            dir,
-            dip: operators::dipole_matrix(system, dir),
-            fxc: ground
-                .density
-                .iter()
-                .map(|&n| xc::f_xc(n.max(0.0)))
-                .collect(),
-            c_t: c.transpose(),
-            c_virt: DMatrix::from_fn(nb, nb - n_occ, |mu, a| c[(mu, n_occ + a)]),
-            nb,
-            n_occ,
-        })
-    }
-
-    /// Fresh loop state (zero `C¹`/`P¹`, empty mixer history).
-    pub(crate) fn initial_state(&self) -> DirState {
-        DirState {
-            c1: DMatrix::zeros(self.nb, self.n_occ),
-            p1: DMatrix::zeros(self.nb, self.nb),
-            mixer: MixState::new(self.mixer, self.mixing),
-        }
-    }
-
-    /// Loop state restored from a checkpoint (`C¹`, `P¹` and the DIIS
-    /// history as captured; the histories are empty for the linear mixer).
-    pub(crate) fn state_from(
-        &self,
-        c1: DMatrix,
-        p1: DMatrix,
-        diis_in: Vec<DMatrix>,
-        diis_res: Vec<DMatrix>,
-    ) -> DirState {
-        DirState {
-            c1,
-            p1,
-            mixer: MixState::with_history(self.mixer, self.mixing, diis_in, diis_res),
-        }
-    }
-
-    /// One rank's DFPT loop: iterations `start_iter + 1 ..= max_iter` from
-    /// `state` on the batches `assignment` maps to this rank, stopping at
-    /// convergence or at the first non-finite residual. Each iteration is
-    /// a fault-injection point; `checkpoint` sees the state after every
-    /// other iteration.
-    pub(crate) fn run_rank(
-        &self,
-        comm: &qp_mpi::Comm,
-        assignment: &[usize],
-        mut state: DirState,
-        start_iter: usize,
-        mut checkpoint: impl FnMut(usize, &DirState, f64) -> std::result::Result<(), CommError>,
-    ) -> std::result::Result<RankOutcome, CommError> {
-        let rank = comm.rank();
-        let my_batches: Vec<usize> = (0..assignment.len())
-            .filter(|&b| assignment[b] == rank)
-            .collect();
-        let mut ending = Ending::MaxIter;
-        let mut iterations = start_iter;
-        let mut residual = f64::INFINITY;
-        for iter in (start_iter + 1)..=self.max_iter {
-            // A planned crash or stall at iteration `iter` fires here,
-            // before the iteration's collectives.
-            comm.fault_point("dfpt.iter", iter as u64)?;
-            iterations = iter;
-            residual = self.iteration(comm, &my_batches, iter, &mut state)?;
-            if residual < self.tol {
-                ending = Ending::Converged;
-                break;
+/// Sum every rank's partial `rho_multipole` rows across ranks, in place,
+/// with `scheme` (on one rank, each scheme hands back the rank's own
+/// rows).
+pub(crate) fn synthesize_moments(
+    comm: &Comm,
+    scheme: CollectiveScheme,
+    moments: &mut MultipoleMoments,
+) -> std::result::Result<(), CommError> {
+    let rows = &moments.moments;
+    let natoms = rows.len();
+    let reduced_rows: Vec<Vec<f64>> = match scheme {
+        CollectiveScheme::PerRow => {
+            let mut out = Vec::with_capacity(natoms);
+            for row in rows.iter() {
+                out.push(comm.allreduce(ReduceOp::Sum, row)?);
             }
-            if !residual.is_finite() {
-                ending = Ending::NonFinite;
-                break;
-            }
-            checkpoint(iter, &state, residual)?;
+            out
         }
-        Ok(RankOutcome {
-            ending,
-            iterations,
-            residual,
-            p1: state.p1,
-            traffic: if rank == 0 {
-                comm.traffic().snapshot()
-            } else {
-                Vec::new()
-            },
-            points: my_batches
-                .iter()
-                .map(|&b| self.system.batches[b].len())
-                .sum(),
-        })
-    }
-
-    /// One distributed DFPT iteration: Sumup → rho synthesis → Poisson →
-    /// `H¹` AllReduce → Sternheimer. Advances `state` in place and returns
-    /// the residual `‖ΔP¹‖`.
-    fn iteration(
-        &self,
-        comm: &qp_mpi::Comm,
-        my_batches: &[usize],
-        iter: usize,
-        state: &mut DirState,
-    ) -> std::result::Result<f64, CommError> {
-        let system = self.system;
-        let (nb, n_occ) = (self.nb, self.n_occ);
-        let c = &self.ground.orbitals;
-        let eps = &self.ground.eigenvalues;
-        let rank = comm.rank();
-        let mut iter_span = qp_trace::SpanGuard::begin(rank, qp_trace::Phase::Dfpt, "dfpt.iter");
-        if iter_span.is_recording() {
-            iter_span.arg("iter", iter).arg("dir", self.dir);
-        }
-        // ---- Sumup on own batches (GEMM form, see `System::batch_density`) ----
-        // The rank's share of n¹ on the full grid: zero off its own points.
-        let sumup_span = crate::phase_span(qp_trace::Phase::Sumup, "sumup.local_n1");
-        let mut n1 = vec![0.0; system.n_points()];
-        let mut own_points = Vec::new();
-        for &b in my_batches {
-            let local = system.batch_density(b, &state.p1);
-            for (pt, v) in system.batches[b].points.iter().zip(local) {
-                n1[pt.grid_index as usize] = v;
-                own_points.push(pt.grid_index as usize);
+        CollectiveScheme::Packed => {
+            let mut packer = PackedAllReduce::new(comm, ReduceOp::Sum);
+            for (ia, row) in rows.iter().enumerate() {
+                packer.push(&format!("rho_multipole:{ia}"), row.clone())?;
             }
+            packer.flush()?;
+            (0..natoms)
+                .map(|ia| {
+                    packer
+                        .take(&format!("rho_multipole:{ia}"))
+                        .ok_or(CommError::Mismatch("missing packed row"))
+                })
+                .collect::<std::result::Result<_, _>>()?
         }
-        drop(sumup_span);
-
-        // ---- Partial rho_multipole rows: the moments of the rank's share ----
-        let rho_span = crate::phase_span(qp_trace::Phase::Rho, "rho.partial_rows");
-        let mut moments = system.multipole_moments(&n1);
-        drop(rho_span);
-
-        // ---- Synthesize rho_multipole across ranks ----
-        let synth_span = crate::phase_span(qp_trace::Phase::Rho, "rho.synthesize");
-        let rows = &moments.moments;
-        let natoms = rows.len();
-        let reduced_rows: Vec<Vec<f64>> = match self.collectives {
-            CollectiveScheme::PerRow => {
-                let mut out = Vec::with_capacity(natoms);
-                for row in rows.iter() {
-                    out.push(comm.allreduce(ReduceOp::Sum, row)?);
-                }
-                out
-            }
-            CollectiveScheme::Packed => {
-                let mut packer = PackedAllReduce::new(comm, ReduceOp::Sum);
-                for (ia, row) in rows.iter().enumerate() {
-                    packer.push(&format!("rho_multipole:{ia}"), row.clone())?;
-                }
-                packer.flush()?;
-                (0..natoms)
-                    .map(|ia| {
-                        packer
-                            .take(&format!("rho_multipole:{ia}"))
-                            .ok_or(CommError::Mismatch("missing packed row"))
-                    })
-                    .collect::<std::result::Result<_, _>>()?
-            }
-            CollectiveScheme::PackedHierarchical => {
-                let row_len = rows.first().map_or(0, Vec::len);
-                let packed: Vec<f64> = rows.iter().flat_map(|r| r.iter().copied()).collect();
-                let reduced = qp_mpi::hierarchical::hierarchical_allreduce(
-                    comm,
-                    "rho_multipole",
-                    ReduceOp::Sum,
-                    &packed,
-                )?;
-                reduced.chunks(row_len).map(|c| c.to_vec()).collect()
-            }
-        };
-        moments.moments = reduced_rows;
-        drop(synth_span);
-
-        // ---- Redundant Poisson solve on every rank, v¹ at own points ----
-        // Every rank solves (and, in tree mode, aggregates) from the same
-        // synthesized moments, so the replicated potential stays
-        // rank-independent.
-        let v1_span = crate::phase_span(qp_trace::Phase::Rho, "rho.v1");
-        let mut v1 = system.hartree_potential(&moments, Some(&own_points));
-        for &gi in &own_points {
-            v1[gi] += self.fxc[gi] * n1[gi];
+        CollectiveScheme::PackedHierarchical => {
+            let row_len = rows.first().map_or(0, Vec::len);
+            let packed: Vec<f64> = rows.iter().flat_map(|r| r.iter().copied()).collect();
+            let reduced = qp_mpi::hierarchical::hierarchical_allreduce(
+                comm,
+                "rho_multipole",
+                ReduceOp::Sum,
+                &packed,
+            )?;
+            reduced.chunks(row_len).map(|c| c.to_vec()).collect()
         }
-        drop(v1_span);
-
-        // ---- Partial H1 from own batches ----
-        let h_span = crate::phase_span(qp_trace::Phase::H, "h1.partial");
-        let h1_partial = operators::potential_matrix_on(system, &v1, my_batches);
-        let h1_flat = comm.allreduce(ReduceOp::Sum, h1_partial.as_slice())?;
-        let mut h1 = DMatrix::from_vec(nb, nb, h1_flat).expect("nb x nb");
-        h1.axpy(-1.0, &self.dip).expect("same dims");
-        drop(h_span);
-
-        // ---- Replicated Sternheimer update (GEMM form) ----
-        // C¹_i = Σ_a C_a H¹(MO)_ai/(ε_i − ε_a) is the Level-3 product
-        // C_virt · U with U_ai = H¹(MO)_{n_occ+a,i}/(ε_i − ε_{n_occ+a}).
-        let stern_span = crate::phase_span(qp_trace::Phase::Sternheimer, "sternheimer");
-        let h1_mo = self
-            .c_t
-            .par_matmul(&h1)
-            .and_then(|m| m.par_matmul(c))
-            .expect("nb-square chain");
-        let u = DMatrix::from_fn(nb - n_occ, n_occ, |a, i| {
-            h1_mo[(n_occ + a, i)] / (eps[i] - eps[n_occ + a])
-        });
-        let c1_new = self.c_virt.par_matmul(&u).expect("conforming dims");
-        let mixed = state.mixer.step(&state.c1, &c1_new);
-        drop(stern_span);
-        let dm_span = crate::phase_span(qp_trace::Phase::Dm, "dm.p1");
-        let p1_new = response_density_matrix(c, &mixed, n_occ);
-        let residual = p1_new.max_abs_diff(&state.p1);
-        drop(dm_span);
-        if iter_span.is_recording() {
-            iter_span.arg("residual", residual);
-        }
-        state.c1 = mixed;
-        state.p1 = p1_new;
-        Ok(residual)
-    }
-}
-
-/// Rank 0's outcome as the direction's result: the typed error when the
-/// loop went non-finite or ran out of iterations (with the last residual).
-pub(crate) fn direction_result(outcomes: Vec<RankOutcome>) -> Result<ParallelDirectionResult> {
-    const WHAT: &str = "parallel DFPT self-consistency";
-    let points_per_rank = outcomes.iter().map(|o| o.points).collect();
-    let first = outcomes.into_iter().next().expect("at least one rank");
-    match first.ending {
-        Ending::Converged => Ok(ParallelDirectionResult {
-            p1: first.p1,
-            iterations: first.iterations,
-            traffic: first.traffic,
-            points_per_rank,
-        }),
-        Ending::NonFinite => Err(CoreError::NonFinite {
-            what: WHAT,
-            iteration: first.iterations,
-            residual: first.residual,
-        }),
-        Ending::MaxIter => Err(CoreError::NoConvergence {
-            what: WHAT,
-            iterations: first.iterations,
-            residual: first.residual,
-        }),
-    }
+    };
+    moments.moments = reduced_rows;
+    Ok(())
 }
 
 /// Map a communication failure onto the core error type.
@@ -425,7 +156,8 @@ pub(crate) fn comm_failure(e: CommError) -> CoreError {
     }
 }
 
-/// Run one DFPT direction distributed over `cfg.n_ranks` ranks.
+/// Run one DFPT direction distributed over `cfg.n_ranks` ranks: the
+/// supervised driver without checkpoints, restarts or fault injection.
 pub fn parallel_dfpt_direction(
     system: &System,
     ground: &ScfResult,
@@ -433,13 +165,8 @@ pub fn parallel_dfpt_direction(
     opts: &DfptOptions,
     cfg: &ParallelConfig,
 ) -> Result<ParallelDirectionResult> {
-    let assignment = assign_batches(system, cfg);
-    let work = DirWork::new(system, ground, dir, opts, cfg)?;
-    let outcomes = run_spmd(cfg.n_ranks, cfg.ranks_per_node, |comm| {
-        work.run_rank(comm, &assignment, work.initial_state(), 0, |_, _, _| Ok(()))
-    })
-    .map_err(comm_failure)?;
-    direction_result(outcomes)
+    let rcfg = ResilienceConfig::default();
+    parallel_dfpt_direction_resilient(system, ground, dir, opts, cfg, &rcfg).map(|r| r.direction)
 }
 
 #[cfg(test)]
@@ -490,31 +217,8 @@ mod tests {
         }
     }
 
-    #[test]
-    fn parallel_matches_serial_reference() {
-        for (name, (sys, ground)) in [("water", setup()), ("polymer:4", polymer_setup())] {
-            let opts = DfptOptions::default();
-            let serial = dfpt_direction(&sys, &ground, 2, &opts).unwrap();
-            for mapping in [MappingKind::LoadBalancing, MappingKind::LocalityEnhancing] {
-                let par = parallel_dfpt_direction(
-                    &sys,
-                    &ground,
-                    2,
-                    &opts,
-                    &cfg(mapping, CollectiveScheme::PerRow),
-                )
-                .unwrap();
-                assert!(
-                    par.p1.max_abs_diff(&serial.p1) < 1e-6,
-                    "{name} {mapping:?}: parallel deviates by {}",
-                    par.p1.max_abs_diff(&serial.p1)
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn smeared_ground_state_is_refused_before_the_first_iteration() {
+    /// The water system with a Fermi–Dirac ground state.
+    fn smeared_setup() -> (System, ScfResult) {
         let (sys, _) = setup();
         let smeared = ScfOptions {
             smearing: Some(0.02),
@@ -522,26 +226,63 @@ mod tests {
         };
         let ground = scf(&sys, &smeared).unwrap();
         assert!(ground.occupations.iter().any(|&f| f != 0.0 && f != 2.0));
+        (sys, ground)
+    }
+
+    /// Runs direction 2 of `ground` through the serial driver, one rank,
+    /// and four ranks under both mappings with the plain and supervised
+    /// drivers, and compares each against the serial `P¹`.
+    fn assert_parallel_matches_serial(name: &str, sys: &System, ground: &ScfResult) {
         let opts = DfptOptions::default();
-        let c = cfg(MappingKind::LocalityEnhancing, CollectiveScheme::Packed);
-        let plain = parallel_dfpt_direction(&sys, &ground, 0, &opts, &c).unwrap_err();
-        let supervised = parallel_dfpt_direction_resilient(
-            &sys,
-            &ground,
-            0,
-            &opts,
-            &c,
-            &ResilienceConfig::with_interval(2),
-        )
-        .unwrap_err();
-        for err in [plain, supervised] {
-            assert!(matches!(err, CoreError::FractionalOccupations), "{err}");
-            let msg = err.to_string();
-            assert!(
-                msg.contains("--smearing") && msg.contains("--ranks"),
-                "{msg}"
-            );
+        let serial = dfpt_direction(sys, ground, 2, &opts).unwrap();
+
+        // One rank is the serial driver, to the bit.
+        let solo = ParallelConfig {
+            n_ranks: 1,
+            ranks_per_node: 1,
+            ..cfg(MappingKind::LocalityEnhancing, CollectiveScheme::Packed)
+        };
+        let one = parallel_dfpt_direction(sys, ground, 2, &opts, &solo).unwrap();
+        assert_eq!(one.iterations, serial.iterations, "{name}: one rank");
+        for (a, b) in one.p1.as_slice().iter().zip(serial.p1.as_slice()) {
+            assert_eq!(a.to_bits(), b.to_bits(), "{name}: one rank");
         }
+
+        // More ranks differ only in the order of the additions.
+        for mapping in [MappingKind::LoadBalancing, MappingKind::LocalityEnhancing] {
+            let c = cfg(mapping, CollectiveScheme::PerRow);
+            let plain = parallel_dfpt_direction(sys, ground, 2, &opts, &c).unwrap();
+            let rcfg = ResilienceConfig::with_interval(2);
+            let supervised = parallel_dfpt_direction_resilient(sys, ground, 2, &opts, &c, &rcfg)
+                .unwrap()
+                .direction;
+            for (driver, par) in [("plain", plain), ("supervised", supervised)] {
+                let dev = par.p1.max_abs_diff(&serial.p1);
+                assert!(
+                    dev < 1e-10,
+                    "{name} {mapping:?} {driver}: parallel deviates by {dev}"
+                );
+                assert_eq!(
+                    par.iterations, serial.iterations,
+                    "{name} {mapping:?} {driver}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn parallel_matches_serial_reference() {
+        for (name, (sys, ground)) in [("water", setup()), ("polymer:4", polymer_setup())] {
+            assert_parallel_matches_serial(name, &sys, &ground);
+        }
+    }
+
+    /// A Fermi–Dirac ground state runs through the distributed drivers
+    /// (plain and supervised) and matches the serial response.
+    #[test]
+    fn smeared_ground_state_runs_distributed_and_matches_serial() {
+        let (sys, ground) = smeared_setup();
+        assert_parallel_matches_serial("smeared water", &sys, &ground);
     }
 
     #[test]

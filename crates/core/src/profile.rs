@@ -26,6 +26,7 @@
 use crate::dfpt::{dfpt_direction, DfptOptions};
 use crate::scf::{scf, ScfOptions};
 use crate::system::System;
+use crate::Result;
 use qp_par::{RegionRecord, ThreadLease};
 use qp_trace::metrics::{MetricSample, MetricValue};
 use std::collections::BTreeMap;
@@ -449,10 +450,12 @@ fn counter_by_phase(snap: &[MetricSample], name: &str) -> BTreeMap<String, u64> 
     out
 }
 
-/// Run SCF + the requested DFPT directions; returns (scf_s, dfpt_s).
-fn run_pipeline(sys: &System, opts: &ProfileOptions) -> (f64, f64) {
+/// Run SCF + the requested DFPT directions; returns (scf_s, dfpt_s). A
+/// failed SCF is the caller's error; a failed direction is reported and
+/// skipped.
+fn run_pipeline(sys: &System, opts: &ProfileOptions) -> Result<(f64, f64)> {
     let t0 = Instant::now();
-    let ground = scf(sys, &opts.scf).expect("profile SCF must converge");
+    let ground = scf(sys, &opts.scf)?;
     let scf_s = t0.elapsed().as_secs_f64();
     let t1 = Instant::now();
     for &dir in &opts.dirs {
@@ -460,24 +463,25 @@ fn run_pipeline(sys: &System, opts: &ProfileOptions) -> (f64, f64) {
             eprintln!("profile: dfpt direction {dir}: {e}");
         }
     }
-    (scf_s, t1.elapsed().as_secs_f64())
+    Ok((scf_s, t1.elapsed().as_secs_f64()))
 }
 
 /// Profile one case end to end: serial reference leg, then an instrumented
 /// parallel leg whose wall clock is decomposed by [`attribute`]. `build` is
 /// called once per leg so each starts with a cold basis cache, matching how
-/// `bench_perf` measures its legs.
+/// `bench_perf` measures its legs. An SCF that does not converge ends the
+/// profile with its error.
 pub fn profile_case(
     name: &str,
     build: &dyn Fn() -> System,
     opts: &ProfileOptions,
-) -> ProfileReport {
+) -> Result<ProfileReport> {
     // ---- Serial reference: everything off, 1 thread. ----
     let serial_total_s = {
         let _lease = ThreadLease::exactly(1);
         let sys = build();
         let t = Instant::now();
-        run_pipeline(&sys, opts);
+        run_pipeline(&sys, opts)?;
         t.elapsed().as_secs_f64()
     };
 
@@ -494,13 +498,14 @@ pub fn profile_case(
     let _ = qp_par::telemetry::take_records();
 
     let t = Instant::now();
-    let (scf_s, dfpt_s) = run_pipeline(&sys, opts);
+    let pipeline = run_pipeline(&sys, opts);
     let parallel_total_s = t.elapsed().as_secs_f64();
 
     qp_par::telemetry::set_enabled(false);
     qp_trace::set_enabled(false);
     let records = qp_par::telemetry::take_records();
     let events = qp_trace::span::take_events();
+    let (scf_s, dfpt_s) = pipeline?;
     let snap_after = qp_trace::global_metrics().snapshot();
 
     let attribution = attribute(&records, parallel_total_s, opts.threads);
@@ -548,7 +553,7 @@ pub fn profile_case(
         .collect();
     phases.sort_by(|a, b| b.self_s.total_cmp(&a.self_s));
 
-    ProfileReport {
+    Ok(ProfileReport {
         case: name.to_string(),
         threads: opts.threads,
         atoms,
@@ -560,7 +565,7 @@ pub fn profile_case(
         attribution,
         phases,
         folded: qp_trace::collapsed_stacks(&events),
-    }
+    })
 }
 
 /// Validate a `qp-profile/v1` JSON document: well-formed JSON, all four

@@ -1,13 +1,17 @@
 //! Self-recovering drivers: the SCF and distributed DFPT cycles wrapped in
 //! checkpoint/restart supervision.
 //!
+//! The DFPT driver runs the crate's one DFPT loop ([`crate::dfpt`]) on
+//! `run_spmd` ranks; the plain [`crate::parallel::parallel_dfpt_direction`]
+//! is this driver with checkpoints and restarts off.
+//!
 //! The recovery argument rests on determinism: the rank-ordered collectives
-//! make every rank hold bit-identical `C¹`/`P¹` at each iteration boundary,
-//! so rank 0's checkpoint is a consistent global cut, and an attempt
-//! restarted from it replays the remaining iterations **bit-exactly** —
-//! a run that loses a rank mid-DFPT lands on the same polarizability as the
-//! fault-free run (the integration tests pin this to 1e-8, and it holds to
-//! the last bit).
+//! make every rank hold a bit-identical [`DfptDirState`] (`P¹` and the
+//! mixer history) at each iteration boundary, so rank 0's checkpoint is a
+//! consistent global cut, and an attempt restarted from it replays the
+//! remaining iterations **bit-exactly** — a run that loses a rank mid-DFPT
+//! lands on the same polarizability as the fault-free run (the integration
+//! tests pin this to 1e-8, and it holds to the last bit).
 //!
 //! Checkpoints are committed only after every collective of the covered
 //! iteration has completed on all ranks (a crashed rank kills the
@@ -18,15 +22,14 @@
 //! restarted attempt sails past the crash site — exactly like a respawned
 //! MPI job on fresh hardware.
 
-use crate::dfpt::DfptOptions;
-use crate::parallel::{
-    assign_batches, comm_failure, direction_result, DirWork, ParallelConfig,
-    ParallelDirectionResult,
-};
+use crate::dfpt::{fxc_on_grid, DfptDirState, DfptOptions, DirOutcome, Direction};
+use crate::operators;
+use crate::parallel::{assign_batches, comm_failure, ParallelConfig, ParallelDirectionResult};
 use crate::scf::{scf_resumable, ScfOptions, ScfResult, ScfState};
 use crate::system::System;
 use crate::{CoreError, Result};
 use parking_lot::Mutex;
+use qp_linalg::DMatrix;
 use qp_machine::machine::MachineModel;
 use qp_mpi::{run_spmd_with, CommError, FaultHook, SpmdOptions};
 use qp_resil::recovery::{RecoveryPolicy, RecoveryStats, Supervisor};
@@ -96,6 +99,35 @@ fn ck_err(e: ResilError) -> CoreError {
     CoreError::Checkpoint(e.to_string())
 }
 
+/// The loop state a `QPCK` DFPT checkpoint resumes for direction `dir` of
+/// a system with `nb` basis functions. A checkpoint with a non-empty `c1`
+/// was written by a driver that mixed `C¹` rather than `P¹`; its history
+/// cannot seed the `P¹` mixer, so it is refused.
+fn resume_state(ck: DfptCheckpoint, dir: usize, nb: usize) -> Result<DfptDirState> {
+    if ck.c1.rows() * ck.c1.cols() != 0 {
+        return Err(CoreError::Checkpoint(
+            "the DFPT checkpoint holds response coefficients C1 from a driver that mixed \
+             C1, which cannot resume the P1 mixer; remove it to start the direction afresh"
+                .into(),
+        ));
+    }
+    let fits = |m: &DMatrix| m.rows() == nb && m.cols() == nb;
+    let mut history = ck.diis_in.iter().chain(&ck.diis_res);
+    if ck.dir != dir || !fits(&ck.p1) || ck.diis_in.len() != ck.diis_res.len() || !history.all(fits)
+    {
+        return Err(CoreError::Checkpoint(format!(
+            "the DFPT checkpoint does not fit direction {dir} of a {nb}-function basis"
+        )));
+    }
+    Ok(DfptDirState {
+        iteration: ck.iteration,
+        p1: ck.p1,
+        residual: ck.residual,
+        diis_in: ck.diis_in,
+        diis_res: ck.diis_res,
+    })
+}
+
 /// Run one DFPT direction under supervision: checkpoint every
 /// `rcfg.checkpoint_interval` iterations, and on a rank failure or
 /// communication timeout restart the SPMD region from the last committed
@@ -109,7 +141,18 @@ pub fn parallel_dfpt_direction_resilient(
     rcfg: &ResilienceConfig,
 ) -> Result<ResilientDirectionResult> {
     let assignment = assign_batches(system, cfg);
-    let work = DirWork::new(system, ground, dir, opts, cfg)?;
+    let dip = operators::dipole_matrix(system, dir);
+    let fxc = fxc_on_grid(ground);
+    let c_t = ground.orbitals.transpose();
+    let direction = Direction {
+        system,
+        ground,
+        opts,
+        dir,
+        dip: &dip,
+        fxc: &fxc,
+        c_t: &c_t,
+    };
     let interval = rcfg.checkpoint_interval;
 
     let ck_path = rcfg
@@ -117,13 +160,16 @@ pub fn parallel_dfpt_direction_resilient(
         .as_ref()
         .map(|d| d.join(format!("dfpt_dir{dir}.qpck")));
     let initial = match (&ck_path, rcfg.restart) {
-        (Some(p), true) if p.exists() => Some(DfptCheckpoint::load(p).map_err(ck_err)?),
+        (Some(p), true) if p.exists() => {
+            let ck = DfptCheckpoint::load(p).map_err(ck_err)?;
+            Some(resume_state(ck, dir, system.n_basis())?)
+        }
         _ => None,
     };
-    // The last *committed* checkpoint: written by rank 0 only after every
+    // The last *committed* state: captured by rank 0 only after every
     // collective of the covered iteration completed on all ranks, read by
     // every rank at the top of each attempt.
-    let store: Mutex<Option<DfptCheckpoint>> = Mutex::new(initial);
+    let store: Mutex<Option<DfptDirState>> = Mutex::new(initial);
     // Checkpoint sizes written during the current attempt, drained into the
     // supervisor between attempts (the SPMD closure cannot borrow it).
     let written: Mutex<Vec<usize>> = Mutex::new(Vec::new());
@@ -144,48 +190,41 @@ pub fn parallel_dfpt_direction_resilient(
 
     let run = supervisor.run(|sup, _attempt| {
         let out = run_spmd_with(cfg.n_ranks, cfg.ranks_per_node, spmd_opts.clone(), |comm| {
-            let (state, start_iter) = match &*store.lock() {
-                Some(ck) => (
-                    work.state_from(
-                        ck.c1.clone(),
-                        ck.p1.clone(),
-                        ck.diis_in.clone(),
-                        ck.diis_res.clone(),
-                    ),
-                    ck.iteration,
-                ),
-                None => (work.initial_state(), 0),
+            let resume = store.lock().clone();
+            let batches: Vec<usize> = (0..assignment.len())
+                .filter(|&b| assignment[b] == comm.rank())
+                .collect();
+            let out = direction.run(comm, &batches, cfg.collectives, resume, &mut |st| {
+                if comm.rank() != 0 || interval == 0 || st.iteration % interval != 0 {
+                    return Ok(true);
+                }
+                let ck = DfptCheckpoint {
+                    dir,
+                    iteration: st.iteration,
+                    c1: DMatrix::zeros(0, 0),
+                    p1: st.p1.clone(),
+                    residual: st.residual,
+                    diis_in: st.diis_in.clone(),
+                    diis_res: st.diis_res.clone(),
+                };
+                written.lock().push(ck.to_bytes().len());
+                if let Some(p) = &ck_path {
+                    if let Err(e) = ck.save(p) {
+                        *io_error.lock() = Some(e);
+                        return Err(CommError::Mismatch("checkpoint write failed"));
+                    }
+                }
+                *store.lock() = Some(st.clone());
+                Ok(true)
+            })?;
+            // Rank 0 records every collective, so its log is complete once
+            // its loop has ended.
+            let traffic = if comm.rank() == 0 {
+                comm.traffic().snapshot()
+            } else {
+                Vec::new()
             };
-            work.run_rank(
-                comm,
-                &assignment,
-                state,
-                start_iter,
-                |iter, state, residual| {
-                    if comm.rank() != 0 || interval == 0 || iter % interval != 0 {
-                        return Ok(());
-                    }
-                    let (diis_in, diis_res) = state.mixer.history();
-                    let ck = DfptCheckpoint {
-                        dir,
-                        iteration: iter,
-                        c1: state.c1.clone(),
-                        p1: state.p1.clone(),
-                        residual,
-                        diis_in: diis_in.to_vec(),
-                        diis_res: diis_res.to_vec(),
-                    };
-                    written.lock().push(ck.to_bytes().len());
-                    if let Some(p) = &ck_path {
-                        if let Err(e) = ck.save(p) {
-                            *io_error.lock() = Some(e);
-                            return Err(CommError::Mismatch("checkpoint write failed"));
-                        }
-                    }
-                    *store.lock() = Some(ck);
-                    Ok(())
-                },
-            )
+            Ok((out, traffic))
         });
         for bytes in written.lock().drain(..) {
             sup.note_checkpoint(bytes);
@@ -196,9 +235,22 @@ pub fn parallel_dfpt_direction_resilient(
     if let Some(e) = io_error.into_inner() {
         return Err(ck_err(e));
     }
-    let direction = direction_result(run.map_err(comm_failure)?)?;
+    let (out, traffic) = run.map_err(comm_failure)?.swap_remove(0);
+    let mut points_per_rank = vec![0; cfg.n_ranks];
+    for (batch, &rank) in system.batches.iter().zip(&assignment) {
+        points_per_rank[rank] += batch.len();
+    }
+    let resp = match out? {
+        DirOutcome::Converged(resp) => resp,
+        DirOutcome::Preempted(_) => unreachable!("the checkpoint callback never preempts"),
+    };
     Ok(ResilientDirectionResult {
-        direction,
+        direction: ParallelDirectionResult {
+            p1: resp.p1,
+            iterations: resp.iterations,
+            traffic,
+            points_per_rank,
+        },
         stats: supervisor.into_stats(),
     })
 }
@@ -282,36 +334,50 @@ mod tests {
     #[test]
     fn scf_checkpoint_resume_is_bit_exact() {
         let sys = tiny_system();
-        let opts = ScfOptions::default();
-        let reference = scf(&sys, &opts).unwrap();
-
-        let dir = std::env::temp_dir().join("qp_resil_scf_resume");
-        std::fs::create_dir_all(&dir).unwrap();
-        let rcfg = ResilienceConfig {
-            checkpoint_dir: Some(dir.clone()),
-            checkpoint_interval: 3,
-            ..ResilienceConfig::default()
+        let linear = ScfOptions {
+            pulay: None,
+            ..ScfOptions::default()
         };
-        let (first, stats) = scf_checkpointed(&sys, &opts, &rcfg).unwrap();
-        assert_eq!(first.energy.to_bits(), reference.energy.to_bits());
-        assert!(stats.checkpoints_written > 0);
+        for (name, opts) in [("pulay", ScfOptions::default()), ("linear", linear)] {
+            let reference = scf(&sys, &opts).unwrap();
 
-        // "Process death": rerun from the on-disk checkpoint. The resumed
-        // run replays the tail of the cycle and lands on the identical
-        // ground state.
-        let restart = ResilienceConfig {
-            restart: true,
-            ..rcfg
-        };
-        let (second, _) = scf_checkpointed(&sys, &opts, &restart).unwrap();
-        assert_eq!(second.energy.to_bits(), reference.energy.to_bits());
-        assert_eq!(second.iterations, reference.iterations);
-        assert!(
-            second
-                .density_matrix
-                .max_abs_diff(&reference.density_matrix)
-                == 0.0
-        );
-        std::fs::remove_dir_all(&dir).ok();
+            let dir = std::env::temp_dir().join(format!("qp_resil_scf_resume_{name}"));
+            std::fs::create_dir_all(&dir).unwrap();
+            let rcfg = ResilienceConfig {
+                checkpoint_dir: Some(dir.clone()),
+                checkpoint_interval: 3,
+                ..ResilienceConfig::default()
+            };
+            let (first, stats) = scf_checkpointed(&sys, &opts, &rcfg).unwrap();
+            assert_eq!(first.energy.to_bits(), reference.energy.to_bits());
+            assert!(stats.checkpoints_written > 0);
+            // Linear mixing keeps no history to capture.
+            let ck = ScfCheckpoint::load(&dir.join("scf.qpck")).unwrap();
+            if opts.pulay.is_none() {
+                assert!(ck.diis_in.is_empty() && ck.diis_res.is_empty(), "{name}");
+            }
+
+            // "Process death": rerun from the on-disk checkpoint. The resumed
+            // run replays the tail of the cycle and lands on the identical
+            // ground state.
+            let restart = ResilienceConfig {
+                restart: true,
+                ..rcfg
+            };
+            let (second, _) = scf_checkpointed(&sys, &opts, &restart).unwrap();
+            assert_eq!(
+                second.energy.to_bits(),
+                reference.energy.to_bits(),
+                "{name}"
+            );
+            assert_eq!(second.iterations, reference.iterations, "{name}");
+            assert!(
+                second
+                    .density_matrix
+                    .max_abs_diff(&reference.density_matrix)
+                    == 0.0
+            );
+            std::fs::remove_dir_all(&dir).ok();
+        }
     }
 }

@@ -4,9 +4,10 @@
 //! appendix): converged orbitals `C`, eigenvalues `ε`, density matrix `P`
 //! and ground-state density `n₀(r)`. The loop is the standard one —
 //! density → Hartree potential (multipole Poisson) → xc potential → `H` →
-//! generalized eigenproblem → new density — with linear mixing.
+//! generalized eigenproblem → new density — mixed by the shared
+//! [`MixState`] (Pulay/DIIS by default, linear under `pulay: None`).
 
-use crate::mixing::pulay_extrapolate;
+use crate::mixing::{DfptMixer, MixState};
 use crate::operators;
 use crate::system::System;
 use crate::{CoreError, Result};
@@ -82,9 +83,9 @@ pub struct ScfState {
     pub energy: f64,
     /// The mixed density matrix seeding iteration `start_iter + 1`.
     pub p_mat: DMatrix,
-    /// Pulay/DIIS input-density history.
+    /// Pulay/DIIS input-density history (empty under linear mixing).
     pub diis_in: Vec<DMatrix>,
-    /// Pulay/DIIS residual history.
+    /// Pulay/DIIS residual history (same length as `diis_in`).
     pub diis_res: Vec<DMatrix>,
 }
 
@@ -188,13 +189,21 @@ pub fn scf_preemptible(
             }
         }
     };
-    let (start_iter, mut p_mat, mut diis_in, mut diis_res) = match resume {
-        Some(st) => (st.start_iter, st.p_mat, st.diis_in, st.diis_res),
+    let mixer_kind = match opts.pulay {
+        Some(depth) => DfptMixer::Pulay { depth },
+        None => DfptMixer::Linear,
+    };
+    let (start_iter, mut p_mat, mut mixer) = match resume {
+        Some(st) => (
+            st.start_iter,
+            st.p_mat,
+            MixState::with_history(mixer_kind, opts.mixing, st.diis_in, st.diis_res),
+        ),
         None => {
             let dec0 = generalized_symmetric_eigen(&h_core, &s_mat)?;
             let occ0 = occupy(&dec0.eigenvalues);
             let p0 = operators::density_matrix_occ(&dec0.eigenvectors, &occ0);
-            (0, p0, Vec::new(), Vec::new())
+            (0, p0, MixState::new(mixer_kind, opts.mixing))
         }
     };
 
@@ -274,45 +283,14 @@ pub fn scf_preemptible(
             }));
         }
 
-        // Mixing: Pulay/DIIS extrapolation over the residual history when
-        // enabled, plain linear mixing otherwise (and for the first steps).
-        diis_in.push(p_mat.clone());
-        let mut r = p_new.clone();
-        r.axpy(-1.0, &p_mat)?;
-        diis_res.push(r);
-        if let Some(depth) = opts.pulay {
-            while diis_in.len() > depth {
-                diis_in.remove(0);
-                diis_res.remove(0);
-            }
-        }
-        let use_diis = opts.pulay.is_some() && diis_in.len() >= 3;
-        p_mat = if use_diis {
-            match pulay_extrapolate(&diis_in, &diis_res, opts.mixing) {
-                Some(p) => p,
-                None => {
-                    // Ill-conditioned DIIS system: restart the history.
-                    diis_in.clear();
-                    diis_res.clear();
-                    let mut mixed = p_mat.clone();
-                    mixed.scale(1.0 - opts.mixing);
-                    mixed.axpy(opts.mixing, &p_new)?;
-                    mixed
-                }
-            }
-        } else {
-            let mut mixed = p_mat.clone();
-            mixed.scale(1.0 - opts.mixing);
-            mixed.axpy(opts.mixing, &p_new)?;
-            mixed
-        };
-
+        p_mat = mixer.step(&p_mat, &p_new);
+        let (diis_in, diis_res) = mixer.history();
         let state = ScfState {
             start_iter: iter,
             energy,
             p_mat: p_mat.clone(),
-            diis_in: diis_in.clone(),
-            diis_res: diis_res.clone(),
+            diis_in: diis_in.to_vec(),
+            diis_res: diis_res.to_vec(),
         };
         if !on_iter(&state) {
             return Ok(ScfOutcome::Preempted(state));

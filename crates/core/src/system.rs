@@ -416,6 +416,19 @@ impl System {
     /// regardless of scheduling, so the result is bit-identical at any
     /// thread count.
     pub fn density_on_grid(&self, p_mat: &qp_linalg::DMatrix) -> Vec<f64> {
+        let all: Vec<usize> = (0..self.batches.len()).collect();
+        self.density_on(p_mat, &all)
+    }
+
+    /// [`density_on_grid`](Self::density_on_grid) at the points of
+    /// `batches` only (ascending, distinct batch ids): the same fused
+    /// kernel over the listed batches, the other grid slots left `0.0` — a
+    /// distributed rank's share of the density.
+    pub fn density_on(&self, p_mat: &qp_linalg::DMatrix, batches: &[usize]) -> Vec<f64> {
+        assert!(
+            batches.windows(2).all(|w| w[0] < w[1]),
+            "batch ids must be ascending and distinct"
+        );
         let mut density = vec![0.0; self.grid.len()];
         struct OutPtr(*mut f64);
         unsafe impl Send for OutPtr {}
@@ -427,12 +440,14 @@ impl System {
         let nb = self.n_basis();
         let est = ((avg_np * nb * nb) / 2).max(1) as u64;
         let out = &out;
-        qp_par::for_each_index_hinted(self.batches.len(), est, |bid| {
+        qp_par::for_each_index_hinted(batches.len(), est, |i| {
+            let bid = batches[i];
             let local = self.batch_density(bid, p_mat);
             let batch = &self.batches[bid];
             for (pi, &v) in local.iter().enumerate() {
                 // SAFETY: grid_index values are unique across all batches
-                // (batches partition the grid), so writes never alias.
+                // (batches partition the grid) and the listed batches are
+                // distinct, so writes never alias.
                 unsafe {
                     *out.0.add(batch.points[pi].grid_index as usize) = v;
                 }

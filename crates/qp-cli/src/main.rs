@@ -29,6 +29,9 @@ use qp_trace::{qp_error, qp_info, qp_warn};
 use std::path::PathBuf;
 use std::process::ExitCode;
 
+/// What to try when the ground state does not converge.
+const SCF_HINT: &str = "hint: try --smearing 0.02 and/or a smaller --scf-mixing";
+
 struct Args {
     input: Option<String>,
     control: Option<String>,
@@ -112,6 +115,17 @@ environment:
                     crash/stall/drop/corrupt grammar"
     );
     std::process::exit(2)
+}
+
+/// A count that must be at least 1, or the usage text.
+fn at_least_one(name: &str, text: String) -> usize {
+    match text.parse::<usize>() {
+        Ok(n) if n >= 1 => n,
+        _ => {
+            qp_error!("{name} needs a count of at least 1, not '{text}'");
+            usage()
+        }
+    }
 }
 
 fn parse_args() -> Args {
@@ -198,13 +212,10 @@ fn parse_args() -> Args {
             "--profile" => args.profile = Some(value("--profile")),
             "--trace" => args.trace = Some(value("--trace")),
             "--metrics" => args.metrics = Some(value("--metrics")),
-            "--ranks" => args.ranks = Some(value("--ranks").parse().unwrap_or_else(|_| usage())),
+            "--ranks" => args.ranks = Some(at_least_one("--ranks", value("--ranks"))),
             "--ranks-per-node" => {
-                args.ranks_per_node = Some(
-                    value("--ranks-per-node")
-                        .parse()
-                        .unwrap_or_else(|_| usage()),
-                )
+                args.ranks_per_node =
+                    Some(at_least_one("--ranks-per-node", value("--ranks-per-node")))
             }
             "--checkpoint-dir" => {
                 args.checkpoint_dir = Some(PathBuf::from(value("--checkpoint-dir")))
@@ -365,7 +376,7 @@ fn run(args: &Args) -> ExitCode {
         Ok(g) => g,
         Err(e) => {
             qp_error!("SCF failed: {e}");
-            qp_error!("hint: try --smearing 0.02 and/or a smaller --scf-mixing");
+            qp_error!("{SCF_HINT}");
             return ExitCode::FAILURE;
         }
     };
@@ -503,13 +514,18 @@ fn run_profile(args: &Args, structure: qp_chem::geometry::Structure, base: &str)
         opts.threads,
         qp_linalg::gemm::active_microkernel()
     );
-    let basis = args.basis;
-    let grid = args.grid;
-    let report = qp_core::profile_case(
-        &name,
-        &move || System::build(structure.clone(), basis, &grid, 200, 4),
-        &opts,
-    );
+    let (basis, grid, screening, farfield) = (args.basis, args.grid, args.screening, args.farfield);
+    let build = move || {
+        System::build_with_modes(structure.clone(), basis, &grid, 200, 4, screening, farfield)
+    };
+    let report = match qp_core::profile_case(&name, &build, &opts) {
+        Ok(r) => r,
+        Err(e) => {
+            qp_error!("SCF failed: {e}");
+            qp_error!("{SCF_HINT}");
+            return ExitCode::FAILURE;
+        }
+    };
     print!("{}", report.render_text());
     let json_path = format!("{base}.json");
     let folded_path = format!("{base}.folded");

@@ -223,6 +223,19 @@ pub struct CommCore {
 }
 
 impl CommCore {
+    fn new(size: usize, ranks_per_node: usize, opts: SpmdOptions) -> Arc<Self> {
+        Arc::new(CommCore {
+            size,
+            ranks_per_node,
+            rendezvous: Mutex::new(HashMap::new()),
+            windows: Mutex::new(HashMap::new()),
+            mailboxes: crate::p2p::Mailboxes::new(),
+            poisoned: AtomicBool::new(false),
+            opts,
+            traffic: TrafficLog::new(),
+        })
+    }
+
     fn rendezvous(&self, key: &str, size: usize) -> Arc<Rendezvous> {
         let mut map = self.rendezvous.lock();
         map.entry(key.to_string())
@@ -248,6 +261,17 @@ pub struct Comm {
 }
 
 impl Comm {
+    /// A one-rank world on the calling thread: every collective completes
+    /// at once with the caller's own contribution, so a driver written
+    /// against a `Comm` runs serially on it. Spawns no thread, installs no
+    /// fault hook and leaves the thread's trace rank as it is.
+    pub fn solo() -> Comm {
+        Comm {
+            rank: 0,
+            core: CommCore::new(1, 1, SpmdOptions::default()),
+        }
+    }
+
     /// This rank's index.
     pub fn rank(&self) -> usize {
         self.rank
@@ -463,16 +487,7 @@ where
     if let Some(hook) = &opts.fault {
         hook.bind_world(n_ranks);
     }
-    let core = Arc::new(CommCore {
-        size: n_ranks,
-        ranks_per_node,
-        rendezvous: Mutex::new(HashMap::new()),
-        windows: Mutex::new(HashMap::new()),
-        mailboxes: crate::p2p::Mailboxes::new(),
-        poisoned: AtomicBool::new(false),
-        opts,
-        traffic: TrafficLog::new(),
-    });
+    let core = CommCore::new(n_ranks, ranks_per_node, opts);
 
     let mut results: Vec<Option<Result<T, CommError>>> = (0..n_ranks).map(|_| None).collect();
     std::thread::scope(|scope| {
@@ -699,12 +714,13 @@ mod tests {
 
     #[test]
     fn single_rank_world() {
-        let out = run_spmd(1, 1, |c| {
+        let body = |c: &Comm| {
             let t = c.exchange("solo", 1, 0, vec![42.0])?;
             Ok(t[0][0])
-        })
-        .unwrap();
-        assert_eq!(out, vec![42.0]);
+        };
+        assert_eq!(run_spmd(1, 1, body).unwrap(), vec![42.0]);
+        // The inline one-rank world runs the same program on this thread.
+        assert_eq!(body(&Comm::solo()), Ok(42.0));
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! Point-to-point messaging: `send`/`recv` with tag matching.
 //!
-//! The collectives cover the DFPT hot paths; point-to-point is the substrate
-//! the distributed dense-linear-algebra layer (`qp-core::dist`, the
-//! ScaLAPACK stand-in) uses for panel shifts. Semantics follow MPI:
+//! The collectives cover the DFPT hot paths; point-to-point messaging is
+//! the substrate for neighbour exchanges and the fault-injection drop
+//! path. Semantics follow MPI:
 //! `send` is asynchronous (buffered), `recv` blocks until a matching
 //! `(source, tag)` message arrives; messages between one (source, dest, tag)
 //! triple are non-overtaking (FIFO).

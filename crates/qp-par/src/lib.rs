@@ -172,6 +172,7 @@ mod tests {
 
     #[test]
     fn map_vec_preserves_order() {
+        let _serial = pool::serialize_limit();
         let _g = pool::ThreadLease::at_least(4);
         let v: Vec<usize> = (0..1000).collect();
         let out = map_vec(v, |x| x * 3);
@@ -180,6 +181,7 @@ mod tests {
 
     #[test]
     fn map_vec_moves_non_copy_items() {
+        let _serial = pool::serialize_limit();
         let _g = pool::ThreadLease::at_least(4);
         let v: Vec<String> = (0..100).map(|i| format!("s{i}")).collect();
         let out = map_vec(v, |s| s.len());
@@ -190,6 +192,7 @@ mod tests {
 
     #[test]
     fn for_each_vec_visits_every_item_once() {
+        let _serial = pool::serialize_limit();
         let _g = pool::ThreadLease::at_least(4);
         let hits = AtomicUsize::new(0);
         let sum = AtomicUsize::new(0);
@@ -203,6 +206,7 @@ mod tests {
 
     #[test]
     fn results_identical_across_thread_counts() {
+        let _serial = pool::serialize_limit();
         let compute = || {
             let v: Vec<f64> = (0..257).map(|i| i as f64 * 0.1).collect();
             map_vec(v, |x| (x.sin() * x.cos()).exp())
@@ -220,6 +224,7 @@ mod tests {
 
     #[test]
     fn fill_slice_hinted_is_bit_identical_for_any_cost_hint() {
+        let _serial = pool::serialize_limit();
         let _g = pool::ThreadLease::at_least(4);
         let expect: Vec<f64> = (0..513).map(|i| (i as f64).sqrt().sin()).collect();
         // 0 and 1 take the inline path, the huge hint takes the region path;
@@ -238,6 +243,7 @@ mod tests {
 
     #[test]
     fn map_vec_hinted_preserves_order() {
+        let _serial = pool::serialize_limit();
         let _g = pool::ThreadLease::at_least(4);
         for est in [0u64, 1_000_000] {
             let v: Vec<usize> = (0..500).collect();
@@ -248,6 +254,7 @@ mod tests {
 
     #[test]
     fn nested_regions_complete() {
+        let _serial = pool::serialize_limit();
         let _g = pool::ThreadLease::at_least(4);
         let out = map_vec((0..8).collect::<Vec<usize>>(), |i| {
             map_vec((0..8).collect::<Vec<usize>>(), move |j| i * 8 + j)
@@ -260,6 +267,7 @@ mod tests {
 
     #[test]
     fn panic_propagates_to_caller() {
+        let _serial = pool::serialize_limit();
         let _g = pool::ThreadLease::at_least(4);
         let r = std::panic::catch_unwind(|| {
             for_each_vec((0..64).collect::<Vec<usize>>(), |i| {

@@ -604,6 +604,16 @@ where
     )
 }
 
+/// The unit tests of this crate run in parallel in one process and share the
+/// pool's single limit. A test that takes a [`ThreadLease`] holds this guard
+/// for its whole body (declared before the lease, so the lease drops first),
+/// which keeps leases from different tests strictly nested.
+#[cfg(test)]
+pub(crate) fn serialize_limit() -> parking_lot::MutexGuard<'static, ()> {
+    static LIMIT: Mutex<()> = Mutex::new(());
+    LIMIT.lock()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -611,6 +621,7 @@ mod tests {
 
     #[test]
     fn every_index_runs_exactly_once() {
+        let _serial = serialize_limit();
         let _g = ThreadLease::at_least(4);
         let seen = Mutex::new(HashSet::new());
         for_each_index(1000, |i| {
@@ -632,6 +643,7 @@ mod tests {
 
     #[test]
     fn hinted_regions_run_inline_below_cutoff_and_complete_above() {
+        let _serial = serialize_limit();
         let _g = ThreadLease::at_least(4);
         // Tiny estimated cost -> inline, still every index exactly once.
         let seen = Mutex::new(HashSet::new());
@@ -649,6 +661,7 @@ mod tests {
 
     #[test]
     fn region_shell_is_reused_across_iterations() {
+        let _serial = serialize_limit();
         let _g = ThreadLease::exactly(4);
         // Warm up: make sure this thread has a cached shell.
         for_each_index(64, |i| {
@@ -672,6 +685,7 @@ mod tests {
 
     #[test]
     fn join_returns_both_results() {
+        let _serial = serialize_limit();
         let _g = ThreadLease::at_least(2);
         let (a, b) = join(|| 6 * 7, || "ok".to_string());
         assert_eq!(a, 42);
@@ -680,6 +694,7 @@ mod tests {
 
     #[test]
     fn lease_restores_previous_limit() {
+        let _serial = serialize_limit();
         let before = active_threads();
         {
             let _g = ThreadLease::exactly(before + 3);
@@ -690,6 +705,7 @@ mod tests {
 
     #[test]
     fn worker_rank_attribution_propagates() {
+        let _serial = serialize_limit();
         let _g = ThreadLease::at_least(4);
         qp_trace::set_thread_rank(7);
         let ranks = Mutex::new(HashSet::new());

@@ -276,16 +276,18 @@ impl ScfCheckpoint {
 }
 
 /// Loop-carried DFPT state for one field direction: resume the Sternheimer
-/// cycle at `iteration + 1` with the mixed `C¹` and its `P¹`.
+/// cycle at `iteration + 1` with the mixed `P¹` and its mixer history.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DfptCheckpoint {
     /// Cartesian direction (0 = x, 1 = y, 2 = z).
     pub dir: usize,
     /// Completed DFPT iterations.
     pub iteration: usize,
-    /// Mixed response coefficients `C¹` entering the next iteration.
+    /// Response coefficients `C¹`: written empty (0×0) by the driver that
+    /// mixes `P¹`. A non-empty one marks a checkpoint from the earlier
+    /// driver that mixed `C¹`, whose history cannot resume the `P¹` mixer.
     pub c1: DMatrix,
-    /// Response density matrix `P¹` built from `c1`.
+    /// Mixed response density matrix `P¹` entering the next iteration.
     pub p1: DMatrix,
     /// `‖ΔP¹‖` at `iteration` (diagnostic only).
     pub residual: f64,
@@ -346,9 +348,8 @@ pub struct JobDoneDirection {
     pub alpha_col: [f64; 3],
 }
 
-/// The in-flight DFPT direction of a preempted job: the serial analogue of
-/// [`DfptCheckpoint`] (the serial cycle mixes `P¹` directly, so there is no
-/// `C¹` to carry).
+/// The in-flight DFPT direction of a preempted job: the same loop state as
+/// [`DfptCheckpoint`], without the `c1` slot.
 #[derive(Debug, Clone, PartialEq)]
 pub struct JobDirCheckpoint {
     /// Cartesian direction (0 = x, 1 = y, 2 = z).

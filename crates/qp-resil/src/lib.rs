@@ -13,7 +13,7 @@
 //!   run after run.
 //! * [`checkpoint`] — a versioned, checksummed, hand-rolled binary format
 //!   (`QPCK`) snapshotting SCF state (density matrix + Pulay history) and
-//!   per-direction DFPT state (`C¹`, `P¹`, residual), written atomically
+//!   per-direction DFPT state (`P¹`, Pulay history, residual), written atomically
 //!   (temp file + rename) and restored round-trip bit-exact.
 //! * [`recovery`] — the [`Supervisor`]: retries a failed SPMD region from
 //!   its last checkpoint, charges the modeled recovery cost (checkpoint

@@ -81,6 +81,7 @@ fn main() {
         alpha_zz,
         t2.elapsed()
     );
-    let q1 = system.grid.integrate_values(&resp.n1);
+    let n1 = system.density_on_grid(&resp.p1);
+    let q1 = system.grid.integrate_values(&n1);
     println!("response-density charge conservation: ∫n1 = {q1:.2e} (should be ~0)");
 }

@@ -154,6 +154,28 @@ fn disk_checkpoints_survive_corruption_detection_and_restart() {
         matches!(out, Err(qp_core::CoreError::Checkpoint(_))),
         "corrupted checkpoint must surface cleanly: {out:?}"
     );
+
+    // A checkpoint from a driver that mixed the response coefficients C¹
+    // (non-empty `c1`, C¹-sized history) cannot seed the P¹ mixer: refused
+    // with a typed error, before any rank starts.
+    let nb = sys.n_basis();
+    let n_occ = sys.n_occupied();
+    let c1_sized = |v: f64| DMatrix::from_fn(nb, n_occ, |i, j| v * (i + j) as f64);
+    let old = qp_resil::DfptCheckpoint {
+        dir: 1,
+        iteration: 4,
+        c1: c1_sized(1e-3),
+        p1: first.direction.p1.clone(),
+        residual: 1e-3,
+        diis_in: vec![c1_sized(1e-3); 3],
+        diis_res: vec![c1_sized(1e-4); 3],
+    };
+    old.save(&ck_file).unwrap();
+    let out = parallel_dfpt_direction_resilient(&sys, &ground, 1, &opts, &cfg(), &restart);
+    assert!(
+        matches!(out, Err(qp_core::CoreError::Checkpoint(_))),
+        "a C1 checkpoint must be refused cleanly: {out:?}"
+    );
     std::fs::remove_dir_all(&dir_path).ok();
 }
 
