@@ -67,10 +67,10 @@ use qp_chem::multipole::solve_poisson;
 use qp_core::basis_cache::cache_counters;
 use qp_core::dfpt::{dfpt_direction, DfptOptions};
 use qp_core::operators;
-use qp_core::profile::{attribute, Attribution};
+use qp_core::profile::{attribute, default_profile_threads, Attribution};
 use qp_core::scf::{scf, ScfOptions};
 use qp_core::system::System;
-use qp_core::{FarFieldMode, ScreeningMode};
+use qp_core::{FarFieldMode, Job, ScreeningMode};
 use qp_grid::{farfield_tol, FarField};
 use qp_linalg::DMatrix;
 use qp_par::telemetry;
@@ -79,10 +79,8 @@ use qp_trace::span::{set_enabled, take_events, Phase};
 struct CaseSpec {
     name: &'static str,
     build: fn() -> System,
-    scf: ScfOptions,
-    /// Field directions to converge (`1` = y); fewer keep quick mode cheap.
-    dfpt_dirs: &'static [usize],
-    dfpt: DfptOptions,
+    /// SCF + DFPT; fewer field directions (`1` = y) keep quick mode cheap.
+    job: Job,
 }
 
 struct PhaseSeconds {
@@ -116,25 +114,6 @@ struct CaseResult {
     attribution: Attribution,
 }
 
-/// Thread count for the parallel leg: `QP_THREADS` if set, else available
-/// parallelism — clamped to ≥ 2 so the leg genuinely fans out (on a
-/// single-core host that means oversubscription, which still exercises the
-/// parallel code paths and the determinism contract).
-fn parallel_leg_threads() -> usize {
-    let requested = std::env::var("QP_THREADS")
-        .ok()
-        .and_then(|s| s.parse::<usize>().ok())
-        .unwrap_or_else(|| {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-        });
-    if requested < 2 {
-        eprintln!("bench_perf: clamping parallel leg from {requested} to 2 threads");
-    }
-    requested.max(2)
-}
-
 /// The statistics-grade ligand grid shared with `tests/determinism_threads.rs`.
 fn ligand_system() -> System {
     workloads::bench_ligand_system()
@@ -149,8 +128,15 @@ fn water_system() -> System {
     workloads::bench_water_system()
 }
 
-fn ligand_scf() -> ScfOptions {
-    workloads::bench_scf_options()
+/// The job over `dirs` with the bench SCF and DFPT settings.
+fn bench_job(dirs: &[usize]) -> Job {
+    Job {
+        dirs: dirs.to_vec(),
+        ..Job::new(
+            workloads::bench_scf_options(),
+            workloads::bench_dfpt_options(),
+        )
+    }
 }
 
 fn cases(quick: bool) -> Vec<CaseSpec> {
@@ -159,9 +145,10 @@ fn cases(quick: bool) -> Vec<CaseSpec> {
             CaseSpec {
                 name: "water",
                 build: water_system,
-                scf: ScfOptions::default(),
-                dfpt_dirs: &[1],
-                dfpt: DfptOptions::default(),
+                job: Job {
+                    dirs: vec![1],
+                    ..Job::new(ScfOptions::default(), DfptOptions::default())
+                },
             },
             CaseSpec {
                 name: "polyethylene-n2",
@@ -178,14 +165,7 @@ fn cases(quick: bool) -> Vec<CaseSpec> {
                         2,
                     )
                 },
-                scf: ligand_scf(),
-                dfpt_dirs: &[1],
-                dfpt: DfptOptions {
-                    max_iter: 80,
-                    tol: 1e-5,
-                    mixing: 0.15,
-                    ..DfptOptions::default()
-                },
+                job: bench_job(&[1]),
             },
         ]
     } else {
@@ -193,58 +173,32 @@ fn cases(quick: bool) -> Vec<CaseSpec> {
             CaseSpec {
                 name: "ligand49",
                 build: ligand_system,
-                scf: ligand_scf(),
-                dfpt_dirs: &[0, 1, 2],
-                dfpt: DfptOptions {
-                    max_iter: 80,
-                    tol: 1e-5,
-                    mixing: 0.15,
-                    ..DfptOptions::default()
-                },
+                job: bench_job(&[0, 1, 2]),
             },
             CaseSpec {
                 name: "polyethylene-n4",
                 build: polymer_system,
-                scf: ligand_scf(),
-                dfpt_dirs: &[1],
-                dfpt: DfptOptions {
-                    max_iter: 80,
-                    tol: 1e-5,
-                    mixing: 0.15,
-                    ..DfptOptions::default()
-                },
+                job: bench_job(&[1]),
             },
         ]
     }
 }
 
-/// SCF + DFPT once; returns (scf_s, scf_iters, dfpt_s, α_dd per converged dir).
+/// The case's job once; returns (scf_s, scf_iters, dfpt_s, α_dd per
+/// direction). A stage that fails stops the benchmark with its error.
 fn run_once(spec: &CaseSpec, sys: &System) -> (f64, usize, f64, Vec<f64>) {
-    let t0 = Instant::now();
-    let ground = scf(sys, &spec.scf).expect("SCF must converge for the bench workload");
-    let scf_s = t0.elapsed().as_secs_f64();
-    let t1 = Instant::now();
-    let mut alpha = Vec::new();
-    for &dir in spec.dfpt_dirs {
-        match dfpt_direction(sys, &ground, dir, &spec.dfpt) {
-            Ok(resp) => {
-                let dip = qp_core::operators::dipole_matrix(sys, dir);
-                alpha.push(resp.p1.trace_product(&dip).expect("square"));
-            }
-            Err(e) => {
-                eprintln!("  warning: {} direction {dir}: {e}", spec.name);
-                alpha.push(f64::NAN);
-            }
-        }
-    }
-    let dfpt_s = t1.elapsed().as_secs_f64();
-    (scf_s, ground.iterations, dfpt_s, alpha)
+    let out = spec.job.run(sys).unwrap_or_else(|e| {
+        eprintln!("bench_perf: {}: {e}", spec.name);
+        std::process::exit(1)
+    });
+    let alpha = spec.job.dirs.iter().map(|&d| out.alpha[(d, d)]).collect();
+    (out.scf_s, out.ground.iterations, out.dfpt_s, alpha)
 }
 
 fn run_case(spec: &CaseSpec) -> CaseResult {
     println!("case {} ...", spec.name);
     let sys = (spec.build)();
-    let parallel_threads = parallel_leg_threads();
+    let parallel_threads = default_profile_threads();
 
     // Serial reference for the end-to-end speedup.
     let serial_total_s = {
@@ -301,7 +255,7 @@ fn run_case(spec: &CaseSpec) -> CaseResult {
         scf_s,
         scf_iterations,
         dfpt_s,
-        dfpt_dirs: spec.dfpt_dirs.len(),
+        dfpt_dirs: spec.job.dirs.len(),
         alpha_diag,
         phases: PhaseSeconds {
             sumup: phase_sum(Phase::Sumup),
@@ -424,16 +378,11 @@ fn run_phase_guard() {
     const FLOOR_S: f64 = 0.05;
     println!("phase guard: ligand49, 1 DFPT direction ...");
     let sys = ligand_system();
-    let ground = scf(&sys, &ligand_scf()).expect("guard SCF converges");
+    let ground = scf(&sys, &workloads::bench_scf_options()).expect("guard SCF converges");
     set_enabled(true);
     let _ = take_events();
-    let dfpt_opts = DfptOptions {
-        max_iter: 80,
-        tol: 1e-5,
-        mixing: 0.15,
-        ..DfptOptions::default()
-    };
-    dfpt_direction(&sys, &ground, 1, &dfpt_opts).expect("guard DFPT converges");
+    dfpt_direction(&sys, &ground, 1, &workloads::bench_dfpt_options())
+        .expect("guard DFPT converges");
     set_enabled(false);
     let events = take_events();
     let phase_sum = |p: Phase| -> f64 {
@@ -1148,7 +1097,7 @@ fn emit_json(path: &str, quick: bool, gemm: &GemmNumbers, cases: &[CaseResult], 
         .iter()
         .map(|c| c.parallel_threads)
         .max()
-        .unwrap_or_else(parallel_leg_threads);
+        .unwrap_or_else(default_profile_threads);
     let _ = writeln!(s, "{{");
     let _ = writeln!(s, "  \"schema\": \"qp-bench-perf/v5\",");
     let _ = writeln!(s, "  \"quick\": {quick},");
@@ -1309,7 +1258,7 @@ fn main() {
         .cloned()
         .unwrap_or_else(|| "BENCH_perf.json".to_string());
 
-    let threads = parallel_leg_threads();
+    let threads = default_profile_threads();
     println!(
         "bench_perf: {} mode, parallel leg on {} pool thread(s)",
         if quick { "quick" } else { "full" },

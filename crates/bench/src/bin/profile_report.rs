@@ -1,7 +1,7 @@
 //! `profile_report`: the parallel-efficiency attribution report.
 //!
-//! Runs SCF + DFPT for one bench case twice — a 1-thread serial reference
-//! and an instrumented parallel leg — and explains where the parallel wall
+//! Runs one bench case's job (SCF, DFPT directions, α) twice — a 1-thread
+//! serial reference and an instrumented parallel leg — and explains where the parallel wall
 //! clock went: useful parallel work, scheduling overhead, load imbalance,
 //! and serial remainder (the four fractions sum to 1), plus per-phase span
 //! self-times with achieved GFLOP/s and arithmetic intensity.
@@ -18,8 +18,9 @@
 //! all four fractions in `[0, 1]`, summing to 1 ± 0.02 — the CI smoke leg.
 
 use qp_bench::workloads;
-use qp_core::profile::{profile_case, validate_profile_json, ProfileOptions};
+use qp_core::profile::{default_profile_threads, profile_case, validate_profile_json};
 use qp_core::system::System;
+use qp_core::Job;
 
 fn usage() -> ! {
     eprintln!(
@@ -69,26 +70,25 @@ fn main() {
         .and_then(|s| s.parse::<usize>().ok())
         .unwrap_or(if case == "water" { 1 } else { 3 })
         .clamp(1, 3);
-    let mut opts = ProfileOptions {
-        dirs: (0..n_dirs).collect(),
-        scf: if case == "water" {
-            qp_core::ScfOptions::default()
-        } else {
-            workloads::bench_scf_options()
-        },
-        dfpt: workloads::bench_dfpt_options(),
-        ..ProfileOptions::new()
+    let scf = if case == "water" {
+        qp_core::ScfOptions::default()
+    } else {
+        workloads::bench_scf_options()
     };
-    if let Some(t) = value("--threads").and_then(|s| s.parse::<usize>().ok()) {
-        opts.threads = t.max(2);
-    }
+    let job = Job {
+        dirs: (0..n_dirs).collect(),
+        ..Job::new(scf, workloads::bench_dfpt_options())
+    };
+    let threads = value("--threads")
+        .and_then(|s| s.parse::<usize>().ok())
+        .map_or_else(default_profile_threads, |t| t.max(2));
 
     println!(
         "profile_report: case {case}, {} direction(s), serial + {}-thread legs",
-        n_dirs, opts.threads
+        n_dirs, threads
     );
-    let report = profile_case(&case, build.as_ref(), &opts).unwrap_or_else(|e| {
-        eprintln!("profile_report: SCF failed: {e}");
+    let report = profile_case(&case, build.as_ref(), &job, threads).unwrap_or_else(|e| {
+        eprintln!("profile_report: {e}");
         std::process::exit(1)
     });
     print!("{}", report.render_text());

@@ -277,17 +277,6 @@ impl Default for DfptOptions {
     }
 }
 
-/// Converged response for all three field directions.
-#[derive(Debug, Clone)]
-pub struct DfptResult {
-    /// Polarizability tensor `α_IJ` (Eq. 13), Bohr³.
-    pub polarizability: DMatrix,
-    /// Response density matrices `P¹` per direction.
-    pub response_density_matrices: Vec<DMatrix>,
-    /// DFPT iterations used per direction.
-    pub iterations: [usize; 3],
-}
-
 /// One direction's self-consistent response.
 pub struct DirectionResponse {
     /// Converged response density matrix.
@@ -302,29 +291,17 @@ pub struct DirectionResponse {
 /// (the mixer is deterministic in its inputs, so a resumed cycle walks the
 /// identical floating-point sequence). The distributed drivers' ranks hold
 /// identical copies at every iteration boundary, so rank 0's is a
-/// consistent global cut. Snapshotted into `QPCK` checkpoints by the
-/// supervised driver and by the serving layer (`qp-serve`) at preemption
-/// boundaries.
-#[derive(Debug, Clone)]
-pub struct DfptDirState {
-    /// Completed DFPT iterations.
-    pub iteration: usize,
-    /// Mixed response density matrix entering iteration `iteration + 1`.
-    pub p1: DMatrix,
-    /// `‖ΔP¹‖` at `iteration` (diagnostic only).
-    pub residual: f64,
-    /// Pulay/DIIS mixer input history (empty under linear mixing).
-    pub diis_in: Vec<DMatrix>,
-    /// Pulay/DIIS mixer residual history (same length as `diis_in`).
-    pub diis_res: Vec<DMatrix>,
-}
+/// consistent global cut. It is the `QPCK` record of a job's in-flight
+/// direction itself; the supervised driver writes it as a
+/// [`qp_resil::DfptCheckpoint`].
+pub type DfptDirState = qp_resil::JobDirCheckpoint;
 
 /// Outcome of a preemptible DFPT direction run.
-pub enum DirOutcome {
+pub(crate) enum DirOutcome {
     /// The cycle converged; the physics result.
     Converged(DirectionResponse),
-    /// The `on_iter` callback requested preemption; resume later by
-    /// passing this state back to [`dfpt_direction_preemptible`].
+    /// The `on_iter` callback requested preemption; the cycle resumes from
+    /// this state.
     Preempted(DfptDirState),
 }
 
@@ -337,8 +314,8 @@ pub(crate) fn fxc_on_grid(ground: &ScfResult) -> Vec<f64> {
 
 /// Direction-independent data the three field directions share: the
 /// dipole matrices, the xc kernel on the grid, and the transposed ground
-/// orbitals. [`dfpt`] builds this once; [`dfpt_direction`] builds it
-/// per-call for standalone use.
+/// orbitals. The job pipeline ([`crate::job`]) builds this once per job;
+/// [`dfpt_direction`] builds it per-call for standalone use.
 pub struct DfptShared {
     /// Dipole matrices `D_x, D_y, D_z`.
     pub dips: Vec<DMatrix>,
@@ -358,6 +335,44 @@ impl DfptShared {
             fxc: fxc_on_grid(ground),
             c_t: ground.orbitals.transpose(),
         }
+    }
+
+    /// Field direction `dir`'s DFPT loop ([`Direction::run`]) inline on the
+    /// calling thread, over a one-rank [`Comm::solo`] covering every batch:
+    /// the serial driver. No thread is spawned and the rank tag is left
+    /// alone, so the spans it opens land on the caller's timeline (qp-serve
+    /// routes a job's spans by it). `resume` and `on_iter` are those of
+    /// [`Direction::run`], with `false` preempting.
+    pub(crate) fn run_solo(
+        &self,
+        system: &System,
+        ground: &ScfResult,
+        dir: usize,
+        opts: &DfptOptions,
+        resume: Option<DfptDirState>,
+        on_iter: &mut dyn FnMut(&DfptDirState) -> bool,
+    ) -> Result<DirOutcome> {
+        let direction = Direction {
+            system,
+            ground,
+            opts,
+            dir,
+            dip: &self.dips[dir],
+            fxc: &self.fxc,
+            c_t: &self.c_t,
+        };
+        let all: Vec<usize> = (0..system.batches.len()).collect();
+        // On one rank every scheme hands the moments back unchanged; the
+        // packed one does it in a single call.
+        direction
+            .run(
+                &Comm::solo(),
+                &all,
+                CollectiveScheme::Packed,
+                resume,
+                &mut |st| Ok(on_iter(st)),
+            )
+            .map_err(comm_failure)?
     }
 }
 
@@ -424,6 +439,7 @@ impl Direction<'_> {
             qp_trace::global_metrics().gauge("dfpt.residual", &[("dir", dir_label)]);
 
         let mut state = resume.unwrap_or_else(|| DfptDirState {
+            dir: self.dir,
             iteration: 0,
             p1: DMatrix::zeros(nb, nb),
             residual: f64::INFINITY,
@@ -580,91 +596,16 @@ pub fn dfpt_direction_with(
     dir: usize,
     opts: &DfptOptions,
 ) -> Result<DirectionResponse> {
-    match dfpt_direction_preemptible(system, ground, shared, dir, opts, None, &mut |_| true)? {
+    match shared.run_solo(system, ground, dir, opts, None, &mut |_| true)? {
         DirOutcome::Converged(resp) => Ok(resp),
         DirOutcome::Preempted(_) => unreachable!("callback never preempts"),
     }
 }
 
-/// [`dfpt_direction_with`] with checkpoint/preemption hooks — the
-/// resumable-run entry point the serving layer drives.
-///
-/// `resume` seeds the cycle from a previously captured [`DfptDirState`];
-/// `on_iter` observes the loop-carried state after every non-converged
-/// iteration and returns `false` to preempt the run at that boundary. A
-/// preempted-then-resumed cycle replays the identical floating-point
-/// sequence as an uninterrupted one, so the converged `P¹` (and every
-/// polarizability element contracted from it) matches to the bit.
-///
-/// Runs the crate's one DFPT loop on the calling thread over a one-rank
-/// [`Comm::solo`] covering every batch.
-pub fn dfpt_direction_preemptible(
-    system: &System,
-    ground: &ScfResult,
-    shared: &DfptShared,
-    dir: usize,
-    opts: &DfptOptions,
-    resume: Option<DfptDirState>,
-    on_iter: &mut dyn FnMut(&DfptDirState) -> bool,
-) -> Result<DirOutcome> {
-    let direction = Direction {
-        system,
-        ground,
-        opts,
-        dir,
-        dip: &shared.dips[dir],
-        fxc: &shared.fxc,
-        c_t: &shared.c_t,
-    };
-    let all: Vec<usize> = (0..system.batches.len()).collect();
-    // On one rank every scheme hands the moments back unchanged; the
-    // packed one does it in a single call.
-    direction
-        .run(
-            &Comm::solo(),
-            &all,
-            CollectiveScheme::Packed,
-            resume,
-            &mut |st| Ok(on_iter(st)),
-        )
-        .map_err(comm_failure)?
-}
-
-/// Run the full DFPT calculation: all three directions + polarizability.
-pub fn dfpt(system: &System, ground: &ScfResult, opts: &DfptOptions) -> Result<DfptResult> {
-    let mut alpha = DMatrix::zeros(3, 3);
-    let mut p1s = Vec::with_capacity(3);
-    let mut iterations = [0usize; 3];
-
-    // Dipoles, f_xc and Cᵀ are direction-independent: build them once and
-    // share across the three directions (and the α contraction below).
-    let shared = DfptShared::new(system, ground);
-
-    for j in 0..3 {
-        let resp = dfpt_direction_with(system, ground, &shared, j, opts)?;
-        // α_IJ = ∫ r_I n¹_J = Tr[P¹_J D_I] (Eq. 13) — the three row
-        // contractions are independent; merge in index order.
-        let col: Vec<f64> = qp_par::map_vec((0..3).collect::<Vec<usize>>(), |i| {
-            resp.p1
-                .trace_product(&shared.dips[i])
-                .expect("conforming dims")
-        });
-        for (i, &a_ij) in col.iter().enumerate() {
-            alpha[(i, j)] = a_ij;
-        }
-        iterations[j] = resp.iterations;
-        p1s.push(resp.p1);
-    }
-    Ok(DfptResult {
-        polarizability: alpha,
-        response_density_matrices: p1s,
-        iterations,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::job::Job;
     use crate::scf::{electronic_dipole, scf, ScfOptions};
     use qp_chem::basis::BasisSettings;
     use qp_chem::grids::GridSettings;
@@ -705,9 +646,10 @@ mod tests {
     #[test]
     fn water_polarizability_physical() {
         let sys = water_system();
-        let ground = scf(&sys, &ScfOptions::default()).unwrap();
-        let res = dfpt(&sys, &ground, &DfptOptions::default()).unwrap();
-        let a = &res.polarizability;
+        let res = Job::new(ScfOptions::default(), DfptOptions::default())
+            .run(&sys)
+            .unwrap();
+        let a = &res.alpha;
         // Positive diagonal, symmetric tensor.
         for d in 0..3 {
             assert!(a[(d, d)] > 0.0, "α[{d}{d}] = {}", a[(d, d)]);
@@ -735,8 +677,9 @@ mod tests {
         // SCF, because both run through identical grids, Poisson solver and
         // xc code paths.
         let sys = water_system();
-        let ground = scf(&sys, &ScfOptions::default()).unwrap();
-        let res = dfpt(&sys, &ground, &DfptOptions::default()).unwrap();
+        let res = Job::new(ScfOptions::default(), DfptOptions::default())
+            .run(&sys)
+            .unwrap();
 
         // α_iz via central difference of the electronic dipole under a
         // z field: one ± pair of SCF solves covers all three components.
@@ -768,7 +711,7 @@ mod tests {
             *fd_i = (mu_p[i] - mu_m[i]) / (2.0 * xi);
         }
         for i in 0..3 {
-            let dfpt_val = res.polarizability[(i, 2)];
+            let dfpt_val = res.alpha[(i, 2)];
             assert!(
                 (dfpt_val - fd[i]).abs() < 0.02 * fd[2].abs().max(0.5),
                 "α[{i},z]: DFPT {dfpt_val} vs finite-difference {}",

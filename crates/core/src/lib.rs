@@ -17,10 +17,12 @@
 //!    `‖ΔP¹‖` is below threshold.
 //! 3. Polarizability `α_IJ = ∂μ_I/∂ξ_J` (Eq. 13).
 //!
-//! [`kernels`] expresses the four accelerated phases through the `qp-cl`
-//! runtime (counters feed the paper's figure harnesses), and [`parallel`]
-//! runs the same DFPT loop over `qp-mpi` ranks with either §3.1 task
-//! mapping.
+//! [`job`] runs the three as one calculation: the pipeline `qperturb`,
+//! qp-serve, the profiler and the benches share. [`parallel`] runs the DFPT
+//! loop over `qp-mpi` ranks with either §3.1 task mapping, [`resil`]
+//! supervises it with checkpoint/restart, and [`kernels`] expresses the four
+//! accelerated phases through the `qp-cl` runtime (counters feed the
+//! paper's figure harnesses).
 
 // `for d in 0..3` indexing several parallel arrays at once is the clearest
 // form for Cartesian components; the iterator rewrite obscures it.
@@ -29,6 +31,7 @@
 pub mod basis_cache;
 pub mod dfpt;
 pub mod farfield;
+pub mod job;
 pub mod kernels;
 pub mod mixing;
 pub mod operators;
@@ -40,14 +43,13 @@ pub mod scf;
 pub mod screening;
 pub mod system;
 
-pub use dfpt::{
-    dfpt, dfpt_direction_preemptible, DfptDirState, DfptOptions, DfptResult, DfptShared, DirOutcome,
-};
+pub use dfpt::{DfptDirState, DfptOptions, DfptShared};
 pub use farfield::{FarFieldMode, FARFIELD_AUTO_MIN_ATOMS};
+pub use job::{Event, Job, JobError, JobOutput, JobState, Step};
 pub use mixing::DfptMixer;
-pub use profile::{profile_case, validate_profile_json, ProfileOptions, ProfileReport};
+pub use profile::{profile_case, validate_profile_json, ProfileReport};
 pub use resil::{parallel_dfpt_direction_resilient, ResilienceConfig, ResilientDirectionResult};
-pub use scf::{scf, scf_preemptible, scf_resumable, ScfOptions, ScfOutcome, ScfResult, ScfState};
+pub use scf::{scf, ScfOptions, ScfResult, ScfState};
 pub use screening::{ScreenPlan, ScreeningMode};
 pub use system::System;
 
@@ -90,6 +92,12 @@ pub enum CoreError {
         /// The residual.
         residual: f64,
     },
+    /// Integer occupations were asked of an odd electron count: they fill
+    /// doubly occupied orbitals, so they describe closed shells only.
+    OpenShell {
+        /// The structure's electron count.
+        electrons: u32,
+    },
     /// Linear algebra failed underneath.
     Linalg(qp_linalg::LinalgError),
     /// Checkpoint save/load failed (I/O, corruption, version mismatch).
@@ -120,6 +128,11 @@ impl std::fmt::Display for CoreError {
             } => write!(
                 f,
                 "{what} stopped at iteration {iteration}: the residual is {residual}"
+            ),
+            CoreError::OpenShell { electrons } => write!(
+                f,
+                "{electrons} electrons cannot fill doubly occupied orbitals: an open-shell \
+                 ground state needs Fermi-Dirac smearing"
             ),
             CoreError::Linalg(e) => write!(f, "linear algebra error: {e}"),
             CoreError::Checkpoint(e) => write!(f, "checkpoint error: {e}"),

@@ -2,7 +2,7 @@
 //! DFPT response cycle: plain linear mixing and Pulay/DIIS extrapolation.
 //!
 //! [`MixState`] is the one mixer of the workspace: the SCF loop
-//! ([`crate::scf::scf_preemptible`]) mixes the density matrix `P` through
+//! ([`mod@crate::scf`]) mixes the density matrix `P` through
 //! it, and the DFPT loop ([`crate::dfpt`], serial and distributed alike)
 //! mixes the response density matrix `P¹`.
 //!

@@ -1,7 +1,7 @@
 //! Parallel-efficiency attribution: *why* a parallel run took as long as it
 //! did, not just how long.
 //!
-//! [`profile_case`] runs SCF + DFPT twice — a 1-thread serial reference and
+//! [`profile_case`] runs a [`Job`] twice — a 1-thread serial reference and
 //! an instrumented parallel leg — and decomposes the parallel wall clock
 //! into four exhaustive, mutually exclusive buckets built from the qp-par
 //! [`RegionRecord`]s:
@@ -23,45 +23,13 @@
 //! self-times with the qp-linalg roofline counters to show achieved GFLOP/s
 //! and arithmetic intensity where the flops actually run.
 
-use crate::dfpt::{dfpt_direction, DfptOptions};
-use crate::scf::{scf, ScfOptions};
+use crate::job::{Job, JobError};
 use crate::system::System;
-use crate::Result;
 use qp_par::{RegionRecord, ThreadLease};
 use qp_trace::metrics::{MetricSample, MetricValue};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::time::Instant;
-
-/// What to run and how wide.
-pub struct ProfileOptions {
-    /// Parallel-leg thread count (the serial leg is always 1).
-    pub threads: usize,
-    /// Field directions to converge (e.g. `&[1]` for a quick case).
-    pub dirs: Vec<usize>,
-    /// Ground-state solver settings.
-    pub scf: ScfOptions,
-    /// Response solver settings.
-    pub dfpt: DfptOptions,
-}
-
-impl ProfileOptions {
-    /// Default profile: all three directions at the default thread count.
-    pub fn new() -> ProfileOptions {
-        ProfileOptions {
-            threads: default_profile_threads(),
-            dirs: vec![0, 1, 2],
-            scf: ScfOptions::default(),
-            dfpt: DfptOptions::default(),
-        }
-    }
-}
-
-impl Default for ProfileOptions {
-    fn default() -> Self {
-        Self::new()
-    }
-}
 
 /// Parallel-leg width: `QP_THREADS` if set, else available parallelism,
 /// clamped to ≥ 2 so the parallel machinery is actually exercised.
@@ -450,43 +418,29 @@ fn counter_by_phase(snap: &[MetricSample], name: &str) -> BTreeMap<String, u64> 
     out
 }
 
-/// Run SCF + the requested DFPT directions; returns (scf_s, dfpt_s). A
-/// failed SCF is the caller's error; a failed direction is reported and
-/// skipped.
-fn run_pipeline(sys: &System, opts: &ProfileOptions) -> Result<(f64, f64)> {
-    let t0 = Instant::now();
-    let ground = scf(sys, &opts.scf)?;
-    let scf_s = t0.elapsed().as_secs_f64();
-    let t1 = Instant::now();
-    for &dir in &opts.dirs {
-        if let Err(e) = dfpt_direction(sys, &ground, dir, &opts.dfpt) {
-            eprintln!("profile: dfpt direction {dir}: {e}");
-        }
-    }
-    Ok((scf_s, t1.elapsed().as_secs_f64()))
-}
-
-/// Profile one case end to end: serial reference leg, then an instrumented
-/// parallel leg whose wall clock is decomposed by [`attribute`]. `build` is
-/// called once per leg so each starts with a cold basis cache, matching how
-/// `bench_perf` measures its legs. An SCF that does not converge ends the
-/// profile with its error.
+/// Profile one case end to end: `job` as a serial reference leg, then as an
+/// instrumented parallel leg on `threads` threads, whose wall clock is
+/// decomposed by [`attribute`]. `build` is called once per leg so each
+/// starts with a cold basis cache, matching how `bench_perf` measures its
+/// legs. A stage that fails (the SCF or a direction) ends the profile with
+/// its error.
 pub fn profile_case(
     name: &str,
     build: &dyn Fn() -> System,
-    opts: &ProfileOptions,
-) -> Result<ProfileReport> {
+    job: &Job,
+    threads: usize,
+) -> Result<ProfileReport, JobError> {
     // ---- Serial reference: everything off, 1 thread. ----
     let serial_total_s = {
         let _lease = ThreadLease::exactly(1);
         let sys = build();
         let t = Instant::now();
-        run_pipeline(&sys, opts)?;
+        job.run(&sys)?;
         t.elapsed().as_secs_f64()
     };
 
     // ---- Instrumented parallel leg. ----
-    let _lease = ThreadLease::exactly(opts.threads);
+    let _lease = ThreadLease::exactly(threads);
     let sys = build();
     let atoms = sys.structure.len();
     let basis = sys.n_basis();
@@ -498,17 +452,17 @@ pub fn profile_case(
     let _ = qp_par::telemetry::take_records();
 
     let t = Instant::now();
-    let pipeline = run_pipeline(&sys, opts);
+    let out = job.run(&sys);
     let parallel_total_s = t.elapsed().as_secs_f64();
 
     qp_par::telemetry::set_enabled(false);
     qp_trace::set_enabled(false);
     let records = qp_par::telemetry::take_records();
     let events = qp_trace::span::take_events();
-    let (scf_s, dfpt_s) = pipeline?;
+    let out = out?;
     let snap_after = qp_trace::global_metrics().snapshot();
 
-    let attribution = attribute(&records, parallel_total_s, opts.threads);
+    let attribution = attribute(&records, parallel_total_s, threads);
 
     // Per-phase rows: span self-time + roofline counter deltas.
     let forest = qp_trace::build_forest(&events);
@@ -555,13 +509,13 @@ pub fn profile_case(
 
     Ok(ProfileReport {
         case: name.to_string(),
-        threads: opts.threads,
+        threads,
         atoms,
         basis,
         serial_total_s,
         parallel_total_s,
-        scf_s,
-        dfpt_s,
+        scf_s: out.scf_s,
+        dfpt_s: out.dfpt_s,
         attribution,
         phases,
         folded: qp_trace::collapsed_stacks(&events),

@@ -1,9 +1,9 @@
-//! Self-recovering drivers: the SCF and distributed DFPT cycles wrapped in
-//! checkpoint/restart supervision.
-//!
-//! The DFPT driver runs the crate's one DFPT loop ([`crate::dfpt`]) on
-//! `run_spmd` ranks; the plain [`crate::parallel::parallel_dfpt_direction`]
-//! is this driver with checkpoints and restarts off.
+//! The self-recovering distributed DFPT driver: the crate's one DFPT loop
+//! ([`crate::dfpt`]) on `run_spmd` ranks under checkpoint/restart
+//! supervision, writing its loop state as a `QPCK` DFPT record. The plain
+//! [`crate::parallel::parallel_dfpt_direction`] is this driver with
+//! checkpoints and restarts off; the job pipeline ([`crate::job`]) runs it
+//! per direction under `--ranks` and checkpoints the SCF itself.
 //!
 //! The recovery argument rests on determinism: the rank-ordered collectives
 //! make every rank hold a bit-identical [`DfptDirState`] (`P¹` and the
@@ -25,7 +25,7 @@
 use crate::dfpt::{fxc_on_grid, DfptDirState, DfptOptions, DirOutcome, Direction};
 use crate::operators;
 use crate::parallel::{assign_batches, comm_failure, ParallelConfig, ParallelDirectionResult};
-use crate::scf::{scf_resumable, ScfOptions, ScfResult, ScfState};
+use crate::scf::ScfResult;
 use crate::system::System;
 use crate::{CoreError, Result};
 use parking_lot::Mutex;
@@ -33,7 +33,7 @@ use qp_linalg::DMatrix;
 use qp_machine::machine::MachineModel;
 use qp_mpi::{run_spmd_with, CommError, FaultHook, SpmdOptions};
 use qp_resil::recovery::{RecoveryPolicy, RecoveryStats, Supervisor};
-use qp_resil::{DfptCheckpoint, ResilError, ScfCheckpoint};
+use qp_resil::{DfptCheckpoint, ResilError};
 use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Duration;
@@ -95,7 +95,7 @@ pub struct ResilientDirectionResult {
     pub stats: RecoveryStats,
 }
 
-fn ck_err(e: ResilError) -> CoreError {
+pub(crate) fn ck_err(e: ResilError) -> CoreError {
     CoreError::Checkpoint(e.to_string())
 }
 
@@ -120,6 +120,7 @@ fn resume_state(ck: DfptCheckpoint, dir: usize, nb: usize) -> Result<DfptDirStat
         )));
     }
     Ok(DfptDirState {
+        dir,
         iteration: ck.iteration,
         p1: ck.p1,
         residual: ck.residual,
@@ -253,131 +254,4 @@ pub fn parallel_dfpt_direction_resilient(
         },
         stats: supervisor.into_stats(),
     })
-}
-
-/// Ground-state SCF with periodic `QPCK` checkpoints (and `--restart`
-/// resume). The SCF runs in one process, so supervision here is about
-/// *surviving process death*: every `checkpoint_interval` iterations the
-/// loop-carried state goes to `<dir>/scf.qpck`, and a rerun with
-/// `rcfg.restart` picks up from it, replaying to an identical ground state.
-pub fn scf_checkpointed(
-    system: &System,
-    opts: &ScfOptions,
-    rcfg: &ResilienceConfig,
-) -> Result<(ScfResult, RecoveryStats)> {
-    let ck_path = rcfg.checkpoint_dir.as_ref().map(|d| d.join("scf.qpck"));
-    let resume = match (&ck_path, rcfg.restart) {
-        (Some(p), true) if p.exists() => {
-            let ck = ScfCheckpoint::load(p).map_err(ck_err)?;
-            Some(ScfState {
-                start_iter: ck.iteration,
-                energy: ck.energy,
-                p_mat: ck.p_mat,
-                diis_in: ck.diis_in,
-                diis_res: ck.diis_res,
-            })
-        }
-        _ => None,
-    };
-
-    let interval = rcfg.checkpoint_interval;
-    let mut written: Vec<usize> = Vec::new();
-    let mut io_error: Option<ResilError> = None;
-    let result = scf_resumable(system, opts, resume, &mut |st| {
-        if interval == 0 || st.start_iter % interval != 0 || io_error.is_some() {
-            return;
-        }
-        let ck = ScfCheckpoint {
-            iteration: st.start_iter,
-            energy: st.energy,
-            p_mat: st.p_mat.clone(),
-            diis_in: st.diis_in.clone(),
-            diis_res: st.diis_res.clone(),
-        };
-        written.push(ck.to_bytes().len());
-        if let Some(p) = &ck_path {
-            if let Err(e) = ck.save(p) {
-                io_error = Some(e);
-            }
-        }
-    })?;
-    if let Some(e) = io_error {
-        return Err(ck_err(e));
-    }
-
-    let mut supervisor = Supervisor::new(RecoveryPolicy {
-        max_restarts: 0,
-        ranks: 1,
-        machine: rcfg.machine,
-    });
-    for bytes in written {
-        supervisor.note_checkpoint(bytes);
-    }
-    Ok((result, supervisor.into_stats()))
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::scf::scf;
-    use qp_chem::basis::BasisSettings;
-    use qp_chem::grids::GridSettings;
-    use qp_chem::structures::water;
-
-    fn tiny_system() -> System {
-        let mut gs = GridSettings::light();
-        gs.n_radial = 24;
-        gs.max_angular = 26;
-        System::build(water(), BasisSettings::Light, &gs, 120, 2)
-    }
-
-    #[test]
-    fn scf_checkpoint_resume_is_bit_exact() {
-        let sys = tiny_system();
-        let linear = ScfOptions {
-            pulay: None,
-            ..ScfOptions::default()
-        };
-        for (name, opts) in [("pulay", ScfOptions::default()), ("linear", linear)] {
-            let reference = scf(&sys, &opts).unwrap();
-
-            let dir = std::env::temp_dir().join(format!("qp_resil_scf_resume_{name}"));
-            std::fs::create_dir_all(&dir).unwrap();
-            let rcfg = ResilienceConfig {
-                checkpoint_dir: Some(dir.clone()),
-                checkpoint_interval: 3,
-                ..ResilienceConfig::default()
-            };
-            let (first, stats) = scf_checkpointed(&sys, &opts, &rcfg).unwrap();
-            assert_eq!(first.energy.to_bits(), reference.energy.to_bits());
-            assert!(stats.checkpoints_written > 0);
-            // Linear mixing keeps no history to capture.
-            let ck = ScfCheckpoint::load(&dir.join("scf.qpck")).unwrap();
-            if opts.pulay.is_none() {
-                assert!(ck.diis_in.is_empty() && ck.diis_res.is_empty(), "{name}");
-            }
-
-            // "Process death": rerun from the on-disk checkpoint. The resumed
-            // run replays the tail of the cycle and lands on the identical
-            // ground state.
-            let restart = ResilienceConfig {
-                restart: true,
-                ..rcfg
-            };
-            let (second, _) = scf_checkpointed(&sys, &opts, &restart).unwrap();
-            assert_eq!(
-                second.energy.to_bits(),
-                reference.energy.to_bits(),
-                "{name}"
-            );
-            assert_eq!(second.iterations, reference.iterations, "{name}");
-            assert!(
-                second
-                    .density_matrix
-                    .max_abs_diff(&reference.density_matrix)
-                    == 0.0
-            );
-            std::fs::remove_dir_all(&dir).ok();
-        }
-    }
 }

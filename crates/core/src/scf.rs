@@ -72,22 +72,10 @@ pub struct ScfResult {
 }
 
 /// The loop-carried SCF state between iterations: everything needed to
-/// resume the cycle at `start_iter + 1` and replay the remaining
-/// iterations bit-exactly. Snapshotted by the checkpoint layer
-/// (`qp-resil`) and fed back through [`scf_resumable`].
-#[derive(Debug, Clone)]
-pub struct ScfState {
-    /// Completed SCF iterations.
-    pub start_iter: usize,
-    /// Kohn–Sham total energy at `start_iter` (diagnostic).
-    pub energy: f64,
-    /// The mixed density matrix seeding iteration `start_iter + 1`.
-    pub p_mat: DMatrix,
-    /// Pulay/DIIS input-density history (empty under linear mixing).
-    pub diis_in: Vec<DMatrix>,
-    /// Pulay/DIIS residual history (same length as `diis_in`).
-    pub diis_res: Vec<DMatrix>,
-}
+/// resume the cycle at `iteration + 1` and replay the remaining iterations
+/// bit-exactly. It is the `QPCK` SCF record itself, so a checkpoint holds
+/// exactly the loop state.
+pub type ScfState = qp_resil::ScfCheckpoint;
 
 /// Electronic dipole moment `∫ r_I n(r) d³r` for each Cartesian direction,
 /// from the density on the grid.
@@ -101,51 +89,33 @@ pub fn electronic_dipole(system: &System, density: &[f64]) -> [f64; 3] {
     mu
 }
 
-/// Outcome of a preemptible SCF run.
-pub enum ScfOutcome {
-    /// The cycle converged; the ground state.
-    Converged(ScfResult),
-    /// The `on_iter` callback requested preemption; resume later by
-    /// passing this state back to [`scf_preemptible`].
-    Preempted(ScfState),
-}
-
 /// Run the ground-state SCF.
 pub fn scf(system: &System, opts: &ScfOptions) -> Result<ScfResult> {
-    scf_resumable(system, opts, None, &mut |_| {})
+    Ok(scf_preemptible(system, opts, None, &mut |_| true)?
+        .expect("a callback that never stops the cycle never preempts it"))
 }
 
-/// [`scf`] with checkpoint/restart hooks: `resume` seeds the loop from a
-/// previously captured [`ScfState`] (replaying the remaining iterations
-/// bit-exactly), and `on_iter` observes the loop-carried state after every
-/// non-converged iteration (the checkpoint layer snapshots it there).
-pub fn scf_resumable(
+/// [`scf`] with checkpoint/preemption hooks — the entry point of the job
+/// pipeline ([`crate::job`]). `resume` seeds the loop from a previously
+/// captured [`ScfState`], and `on_iter` receives the loop-carried state
+/// after every non-converged iteration; returning `false` preempts the
+/// cycle there (`Ok(None)`), and that state is what a later call resumes
+/// from. A preempted-then-resumed cycle replays the identical
+/// floating-point sequence, so it lands on the bit-identical ground state.
+///
+/// Integer (aufbau) occupations fill doubly occupied orbitals, so they
+/// describe closed shells only: an odd electron count without
+/// `opts.smearing` is refused before the first iteration.
+pub(crate) fn scf_preemptible(
     system: &System,
     opts: &ScfOptions,
     resume: Option<ScfState>,
-    on_iter: &mut dyn FnMut(&ScfState),
-) -> Result<ScfResult> {
-    match scf_preemptible(system, opts, resume, &mut |st| {
-        on_iter(st);
-        true
-    })? {
-        ScfOutcome::Converged(res) => Ok(res),
-        ScfOutcome::Preempted(_) => unreachable!("callback never preempts"),
+    on_iter: &mut dyn FnMut(ScfState) -> bool,
+) -> Result<Option<ScfResult>> {
+    let n_elec = system.n_electrons();
+    if opts.smearing.is_none() && n_elec % 2 == 1 {
+        return Err(CoreError::OpenShell { electrons: n_elec });
     }
-}
-
-/// [`scf_resumable`] whose `on_iter` callback can additionally request
-/// preemption at an iteration boundary by returning `false` — the
-/// resumable-run entry point the serving layer (`qp-serve`) drives. The
-/// returned [`ScfState`] is exactly what a later call replays from, and
-/// the preempted-then-resumed cycle lands on the bit-identical ground
-/// state (the replay argument of `tests/integration_resilience.rs`).
-pub fn scf_preemptible(
-    system: &System,
-    opts: &ScfOptions,
-    resume: Option<ScfState>,
-    on_iter: &mut dyn FnMut(&ScfState) -> bool,
-) -> Result<ScfOutcome> {
     let mut scf_span =
         qp_trace::SpanGuard::begin(qp_trace::thread_rank(), qp_trace::Phase::Scf, "scf");
     // Regions and GEMMs launched anywhere in the SCF loop default to the
@@ -176,7 +146,7 @@ pub fn scf_preemptible(
 
     // Initial guess: core Hamiltonian.
     let n_occ = system.n_occupied();
-    let n_elec = system.n_electrons() as f64;
+    let n_elec = n_elec as f64;
     let occupy = |eigs: &[f64]| -> Vec<f64> {
         match opts.smearing {
             Some(kt) => operators::fermi_occupations(eigs, n_elec, kt),
@@ -195,7 +165,7 @@ pub fn scf_preemptible(
     };
     let (start_iter, mut p_mat, mut mixer) = match resume {
         Some(st) => (
-            st.start_iter,
+            st.iteration,
             st.p_mat,
             MixState::with_history(mixer_kind, opts.mixing, st.diis_in, st.diis_res),
         ),
@@ -271,7 +241,7 @@ pub fn scf_preemptible(
             energy_gauge.set(energy);
             // Final density consistent with the converged orbitals.
             let density = system.density_on_grid(&p_new);
-            return Ok(ScfOutcome::Converged(ScfResult {
+            return Ok(Some(ScfResult {
                 energy,
                 eigenvalues: last.0.eigenvalues,
                 orbitals: last.0.eigenvectors,
@@ -286,14 +256,14 @@ pub fn scf_preemptible(
         p_mat = mixer.step(&p_mat, &p_new);
         let (diis_in, diis_res) = mixer.history();
         let state = ScfState {
-            start_iter: iter,
+            iteration: iter,
             energy,
             p_mat: p_mat.clone(),
             diis_in: diis_in.to_vec(),
             diis_res: diis_res.to_vec(),
         };
-        if !on_iter(&state) {
-            return Ok(ScfOutcome::Preempted(state));
+        if !on_iter(state) {
+            return Ok(None);
         }
     }
     Err(CoreError::NoConvergence {

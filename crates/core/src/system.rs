@@ -175,14 +175,36 @@ impl System {
         }
     }
 
-    /// Convenience: light basis, light grid, paper-typical batch size.
+    /// The system a job runs on: [`System::build_with_modes`] at the
+    /// paper-typical batch size of 200 points and multipole order 4.
+    /// `qperturb` and qp-serve build through here, which is part of why a
+    /// served result and a CLI run carry the same bits.
+    pub fn for_job(
+        structure: Structure,
+        basis_settings: BasisSettings,
+        grid_settings: &GridSettings,
+        screening: ScreeningMode,
+        farfield: FarFieldMode,
+    ) -> Self {
+        Self::build_with_modes(
+            structure,
+            basis_settings,
+            grid_settings,
+            200,
+            4,
+            screening,
+            farfield,
+        )
+    }
+
+    /// Convenience: a job's system on the light basis and grid.
     pub fn light(structure: Structure) -> Self {
-        System::build(
+        Self::for_job(
             structure,
             BasisSettings::Light,
             &GridSettings::light(),
-            200,
-            4,
+            ScreeningMode::Auto,
+            FarFieldMode::Auto,
         )
     }
 

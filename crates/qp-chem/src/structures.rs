@@ -14,6 +14,76 @@ use crate::geometry::{Atom, Structure};
 /// Bohr per Ångström.
 pub const BOHR_PER_ANGSTROM: f64 = 1.8897259886;
 
+/// A builtin structure by name, as `qperturb --builtin` and a served
+/// `{"builtin": …}` request spell it: `water`, `ligand`, `polymer[:N]`
+/// (H(C₂H₄)ₙH) or `helix[:N]` (N residues); N defaults to 10.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Builtin {
+    /// [`water`].
+    Water,
+    /// [`ligand49`].
+    Ligand,
+    /// [`polyethylene`] with n ≥ 1 monomers.
+    Polymer(usize),
+    /// [`helix`] with n ≥ 1 residues.
+    Helix(usize),
+}
+
+/// A name that is not a [`Builtin`].
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum BuiltinError {
+    /// No builtin has this name.
+    Unknown(String),
+    /// The chain length after `:` is not a whole number of at least 1.
+    BadLength(String),
+}
+
+impl std::fmt::Display for BuiltinError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            BuiltinError::Unknown(name) => write!(f, "unknown builtin '{name}'"),
+            BuiltinError::BadLength(n) => write!(f, "builtin chain length '{n}' is not >= 1"),
+        }
+    }
+}
+
+impl std::error::Error for BuiltinError {}
+
+impl std::str::FromStr for Builtin {
+    type Err = BuiltinError;
+
+    fn from_str(name: &str) -> Result<Builtin, BuiltinError> {
+        let (base, param) = match name.split_once(':') {
+            Some((b, p)) => (b, Some(p)),
+            None => (name, None),
+        };
+        let len = param.unwrap_or("10");
+        let chain_len = || match len.parse::<usize>() {
+            Ok(n) if n >= 1 => Ok(n),
+            _ => Err(BuiltinError::BadLength(len.to_string())),
+        };
+        match base {
+            "water" if param.is_none() => Ok(Builtin::Water),
+            "ligand" if param.is_none() => Ok(Builtin::Ligand),
+            "polymer" => chain_len().map(Builtin::Polymer),
+            "helix" => chain_len().map(Builtin::Helix),
+            _ => Err(BuiltinError::Unknown(name.to_string())),
+        }
+    }
+}
+
+impl Builtin {
+    /// Generate the structure.
+    pub fn structure(self) -> Structure {
+        match self {
+            Builtin::Water => water(),
+            Builtin::Ligand => ligand49(),
+            Builtin::Polymer(n) => polyethylene(n),
+            Builtin::Helix(n) => helix(n),
+        }
+    }
+}
+
 /// A single water molecule (the Fig. 2 illustration system). Atom 0 is O.
 pub fn water() -> Structure {
     let a = BOHR_PER_ANGSTROM;
@@ -266,6 +336,26 @@ pub fn rbd_like(n_atoms: usize) -> Structure {
 mod tests {
     use super::*;
     use qp_linalg::vecops::dist3;
+
+    #[test]
+    fn builtin_names_resolve_or_are_typed_errors() {
+        let parse = |s: &str| s.parse::<Builtin>();
+        assert_eq!(parse("water"), Ok(Builtin::Water));
+        assert_eq!(parse("ligand"), Ok(Builtin::Ligand));
+        assert_eq!(parse("polymer"), Ok(Builtin::Polymer(10)));
+        assert_eq!(parse("polymer:8"), Ok(Builtin::Polymer(8)));
+        assert_eq!(parse("helix:1"), Ok(Builtin::Helix(1)));
+        assert_eq!(parse("polymer:2").unwrap().structure().len(), 14);
+        for bad in ["helix:0", "polymer:0", "polymer:x", "polymer:-1", "helix:"] {
+            assert!(
+                matches!(parse(bad), Err(BuiltinError::BadLength(_))),
+                "{bad}"
+            );
+        }
+        for bad in ["unobtanium", "water:3", ""] {
+            assert!(matches!(parse(bad), Err(BuiltinError::Unknown(_))), "{bad}");
+        }
+    }
 
     #[test]
     fn polyethylene_atom_count_formula() {

@@ -19,37 +19,34 @@ mod serve_cli;
 
 use qp_chem::basis::BasisSettings;
 use qp_chem::grids::GridSettings;
+use qp_chem::structures::Builtin;
 use qp_core::parallel::{CollectiveScheme, MappingKind, ParallelConfig};
-use qp_core::resil::scf_checkpointed;
 use qp_core::{
-    dfpt, properties, scf, DfptOptions, FarFieldMode, ResilienceConfig, ScfOptions, ScfResult,
+    CoreError, DfptOptions, FarFieldMode, Job, JobError, ResilienceConfig, ScfOptions,
     ScreeningMode, System,
 };
+use qp_resil::FaultPlan;
 use qp_trace::{qp_error, qp_info, qp_warn};
+use std::num::NonZeroUsize;
 use std::path::PathBuf;
 use std::process::ExitCode;
-
-/// What to try when the ground state does not converge.
-const SCF_HINT: &str = "hint: try --smearing 0.02 and/or a smaller --scf-mixing";
+use std::sync::Arc;
+use std::time::Duration;
 
 struct Args {
     input: Option<String>,
-    control: Option<String>,
     builtin: Option<String>,
     basis: BasisSettings,
     grid: GridSettings,
-    scf: ScfOptions,
-    dfpt_opts: DfptOptions,
-    skip_dfpt: bool,
+    /// The solver options and the directions (`--no-dfpt` clears them).
+    job: Job,
     profile: Option<String>,
     trace: Option<String>,
     metrics: Option<String>,
     ranks: Option<usize>,
     ranks_per_node: Option<usize>,
-    checkpoint_dir: Option<PathBuf>,
-    checkpoint_interval: usize,
-    restart: bool,
-    max_restarts: usize,
+    /// Checkpoint directory and cadence, `--restart`, restart budget.
+    resilience: ResilienceConfig,
     result_json: Option<String>,
     screening: ScreeningMode,
     farfield: FarFieldMode,
@@ -62,12 +59,15 @@ fn usage() -> ! {
 
 options:
   --control <control.in>   FHI-aims control deck (xc, tolerances, mixer,
-                           occupation_type, DFPT keyword)
+                           occupation_type, DFPT keyword): it sets the base
+                           values, and the flags given on the command line
+                           override them wherever --control appears
   --basis <light|tier2>    NAO basis setting          (default light)
   --grid <light|coarse>    integration grid           (default light)
   --scf-tol <x>            SCF density tolerance      (default 1e-8)
   --scf-mixing <x>         SCF linear-mixing factor   (default 0.35)
-  --smearing <kT>          Fermi-Dirac smearing, Ha   (default off)
+  --smearing <kT>          Fermi-Dirac smearing, Ha   (default off; an
+                           odd electron count needs it)
   --no-pulay               disable DIIS acceleration
   --dfpt-tol <x>           DFPT tolerance             (default 1e-7)
   --dfpt-mixing <x>        DFPT mixing                (default 0.6)
@@ -117,53 +117,64 @@ environment:
     std::process::exit(2)
 }
 
-/// A count that must be at least 1, or the usage text.
-fn at_least_one(name: &str, text: String) -> usize {
-    match text.parse::<usize>() {
-        Ok(n) if n >= 1 => n,
-        _ => {
-            qp_error!("{name} needs a count of at least 1, not '{text}'");
-            usage()
-        }
-    }
+/// The value `text` of flag `name`, or the usage text.
+fn parsed<T: std::str::FromStr>(name: &str, text: String) -> T
+where
+    T::Err: std::fmt::Display,
+{
+    text.parse().unwrap_or_else(|e| {
+        qp_error!("{name} '{text}': {e}");
+        usage()
+    })
 }
 
-fn parse_args() -> Args {
+/// Parse the command line (without the program name). A `--control` deck
+/// sets the base values wherever it appears, and the flags override them;
+/// the error is a deck that cannot be read or parsed.
+fn parse_args(argv: &[String]) -> Result<Args, String> {
     let mut args = Args {
         input: None,
-        control: None,
         builtin: None,
         basis: BasisSettings::Light,
         grid: GridSettings::light(),
-        scf: ScfOptions::default(),
-        dfpt_opts: DfptOptions::default(),
-        skip_dfpt: false,
+        job: Job::new(ScfOptions::default(), DfptOptions::default()),
         profile: None,
         trace: None,
         metrics: None,
         ranks: None,
         ranks_per_node: None,
-        checkpoint_dir: None,
-        checkpoint_interval: 5,
-        restart: false,
-        max_restarts: 3,
+        resilience: ResilienceConfig::with_interval(5),
         result_json: None,
         screening: ScreeningMode::Auto,
         farfield: FarFieldMode::Auto,
     };
-    let mut it = std::env::args().skip(1);
+    let deck = argv.iter().rposition(|a| a == "--control");
+    if let Some(path) = deck.and_then(|i| argv.get(i + 1)) {
+        let text = std::fs::read_to_string(path).map_err(|e| format!("error: {path}: {e}"))?;
+        let ctl = control::parse_control(&text).map_err(|e| format!("error: {e}"))?;
+        for line in &ctl.ignored {
+            qp_warn!("control.in: ignoring '{line}'");
+        }
+        args.job = Job::new(ctl.scf, ctl.dfpt);
+        if !ctl.run_dfpt {
+            args.job.dirs.clear();
+        }
+        args.screening = ctl.screening;
+    }
+    let mut it = argv.iter().cloned();
     while let Some(arg) = it.next() {
-        let mut value = |name: &str| -> String {
+        let mut value = || {
             it.next().unwrap_or_else(|| {
-                qp_error!("missing value for {name}");
+                qp_error!("missing value for {arg}");
                 usage()
             })
         };
         match arg.as_str() {
-            "--builtin" => args.builtin = Some(value("--builtin")),
-            "--control" => args.control = Some(value("--control")),
+            "--builtin" => args.builtin = Some(value()),
+            // Read above, before the flags.
+            "--control" => drop(value()),
             "--basis" => {
-                args.basis = match value("--basis").as_str() {
+                args.basis = match value().as_str() {
                     "light" => BasisSettings::Light,
                     "tier2" => BasisSettings::Tier2,
                     other => {
@@ -173,7 +184,7 @@ fn parse_args() -> Args {
                 }
             }
             "--grid" => {
-                args.grid = match value("--grid").as_str() {
+                args.grid = match value().as_str() {
                     "light" => GridSettings::light(),
                     "coarse" => GridSettings::coarse(),
                     other => {
@@ -182,54 +193,27 @@ fn parse_args() -> Args {
                     }
                 }
             }
-            "--scf-tol" => args.scf.tol = value("--scf-tol").parse().unwrap_or_else(|_| usage()),
-            "--scf-mixing" => {
-                args.scf.mixing = value("--scf-mixing").parse().unwrap_or_else(|_| usage())
-            }
-            "--smearing" => {
-                args.scf.smearing = Some(value("--smearing").parse().unwrap_or_else(|_| usage()))
-            }
-            "--no-pulay" => args.scf.pulay = None,
-            "--dfpt-tol" => {
-                args.dfpt_opts.tol = value("--dfpt-tol").parse().unwrap_or_else(|_| usage())
-            }
-            "--dfpt-mixing" => {
-                args.dfpt_opts.mixing = value("--dfpt-mixing").parse().unwrap_or_else(|_| usage())
-            }
-            "--no-dfpt" => args.skip_dfpt = true,
-            "--screening" => {
-                args.screening = value("--screening").parse().unwrap_or_else(|e: String| {
-                    qp_error!("{e}");
-                    usage()
-                })
-            }
-            "--farfield" => {
-                args.farfield = value("--farfield").parse().unwrap_or_else(|e: String| {
-                    qp_error!("{e}");
-                    usage()
-                })
-            }
-            "--profile" => args.profile = Some(value("--profile")),
-            "--trace" => args.trace = Some(value("--trace")),
-            "--metrics" => args.metrics = Some(value("--metrics")),
-            "--ranks" => args.ranks = Some(at_least_one("--ranks", value("--ranks"))),
+            "--scf-tol" => args.job.scf.tol = parsed(&arg, value()),
+            "--scf-mixing" => args.job.scf.mixing = parsed(&arg, value()),
+            "--smearing" => args.job.scf.smearing = Some(parsed(&arg, value())),
+            "--no-pulay" => args.job.scf.pulay = None,
+            "--dfpt-tol" => args.job.dfpt.tol = parsed(&arg, value()),
+            "--dfpt-mixing" => args.job.dfpt.mixing = parsed(&arg, value()),
+            "--no-dfpt" => args.job.dirs.clear(),
+            "--screening" => args.screening = parsed(&arg, value()),
+            "--farfield" => args.farfield = parsed(&arg, value()),
+            "--profile" => args.profile = Some(value()),
+            "--trace" => args.trace = Some(value()),
+            "--metrics" => args.metrics = Some(value()),
+            "--ranks" => args.ranks = Some(parsed::<NonZeroUsize>(&arg, value()).get()),
             "--ranks-per-node" => {
-                args.ranks_per_node =
-                    Some(at_least_one("--ranks-per-node", value("--ranks-per-node")))
+                args.ranks_per_node = Some(parsed::<NonZeroUsize>(&arg, value()).get())
             }
-            "--checkpoint-dir" => {
-                args.checkpoint_dir = Some(PathBuf::from(value("--checkpoint-dir")))
-            }
-            "--checkpoint-interval" => {
-                args.checkpoint_interval = value("--checkpoint-interval")
-                    .parse()
-                    .unwrap_or_else(|_| usage())
-            }
-            "--restart" => args.restart = true,
-            "--result-json" => args.result_json = Some(value("--result-json")),
-            "--max-restarts" => {
-                args.max_restarts = value("--max-restarts").parse().unwrap_or_else(|_| usage())
-            }
+            "--checkpoint-dir" => args.resilience.checkpoint_dir = Some(PathBuf::from(value())),
+            "--checkpoint-interval" => args.resilience.checkpoint_interval = parsed(&arg, value()),
+            "--restart" => args.resilience.restart = true,
+            "--result-json" => args.result_json = Some(value()),
+            "--max-restarts" => args.resilience.max_restarts = parsed(&arg, value()),
             "--help" | "-h" => usage(),
             other if other.starts_with('-') => {
                 qp_error!("unknown option '{other}'");
@@ -241,28 +225,15 @@ fn parse_args() -> Args {
     if args.input.is_none() && args.builtin.is_none() {
         usage()
     }
-    args
+    Ok(args)
 }
 
 fn load_structure(args: &Args) -> Result<qp_chem::geometry::Structure, String> {
     if let Some(b) = &args.builtin {
-        let (name, param) = match b.split_once(':') {
-            Some((n, p)) => (n, Some(p)),
-            None => (b.as_str(), None),
-        };
-        return match name {
-            "water" => Ok(qp_chem::structures::water()),
-            "ligand" => Ok(qp_chem::structures::ligand49()),
-            "polymer" => {
-                let n: usize = param.unwrap_or("10").parse().map_err(|e| format!("{e}"))?;
-                Ok(qp_chem::structures::polyethylene(n))
-            }
-            "helix" => {
-                let n: usize = param.unwrap_or("10").parse().map_err(|e| format!("{e}"))?;
-                Ok(qp_chem::structures::helix(n))
-            }
-            other => Err(format!("unknown builtin '{other}'")),
-        };
+        return b
+            .parse::<Builtin>()
+            .map(Builtin::structure)
+            .map_err(|e| e.to_string());
     }
     let path = args.input.as_ref().expect("input or builtin");
     let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
@@ -282,33 +253,83 @@ fn finish_observability() {
     }
 }
 
-fn run(args: &Args) -> ExitCode {
-    let structure = match load_structure(args) {
-        Ok(s) => s,
-        Err(e) => {
-            qp_error!("error: {e}");
-            return ExitCode::FAILURE;
+/// A failed job's error, with the hint that fits it.
+fn job_failure(e: JobError) -> String {
+    let hint = match (e.dir, &e.error) {
+        (None, _) => "hint: try --smearing 0.02 and/or a smaller --scf-mixing",
+        (Some(_), CoreError::NoConvergence { .. } | CoreError::NonFinite { .. }) => {
+            "hint: near-metallic systems need a smaller --dfpt-mixing"
         }
+        (Some(_), _) => return e.to_string(),
     };
+    format!("{e}\n{hint}")
+}
+
+/// The job to run: the parsed one, with DFPT through the distributed
+/// self-recovering driver when `--ranks`, `--checkpoint-dir` or `QP_FAULT`
+/// asks for the resilience layer (the SCF is then checkpointed under a
+/// checkpoint directory too); and the fault plan.
+fn resolve_job(args: &Args) -> Result<(Job, Option<Arc<FaultPlan>>), String> {
+    let fault = FaultPlan::from_env().map_err(|e| format!("QP_FAULT: {e}"))?;
+    let rcfg = &args.resilience;
+    if rcfg.restart && rcfg.checkpoint_dir.is_none() {
+        return Err("--restart requires --checkpoint-dir".into());
+    }
+    if let Some(d) = &rcfg.checkpoint_dir {
+        std::fs::create_dir_all(d).map_err(|e| format!("--checkpoint-dir {}: {e}", d.display()))?;
+    }
+    let mut job = args.job.clone();
+    if args.ranks.is_some() || fault.is_some() || rcfg.checkpoint_dir.is_some() {
+        let n_ranks = args.ranks.unwrap_or(4);
+        let cfg = ParallelConfig {
+            n_ranks,
+            ranks_per_node: args.ranks_per_node.unwrap_or(n_ranks).min(n_ranks),
+            mapping: MappingKind::LocalityEnhancing,
+            collectives: CollectiveScheme::Packed,
+        };
+        let rcfg = ResilienceConfig {
+            fault: fault.clone().map(|p| p as Arc<dyn qp_resil::FaultHook>),
+            ..rcfg.clone()
+        };
+        job.ranks = Some((cfg, rcfg));
+    }
+    Ok((job, fault))
+}
+
+fn run(args: &Args) -> Result<(), String> {
+    // Environment hooks first, explicit flags override.
+    qp_trace::init_from_env();
+    if let Some(path) = &args.trace {
+        qp_trace::set_trace_path(path);
+    }
+    if let Some(path) = &args.metrics {
+        qp_trace::set_metrics_path(path);
+    }
+    let structure = load_structure(args).map_err(|e| format!("error: {e}"))?;
     qp_info!("qperturb — all-electron DFPT");
     qp_info!(
         "structure: {} atoms, {} electrons",
         structure.len(),
         structure.num_electrons()
     );
+    let (job, fault) = resolve_job(args)?;
+    let build = || {
+        System::for_job(
+            structure.clone(),
+            args.basis,
+            &args.grid,
+            args.screening,
+            args.farfield,
+        )
+    };
     if let Some(base) = &args.profile {
-        return run_profile(args, structure, base);
+        return run_profile(args, &build, &job, base);
+    }
+    if job.dirs.is_empty() && args.result_json.is_some() {
+        return Err("--result-json requires the DFPT phase (drop --no-dfpt)".into());
     }
     let t0 = std::time::Instant::now();
-    let system = System::build_with_modes(
-        structure,
-        args.basis,
-        &args.grid,
-        200,
-        4,
-        args.screening,
-        args.farfield,
-    );
+    let system = build();
     qp_info!(
         "system: {} basis functions, {} grid points, {} batches  [{:.1?}]",
         system.n_basis(),
@@ -334,240 +355,51 @@ fn run(args: &Args) -> ExitCode {
         );
     }
 
-    // Resilience layer: QP_FAULT injection, QPCK checkpoints, supervised
-    // restart. Any of the knobs routes DFPT through the distributed
-    // self-recovering driver.
-    let fault = match qp_resil::FaultPlan::from_env() {
-        Ok(f) => f,
-        Err(e) => {
-            qp_error!("QP_FAULT: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    if args.restart && args.checkpoint_dir.is_none() {
-        qp_error!("--restart requires --checkpoint-dir");
-        return ExitCode::FAILURE;
-    }
-    if let Some(d) = &args.checkpoint_dir {
-        if let Err(e) = std::fs::create_dir_all(d) {
-            qp_error!("--checkpoint-dir {}: {e}", d.display());
-            return ExitCode::FAILURE;
-        }
-    }
-    let rcfg = ResilienceConfig {
-        checkpoint_dir: args.checkpoint_dir.clone(),
-        checkpoint_interval: args.checkpoint_interval,
-        max_restarts: args.max_restarts,
-        restart: args.restart,
-        fault: fault
-            .clone()
-            .map(|p| p as std::sync::Arc<dyn qp_resil::FaultHook>),
-        ..ResilienceConfig::default()
-    };
-    let checkpointing = args.checkpoint_dir.is_some();
-
-    let t1 = std::time::Instant::now();
-    let scf_out = if checkpointing {
-        scf_checkpointed(&system, &args.scf, &rcfg).map(|(g, stats)| (g, Some(stats)))
-    } else {
-        scf(&system, &args.scf).map(|g| (g, None))
-    };
-    let (ground, scf_stats): (ScfResult, Option<qp_resil::RecoveryStats>) = match scf_out {
-        Ok(g) => g,
-        Err(e) => {
-            qp_error!("SCF failed: {e}");
-            qp_error!("{SCF_HINT}");
-            return ExitCode::FAILURE;
-        }
-    };
+    let out = job.run(&system).map_err(job_failure)?;
+    let ground = &out.ground;
     let n_occ = system.n_occupied();
+    // Every orbital is occupied when the basis has no more functions than
+    // occupied orbitals (a single smeared H atom): there is no LUMO then.
+    let lumo = ground
+        .eigenvalues
+        .get(n_occ)
+        .map_or(String::new(), |e| format!(", LUMO {e:.4}"));
     qp_info!(
-        "SCF: {} iterations, E = {:.6} Ha, HOMO {:.4}, LUMO {:.4}  [{:.1?}]",
+        "SCF: {} iterations, E = {:.6} Ha, HOMO {:.4}{lumo}  [{:.1?}]",
         ground.iterations,
         ground.energy,
         ground.eigenvalues[n_occ - 1],
-        ground.eigenvalues[n_occ],
-        t1.elapsed()
+        Duration::from_secs_f64(out.scf_s)
     );
-    if let Some(stats) = &scf_stats {
-        if stats.checkpoints_written > 0 {
-            qp_info!(
-                "SCF checkpoints: {} written ({} bytes)",
-                stats.checkpoints_written,
-                stats.checkpoint_bytes
-            );
-        }
+    if out.scf_checkpoints.checkpoints_written > 0 {
+        qp_info!(
+            "SCF checkpoints: {} written ({} bytes)",
+            out.scf_checkpoints.checkpoints_written,
+            out.scf_checkpoints.checkpoint_bytes
+        );
     }
-    let mu = properties::dipole_moment(&system, &ground);
+    let mu = out.dipole;
     qp_info!("dipole: [{:.4}, {:.4}, {:.4}] a.u.", mu[0], mu[1], mu[2]);
-
-    if args.skip_dfpt {
-        if args.result_json.is_some() {
-            qp_error!("--result-json requires the DFPT phase (drop --no-dfpt)");
-            return ExitCode::FAILURE;
-        }
-        return ExitCode::SUCCESS;
+    if job.dirs.is_empty() {
+        return Ok(());
     }
 
-    let resilient_dfpt = args.ranks.is_some() || fault.is_some() || checkpointing;
-    let t2 = std::time::Instant::now();
-    let (alpha, iterations) = if resilient_dfpt {
-        let n_ranks = args.ranks.unwrap_or(4);
-        let cfg = ParallelConfig {
-            n_ranks,
-            ranks_per_node: args.ranks_per_node.unwrap_or(n_ranks).min(n_ranks),
-            mapping: MappingKind::LocalityEnhancing,
-            collectives: CollectiveScheme::Packed,
-        };
+    if let Some((cfg, rcfg)) = &job.ranks {
         qp_info!(
             "DFPT: supervised, {} ranks ({} per node), checkpoint every {}, restart budget {}",
             cfg.n_ranks,
             cfg.ranks_per_node,
-            args.checkpoint_interval,
-            args.max_restarts
-        );
-        match dfpt_resilient(&system, &ground, &args.dfpt_opts, &cfg, &rcfg) {
-            Ok(out) => out,
-            Err(e) => {
-                qp_error!("DFPT failed: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
-    } else {
-        match dfpt(&system, &ground, &args.dfpt_opts) {
-            Ok(r) => (r.polarizability, r.iterations),
-            Err(e) => {
-                qp_error!("DFPT failed: {e}");
-                qp_error!("hint: near-metallic systems need a smaller --dfpt-mixing");
-                return ExitCode::FAILURE;
-            }
-        }
-    };
-    if let Some(plan) = &fault {
-        for ev in plan.events() {
-            qp_info!("injected fault fired: {ev}");
-        }
-    }
-    qp_info!(
-        "DFPT: {:?} iterations per direction  [{:.1?}]",
-        iterations,
-        t2.elapsed()
-    );
-    qp_info!("polarizability tensor (Bohr^3):");
-    for i in 0..3 {
-        qp_info!(
-            "  [ {:10.4} {:10.4} {:10.4} ]",
-            alpha[(i, 0)],
-            alpha[(i, 1)],
-            alpha[(i, 2)]
+            rcfg.checkpoint_interval,
+            rcfg.max_restarts
         );
     }
-    qp_info!(
-        "isotropic: {:.4} Bohr^3, anisotropy: {:.4} Bohr^3",
-        properties::isotropic_polarizability(&alpha),
-        properties::polarizability_anisotropy(&alpha)
-    );
-    if let Some(path) = &args.result_json {
-        let isotropic = properties::isotropic_polarizability(&alpha);
-        let anisotropy = properties::polarizability_anisotropy(&alpha);
-        let record = qp_serve::JobResultData {
-            energy: ground.energy,
-            scf_iterations: ground.iterations,
-            dipole: mu,
-            alpha,
-            dfpt_iterations: iterations,
-            isotropic,
-            anisotropy,
-        };
-        let body = record.to_json().to_string() + "\n";
-        if let Err(e) = std::fs::write(path, body) {
-            qp_error!("failed to write {path}: {e}");
-            return ExitCode::FAILURE;
-        }
-        qp_info!("result record written to {path}");
-    }
-    ExitCode::SUCCESS
-}
-
-/// `--profile <base>`: run the parallel-efficiency profiler on the loaded
-/// structure and write `<base>.json` (qp-profile/v1 attribution report) and
-/// `<base>.folded` (flamegraph-compatible collapsed stacks).
-fn run_profile(args: &Args, structure: qp_chem::geometry::Structure, base: &str) -> ExitCode {
-    let opts = qp_core::ProfileOptions {
-        dirs: if args.skip_dfpt {
-            Vec::new()
-        } else {
-            vec![0, 1, 2]
-        },
-        scf: args.scf,
-        dfpt: args.dfpt_opts,
-        ..qp_core::ProfileOptions::new()
-    };
-    let name = args
-        .builtin
-        .clone()
-        .or_else(|| args.input.clone())
-        .unwrap_or_else(|| "case".to_string());
-    qp_info!(
-        "profiling '{name}': serial reference + {}-thread instrumented leg \
-         ({} GEMM microkernel)",
-        opts.threads,
-        qp_linalg::gemm::active_microkernel()
-    );
-    let (basis, grid, screening, farfield) = (args.basis, args.grid, args.screening, args.farfield);
-    let build = move || {
-        System::build_with_modes(structure.clone(), basis, &grid, 200, 4, screening, farfield)
-    };
-    let report = match qp_core::profile_case(&name, &build, &opts) {
-        Ok(r) => r,
-        Err(e) => {
-            qp_error!("SCF failed: {e}");
-            qp_error!("{SCF_HINT}");
-            return ExitCode::FAILURE;
-        }
-    };
-    print!("{}", report.render_text());
-    let json_path = format!("{base}.json");
-    let folded_path = format!("{base}.folded");
-    if let Err(e) = std::fs::write(&json_path, report.to_json()) {
-        qp_error!("failed to write {json_path}: {e}");
-        return ExitCode::FAILURE;
-    }
-    if let Err(e) = std::fs::write(&folded_path, &report.folded) {
-        qp_error!("failed to write {folded_path}: {e}");
-        return ExitCode::FAILURE;
-    }
-    qp_info!("profile written to {json_path} and {folded_path}");
-    ExitCode::SUCCESS
-}
-
-/// All three field directions through the supervised distributed driver,
-/// with the recovery story reported on the way out.
-fn dfpt_resilient(
-    system: &System,
-    ground: &ScfResult,
-    opts: &DfptOptions,
-    cfg: &ParallelConfig,
-    rcfg: &ResilienceConfig,
-) -> Result<(qp_linalg::DMatrix, [usize; 3]), qp_core::CoreError> {
-    let dips: Vec<_> = (0..3)
-        .map(|i| qp_core::operators::dipole_matrix(system, i))
-        .collect();
-    let mut alpha = qp_linalg::DMatrix::zeros(3, 3);
-    let mut iterations = [0usize; 3];
-    let mut restarts = 0;
-    let mut checkpoints = 0;
-    for j in 0..3 {
-        let out = qp_core::parallel_dfpt_direction_resilient(system, ground, j, opts, cfg, rcfg)?;
-        for i in 0..3 {
-            alpha[(i, j)] = out.direction.p1.trace_product(&dips[i])?;
-        }
-        iterations[j] = out.direction.iterations;
-        restarts += out.stats.restarts;
-        checkpoints += out.stats.checkpoints_written;
-        for ev in &out.stats.events {
+    let (mut restarts, mut checkpoints) = (0, 0);
+    for (j, stats) in job.dirs.iter().zip(&out.dfpt_recovery) {
+        for ev in &stats.events {
             qp_warn!("direction {j}: {ev}");
         }
+        restarts += stats.restarts;
+        checkpoints += stats.checkpoints_written;
     }
     if restarts > 0 {
         qp_info!("recovered from {restarts} rank failure(s) via checkpoint restart");
@@ -575,59 +407,125 @@ fn dfpt_resilient(
     if checkpoints > 0 {
         qp_info!("DFPT checkpoints: {checkpoints} written");
     }
-    Ok((alpha, iterations))
+    for ev in fault.iter().flat_map(|plan| plan.events()) {
+        qp_info!("injected fault fired: {ev}");
+    }
+    qp_info!(
+        "DFPT: {:?} iterations per direction  [{:.1?}]",
+        out.dfpt_iterations,
+        Duration::from_secs_f64(out.dfpt_s)
+    );
+    let record = qp_serve::JobResultData::from(&out);
+    serve_cli::print_polarizability(&record);
+    if let Some(path) = &args.result_json {
+        std::fs::write(path, record.to_json().to_string() + "\n")
+            .map_err(|e| format!("failed to write {path}: {e}"))?;
+        qp_info!("result record written to {path}");
+    }
+    Ok(())
+}
+
+/// `--profile <base>`: run the parallel-efficiency profiler on the job and
+/// write `<base>.json` (qp-profile/v1 attribution report) and
+/// `<base>.folded` (flamegraph-compatible collapsed stacks).
+fn run_profile(
+    args: &Args,
+    build: &dyn Fn() -> System,
+    job: &Job,
+    base: &str,
+) -> Result<(), String> {
+    let name = args
+        .builtin
+        .as_ref()
+        .or(args.input.as_ref())
+        .expect("input or builtin");
+    let threads = qp_core::profile::default_profile_threads();
+    qp_info!(
+        "profiling '{name}': serial reference + {threads}-thread instrumented leg \
+         ({} GEMM microkernel)",
+        qp_linalg::gemm::active_microkernel()
+    );
+    let report = qp_core::profile_case(name, build, job, threads).map_err(job_failure)?;
+    print!("{}", report.render_text());
+    let json_path = format!("{base}.json");
+    let folded_path = format!("{base}.folded");
+    std::fs::write(&json_path, report.to_json())
+        .map_err(|e| format!("failed to write {json_path}: {e}"))?;
+    std::fs::write(&folded_path, &report.folded)
+        .map_err(|e| format!("failed to write {folded_path}: {e}"))?;
+    qp_info!("profile written to {json_path} and {folded_path}");
+    Ok(())
 }
 
 fn main() -> ExitCode {
     // Serving subcommands route around the classic single-run argument
     // grammar entirely.
     let argv: Vec<String> = std::env::args().skip(1).collect();
-    if let Some(cmd) = argv.first().map(String::as_str) {
-        if matches!(
-            cmd,
-            "serve" | "submit" | "wait" | "stats" | "preempt" | "shutdown"
-        ) {
+    let code = match argv.first().map(String::as_str) {
+        Some(cmd @ ("serve" | "submit" | "wait" | "stats" | "preempt" | "shutdown")) => {
             qp_trace::init_from_env();
-            let code = serve_cli::run(cmd, &argv[1..]);
-            finish_observability();
-            return code;
+            serve_cli::run(cmd, &argv[1..])
         }
-    }
-    let mut args = parse_args();
-    // Environment hooks first, explicit flags override.
-    qp_trace::init_from_env();
-    if let Some(path) = args.trace.clone() {
-        qp_trace::set_enabled(true);
-        qp_trace::set_trace_path(&path);
-    }
-    if let Some(path) = args.metrics.clone() {
-        qp_trace::set_metrics_path(&path);
-    }
-    if let Some(path) = args.control.clone() {
-        let text = match std::fs::read_to_string(&path) {
-            Ok(t) => t,
+        _ => match parse_args(&argv).and_then(|args| run(&args)) {
+            Ok(()) => ExitCode::SUCCESS,
             Err(e) => {
-                qp_error!("error: {path}: {e}");
-                return ExitCode::FAILURE;
+                qp_error!("{e}");
+                ExitCode::FAILURE
             }
-        };
-        match control::parse_control(&text) {
-            Ok(ctl) => {
-                args.scf = ctl.scf;
-                args.dfpt_opts = ctl.dfpt;
-                args.skip_dfpt = !ctl.run_dfpt;
-                args.screening = ctl.screening;
-                for line in &ctl.ignored {
-                    qp_warn!("control.in: ignoring '{line}'");
-                }
-            }
-            Err(e) => {
-                qp_error!("error: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
-    }
-    let code = run(&args);
+        },
+    };
     finish_observability();
     code
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn flags_override_the_control_deck() {
+        let deck = std::env::temp_dir().join(format!("qperturb-deck-{}.in", std::process::id()));
+        std::fs::write(
+            &deck,
+            "xc pw-lda\nsc_accuracy_rho 1e-6\nDFPT polarizability\n",
+        )
+        .unwrap();
+        let strings = |a: &[&str]| a.iter().map(|s| s.to_string()).collect::<Vec<_>>();
+        let base = ["--builtin", "water", "--control", deck.to_str().unwrap()];
+        let flags = [
+            "--smearing",
+            "0.02",
+            "--dfpt-tol",
+            "1e-3",
+            "--screening",
+            "on",
+        ];
+
+        // The flags win on either side of --control.
+        for argv in [
+            [&base[..], &flags[..]].concat(),
+            [&flags[..], &base[..]].concat(),
+        ] {
+            let args = parse_args(&strings(&argv)).unwrap();
+            assert_eq!(args.job.scf.smearing, Some(0.02));
+            assert_eq!(args.job.dfpt.tol, 1e-3);
+            assert_eq!(args.screening, ScreeningMode::On);
+            // A keyword only the deck sets still applies.
+            assert_eq!(args.job.scf.tol, 1e-6);
+            assert_eq!(args.job.dirs, [0, 1, 2]);
+        }
+
+        // Without the flags, the deck's values stand.
+        let args = parse_args(&strings(&base)).unwrap();
+        assert_eq!(args.job.scf.smearing, None);
+        assert_eq!(args.job.dfpt.tol, DfptOptions::default().tol);
+        assert_eq!(args.screening, ScreeningMode::Auto);
+        assert_eq!(args.job.scf.tol, 1e-6);
+
+        std::fs::remove_file(&deck).ok();
+        assert!(
+            parse_args(&strings(&base)).is_err(),
+            "a missing deck is an error"
+        );
+    }
 }

@@ -252,6 +252,12 @@ fn print_result(job: u64, cached: bool, r: &qp_serve::JobResultData) {
         r.energy,
         r.scf_iterations
     );
+    print_polarizability(r);
+}
+
+/// The polarizability tensor and its invariants, as `qperturb` and
+/// `qperturb submit` print a result.
+pub(crate) fn print_polarizability(r: &qp_serve::JobResultData) {
     qp_info!("polarizability tensor (Bohr^3):");
     for i in 0..3 {
         qp_info!(

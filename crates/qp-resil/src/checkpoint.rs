@@ -400,7 +400,7 @@ impl JobDirCheckpoint {
 /// ground-state cycle — determinism makes the replay exact); finished
 /// directions keep only their α columns; the in-flight direction carries
 /// its full mixer state.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct JobCheckpoint {
     /// Canonical content hash of the request this state belongs to
     /// (rejected on resume if it does not match the job's request).

@@ -1,30 +1,25 @@
-//! The job engine: runs one admitted request end to end — SCF, then the
-//! three DFPT directions — through the preemptible entry points in
-//! `qp-core`, writing `QPCK` job checkpoints at iteration boundaries.
+//! The job engine: runs one admitted request through the job pipeline of
+//! `qp-core` ([`qp_core::Job`]), the one `qperturb` runs too, with a hook
+//! that writes the progress lines, checks the preempt flag, and persists
+//! the `QPCK` job checkpoint every [`CHECKPOINT_INTERVAL`] iterations.
 //!
-//! Two invariants this module is responsible for:
+//! Two invariants rest on that:
 //!
-//! * **Bit-identity with the CLI.** The computation is the exact sequence
-//!   the `qperturb` direct path executes — `System::build(..)` with the
-//!   same batching constants, `scf`, `DfptShared::new`, per-direction
-//!   Sternheimer cycles, `α` columns contracted with the shared dipole
-//!   matrices. A request served here, served from cache, or run via the
-//!   CLI produces the same bits.
+//! * **Bit-identity with the CLI.** The request's system is built by
+//!   `System::for_job` and run by the same job, so a request served here,
+//!   served from cache, or run via the CLI produces the same bits.
 //! * **Bit-exact preempt/resume.** Preemption only happens at iteration
-//!   boundaries, where the loop-carried state (density/response matrix +
-//!   DIIS history) fully determines the remainder of the run. The `QPCK`
-//!   kind-3 checkpoint captures exactly that state; resuming replays the
-//!   identical floating-point sequence.
+//!   boundaries, where the job's resume state (the SCF seed, the finished
+//!   directions and the in-flight direction's loop state) fully determines
+//!   the remainder of the run. The `QPCK` kind-3 checkpoint captures
+//!   exactly that state; resuming replays the identical floating-point
+//!   sequence.
 
 use crate::request::JobRequest;
 use crate::result::JobResultData;
 use crate::ServeError;
-use qp_core::{
-    dfpt_direction_preemptible, properties, scf_preemptible, DfptDirState, DfptShared, DirOutcome,
-    ScfOutcome, ScfState, System,
-};
-use qp_linalg::DMatrix;
-use qp_resil::{JobCheckpoint, JobDirCheckpoint, JobDoneDirection, ScfCheckpoint};
+use qp_core::{Event, Job, Step, System};
+use qp_resil::JobCheckpoint;
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, Ordering};
 
@@ -44,47 +39,6 @@ pub type ProgressFn<'a> = dyn FnMut(&str) + 'a;
 /// How often (in iterations) the engine persists a `QPCK` checkpoint while
 /// running. Preemption and shutdown always persist regardless.
 pub const CHECKPOINT_INTERVAL: usize = 2;
-
-fn scf_state_to_ckpt(s: &ScfState) -> ScfCheckpoint {
-    ScfCheckpoint {
-        iteration: s.start_iter,
-        energy: s.energy,
-        p_mat: s.p_mat.clone(),
-        diis_in: s.diis_in.clone(),
-        diis_res: s.diis_res.clone(),
-    }
-}
-
-fn scf_ckpt_to_state(c: ScfCheckpoint) -> ScfState {
-    ScfState {
-        start_iter: c.iteration,
-        energy: c.energy,
-        p_mat: c.p_mat,
-        diis_in: c.diis_in,
-        diis_res: c.diis_res,
-    }
-}
-
-fn dir_state_to_ckpt(dir: usize, s: &DfptDirState) -> JobDirCheckpoint {
-    JobDirCheckpoint {
-        dir,
-        iteration: s.iteration,
-        residual: s.residual,
-        p1: s.p1.clone(),
-        diis_in: s.diis_in.clone(),
-        diis_res: s.diis_res.clone(),
-    }
-}
-
-fn dir_ckpt_to_state(c: JobDirCheckpoint) -> DfptDirState {
-    DfptDirState {
-        iteration: c.iteration,
-        p1: c.p1,
-        residual: c.residual,
-        diis_in: c.diis_in,
-        diis_res: c.diis_res,
-    }
-}
 
 fn persist(ckpt: &JobCheckpoint, path: Option<&Path>) -> Result<(), ServeError> {
     if let Some(p) = path {
@@ -107,26 +61,19 @@ pub fn run_job(
     progress: &mut ProgressFn<'_>,
 ) -> Result<EngineOutcome, ServeError> {
     let key = req.key();
-    if let Some(r) = &resume {
-        if r.key != key {
-            return Err(ServeError::Internal(
-                "checkpoint does not belong to this request".into(),
-            ));
-        }
+    let mut state = resume.unwrap_or(JobCheckpoint {
+        key,
+        ..JobCheckpoint::default()
+    });
+    if state.key != key {
+        return Err(ServeError::Internal(
+            "checkpoint does not belong to this request".into(),
+        ));
     }
-    let (scf_seed, mut dirs_done, mut cur_dir) = match resume {
-        Some(r) => (r.scf, r.dirs_done, r.cur_dir),
-        None => (None, Vec::new(), None),
-    };
-
-    // Same build constants as the CLI direct path — part of the
-    // bit-identity contract.
-    let system = System::build_with_modes(
+    let system = System::for_job(
         req.structure.clone(),
         req.basis,
         &req.grid,
-        200,
-        4,
         req.screening,
         req.farfield,
     );
@@ -136,159 +83,63 @@ pub fn run_job(
         system.n_points()
     ));
 
-    // --- Ground state -----------------------------------------------------
-    // The SCF seed is the latest non-converged state; resume replays the
-    // short tail of the cycle, which determinism makes exact.
-    let incoming_scf_seed = scf_seed.clone();
-    let mut latest_scf: Option<ScfState> = None;
-    let scf_out = scf_preemptible(
-        &system,
-        &req.scf,
-        scf_seed.map(scf_ckpt_to_state),
-        &mut |st| {
-            progress(&format!(
-                "scf iter={} energy={:.10}",
-                st.start_iter, st.energy
-            ));
-            let stop = preempt.load(Ordering::Relaxed);
-            if stop || st.start_iter % CHECKPOINT_INTERVAL == 0 {
-                let ckpt = JobCheckpoint {
-                    key,
-                    scf: Some(scf_state_to_ckpt(st)),
-                    dirs_done: Vec::new(),
-                    cur_dir: None,
-                };
-                // Persist failures surface on the preempt path below; a
-                // periodic write that fails only costs resume granularity.
-                let _ = persist(&ckpt, ckpt_path);
-            }
-            latest_scf = Some(st.clone());
-            !stop
-        },
-    )
-    .map_err(|e| ServeError::Engine(format!("SCF failed: {e}")))?;
-
-    let ground = match scf_out {
-        ScfOutcome::Converged(g) => g,
-        ScfOutcome::Preempted(st) => {
-            let ckpt = JobCheckpoint {
-                key,
-                scf: Some(scf_state_to_ckpt(&st)),
-                dirs_done: Vec::new(),
-                cur_dir: None,
-            };
-            persist(&ckpt, ckpt_path)?;
-            progress(&format!("preempted during scf at iter={}", st.start_iter));
-            return Ok(EngineOutcome::Preempted(Box::new(ckpt)));
-        }
-    };
-    // Prefer the freshest captured state; fall back to the seed we resumed
-    // from (a fast tail replay may converge before a new capture fires).
-    let scf_seed_for_ckpt = latest_scf
-        .as_ref()
-        .map(scf_state_to_ckpt)
-        .or(incoming_scf_seed);
-    progress(&format!(
-        "scf converged: {} iterations, E={:.10} Ha",
-        ground.iterations, ground.energy
-    ));
-
-    // --- Response ---------------------------------------------------------
-    let shared = DfptShared::new(&system, &ground);
-    let dipole = properties::dipole_moment(&system, &ground);
-
-    while dirs_done.len() < 3 {
-        let j = dirs_done.len();
-        let dir_resume = match cur_dir.take() {
-            Some(c) if c.dir == j => Some(dir_ckpt_to_state(c)),
-            // A checkpoint from an older protocol round with a stale
-            // direction index restarts that direction from scratch;
-            // determinism keeps the result identical either way.
-            _ => None,
+    let mut hook = |step: &Step<'_>| -> bool {
+        let (line, iteration) = match step.event {
+            Event::ScfIter(st) => (
+                format!("scf iter={} energy={:.10}", st.iteration, st.energy),
+                Some(st.iteration),
+            ),
+            Event::ScfConverged(g) => (
+                format!(
+                    "scf converged: {} iterations, E={:.10} Ha",
+                    g.iterations, g.energy
+                ),
+                None,
+            ),
+            Event::DfptIter(st) => (
+                format!(
+                    "dfpt dir={} iter={} residual={:.3e}",
+                    st.dir, st.iteration, st.residual
+                ),
+                Some(st.iteration),
+            ),
+            Event::DfptConverged(j, d) => (
+                format!("dfpt dir={j} converged in {} iterations", d.iterations),
+                None,
+            ),
         };
-        let outcome = dfpt_direction_preemptible(
-            &system,
-            &ground,
-            &shared,
-            j,
-            &req.dfpt,
-            dir_resume,
-            &mut |st| {
-                progress(&format!(
-                    "dfpt dir={j} iter={} residual={:.3e}",
-                    st.iteration, st.residual
-                ));
-                let stop = preempt.load(Ordering::Relaxed);
-                if stop || st.iteration % CHECKPOINT_INTERVAL == 0 {
-                    let ckpt = JobCheckpoint {
-                        key,
-                        scf: scf_seed_for_ckpt.clone(),
-                        dirs_done: dirs_done.clone(),
-                        cur_dir: Some(dir_state_to_ckpt(j, st)),
-                    };
-                    let _ = persist(&ckpt, ckpt_path);
-                }
-                !stop
-            },
-        )
-        .map_err(|e| ServeError::Engine(format!("DFPT dir {j} failed: {e}")))?;
-
-        match outcome {
-            DirOutcome::Converged(resp) => {
-                let mut alpha_col = [0.0; 3];
-                for (i, a) in alpha_col.iter_mut().enumerate() {
-                    *a = resp
-                        .p1
-                        .trace_product(&shared.dips[i])
-                        .expect("conforming dims");
-                }
-                dirs_done.push(JobDoneDirection {
-                    iterations: resp.iterations,
-                    alpha_col,
-                });
-                progress(&format!(
-                    "dfpt dir={j} converged in {} iterations",
-                    resp.iterations
-                ));
-            }
-            DirOutcome::Preempted(st) => {
-                let ckpt = JobCheckpoint {
-                    key,
-                    scf: scf_seed_for_ckpt.clone(),
-                    dirs_done: dirs_done.clone(),
-                    cur_dir: Some(dir_state_to_ckpt(j, &st)),
-                };
-                persist(&ckpt, ckpt_path)?;
-                progress(&format!(
-                    "preempted during dfpt dir={j} at iter={}",
-                    st.iteration
-                ));
-                return Ok(EngineOutcome::Preempted(Box::new(ckpt)));
-            }
+        progress(&line);
+        let Some(iteration) = iteration else {
+            return true;
+        };
+        let stop = preempt.load(Ordering::Relaxed);
+        if stop || iteration % CHECKPOINT_INTERVAL == 0 {
+            // Persist failures surface on the preempt path below; a
+            // periodic write that fails only costs resume granularity.
+            let _ = persist(&step.resume_state(), ckpt_path);
         }
-    }
-
-    let mut alpha = DMatrix::zeros(3, 3);
-    let mut iterations = [0usize; 3];
-    for (j, d) in dirs_done.iter().enumerate() {
-        for i in 0..3 {
-            alpha[(i, j)] = d.alpha_col[i];
+        !stop
+    };
+    let out = Job::new(req.scf, req.dfpt)
+        .run_with(&system, &mut state, &mut hook)
+        .map_err(|e| ServeError::Engine(e.to_string()))?;
+    if let Some(out) = out {
+        // The job is done; its checkpoint is stale state, not history.
+        if let Some(p) = ckpt_path {
+            let _ = std::fs::remove_file(p);
         }
-        iterations[j] = d.iterations;
+        return Ok(EngineOutcome::Done(JobResultData::from(&out)));
     }
-    // The job is done; its checkpoint is stale state, not history.
-    if let Some(p) = ckpt_path {
-        let _ = std::fs::remove_file(p);
-    }
-    let isotropic = properties::isotropic_polarizability(&alpha);
-    let anisotropy = properties::polarizability_anisotropy(&alpha);
-    Ok(EngineOutcome::Done(JobResultData {
-        energy: ground.energy,
-        scf_iterations: ground.iterations,
-        dipole,
-        alpha,
-        dfpt_iterations: iterations,
-        isotropic,
-        anisotropy,
-    }))
+    persist(&state, ckpt_path)?;
+    progress(&match (&state.cur_dir, &state.scf) {
+        (Some(st), _) => format!(
+            "preempted during dfpt dir={} at iter={}",
+            st.dir, st.iteration
+        ),
+        (None, scf) => format!(
+            "preempted during scf at iter={}",
+            scf.as_ref().map_or(0, |s| s.iteration)
+        ),
+    });
+    Ok(EngineOutcome::Preempted(Box::new(state)))
 }

@@ -22,8 +22,8 @@
 //! * [`cache`] — 128-bit-keyed, exact-string-verified result cache.
 //! * [`sched`] — fair-share queue (min cumulative cpu-seconds per tenant)
 //!   with cooperative checkpoint-boundary preemption decisions.
-//! * [`engine`] — one job through `scf_preemptible` /
-//!   `dfpt_direction_preemptible`, mirroring the CLI path bit-for-bit.
+//! * [`engine`] — one job through `qp_core::Job`, the pipeline the CLI
+//!   runs too: a hook that streams progress, checkpoints and preempts.
 //! * [`server`] — listener + connection handlers + worker pool + state-dir
 //!   durability (`job_<id>.meta.json` + `job_<id>.qpck`).
 //! * [`client`] — the blocking client the CLI subcommands and

@@ -19,6 +19,7 @@ use crate::ServeError;
 use qp_chem::basis::BasisSettings;
 use qp_chem::geometry::Structure;
 use qp_chem::grids::GridSettings;
+use qp_chem::structures::{Builtin, BuiltinError};
 use qp_core::{DfptOptions, FarFieldMode, ScfOptions, ScreeningMode};
 use std::fmt::Write as _;
 
@@ -391,27 +392,14 @@ fn fnv1a64(bytes: &[u8], offset_basis: u64) -> u64 {
 fn resolve_molecule(spec: &MoleculeSpec) -> Result<Structure, ServeError> {
     match spec {
         MoleculeSpec::Builtin(name) => {
-            let (base, param) = match name.split_once(':') {
-                Some((n, p)) => (n, Some(p)),
-                None => (name.as_str(), None),
-            };
-            let chain_len = |p: Option<&str>| -> Result<usize, ServeError> {
-                let n: usize = p
-                    .unwrap_or("10")
-                    .parse()
-                    .map_err(|_| bad("builtin chain length must be an integer"))?;
-                if n == 0 || n > 512 {
+            let builtin: Builtin = name.parse().map_err(|e: BuiltinError| bad(e.to_string()))?;
+            // Checked before the chain is generated: the length is untrusted.
+            if let Builtin::Polymer(n) | Builtin::Helix(n) = builtin {
+                if n > 512 {
                     return Err(bad("builtin chain length must be 1..=512"));
                 }
-                Ok(n)
-            };
-            match base {
-                "water" => Ok(qp_chem::structures::water()),
-                "ligand" => Ok(qp_chem::structures::ligand49()),
-                "polymer" => Ok(qp_chem::structures::polyethylene(chain_len(param)?)),
-                "helix" => Ok(qp_chem::structures::helix(chain_len(param)?)),
-                other => Err(bad(format!("unknown builtin '{other}'"))),
             }
+            Ok(builtin.structure())
         }
         MoleculeSpec::Xyz(text) => {
             qp_chem::io::parse_xyz(text).map_err(|e| ServeError::BadRequest(format!("xyz: {e}")))
@@ -525,6 +513,9 @@ mod tests {
             r#"{"molecule":{}}"#,
             r#"{"molecule":{"builtin":"plutonium"}}"#,
             r#"{"molecule":{"builtin":"polymer:0"}}"#,
+            r#"{"molecule":{"builtin":"helix:0"}}"#,
+            r#"{"molecule":{"builtin":"polymer:513"}}"#,
+            r#"{"molecule":{"builtin":"polymer:x"}}"#,
             r#"{"molecule":{"builtin":"water"},"basis":"heavy"}"#,
             r#"{"molecule":{"builtin":"water"},"scf":{"tol":-1}}"#,
             r#"{"molecule":{"builtin":"water"},"scf":{"mixing":2}}"#,

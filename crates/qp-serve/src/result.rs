@@ -1,11 +1,15 @@
 //! The served result record and its canonical JSON form.
 //!
-//! One writer serves three consumers — the protocol's `done` responses, the
-//! CLI's `--result-json` file, and the CI smoke leg's byte comparison — so
-//! "bit-identical results" is checkable with `cmp(1)`: every `f64` is
-//! rendered with shortest-round-trip `Display` by the `json` writer.
+//! A record is built from a finished job by one function
+//! (`From<&JobOutput>`), which the engine and the CLI's `--result-json`
+//! both call, and one writer serves three consumers — the protocol's
+//! `done` responses, the `--result-json` file, and the CI smoke leg's byte
+//! comparison — so "bit-identical results" is checkable with `cmp(1)`:
+//! every `f64` is rendered with shortest-round-trip `Display` by the
+//! `json` writer.
 
 use crate::json::{obj, Json};
+use qp_core::JobOutput;
 use qp_linalg::DMatrix;
 
 /// Everything a completed job reports.
@@ -25,6 +29,20 @@ pub struct JobResultData {
     pub isotropic: f64,
     /// Polarizability anisotropy (Bohr³).
     pub anisotropy: f64,
+}
+
+impl From<&JobOutput> for JobResultData {
+    fn from(out: &JobOutput) -> Self {
+        JobResultData {
+            energy: out.ground.energy,
+            scf_iterations: out.ground.iterations,
+            dipole: out.dipole,
+            alpha: out.alpha.clone(),
+            dfpt_iterations: out.dfpt_iterations,
+            isotropic: out.isotropic,
+            anisotropy: out.anisotropy,
+        }
+    }
 }
 
 impl JobResultData {

@@ -5,7 +5,7 @@
 //! cargo run --release -p qp-core --example quickstart
 //! ```
 
-use qp_core::{dfpt, scf, DfptOptions, ScfOptions, System};
+use qp_core::{DfptOptions, Job, ScfOptions, System};
 
 fn main() {
     // 1. Build the system: experimental H2O geometry, light NAO basis,
@@ -18,8 +18,12 @@ fn main() {
         system.batches.len()
     );
 
-    // 2. Ground-state Kohn-Sham SCF (LDA).
-    let ground = scf(&system, &ScfOptions::default()).expect("SCF converges");
+    // 2. The job: the ground-state Kohn-Sham SCF (LDA), then DFPT — the
+    //    response to a homogeneous electric field in x, y, z.
+    let out = Job::new(ScfOptions::default(), DfptOptions::default())
+        .run(&system)
+        .expect("SCF and DFPT converge");
+    let ground = &out.ground;
     println!(
         "SCF converged in {} iterations, E = {:.6} Ha",
         ground.iterations, ground.energy
@@ -29,27 +33,22 @@ fn main() {
         ground.eigenvalues[system.n_occupied() - 1],
         ground.eigenvalues[system.n_occupied()]
     );
-
-    // 3. DFPT: the response to a homogeneous electric field in x, y, z.
-    let response = dfpt(&system, &ground, &DfptOptions::default()).expect("DFPT converges");
     println!(
         "DFPT converged in {:?} iterations per direction",
-        response.iterations
+        out.dfpt_iterations
     );
 
-    // 4. The polarizability tensor (Bohr^3).
+    // 3. The polarizability tensor (Bohr^3).
     println!("\npolarizability tensor (Bohr^3):");
     for i in 0..3 {
         println!(
             "  [ {:8.3} {:8.3} {:8.3} ]",
-            response.polarizability[(i, 0)],
-            response.polarizability[(i, 1)],
-            response.polarizability[(i, 2)]
+            out.alpha[(i, 0)],
+            out.alpha[(i, 1)],
+            out.alpha[(i, 2)]
         );
     }
-    let iso = qp_core::properties::isotropic_polarizability(&response.polarizability);
-    let aniso = qp_core::properties::polarizability_anisotropy(&response.polarizability);
-    let mu = qp_core::properties::dipole_moment(&system, &ground);
+    let (iso, aniso, mu) = (out.isotropic, out.anisotropy, out.dipole);
     println!(
         "isotropic polarizability: {iso:.3} Bohr^3 (experiment ~9.8; minimal basis underestimates)"
     );

@@ -12,8 +12,7 @@
 
 use qp_chem::elements::Element;
 use qp_chem::geometry::{Atom, Structure};
-use qp_core::properties::{isotropic_polarizability, polarizability_anisotropy};
-use qp_core::{dfpt, scf, DfptOptions, ScfOptions, System};
+use qp_core::{DfptOptions, Job, ScfOptions, System};
 
 /// Water with both O-H bonds stretched by `dr` Bohr along the bond
 /// directions (the symmetric-stretch normal mode, to leading order).
@@ -47,12 +46,10 @@ fn stretched_water(dr: f64) -> Structure {
 
 fn polarizability_at(dr: f64) -> (f64, f64) {
     let system = System::light(stretched_water(dr));
-    let ground = scf(&system, &ScfOptions::default()).expect("SCF");
-    let resp = dfpt(&system, &ground, &DfptOptions::default()).expect("DFPT");
-    (
-        isotropic_polarizability(&resp.polarizability),
-        polarizability_anisotropy(&resp.polarizability),
-    )
+    let out = Job::new(ScfOptions::default(), DfptOptions::default())
+        .run(&system)
+        .expect("SCF + DFPT");
+    (out.isotropic, out.anisotropy)
 }
 
 fn main() {

@@ -131,7 +131,12 @@ echo "-- archived results/profile_water.folded"
 rm -rf "$profile_dir"
 
 echo "== fault-injection smoke matrix (qperturb + QP_FAULT)"
+# A run that loses a rank recovers from its checkpoint to the fault-free
+# bytes: every plan's record must cmp equal to a fault-free --ranks 4 run.
 cargo build -q --release -p qp-cli
+fault_dir="$(mktemp -d)"
+QP_LOG=warn ./target/release/qperturb --builtin water --grid coarse --ranks 4 \
+    --result-json "$fault_dir/fault_free.json" > /dev/null
 for plan in \
     "seed=1;crash:rank=1,iter=2" \
     "seed=2;crash:rank=0,iter=4" \
@@ -140,9 +145,40 @@ for plan in \
   ck_dir="$(mktemp -d)"
   QP_LOG=warn QP_FAULT="$plan" ./target/release/qperturb --builtin water \
       --grid coarse --ranks 4 --checkpoint-dir "$ck_dir" \
-      --checkpoint-interval 2
+      --checkpoint-interval 2 --result-json "$fault_dir/faulted.json"
+  cmp "$fault_dir/fault_free.json" "$fault_dir/faulted.json"
   rm -rf "$ck_dir"
 done
+echo "-- every faulted run == the fault-free --ranks 4 record (byte-identical)"
+
+echo "== checkpoint restart: a --restart run resumes to the same bytes"
+ck_dir="$(mktemp -d)"
+QP_LOG=warn ./target/release/qperturb --builtin water --grid coarse --ranks 4 \
+    --checkpoint-dir "$ck_dir" --checkpoint-interval 2 \
+    --result-json "$fault_dir/first.json" > /dev/null
+QP_LOG=warn ./target/release/qperturb --builtin water --grid coarse --ranks 4 \
+    --checkpoint-dir "$ck_dir" --checkpoint-interval 2 --restart \
+    --result-json "$fault_dir/restarted.json" > /dev/null
+cmp "$fault_dir/first.json" "$fault_dir/restarted.json"
+echo "-- restarted == first run (byte-identical)"
+rm -rf "$ck_dir" "$fault_dir"
+
+echo "== edge inputs end in a typed error or a result, never a panic"
+edge_dir="$(mktemp -d)"
+printf '1\nH atom\nH 0.0 0.0 0.0\n' > "$edge_dir/h.xyz"
+printf '2\nOH radical\nO 0.0 0.0 0.0\nH 0.0 0.0 0.97\n' > "$edge_dir/oh.xyz"
+expect_exit() { # code qperturb-args...
+  local want="$1" got=0
+  shift
+  QP_LOG=error ./target/release/qperturb "$@" > /dev/null 2>&1 || got=$?
+  [ "$got" = "$want" ] || { echo "qperturb $*: exit $got, expected $want"; exit 1; }
+  echo "-- qperturb $*: exit $got"
+}
+expect_exit 0 "$edge_dir/h.xyz" --grid coarse --smearing 0.02
+expect_exit 1 "$edge_dir/oh.xyz" --grid coarse
+expect_exit 0 "$edge_dir/oh.xyz" --grid coarse --smearing 0.02
+expect_exit 1 --builtin helix:0
+rm -rf "$edge_dir"
 
 echo "== serve smoke: served == direct bytes; kill -9 mid-job resumes bit-exactly"
 cargo build -q --release -p qp-cli

@@ -15,10 +15,10 @@
 use qp_chem::basis::BasisSettings;
 use qp_chem::grids::GridSettings;
 use qp_chem::structures::{ligand49, polyethylene, water};
-use qp_core::dfpt::{dfpt, dfpt_direction, DfptOptions};
-use qp_core::scf::{scf_resumable, ScfOptions};
+use qp_core::dfpt::DfptOptions;
+use qp_core::scf::ScfOptions;
 use qp_core::system::System;
-use qp_core::ScreeningMode;
+use qp_core::{Event, Job, JobState, ScreeningMode};
 
 /// One workload's full observable output, as exact bit patterns.
 #[derive(Debug, PartialEq, Eq)]
@@ -48,30 +48,45 @@ fn ligand_system() -> System {
     System::build(ligand49(), BasisSettings::Light, &gs, 150, 2)
 }
 
-fn run_water(threads: usize) -> RunBits {
-    let _lease = qp_par::ThreadLease::exactly(threads);
-    let sys = water_system();
+/// Run `job` on `sys` through the job pipeline, recording the SCF energy
+/// of every non-converged iteration, and keep the α entries `entries`.
+fn run_job(sys: &System, job: &Job, entries: &[(usize, usize)]) -> RunBits {
     let mut trace = Vec::new();
-    let ground = scf_resumable(&sys, &ScfOptions::default(), None, &mut |st| {
-        trace.push(st.energy.to_bits());
-    })
-    .expect("SCF");
-    let resp = dfpt(&sys, &ground, &DfptOptions::default()).expect("DFPT");
-    let alpha = (0..3)
-        .flat_map(|i| (0..3).map(move |j| (i, j)))
-        .map(|(i, j)| resp.polarizability[(i, j)].to_bits())
-        .collect();
+    let out = job
+        .run_with(sys, &mut JobState::default(), &mut |step| {
+            if let Event::ScfIter(st) = step.event {
+                trace.push(st.energy.to_bits());
+            }
+            true
+        })
+        .expect("job")
+        .expect("the hook never preempts");
     RunBits {
         scf_trace: trace,
-        energy: ground.energy.to_bits(),
-        alpha,
+        energy: out.ground.energy.to_bits(),
+        alpha: entries
+            .iter()
+            .map(|&(i, j)| out.alpha[(i, j)].to_bits())
+            .collect(),
     }
 }
 
-fn run_ligand(threads: usize) -> RunBits {
+fn run_water(threads: usize) -> RunBits {
     let _lease = qp_par::ThreadLease::exactly(threads);
-    let sys = ligand_system();
-    let opts = ScfOptions {
+    let all: Vec<(usize, usize)> = (0..3).flat_map(|i| (0..3).map(move |j| (i, j))).collect();
+    run_job(
+        &water_system(),
+        &Job::new(ScfOptions::default(), DfptOptions::default()),
+        &all,
+    )
+}
+
+/// The small-grid SCF/DFPT settings the ligand and polymer cases share, over
+/// one field direction: that keeps the tests inside the CI budget while
+/// still driving all four phase kernels (Sumup, Rho, H, DM) plus
+/// Sternheimer.
+fn smeared_job(dir: usize) -> Job {
+    let scf = ScfOptions {
         max_iter: 80,
         tol: 1e-6,
         mixing: 0.1,
@@ -79,32 +94,21 @@ fn run_ligand(threads: usize) -> RunBits {
         smearing: Some(0.02),
         pulay: Some(6),
     };
-    let mut trace = Vec::new();
-    let ground = scf_resumable(&sys, &opts, None, &mut |st| {
-        trace.push(st.energy.to_bits());
-    })
-    .expect("ligand SCF");
-    // One field direction keeps the test inside the CI budget while still
-    // driving all four phase kernels (Sumup, Rho, H, DM) plus Sternheimer.
-    let resp = dfpt_direction(
-        &sys,
-        &ground,
-        1,
-        &DfptOptions {
-            max_iter: 80,
-            tol: 1e-5,
-            mixing: 0.15,
-            ..DfptOptions::default()
-        },
-    )
-    .expect("ligand DFPT-y");
-    let dip_y = qp_core::operators::dipole_matrix(&sys, 1);
-    let alpha_yy = resp.p1.trace_product(&dip_y).expect("square");
-    RunBits {
-        scf_trace: trace,
-        energy: ground.energy.to_bits(),
-        alpha: vec![alpha_yy.to_bits()],
+    let dfpt = DfptOptions {
+        max_iter: 80,
+        tol: 1e-5,
+        mixing: 0.15,
+        ..DfptOptions::default()
+    };
+    Job {
+        dirs: vec![dir],
+        ..Job::new(scf, dfpt)
     }
+}
+
+fn run_ligand(threads: usize) -> RunBits {
+    let _lease = qp_par::ThreadLease::exactly(threads);
+    run_job(&ligand_system(), &smeared_job(1), &[(1, 1)])
 }
 
 #[test]
@@ -138,38 +142,7 @@ fn run_polymer(threads: usize, mode: ScreeningMode) -> RunBits {
     // enough to run the six-run matrix inside the CI budget.
     let sys =
         System::build_with_screening(polyethylene(3), BasisSettings::Light, &gs, 150, 2, mode);
-    let opts = ScfOptions {
-        max_iter: 80,
-        tol: 1e-6,
-        mixing: 0.1,
-        field: None,
-        smearing: Some(0.02),
-        pulay: Some(6),
-    };
-    let mut trace = Vec::new();
-    let ground = scf_resumable(&sys, &opts, None, &mut |st| {
-        trace.push(st.energy.to_bits());
-    })
-    .expect("polymer SCF");
-    let resp = dfpt_direction(
-        &sys,
-        &ground,
-        2,
-        &DfptOptions {
-            max_iter: 80,
-            tol: 1e-5,
-            mixing: 0.15,
-            ..DfptOptions::default()
-        },
-    )
-    .expect("polymer DFPT-z");
-    let dip_z = qp_core::operators::dipole_matrix(&sys, 2);
-    let alpha_zz = resp.p1.trace_product(&dip_z).expect("square");
-    RunBits {
-        scf_trace: trace,
-        energy: ground.energy.to_bits(),
-        alpha: vec![alpha_zz.to_bits()],
-    }
+    run_job(&sys, &smeared_job(2), &[(2, 2)])
 }
 
 #[test]

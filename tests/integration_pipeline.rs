@@ -5,10 +5,11 @@
 use qp_chem::basis::BasisSettings;
 use qp_chem::grids::GridSettings;
 use qp_chem::structures::water;
-use qp_core::dfpt::{dfpt, dfpt_direction, DfptOptions};
+use qp_core::dfpt::{dfpt_direction, DfptOptions};
 use qp_core::parallel::{parallel_dfpt_direction, CollectiveScheme, MappingKind, ParallelConfig};
 use qp_core::scf::{electronic_dipole, scf, ScfOptions};
 use qp_core::system::System;
+use qp_core::Job;
 
 fn water_system() -> System {
     let mut gs = GridSettings::light();
@@ -20,9 +21,10 @@ fn water_system() -> System {
 #[test]
 fn full_pipeline_produces_physical_polarizability() {
     let sys = water_system();
-    let ground = scf(&sys, &ScfOptions::default()).expect("SCF");
-    let resp = dfpt(&sys, &ground, &DfptOptions::default()).expect("DFPT");
-    let a = &resp.polarizability;
+    let out = Job::new(ScfOptions::default(), DfptOptions::default())
+        .run(&sys)
+        .expect("SCF + DFPT");
+    let a = &out.alpha;
     // Positive definite diagonal, symmetric, finite anisotropy.
     for d in 0..3 {
         assert!(a[(d, d)] > 0.1, "α[{d}{d}] = {}", a[(d, d)]);
@@ -170,10 +172,10 @@ fn polarizability_transforms_as_a_tensor_under_rotation() {
     let gs = GridSettings::light(); // finest grids: rotation error is pure quadrature
     let run = |structure: qp_chem::geometry::Structure| {
         let sys = System::build(structure, BasisSettings::Light, &gs, 150, 4);
-        let ground = scf(&sys, &ScfOptions::default()).expect("SCF");
-        dfpt(&sys, &ground, &DfptOptions::default())
-            .expect("DFPT")
-            .polarizability
+        Job::new(ScfOptions::default(), DfptOptions::default())
+            .run(&sys)
+            .expect("SCF + DFPT")
+            .alpha
     };
     let alpha = run(base);
     let alpha_rot = run(rotated);
