@@ -63,7 +63,6 @@ use std::time::Instant;
 use qp_bench::workloads;
 use qp_chem::basis::BasisSettings;
 use qp_chem::grids::GridSettings;
-use qp_chem::multipole::solve_poisson;
 use qp_core::basis_cache::cache_counters;
 use qp_core::dfpt::{dfpt_direction, DfptOptions};
 use qp_core::operators;
@@ -71,7 +70,7 @@ use qp_core::profile::{attribute, default_profile_threads, Attribution};
 use qp_core::scf::{scf, ScfOptions};
 use qp_core::system::System;
 use qp_core::{FarFieldMode, Job, ScreeningMode};
-use qp_grid::{farfield_tol, FarField};
+use qp_grid::farfield_tol;
 use qp_linalg::DMatrix;
 use qp_par::telemetry;
 use qp_trace::span::{set_enabled, take_events, Phase};
@@ -563,38 +562,15 @@ fn assembly_leg(build: impl Fn() -> System) -> (System, AssemblyLeg) {
     )
 }
 
-/// The DFPT Rho phase in isolation: multipole moments, radial Poisson
-/// solve, far-field potential on every grid point. Mirrors the phase body
-/// in `qp_core::dfpt` exactly: the hierarchical cluster tree serves the
-/// far field when `use_tree` (the system must carry a tree), the direct
-/// per-atom sum otherwise. Returns the wall time and the potential so the
-/// sweep can hold the tree to the direct oracle.
-fn rho_potential(sys: &System, n1: &[f64], use_tree: bool) -> (f64, Vec<f64>) {
+/// The DFPT Rho phase in isolation, as the SCF and DFPT loops run it:
+/// `System::multipole_moments`, then `System::hartree_potential` on every
+/// grid point — the cluster tree on a `FarFieldMode::Tree` system, the
+/// direct per-atom sum on a `FarFieldMode::Direct` one. Returns the wall
+/// time and the potential so the sweep can hold the tree to the direct
+/// oracle.
+fn rho_potential(sys: &System, n1: &[f64]) -> (f64, Vec<f64>) {
     let t = Instant::now();
-    let plan = sys.hartree_plan();
-    let moments = sys.multipole_moments(n1);
-    let hartree = solve_poisson(&sys.structure, &sys.grid, &moments);
-    let natoms = sys.structure.len();
-    let mut v1 = vec![0.0; sys.grid.len()];
-    let est = (natoms * hartree.n_lm * 8).max(1) as u64;
-    if use_tree {
-        let tree = sys
-            .farfield_tree()
-            .expect("tree-mode rho probe needs a cluster tree");
-        let far = FarField::aggregate(tree, &hartree, farfield_tol());
-        qp_par::fill_slice_hinted(&mut v1, est, |gi| {
-            far.eval(tree, &hartree, sys.grid.points[gi].position)
-        });
-    } else {
-        match plan.as_deref() {
-            Some(pl) => qp_par::fill_slice_hinted(&mut v1, est, |gi| hartree.eval_planned(pl, gi)),
-            None => qp_par::fill_slice_hinted(&mut v1, est, |gi| {
-                let p = &sys.grid.points[gi];
-                hartree.eval_atoms(p.position, 0..natoms)
-            }),
-        }
-    }
-    std::hint::black_box(&v1);
+    let v1 = sys.hartree_potential(&sys.multipole_moments(n1), None);
     (t.elapsed().as_secs_f64(), v1)
 }
 
@@ -647,9 +623,14 @@ fn run_weak_scaling(quick: bool) -> WeakScaling {
         let (sys, screened) =
             assembly_leg(|| sweep_system(n, ScreeningMode::On, FarFieldMode::Tree));
         let n1 = vec![1e-3; sys.n_points()];
-        let (rho_tree_s, v_tree) = rho_potential(&sys, &n1, true);
+        let (rho_tree_s, v_tree) = rho_potential(&sys, &n1);
         let (rho_direct_s, farfield_dev) = if n <= rho_max {
-            let (direct_s, v_direct) = rho_potential(&sys, &n1, false);
+            // The oracle runs on a direct-mode twin, its Hartree plan
+            // built before the clock starts (the tree leg built the
+            // sweep system's own).
+            let twin = sweep_system(n, ScreeningMode::On, FarFieldMode::Direct);
+            twin.hartree_plan();
+            let (direct_s, v_direct) = rho_potential(&twin, &n1);
             let dev = v_tree
                 .iter()
                 .zip(&v_direct)

@@ -5,9 +5,10 @@
 //! Paper: n¹ +7.5 % … +19.9 %, H¹ +7.6 % … +26.4 %; larger basis → larger
 //! improvement; both machines benefit.
 //!
-//! Here the two phases run **for real** through the instrumented kernels
-//! (identical numerics, different access counting — asserted equal in the
-//! qp-core tests) and the counters are charged to each machine model.
+//! Here the two phases run **for real** through the `qp-core::kernels`
+//! wrappers over the production kernels (the same values in both access
+//! modes, different access counting) and the counters are charged to each
+//! machine model.
 
 use qp_bench::table;
 use qp_bench::workloads;
@@ -51,16 +52,8 @@ fn main() {
         let queue = qp_cl::CommandQueue::new(qp_cl::device::gcn_gpu());
         let mut p = DMatrix::from_fn(nb, nb, |i, j| 0.05 * ((i + 2 * j) as f64 * 0.13).sin());
         p.symmetrize();
-        let (n1_dense_vals, n1_dense) = sumup_phase(&queue, &sys, &p, MatrixAccess::DenseLocal);
-        let (n1_sparse_vals, n1_sparse) = sumup_phase(&queue, &sys, &p, MatrixAccess::SparseGlobal);
-        // Physics identical between the two paths:
-        let max_dev = n1_dense_vals
-            .iter()
-            .zip(n1_sparse_vals.iter())
-            .map(|(a, b)| (a - b).abs())
-            .fold(0.0f64, f64::max);
-        assert!(max_dev < 1e-12, "access mode changed the physics!");
-
+        let (_, n1_dense) = sumup_phase(&queue, &sys, &p, MatrixAccess::DenseLocal);
+        let (_, n1_sparse) = sumup_phase(&queue, &sys, &p, MatrixAccess::SparseGlobal);
         let v1: Vec<f64> = (0..sys.n_points())
             .map(|i| (i as f64 * 0.001).sin())
             .collect();

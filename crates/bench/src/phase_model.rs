@@ -1,12 +1,12 @@
 //! The calibrated phase-time model behind Figs. 14–16.
 //!
 //! Per-atom work constants are *measured at runtime* from a real
-//! instrumented DFPT mini-run (the 49-atom ligand, light basis) through the
-//! same `qp-core::kernels` code the physics uses; scaling exponents come
-//! from the paper's own §5.3.2 ("for small systems the response density
-//! matrix computation (O(N^1.2)) dominates …, for large systems the
-//! computation of the response potential … O(N^1.7)"). The counters are then
-//! charged to the `qp-machine` cost models.
+//! instrumented DFPT mini-run (the 49-atom ligand, light basis), counted by
+//! the `qp-core::kernels` wrappers over the production kernels; scaling
+//! exponents come from the paper's own §5.3.2 ("for small systems the
+//! response density matrix computation (O(N^1.2)) dominates …, for large
+//! systems the computation of the response potential … O(N^1.7)"). The
+//! counters are then charged to the `qp-machine` cost models.
 //!
 //! Baseline ("before optimization") phase times are derived from the same
 //! measurements with the §3–§4 optimizations disabled: CSR matrix access
@@ -136,9 +136,7 @@ pub fn calibration() -> &'static Calibration {
             .collect();
         let (_, hd) = h_phase(&queue, &sys, &v1, MatrixAccess::DenseLocal);
         let (_, hs) = h_phase(&queue, &sys, &v1, MatrixAccess::SparseGlobal);
-        let c = DMatrix::identity(nb);
-        let c1 = DMatrix::from_fn(nb, sys.n_occupied(), |i, j| 1e-3 * (i + j) as f64);
-        let (_, dm) = dm_phase(&queue, &c, &c1, sys.n_occupied());
+        let dm = dm_phase(&queue, nb, sys.n_occupied());
         let n1: Vec<f64> = sys
             .grid
             .points

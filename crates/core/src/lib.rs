@@ -20,9 +20,9 @@
 //! [`job`] runs the three as one calculation: the pipeline `qperturb`,
 //! qp-serve, the profiler and the benches share. [`parallel`] runs the DFPT
 //! loop over `qp-mpi` ranks with either §3.1 task mapping, [`resil`]
-//! supervises it with checkpoint/restart, and [`kernels`] expresses the four
-//! accelerated phases through the `qp-cl` runtime (counters feed the
-//! paper's figure harnesses).
+//! supervises it with checkpoint/restart, and [`kernels`] launches the four
+//! accelerated phases through the `qp-cl` runtime as counting wrappers over
+//! the production kernels (counters feed the paper's figure harnesses).
 
 // `for d in 0..3` indexing several parallel arrays at once is the clearest
 // form for Cartesian components; the iterator rewrite obscures it.
@@ -49,7 +49,7 @@ pub use job::{Event, Job, JobError, JobOutput, JobState, Step};
 pub use mixing::DfptMixer;
 pub use profile::{profile_case, validate_profile_json, ProfileReport};
 pub use resil::{parallel_dfpt_direction_resilient, ResilienceConfig, ResilientDirectionResult};
-pub use scf::{scf, ScfOptions, ScfResult, ScfState};
+pub use scf::{check_solver_options, scf, InvalidOption, ScfOptions, ScfResult, ScfState};
 pub use screening::{ScreenPlan, ScreeningMode};
 pub use system::System;
 

@@ -54,28 +54,6 @@ pub fn dipole_matrix(system: &System, dir: usize) -> DMatrix {
     potential_matrix(system, &coords)
 }
 
-/// Block-sparse overlap on the screening plan's pair support
-/// (`None` when the system has no plan).  `to_dense()` of the result is
-/// bit-identical to [`overlap`] on an unscreened system.
-pub fn overlap_blocks(system: &System) -> Option<BlockSparseMatrix> {
-    weighted_product_blocks(system, |_| 1.0)
-}
-
-/// Block-sparse local-potential matrix (see [`potential_matrix`]).
-pub fn potential_matrix_blocks(system: &System, v: &[f64]) -> Option<BlockSparseMatrix> {
-    assert_eq!(v.len(), system.n_points());
-    weighted_product_blocks(system, |gi| v[gi])
-}
-
-/// Block-sparse kinetic matrix (see [`kinetic`]).
-pub fn kinetic_blocks(system: &System) -> Option<BlockSparseMatrix> {
-    let plan = system.screen()?;
-    let partials = assemble_partials(system, &all_batches(system), |batch, table| {
-        kinetic_block(system, batch, table)
-    });
-    Some(merge_blocks(&partials, plan))
-}
-
 fn all_batches(system: &System) -> Vec<usize> {
     (0..system.batches.len()).collect()
 }
@@ -98,8 +76,8 @@ fn assemble_partials(
 }
 
 /// One batch's quadrature block `B_ab = Σ_p w_p f(p) χ_a(p) χ_b(p)`
-/// (upper triangle).
-fn weighted_block(
+/// (upper triangle); the qp-cl H¹ kernel runs it per work-group.
+pub(crate) fn weighted_block(
     system: &System,
     batch: &Batch,
     table: &BatchBasisTable,
@@ -260,7 +238,7 @@ fn mirror_blocks(m: &mut BlockSparseMatrix) {
 /// With a screening plan active the batch triangles scatter into the
 /// block-sparse support and densify at the end; without one they merge
 /// densely.  Both routes produce identical bytes (see [`merge_blocks`]).
-fn merge(system: &System, partials: &[(Arc<BatchBasisTable>, DMatrix)]) -> DMatrix {
+pub(crate) fn merge(system: &System, partials: &[(Arc<BatchBasisTable>, DMatrix)]) -> DMatrix {
     match system.screen() {
         Some(plan) => merge_blocks(partials, plan).to_dense(),
         None => merge_dense(partials, system.n_basis()),
@@ -278,17 +256,6 @@ fn weighted_product(
         weighted_block(system, batch, table, &f)
     });
     merge(system, &partials)
-}
-
-fn weighted_product_blocks(
-    system: &System,
-    f: impl Fn(usize) -> f64 + Sync,
-) -> Option<BlockSparseMatrix> {
-    let plan = system.screen()?;
-    let partials = assemble_partials(system, &all_batches(system), |batch, table| {
-        weighted_block(system, batch, table, &f)
-    });
-    Some(merge_blocks(&partials, plan))
 }
 
 /// Assemble the kinetic-energy matrix `T_μν = ½ ∫ ∇χ_μ·∇χ_ν`.
@@ -629,18 +596,6 @@ mod tests {
                 assert_eq!(x.to_bits(), y.to_bits(), "{what} differs");
             }
         }
-        // The block-sparse forms densify to the same bytes.
-        let ovb = overlap_blocks(&scr).unwrap().to_dense();
-        let ov = overlap(&dense);
-        for (x, y) in ov.as_slice().iter().zip(ovb.as_slice()) {
-            assert_eq!(x.to_bits(), y.to_bits());
-        }
-        let kb = kinetic_blocks(&scr).unwrap().to_dense();
-        let kd = kinetic(&dense);
-        for (x, y) in kd.as_slice().iter().zip(kb.as_slice()) {
-            assert_eq!(x.to_bits(), y.to_bits());
-        }
-        assert!(overlap_blocks(&dense).is_none());
     }
 
     #[test]

@@ -36,7 +36,6 @@ use qp_resil::recovery::{RecoveryPolicy, RecoveryStats, Supervisor};
 use qp_resil::{DfptCheckpoint, ResilError};
 use std::path::PathBuf;
 use std::sync::Arc;
-use std::time::Duration;
 
 /// Configuration of the resilience layer around a driver.
 #[derive(Clone, Default)]
@@ -53,8 +52,6 @@ pub struct ResilienceConfig {
     /// Fault hook installed into the SPMD runtime (usually a
     /// [`qp_resil::FaultPlan`] parsed from `QP_FAULT`).
     pub fault: Option<Arc<dyn FaultHook>>,
-    /// Failure-detection deadline override for collectives and `recv`.
-    pub comm_timeout: Option<Duration>,
     /// Machine whose simulated clock is charged for checkpoint writes and
     /// restarts.
     pub machine: Option<MachineModel>,
@@ -80,7 +77,6 @@ impl std::fmt::Debug for ResilienceConfig {
             .field("max_restarts", &self.max_restarts)
             .field("restart", &self.restart)
             .field("fault", &self.fault.as_ref().map(|_| "FaultHook"))
-            .field("comm_timeout", &self.comm_timeout)
             .field("machine", &self.machine.map(|m| m.name))
             .finish()
     }
@@ -179,9 +175,6 @@ pub fn parallel_dfpt_direction_resilient(
 
     let mut spmd_opts = SpmdOptions::default();
     spmd_opts.fault.clone_from(&rcfg.fault);
-    if let Some(t) = rcfg.comm_timeout {
-        spmd_opts = spmd_opts.with_timeout(t);
-    }
 
     let mut supervisor = Supervisor::new(RecoveryPolicy {
         max_restarts: rcfg.max_restarts,

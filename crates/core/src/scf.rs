@@ -7,6 +7,7 @@
 //! generalized eigenproblem → new density — mixed by the shared
 //! [`MixState`] (Pulay/DIIS by default, linear under `pulay: None`).
 
+use crate::dfpt::DfptOptions;
 use crate::mixing::{DfptMixer, MixState};
 use crate::operators;
 use crate::system::System;
@@ -47,6 +48,54 @@ impl Default for ScfOptions {
             pulay: Some(6),
         }
     }
+}
+
+/// A solver option outside the range the SCF and DFPT loops accept.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct InvalidOption {
+    /// The option: `scf.tol`, `scf.mixing`, `scf.max_iter`,
+    /// `scf.smearing`, `dfpt.tol`, `dfpt.mixing` or `dfpt.max_iter`.
+    pub option: &'static str,
+    /// The range it must lie in.
+    pub rule: &'static str,
+}
+
+impl std::fmt::Display for InvalidOption {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "{} must be {}", self.option, self.rule)
+    }
+}
+
+impl std::error::Error for InvalidOption {}
+
+/// The one range check on the solver options a job runs with, for every
+/// entry point that takes them from a user: tolerances finite and > 0,
+/// mixing factors in (0, 1], iteration limits in 1..=100 000 and a smearing
+/// width finite and > 0. The first option out of range is the error.
+pub fn check_solver_options(
+    scf: &ScfOptions,
+    dfpt: &DfptOptions,
+) -> std::result::Result<(), InvalidOption> {
+    const POSITIVE: &str = "finite and > 0";
+    const MIXING: &str = "in (0, 1]";
+    const ITERATIONS: &str = "in 1..=100000";
+    let positive = |x: f64| x.is_finite() && x > 0.0;
+    let mixing = |x: f64| x > 0.0 && x <= 1.0;
+    let iterations = |n: usize| (1..=100_000).contains(&n);
+    [
+        ("scf.tol", positive(scf.tol), POSITIVE),
+        ("scf.mixing", mixing(scf.mixing), MIXING),
+        ("scf.max_iter", iterations(scf.max_iter), ITERATIONS),
+        ("scf.smearing", scf.smearing.is_none_or(positive), POSITIVE),
+        ("dfpt.tol", positive(dfpt.tol), POSITIVE),
+        ("dfpt.mixing", mixing(dfpt.mixing), MIXING),
+        ("dfpt.max_iter", iterations(dfpt.max_iter), ITERATIONS),
+    ]
+    .into_iter()
+    .find(|&(_, ok, _)| !ok)
+    .map_or(Ok(()), |(option, _, rule)| {
+        Err(InvalidOption { option, rule })
+    })
 }
 
 /// Converged ground state.

@@ -219,11 +219,6 @@ impl System {
         self.screen.as_ref()
     }
 
-    /// The far-field evaluation mode this system was built with.
-    pub fn farfield_mode(&self) -> FarFieldMode {
-        self.farfield
-    }
-
     /// The atom-cluster tree for hierarchical far-field evaluation, built
     /// once on first use. `None` when the mode resolves to the direct path
     /// for this structure — the choice depends only on the mode and atom
@@ -425,8 +420,9 @@ impl System {
     /// Evaluate the density at every grid point from a density matrix
     /// (batch-local, pruned): `n(p) = Σ_{μν} P_{μν} χ_μ(p) χ_ν(p)`.
     ///
-    /// This is the same contraction as the Sumup phase; this uninstrumented
-    /// version is used by the SCF loop.
+    /// This is the Sumup phase the SCF and DFPT loops run; the qp-cl Sumup
+    /// kernel runs the same [`batch_density`](Self::batch_density) per
+    /// work-group.
     ///
     /// Fused super-batch form: one region fans the batches out over the
     /// pool, and each worker writes its batch's densities straight into the

@@ -295,10 +295,6 @@ pub struct HartreeSolution {
     tail_pref: Vec<Vec<f64>>,
     /// Outermost tabulated radius.
     pub r_outer: f64,
-    /// Cubic splines [`solve_poisson`] constructed for this solution (its
-    /// share of the Fig. 9c count), counted on the threads that built
-    /// them; `0` from [`from_channels`](Self::from_channels).
-    pub splines_constructed: u64,
 }
 
 /// Solve the (response) Poisson equation for a density given on the grid,
@@ -321,7 +317,6 @@ pub fn solve_poisson(
     // serial sweep at any thread count.
     let per_atom = qp_par::map_vec((0..moments.moments.len()).collect::<Vec<usize>>(), |ia| {
         let mom = &moments.moments[ia];
-        let built_before = crate::spline::thread_spline_constructions();
         let mut splines = Vec::with_capacity(n_lm);
         let mut tails = Vec::with_capacity(n_lm);
         for lm in 0..n_lm {
@@ -350,21 +345,11 @@ pub fn solve_poisson(
             tails.push(inner[n_r - 1]);
             splines.push(CubicSpline::natural(radii.to_vec(), v));
         }
-        let built = crate::spline::thread_spline_constructions() - built_before;
-        (splines, tails, built)
+        (splines, tails)
     });
-    let mut splines = Vec::with_capacity(structure.len());
-    let mut tails = Vec::with_capacity(structure.len());
-    let mut splines_constructed = 0;
-    for (atom_splines, atom_tails, built) in per_atom {
-        splines.push(atom_splines);
-        tails.push(atom_tails);
-        splines_constructed += built;
-    }
+    let (splines, tails): (Vec<_>, Vec<_>) = per_atom.into_iter().unzip();
     let centers = structure.atoms.iter().map(|a| a.position).collect();
-    let mut sol = HartreeSolution::from_channels(lmax, centers, &splines, tails, radii[n_r - 1]);
-    sol.splines_constructed = splines_constructed;
-    sol
+    HartreeSolution::from_channels(lmax, centers, &splines, tails, radii[n_r - 1])
 }
 
 impl HartreeSolution {
@@ -424,7 +409,6 @@ impl HartreeSolution {
             tails,
             tail_pref,
             r_outer,
-            splines_constructed: 0,
         }
     }
 

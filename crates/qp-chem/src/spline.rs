@@ -7,31 +7,14 @@
 //! metric of Fig. 9(c).  A spline *construction* is the expensive step that the
 //! locality-enhancing mapping lets neighbouring atoms share (Fig. 4).
 
-use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Global count of cubic-spline constructions — the quantity of Fig. 9(c).
 static SPLINE_CONSTRUCTIONS: AtomicU64 = AtomicU64::new(0);
 
-thread_local! {
-    /// Constructions made on this thread: lets a solve count its own,
-    /// whatever other threads construct meanwhile.
-    static THREAD_CONSTRUCTIONS: Cell<u64> = const { Cell::new(0) };
-}
-
 /// Read the global spline-construction counter.
 pub fn spline_constructions() -> u64 {
     SPLINE_CONSTRUCTIONS.load(Ordering::Relaxed)
-}
-
-/// Spline constructions made on the calling thread so far.
-pub fn thread_spline_constructions() -> u64 {
-    THREAD_CONSTRUCTIONS.with(Cell::get)
-}
-
-/// Reset the global spline-construction counter (benchmark harness use).
-pub fn reset_spline_constructions() {
-    SPLINE_CONSTRUCTIONS.store(0, Ordering::Relaxed);
 }
 
 /// A natural cubic spline through `(x_i, y_i)` with strictly increasing `x`.
@@ -53,7 +36,6 @@ impl CubicSpline {
             assert!(w[1] > w[0], "x must be strictly increasing");
         }
         SPLINE_CONSTRUCTIONS.fetch_add(1, Ordering::Relaxed);
-        THREAD_CONSTRUCTIONS.with(|c| c.set(c.get() + 1));
 
         let n = x.len();
         let mut y2 = vec![0.0; n];

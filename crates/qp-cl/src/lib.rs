@@ -14,7 +14,10 @@
 //!   profile.
 //! * [`queue`] — counter-instrumented kernel launches: off-chip/on-chip
 //!   words moved, flops, launches, lane occupancy. The `qp-machine` cost
-//!   model turns these counters into simulated seconds.
+//!   model turns these counters into simulated seconds. `qp-core::kernels`
+//!   launches the four DFPT phases here as counting wrappers: each
+//!   work-group runs the production kernel for its batch, and a count-only
+//!   pass over the same tables records the traffic.
 //! * [`fusion`] — fusing kernels with *wide dependence* (§4.2): vertical
 //!   fusion keeps the producer's output on-chip when it fits the RMA window
 //!   (legal for the 28 KB `rho_multipole_spl`, illegal for the 498 KB
@@ -26,7 +29,6 @@
 //!   Adams–Moulton Hartree integrator into a flat `idx` loop that fills all
 //!   lanes (§4.4).
 
-pub mod buffer;
 pub mod collapse;
 pub mod counters;
 pub mod device;
@@ -34,7 +36,6 @@ pub mod fusion;
 pub mod indirect;
 pub mod queue;
 
-pub use buffer::{AddressSpace, Buffer};
 pub use counters::{KernelCounters, LaunchReport};
 pub use device::{DeviceKind, DeviceProfile};
 pub use queue::CommandQueue;

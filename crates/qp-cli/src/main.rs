@@ -22,8 +22,8 @@ use qp_chem::grids::GridSettings;
 use qp_chem::structures::Builtin;
 use qp_core::parallel::{CollectiveScheme, MappingKind, ParallelConfig};
 use qp_core::{
-    CoreError, DfptOptions, FarFieldMode, Job, JobError, ResilienceConfig, ScfOptions,
-    ScreeningMode, System,
+    check_solver_options, CoreError, DfptOptions, FarFieldMode, Job, JobError, ResilienceConfig,
+    ScfOptions, ScreeningMode, System,
 };
 use qp_resil::FaultPlan;
 use qp_trace::{qp_error, qp_info, qp_warn};
@@ -112,7 +112,7 @@ environment:
   QP_TRACE=<path>, QP_METRICS=<path>   same as --trace / --metrics
   QP_FAULT=<plan>   seeded deterministic fault injection, e.g.
                     'seed=1;crash:rank=1,iter=3' — see qp-resil for the
-                    crash/stall/drop/corrupt grammar"
+                    crash/stall grammar"
     );
     std::process::exit(2)
 }
@@ -297,6 +297,12 @@ fn resolve_job(args: &Args) -> Result<(Job, Option<Arc<FaultPlan>>), String> {
 }
 
 fn run(args: &Args) -> Result<(), String> {
+    // The deck and the flags are merged: refuse what the solver cannot
+    // run, as a usage error.
+    if let Err(e) = check_solver_options(&args.job.scf, &args.job.dfpt) {
+        qp_error!("invalid solver option: {e}");
+        usage()
+    }
     // Environment hooks first, explicit flags override.
     qp_trace::init_from_env();
     if let Some(path) = &args.trace {
@@ -527,5 +533,35 @@ mod tests {
             parse_args(&strings(&base)).is_err(),
             "a missing deck is an error"
         );
+    }
+
+    #[test]
+    fn solver_options_are_checked_once_the_deck_and_flags_merge() {
+        let deck = std::env::temp_dir().join(format!("qperturb-bad-{}.in", std::process::id()));
+        let refused = |deck_text: &str, flags: &[&str]| {
+            std::fs::write(&deck, deck_text).unwrap();
+            let mut argv = vec!["--builtin", "water", "--control", deck.to_str().unwrap()];
+            argv.extend_from_slice(flags);
+            let argv: Vec<String> = argv.iter().map(|s| s.to_string()).collect();
+            let args = parse_args(&argv).unwrap();
+            check_solver_options(&args.job.scf, &args.job.dfpt)
+                .err()
+                .map(|e| e.option)
+        };
+        assert_eq!(refused("", &[]), None, "the defaults run");
+        assert_eq!(refused("", &["--smearing", "0"]), Some("scf.smearing"));
+        assert_eq!(refused("", &["--dfpt-mixing", "0"]), Some("dfpt.mixing"));
+        assert_eq!(refused("", &["--dfpt-tol", "-1"]), Some("dfpt.tol"));
+        assert_eq!(refused("", &["--scf-tol", "nan"]), Some("scf.tol"));
+        assert_eq!(refused("", &["--scf-mixing", "1.5"]), Some("scf.mixing"));
+        assert_eq!(
+            refused("occupation_type gaussian 0\n", &[]),
+            Some("scf.smearing")
+        );
+        assert_eq!(refused("dfpt_mixing 0\n", &[]), Some("dfpt.mixing"));
+        assert_eq!(refused("sc_iter_limit 0\n", &[]), Some("scf.max_iter"));
+        // A flag overrides the bad deck value before the check.
+        assert_eq!(refused("dfpt_mixing 0\n", &["--dfpt-mixing", "0.5"]), None);
+        std::fs::remove_file(&deck).ok();
     }
 }

@@ -21,7 +21,6 @@ pub mod batch;
 pub mod farfield;
 pub mod footprint;
 pub mod mapping;
-pub mod octree;
 pub mod screening;
 
 pub use batch::{make_batches, Batch, BatchPoint};

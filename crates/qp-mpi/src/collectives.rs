@@ -292,113 +292,3 @@ mod tests {
         .unwrap();
     }
 }
-
-impl Comm {
-    /// ReduceScatter: reduce `data` elementwise across ranks, then scatter
-    /// contiguous chunks — rank `r` receives elements
-    /// `[r·(len/size) .. )` of the reduced buffer (the first `len % size`
-    /// ranks get one extra element, MPI block semantics).
-    pub fn reduce_scatter(&self, op: ReduceOp, data: &[f64]) -> Result<Vec<f64>, CommError> {
-        let _span = self.comm_span(CollectiveKind::AllReduce, self.size(), data.len() * 8);
-        let table = self.exchange("reduce_scatter", self.size(), self.rank(), data.to_vec())?;
-        let len = table[0].len();
-        if table.iter().any(|v| v.len() != len) {
-            return Err(CommError::Mismatch("reduce_scatter buffer lengths differ"));
-        }
-        if self.rank() == 0 {
-            self.record(CollectiveKind::AllReduce, self.size(), data.len() * 8);
-        }
-        let size = self.size();
-        let base = len / size;
-        let rem = len % size;
-        let my_len = base + usize::from(self.rank() < rem);
-        let my_start = self.rank() * base + self.rank().min(rem);
-        let mut out = vec![0.0; my_len];
-        for (k, o) in out.iter_mut().enumerate() {
-            let idx = my_start + k;
-            let mut acc = table[0][idx];
-            for row in &table[1..] {
-                acc = op.apply(acc, row[idx]);
-            }
-            *o = acc;
-        }
-        Ok(out)
-    }
-
-    /// Inclusive prefix scan: rank `r` receives the fold of ranks `0..=r`.
-    pub fn scan(&self, op: ReduceOp, data: &[f64]) -> Result<Vec<f64>, CommError> {
-        let _span = self.comm_span(CollectiveKind::AllReduce, self.size(), data.len() * 8);
-        let table = self.exchange("scan", self.size(), self.rank(), data.to_vec())?;
-        let len = table[0].len();
-        if table.iter().any(|v| v.len() != len) {
-            return Err(CommError::Mismatch("scan buffer lengths differ"));
-        }
-        if self.rank() == 0 {
-            self.record(CollectiveKind::AllReduce, self.size(), data.len() * 8);
-        }
-        let mut out = table[0].clone();
-        for row in table.iter().take(self.rank() + 1).skip(1) {
-            for (o, &v) in out.iter_mut().zip(row.iter()) {
-                *o = op.apply(*o, v);
-            }
-        }
-        Ok(out)
-    }
-}
-
-#[cfg(test)]
-mod extended_tests {
-    use super::*;
-    use crate::comm::run_spmd;
-
-    #[test]
-    fn reduce_scatter_chunks_sum() {
-        // 4 ranks, 10 elements: chunks of 3,3,2,2.
-        let out = run_spmd(4, 2, |c| {
-            let data: Vec<f64> = (0..10).map(|i| (i + c.rank()) as f64).collect();
-            c.reduce_scatter(ReduceOp::Sum, &data)
-        })
-        .unwrap();
-        // Reduced[i] = sum_r (i + r) = 4i + 6.
-        assert_eq!(out[0], vec![6.0, 10.0, 14.0]);
-        assert_eq!(out[1], vec![18.0, 22.0, 26.0]);
-        assert_eq!(out[2], vec![30.0, 34.0]);
-        assert_eq!(out[3], vec![38.0, 42.0]);
-    }
-
-    #[test]
-    fn reduce_scatter_concat_equals_allreduce() {
-        let n = 6;
-        let out = run_spmd(n, 3, move |c| {
-            let data: Vec<f64> = (0..13)
-                .map(|i| ((i * 7 + c.rank() * 3) % 11) as f64)
-                .collect();
-            let ar = c.allreduce(ReduceOp::Sum, &data)?;
-            let rs = c.reduce_scatter(ReduceOp::Sum, &data)?;
-            let gathered = c.allgather(&rs)?;
-            Ok(gathered == ar)
-        })
-        .unwrap();
-        assert!(out.into_iter().all(|b| b));
-    }
-
-    #[test]
-    fn scan_is_inclusive_prefix() {
-        let out = run_spmd(5, 5, |c| c.scan(ReduceOp::Sum, &[(c.rank() + 1) as f64])).unwrap();
-        // Rank r gets 1+2+...+(r+1).
-        for (r, v) in out.iter().enumerate() {
-            let expect: f64 = (1..=r + 1).sum::<usize>() as f64;
-            assert_eq!(v[0], expect);
-        }
-    }
-
-    #[test]
-    fn scan_max() {
-        let vals = [3.0, 1.0, 4.0, 1.0, 5.0];
-        let out = run_spmd(5, 5, move |c| c.scan(ReduceOp::Max, &[vals[c.rank()]])).unwrap();
-        let expect = [3.0, 3.0, 4.0, 4.0, 5.0];
-        for (v, e) in out.iter().zip(expect.iter()) {
-            assert_eq!(v[0], *e);
-        }
-    }
-}

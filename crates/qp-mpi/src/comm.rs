@@ -215,7 +215,6 @@ pub struct CommCore {
     ranks_per_node: usize,
     rendezvous: Mutex<HashMap<String, Arc<Rendezvous>>>,
     windows: Mutex<HashMap<String, Arc<NodeWindow>>>,
-    mailboxes: Arc<crate::p2p::Mailboxes>,
     poisoned: AtomicBool,
     opts: SpmdOptions,
     /// Metered collective traffic.
@@ -229,7 +228,6 @@ impl CommCore {
             ranks_per_node,
             rendezvous: Mutex::new(HashMap::new()),
             windows: Mutex::new(HashMap::new()),
-            mailboxes: crate::p2p::Mailboxes::new(),
             poisoned: AtomicBool::new(false),
             opts,
             traffic: TrafficLog::new(),
@@ -245,11 +243,10 @@ impl CommCore {
 
     fn poison(&self) {
         self.poisoned.store(true, Ordering::SeqCst);
-        // Wake every sleeper on every rendezvous and every pending recv.
+        // Wake every sleeper on every rendezvous.
         for rv in self.rendezvous.lock().values() {
             rv.cond.notify_all();
         }
-        self.mailboxes.notify_all();
     }
 }
 
@@ -327,16 +324,6 @@ impl Comm {
         index: usize,
         data: Vec<f64>,
     ) -> Result<Arc<Vec<Vec<f64>>>, CommError> {
-        if let Some(hook) = &self.core.opts.fault {
-            match hook.on_collective(self.rank, key) {
-                FaultDecision::Continue => {}
-                FaultDecision::Crash => {
-                    self.core.poison();
-                    return Err(CommError::RankFailed);
-                }
-                FaultDecision::Stall(d) => std::thread::sleep(d),
-            }
-        }
         let rv = self.core.rendezvous(key, group_size);
         if rv.size != group_size {
             return Err(CommError::Mismatch("group size changed for key"));
@@ -362,12 +349,6 @@ impl Comm {
         map.entry(full_key)
             .or_insert_with(|| Arc::new(NodeWindow::new(len, n_chunks)))
             .clone()
-    }
-
-    /// Drop a node window so a later call recreates it fresh.
-    pub fn drop_node_window(&self, key: &str) {
-        let full_key = format!("{key}@node{}", self.node());
-        self.core.windows.lock().remove(&full_key);
     }
 
     /// Mark this rank as failed: every rank blocked (or subsequently
@@ -436,18 +417,6 @@ impl Comm {
         }
         span
     }
-
-    pub(crate) fn mailboxes(&self) -> &crate::p2p::Mailboxes {
-        &self.core.mailboxes
-    }
-
-    pub(crate) fn poison_flag(&self) -> &AtomicBool {
-        &self.core.poisoned
-    }
-
-    pub(crate) fn opts(&self) -> &SpmdOptions {
-        &self.core.opts
-    }
 }
 
 /// Run `f` as an SPMD program over `n_ranks` threads grouped into nodes of
@@ -468,7 +437,7 @@ where
 ///
 /// Failure semantics (MPI fatal-error model, restartable from outside):
 /// a rank that panics **or** returns an error poisons the world, so every
-/// peer blocked in (or later entering) a collective or `recv` gets
+/// peer blocked in (or later entering) a collective gets
 /// [`CommError::RankFailed`] instead of hanging; a rank that silently
 /// disappears from a rendezvous is caught by the collective deadline and
 /// surfaces as [`CommError::Timeout`]. Supervised drivers catch either

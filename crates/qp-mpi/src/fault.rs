@@ -1,14 +1,15 @@
 //! Fault-injection hook points and SPMD runtime options.
 //!
 //! The runtime itself stays policy-free: it exposes *where* faults can act
-//! (driver iteration boundaries, collective entry, p2p send) through the
-//! [`FaultHook`] trait, and `qp-resil` supplies the deterministic plan that
-//! decides *whether* one fires. A hooked crash behaves exactly like a real
+//! (the driver iteration boundaries marked by [`Comm::fault_point`])
+//! through the [`FaultHook`] trait, and `qp-resil` supplies the
+//! deterministic plan that decides *whether* one fires. A hooked crash behaves exactly like a real
 //! rank death: the world is poisoned, every peer's pending or future
 //! communication call returns [`CommError::RankFailed`], and the supervised
 //! driver above can restart the region from its last checkpoint.
 //!
 //! [`CommError::RankFailed`]: crate::CommError::RankFailed
+//! [`Comm::fault_point`]: crate::Comm::fault_point
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -41,33 +42,18 @@ pub trait FaultHook: Send + Sync {
         FaultDecision::Continue
     }
 
-    /// Called as `rank` enters a collective exchange under `key`.
-    fn on_collective(&self, _rank: usize, _key: &str) -> FaultDecision {
-        FaultDecision::Continue
-    }
-
-    /// Called before a p2p send is delivered. May corrupt `data` in place;
-    /// returning `false` drops the message entirely (the receiver then
-    /// times out with `CommError::Timeout`).
-    fn on_send(&self, _src: usize, _dest: usize, _tag: u64, _data: &mut Vec<f64>) -> bool {
-        true
-    }
-
     /// Told the world size once, when the hook is installed (lets plans
     /// resolve `rank=any` clauses deterministically).
     fn bind_world(&self, _size: usize) {}
 }
 
-/// Options for [`run_spmd_with`]: fault hook and failure-detection deadlines.
+/// Options for [`run_spmd_with`]: fault hook and failure-detection deadline.
 ///
 /// [`run_spmd_with`]: crate::comm::run_spmd_with
 #[derive(Clone)]
 pub struct SpmdOptions {
     /// Fault hook consulted at every hook point (`None` = no injection).
     pub fault: Option<Arc<dyn FaultHook>>,
-    /// Deadline for a blocking `recv` with no matching message; expiry
-    /// returns `CommError::Timeout` instead of hanging forever.
-    pub recv_timeout: Duration,
     /// Deadline for a collective rendezvous missing participants; expiry
     /// poisons the world and returns `CommError::Timeout`.
     pub collective_timeout: Duration,
@@ -77,9 +63,8 @@ impl Default for SpmdOptions {
     fn default() -> Self {
         SpmdOptions {
             fault: None,
-            // Generous defaults: legitimate workloads never come close, a
+            // Generous default: legitimate workloads never come close, a
             // wedged world unblocks in bounded time.
-            recv_timeout: Duration::from_secs(30),
             collective_timeout: Duration::from_secs(30),
         }
     }
@@ -94,9 +79,8 @@ impl SpmdOptions {
         }
     }
 
-    /// Override both failure-detection deadlines.
+    /// Override the failure-detection deadline.
     pub fn with_timeout(mut self, deadline: Duration) -> Self {
-        self.recv_timeout = deadline;
         self.collective_timeout = deadline;
         self
     }
@@ -106,7 +90,6 @@ impl std::fmt::Debug for SpmdOptions {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("SpmdOptions")
             .field("fault", &self.fault.as_ref().map(|_| "FaultHook"))
-            .field("recv_timeout", &self.recv_timeout)
             .field("collective_timeout", &self.collective_timeout)
             .finish()
     }

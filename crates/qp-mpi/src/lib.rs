@@ -21,16 +21,15 @@
 //!
 //! The runtime is **failure-aware** (the substrate of `qp-resil`): a rank
 //! that panics or errors poisons the world so peers unblock with
-//! [`CommError::RankFailed`]; blocking calls carry deadlines and surface a
-//! silently-dead peer as [`CommError::Timeout`]; and [`fault`] exposes the
-//! hook points (iteration boundaries, collective entry, p2p send) where a
-//! deterministic fault plan can crash, stall, drop, or corrupt.
+//! [`CommError::RankFailed`]; collectives carry a deadline and surface a
+//! silently-dead or stalled peer as [`CommError::Timeout`]; and [`fault`]
+//! exposes the hook point (driver iteration boundaries) where a
+//! deterministic fault plan can crash or stall a rank.
 
 pub mod collectives;
 pub mod comm;
 pub mod fault;
 pub mod hierarchical;
-pub mod p2p;
 pub mod packed;
 pub mod shm;
 pub mod traffic;

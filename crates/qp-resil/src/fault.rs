@@ -5,11 +5,14 @@
 //! ```text
 //! spec    := clause (';' clause)*
 //! clause  := 'seed=' u64
-//!          | 'crash:'   rank=R|any , iter=K [, point=NAME]
-//!          | 'stall:'   rank=R|any , iter=K , ms=M [, point=NAME]
-//!          | 'drop:'    src=S , dst=D , tag=T [, nth=N]
-//!          | 'corrupt:' src=S , dst=D , tag=T , scale=X [, nth=N]
+//!          | 'crash:' rank=R|any , iter=K [, point=NAME]
+//!          | 'stall:' rank=R|any , iter=K , ms=M [, point=NAME]
 //! ```
+//!
+//! Both kinds act at [`Comm::fault_point`], the driver iteration boundary:
+//! a crash kills the rank there, a stall holds it for `ms` milliseconds,
+//! and a stall longer than the collective deadline surfaces on its peers
+//! as a timeout.
 //!
 //! Examples:
 //!
@@ -17,8 +20,6 @@
 //!   driver iteration (any [`Comm::fault_point`]).
 //! * `seed=7;crash:rank=any,iter=2,point=dfpt.iter` — a seed-chosen rank
 //!   dies entering DFPT iteration 2.
-//! * `seed=2;drop:src=0,dst=1,tag=9,nth=2` — the 2nd message 0→1 with
-//!   tag 9 is lost; the receiver times out.
 //! * `seed=3;stall:rank=2,iter=3,ms=20;crash:rank=2,iter=5` — rank 2
 //!   stalls 20 ms at iteration 3, then dies at iteration 5.
 //!
@@ -58,29 +59,14 @@ enum Clause {
         ms: u64,
         point: Option<String>,
     },
-    Drop {
-        src: usize,
-        dst: usize,
-        tag: u64,
-        nth: u64,
-    },
-    Corrupt {
-        src: usize,
-        dst: usize,
-        tag: u64,
-        nth: u64,
-        scale: f64,
-    },
 }
 
 #[derive(Default)]
 struct PlanState {
-    /// Per-clause resolved rank (`usize::MAX` for p2p clauses).
+    /// Per-clause resolved rank (`usize::MAX` until `rank=any` is bound).
     resolved: Vec<usize>,
     /// Per-clause one-shot flag.
     fired: Vec<bool>,
-    /// Message sequence numbers per (src, dst, tag).
-    send_seq: HashMap<(usize, usize, u64), u64>,
     /// Every fault that actually fired, in order.
     events: Vec<String>,
     bound: bool,
@@ -167,27 +153,6 @@ impl FaultPlan {
                     ms: parse_num("ms", take_key(&mut kv, head, "ms")?)?,
                     point: kv.remove("point").map(str::to_string),
                 },
-                "drop" => Clause::Drop {
-                    src: parse_num("src", take_key(&mut kv, head, "src")?)?,
-                    dst: parse_num("dst", take_key(&mut kv, head, "dst")?)?,
-                    tag: parse_num("tag", take_key(&mut kv, head, "tag")?)?,
-                    nth: kv
-                        .remove("nth")
-                        .map(|v| parse_num("nth", v))
-                        .transpose()?
-                        .unwrap_or(1),
-                },
-                "corrupt" => Clause::Corrupt {
-                    src: parse_num("src", take_key(&mut kv, head, "src")?)?,
-                    dst: parse_num("dst", take_key(&mut kv, head, "dst")?)?,
-                    tag: parse_num("tag", take_key(&mut kv, head, "tag")?)?,
-                    scale: parse_num("scale", take_key(&mut kv, head, "scale")?)?,
-                    nth: kv
-                        .remove("nth")
-                        .map(|v| parse_num("nth", v))
-                        .transpose()?
-                        .unwrap_or(1),
-                },
                 other => {
                     return Err(ResilError::Parse(format!("unknown fault kind `{other}`")));
                 }
@@ -250,11 +215,8 @@ impl FaultHook for FaultPlan {
         }
         st.bound = true;
         for (idx, clause) in self.clauses.iter().enumerate() {
-            let sel = match clause {
-                Clause::Crash { rank, .. } | Clause::Stall { rank, .. } => *rank,
-                _ => continue,
-            };
-            if sel == RankSel::Any {
+            let (Clause::Crash { rank: sel, .. } | Clause::Stall { rank: sel, .. }) = clause;
+            if *sel == RankSel::Any {
                 st.resolved[idx] = (splitmix64(self.seed.wrapping_add(idx as u64)) as usize) % size;
             }
         }
@@ -299,49 +261,6 @@ impl FaultHook for FaultPlan {
             }
         }
         FaultDecision::Continue
-    }
-
-    fn on_send(&self, src: usize, dest: usize, tag: u64, data: &mut Vec<f64>) -> bool {
-        let mut st = self.state.lock();
-        let seq = st.send_seq.entry((src, dest, tag)).or_insert(0);
-        *seq += 1;
-        let seq = *seq;
-        for (idx, clause) in self.clauses.iter().enumerate() {
-            if st.fired[idx] {
-                continue;
-            }
-            match clause {
-                Clause::Drop {
-                    src: s,
-                    dst,
-                    tag: t,
-                    nth,
-                } if *s == src && *dst == dest && *t == tag && *nth == seq => {
-                    st.fired[idx] = true;
-                    st.events
-                        .push(format!("drop src={src} dst={dest} tag={tag} nth={seq}"));
-                    return false;
-                }
-                Clause::Corrupt {
-                    src: s,
-                    dst,
-                    tag: t,
-                    nth,
-                    scale,
-                } if *s == src && *dst == dest && *t == tag && *nth == seq => {
-                    st.fired[idx] = true;
-                    st.events.push(format!(
-                        "corrupt src={src} dst={dest} tag={tag} nth={seq} scale={scale}"
-                    ));
-                    for v in data.iter_mut() {
-                        *v *= scale;
-                    }
-                    return true;
-                }
-                _ => {}
-            }
-        }
-        true
     }
 }
 
@@ -396,30 +315,6 @@ mod tests {
     }
 
     #[test]
-    fn drop_hits_the_nth_message_only() {
-        let plan = FaultPlan::parse("drop:src=0,dst=1,tag=9,nth=2").unwrap();
-        let mut m = vec![1.0];
-        assert!(plan.on_send(0, 1, 9, &mut m), "1st delivered");
-        assert!(!plan.on_send(0, 1, 9, &mut m), "2nd dropped");
-        assert!(plan.on_send(0, 1, 9, &mut m), "3rd delivered");
-        // Other channels unaffected.
-        assert!(plan.on_send(1, 0, 9, &mut m));
-        assert_eq!(plan.events(), vec!["drop src=0 dst=1 tag=9 nth=2"]);
-    }
-
-    #[test]
-    fn corrupt_scales_payload() {
-        let plan = FaultPlan::parse("corrupt:src=1,dst=0,tag=4,scale=-2.0").unwrap();
-        let mut m = vec![1.0, -3.0];
-        assert!(plan.on_send(1, 0, 4, &mut m));
-        assert_eq!(m, vec![-2.0, 6.0]);
-        // One-shot: the next message passes untouched.
-        let mut m2 = vec![5.0];
-        assert!(plan.on_send(1, 0, 4, &mut m2));
-        assert_eq!(m2, vec![5.0]);
-    }
-
-    #[test]
     fn stall_returns_duration() {
         let plan = FaultPlan::parse("stall:rank=2,iter=3,ms=20").unwrap();
         assert_eq!(
@@ -451,6 +346,8 @@ mod tests {
             "crash:rank=x,iter=1",
             "crash:rank=1,iter=1,bogus=2",
             "drop:src=0,dst=1",
+            "drop:src=0,dst=1,tag=9,nth=2",
+            "corrupt:src=1,dst=0,tag=4,scale=-2.0",
             "seed=notanumber;crash:rank=1,iter=1",
             "crash rank=1",
         ] {

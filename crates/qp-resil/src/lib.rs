@@ -7,10 +7,9 @@
 //!
 //! * [`fault`] — a deterministic, seeded [`FaultPlan`] parsed from a single
 //!   `QP_FAULT` spec string and installed into the `qp-mpi` runtime through
-//!   its [`FaultHook`] points: rank crash at iteration *k*, message drop or
-//!   corruption on the n-th matching send, slow-rank stalls. The same spec
-//!   reproduces the same failure (and therefore the same recovery trace)
-//!   run after run.
+//!   its [`FaultHook`] point: a rank crash or a slow-rank stall at driver
+//!   iteration *k*. The same spec reproduces the same failure (and
+//!   therefore the same recovery trace) run after run.
 //! * [`checkpoint`] — a versioned, checksummed, hand-rolled binary format
 //!   (`QPCK`) snapshotting SCF state (density matrix + Pulay history) and
 //!   per-direction DFPT state (`P¹`, Pulay history, residual), written atomically

@@ -16,11 +16,12 @@
 
 use crate::json::Json;
 use crate::ServeError;
+use qp_chem::angular::AVAILABLE_ORDERS;
 use qp_chem::basis::BasisSettings;
 use qp_chem::geometry::Structure;
 use qp_chem::grids::GridSettings;
 use qp_chem::structures::{Builtin, BuiltinError};
-use qp_core::{DfptOptions, FarFieldMode, ScfOptions, ScreeningMode};
+use qp_core::{check_solver_options, DfptOptions, FarFieldMode, ScfOptions, ScreeningMode};
 use std::fmt::Write as _;
 
 /// Where the molecule comes from.
@@ -191,31 +192,31 @@ impl JobRequest {
                 return Err(bad("grid.min_angular must be <= grid.max_angular"));
             }
         }
+        // With both ends in the table, every order the radial ramp picks
+        // between them is too.
+        for (key, order) in [
+            ("min_angular", grid.min_angular),
+            ("max_angular", grid.max_angular),
+        ] {
+            if !AVAILABLE_ORDERS.contains(&order) {
+                return Err(bad(format!(
+                    "grid.{key} must be a Lebedev order in {AVAILABLE_ORDERS:?}"
+                )));
+            }
+        }
 
         let mut scf = ScfOptions::default();
         if let Some(s) = v.get("scf") {
             if let Some(t) = opt_f64(s, "tol", "scf")? {
-                if t <= 0.0 {
-                    return Err(bad("scf.tol must be positive"));
-                }
                 scf.tol = t;
             }
             if let Some(m) = opt_f64(s, "mixing", "scf")? {
-                if m <= 0.0 || m > 1.0 {
-                    return Err(bad("scf.mixing must be in (0, 1]"));
-                }
                 scf.mixing = m;
             }
             if let Some(n) = opt_usize(s, "max_iter", "scf")? {
-                if n == 0 || n > 100_000 {
-                    return Err(bad("scf.max_iter must be 1..=100000"));
-                }
                 scf.max_iter = n;
             }
             if let Some(kt) = opt_f64(s, "smearing", "scf")? {
-                if kt <= 0.0 {
-                    return Err(bad("scf.smearing must be positive"));
-                }
                 scf.smearing = Some(kt);
             }
             match s.get("pulay") {
@@ -233,24 +234,16 @@ impl JobRequest {
         let mut dfpt = DfptOptions::default();
         if let Some(d) = v.get("dfpt") {
             if let Some(t) = opt_f64(d, "tol", "dfpt")? {
-                if t <= 0.0 {
-                    return Err(bad("dfpt.tol must be positive"));
-                }
                 dfpt.tol = t;
             }
             if let Some(m) = opt_f64(d, "mixing", "dfpt")? {
-                if m <= 0.0 || m > 1.0 {
-                    return Err(bad("dfpt.mixing must be in (0, 1]"));
-                }
                 dfpt.mixing = m;
             }
             if let Some(n) = opt_usize(d, "max_iter", "dfpt")? {
-                if n == 0 || n > 100_000 {
-                    return Err(bad("dfpt.max_iter must be 1..=100000"));
-                }
                 dfpt.max_iter = n;
             }
         }
+        check_solver_options(&scf, &dfpt).map_err(|e| bad(e.to_string()))?;
 
         let threads = opt_usize(v, "threads", "request")?;
         if let Some(t) = threads {
@@ -522,6 +515,13 @@ mod tests {
             r#"{"molecule":{"builtin":"water"},"threads":0}"#,
             r#"{"molecule":{"builtin":"water"},"cache":"maybe"}"#,
             r#"{"molecule":{"builtin":"water"},"grid":{"preset":"ultrafine"}}"#,
+            r#"{"molecule":{"builtin":"water"},"grid":{"preset":"coarse","max_angular":7}}"#,
+            r#"{"molecule":{"builtin":"water"},"grid":{"min_angular":20}}"#,
+            r#"{"molecule":{"builtin":"water"},"grid":{"min_angular":0,"max_angular":0}}"#,
+            r#"{"molecule":{"builtin":"water"},"scf":{"smearing":0}}"#,
+            r#"{"molecule":{"builtin":"water"},"scf":{"max_iter":100001}}"#,
+            r#"{"molecule":{"builtin":"water"},"dfpt":{"mixing":0}}"#,
+            r#"{"molecule":{"builtin":"water"},"dfpt":{"tol":-1}}"#,
             r#"{"molecule":{"xyz":"not an xyz file"}}"#,
             r#"{"molecule":{"builtin":"water"},"dfpt":{"max_iter":0}}"#,
             r#"{"molecule":{"builtin":"water"},"screening":"sometimes"}"#,

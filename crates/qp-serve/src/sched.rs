@@ -110,11 +110,6 @@ impl Scheduler {
         v
     }
 
-    /// Pending-queue depth.
-    pub fn pending_len(&self) -> usize {
-        self.inner.lock().unwrap().pending.len()
-    }
-
     /// Stop all workers: pending jobs stay queued (they are persisted by
     /// the server's state dir), blocked `claim_next` calls return `None`.
     pub fn shutdown(&self) {

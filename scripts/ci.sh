@@ -130,6 +130,18 @@ cp "$profile_dir/profile_water.folded" results/profile_water.folded
 echo "-- archived results/profile_water.folded"
 rm -rf "$profile_dir"
 
+echo "== figures: the kernel-driven figures regenerate byte-identically"
+# fig09b runs the Sumup and H kernels in both access modes; fig14 runs all
+# four kernels through the phase_model calibration. Their counters are
+# deterministic, so the archived outputs are a regression check.
+fig_dir="$(mktemp -d)"
+for fig in fig09b_density_hamiltonian fig14_overall; do
+  ./target/release/$fig > "$fig_dir/$fig.txt"
+  cmp "$fig_dir/$fig.txt" "results/$fig.txt"
+  echo "-- $fig == results/$fig.txt (byte-identical)"
+done
+rm -rf "$fig_dir"
+
 echo "== fault-injection smoke matrix (qperturb + QP_FAULT)"
 # A run that loses a rank recovers from its checkpoint to the fault-free
 # bytes: every plan's record must cmp equal to a fault-free --ranks 4 run.
@@ -178,6 +190,8 @@ expect_exit 0 "$edge_dir/h.xyz" --grid coarse --smearing 0.02
 expect_exit 1 "$edge_dir/oh.xyz" --grid coarse
 expect_exit 0 "$edge_dir/oh.xyz" --grid coarse --smearing 0.02
 expect_exit 1 --builtin helix:0
+expect_exit 2 --builtin water --smearing 0
+expect_exit 2 --builtin water --dfpt-mixing 0
 rm -rf "$edge_dir"
 
 echo "== serve smoke: served == direct bytes; kill -9 mid-job resumes bit-exactly"

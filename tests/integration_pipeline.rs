@@ -119,7 +119,7 @@ fn instrumented_kernels_match_reference_physics() {
     );
     let reference = sys.density_on_grid(&ground.density_matrix);
     for (a, b) in n_dense.iter().zip(reference.iter()) {
-        assert!((a - b).abs() < 1e-12);
+        assert_eq!(a.to_bits(), b.to_bits(), "{a} vs {b}");
     }
     // The ground-state density from the converged P integrates to N_e.
     let ne = sys.grid.integrate_values(&n_dense);

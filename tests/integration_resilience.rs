@@ -180,15 +180,15 @@ fn disk_checkpoints_survive_corruption_detection_and_restart() {
 }
 
 #[test]
-fn message_drop_is_survived_by_the_supervisor() {
-    // A dropped point-to-point message surfaces as a timeout; the
-    // supervisor treats it like any other failure and restarts. The DFPT
-    // driver itself is collective-only, so inject into a collective-free
-    // p2p exchange under supervision to cover the drop path end to end.
-    use qp_mpi::run_spmd_with;
+fn stalled_rank_timeout_is_survived_by_the_supervisor() {
+    // A rank stalled past the collective deadline surfaces on its peer as
+    // a timeout; the supervisor treats it like any other failure and
+    // restarts. The stall clause is one-shot, so the second attempt's
+    // collective completes.
+    use qp_mpi::{run_spmd_with, ReduceOp};
     use qp_resil::recovery::{RecoveryPolicy, Supervisor};
 
-    let plan = Arc::new(FaultPlan::parse("drop:src=0,dst=1,tag=5").unwrap());
+    let plan = Arc::new(FaultPlan::parse("stall:rank=1,iter=1,ms=500").unwrap());
     let mut sup = Supervisor::new(RecoveryPolicy {
         max_restarts: 2,
         ranks: 2,
@@ -198,16 +198,17 @@ fn message_drop_is_survived_by_the_supervisor() {
         let opts = qp_mpi::SpmdOptions::with_fault(plan.clone())
             .with_timeout(std::time::Duration::from_millis(50));
         run_spmd_with(2, 2, opts, |c| {
-            if c.rank() == 0 {
-                c.send(1, 5, vec![1.0, 2.0])?;
-                Ok(0.0)
-            } else {
-                c.recv(0, 5).map(|v| v[0] + v[1])
-            }
+            c.fault_point("iter", 1)?;
+            c.allreduce(ReduceOp::Sum, &[c.rank() as f64 + 1.0])
         })
-        .map(|outs| outs[1])
+        .map(|outs| outs[1][0])
     });
-    assert_eq!(out, Ok(3.0), "second attempt's message is delivered");
+    assert_eq!(out, Ok(3.0), "the restarted attempt's allreduce completes");
     assert_eq!(sup.stats().restarts, 1);
-    assert_eq!(plan.events(), vec!["drop src=0 dst=1 tag=5 nth=1"]);
+    assert_eq!(
+        sup.stats().events,
+        vec!["restart 1 after communication deadline exceeded (peer dead or stalled)"],
+        "the first attempt timed out"
+    );
+    assert_eq!(plan.events(), vec!["stall rank=1 point=iter iter=1 ms=500"]);
 }
