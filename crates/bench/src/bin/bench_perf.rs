@@ -2,20 +2,23 @@
 //!
 //! Runs fixed mini-workloads through the *real* pipeline — ligand-49
 //! SCF + DFPT and a polyethylene SCF + DFPT case — plus a GEMM throughput
-//! probe, and emits `BENCH_perf.json` so successive PRs accumulate a
-//! comparable perf trajectory.
+//! probe and a polymer weak-scaling sweep, and emits `BENCH_perf.json` so
+//! successive PRs accumulate a comparable perf trajectory.
 //!
 //! ```text
 //! cargo run --release -p qp-bench --bin bench_perf [--quick] [--guard] [--out PATH]
 //! ```
 //!
 //! `--quick` shrinks every workload (water instead of the ligand, a
-//! 2-monomer polymer, GEMM at n = 256) for CI smoke runs. Each case runs
-//! two legs: a 1-thread serial reference and a parallel leg pinned to
-//! `QP_THREADS` (default: available parallelism, clamped to ≥ 2 so the
-//! fan-out is actually exercised even on single-core hosts); the run
-//! aborts if the parallel leg would end up single-threaded. The JSON
-//! carries both rows plus the end-to-end speedup.
+//! 2-monomer polymer, GEMM at n = 256, the sweep to n ≤ 16) for CI smoke
+//! runs. Each case runs through the profiler that `qperturb --profile`
+//! uses, [`profile_case`]: a 1-thread serial reference, then an
+//! instrumented leg on `QP_THREADS` threads (default: available
+//! parallelism, clamped to ≥ 2 so the fan-out is actually exercised). Each
+//! `cases[]` entry of the JSON is that case's `qp-profile/v1` document:
+//! both legs' wall clocks, the attribution of the parallel one, the span
+//! self-time of every phase, grid points, SCF iterations, the α diagonal
+//! and the basis-cache counters.
 //!
 //! `--guard` adds four regression checks:
 //!
@@ -42,20 +45,19 @@
 //!    assembly must not lose to dense on the compact ligand-49 by more
 //!    than `QP_BENCH_SCREEN_SLACK` (default 0.25; exit 8), and — on the
 //!    full sweep — the fitted tree-mode `rho` exponent must stay under
-//!    `QP_BENCH_RHO_MAX` (default 1.4; exit 9) and the blocks-path `dm`
-//!    exponent under `QP_BENCH_DM_MAX` (default 1.4; exit 10). Wherever
-//!    the direct-path Rho oracle runs alongside the tree, the two
-//!    potentials must agree within `QP_FARFIELD_TOL` (exit 11).
+//!    `QP_BENCH_RHO_MAX` (default 1.4; exit 9). Wherever the direct-path
+//!    Rho oracle runs alongside the tree, the two potentials must agree
+//!    within `QP_FARFIELD_TOL` (exit 11).
 //!
 //! The polymer weak-scaling sweep runs H(C₂H₄)ₙH at n = 4…1024 (quick:
-//! 4…16) through one cycle's worth of assembly phases — system build +
-//! tabulation, Sumup (density on grid), H (potential matrix), and the
-//! density-matrix build (routed to the block-sparse path with localized
-//! pseudo-orbitals when `dm_blocks_preferred` holds, dense otherwise) —
-//! with cutoff-sphere screening on and the hierarchical far-field tree
-//! on, plus a dense reference leg and a direct-path Rho oracle at small
-//! n. Each phase gets a fitted log–log exponent; `e2e_full_s` is the
-//! per-cycle assembly sum *including* tree-mode Rho.
+//! 4…16) through the assembly phases of one cycle — system build +
+//! tabulation, Sumup (density on grid) and H (potential matrix), all on
+//! the production kernels but fed a synthetic density matrix and
+//! potential — with cutoff-sphere screening on and the hierarchical
+//! far-field tree on, plus a dense reference leg and a direct-path Rho
+//! oracle at small n. It times no eigensolve and no density-matrix build:
+//! every job builds P densely. Each phase gets a fitted log–log exponent;
+//! `e2e_full_s` is the per-cycle assembly sum *including* tree-mode Rho.
 
 use std::fmt::Write as _;
 use std::time::Instant;
@@ -63,16 +65,14 @@ use std::time::Instant;
 use qp_bench::workloads;
 use qp_chem::basis::BasisSettings;
 use qp_chem::grids::GridSettings;
-use qp_core::basis_cache::cache_counters;
 use qp_core::dfpt::{dfpt_direction, DfptOptions};
 use qp_core::operators;
-use qp_core::profile::{attribute, default_profile_threads, Attribution};
+use qp_core::profile::default_profile_threads;
 use qp_core::scf::{scf, ScfOptions};
 use qp_core::system::System;
-use qp_core::{FarFieldMode, Job, ScreeningMode};
+use qp_core::{profile_case, FarFieldMode, Job, ProfileReport, ScreeningMode};
 use qp_grid::farfield_tol;
 use qp_linalg::DMatrix;
-use qp_par::telemetry;
 use qp_trace::span::{set_enabled, take_events, Phase};
 
 struct CaseSpec {
@@ -80,37 +80,6 @@ struct CaseSpec {
     build: fn() -> System,
     /// SCF + DFPT; fewer field directions (`1` = y) keep quick mode cheap.
     job: Job,
-}
-
-struct PhaseSeconds {
-    sumup: f64,
-    rho: f64,
-    h: f64,
-    sternheimer: f64,
-    /// DFPT wall time not covered by the four phase spans (mixing,
-    /// residual norms, span gaps) — explicit so the buckets sum to the
-    /// DFPT total instead of silently under-reporting.
-    other: f64,
-}
-
-struct CaseResult {
-    name: &'static str,
-    atoms: usize,
-    basis: usize,
-    points: usize,
-    scf_s: f64,
-    scf_iterations: usize,
-    dfpt_s: f64,
-    dfpt_dirs: usize,
-    alpha_diag: Vec<f64>,
-    phases: PhaseSeconds,
-    serial_total_s: f64,
-    parallel_total_s: f64,
-    parallel_threads: usize,
-    cache_hits: u64,
-    cache_misses: u64,
-    cache_evictions: u64,
-    attribution: Attribution,
 }
 
 /// The statistics-grade ligand grid shared with `tests/determinism_threads.rs`.
@@ -183,94 +152,16 @@ fn cases(quick: bool) -> Vec<CaseSpec> {
     }
 }
 
-/// The case's job once; returns (scf_s, scf_iters, dfpt_s, α_dd per
-/// direction). A stage that fails stops the benchmark with its error.
-fn run_once(spec: &CaseSpec, sys: &System) -> (f64, usize, f64, Vec<f64>) {
-    let out = spec.job.run(sys).unwrap_or_else(|e| {
+/// One case through the profiler. A stage that fails stops the benchmark
+/// with its error.
+fn run_case(spec: &CaseSpec, threads: usize) -> ProfileReport {
+    println!("case {} ...", spec.name);
+    let report = profile_case(spec.name, &spec.build, &spec.job, threads).unwrap_or_else(|e| {
         eprintln!("bench_perf: {}: {e}", spec.name);
         std::process::exit(1)
     });
-    let alpha = spec.job.dirs.iter().map(|&d| out.alpha[(d, d)]).collect();
-    (out.scf_s, out.ground.iterations, out.dfpt_s, alpha)
-}
-
-fn run_case(spec: &CaseSpec) -> CaseResult {
-    println!("case {} ...", spec.name);
-    let sys = (spec.build)();
-    let parallel_threads = default_profile_threads();
-
-    // Serial reference for the end-to-end speedup.
-    let serial_total_s = {
-        let _lease = qp_par::ThreadLease::exactly(1);
-        let sys = (spec.build)(); // fresh basis cache: cold start, like a real run
-        let t = Instant::now();
-        let _ = run_once(spec, &sys);
-        t.elapsed().as_secs_f64()
-    };
-
-    // Instrumented parallel run: per-phase spans + cache counters, pinned
-    // to the requested thread count.
-    let _lease = qp_par::ThreadLease::exactly(parallel_threads);
-    let active = qp_par::active_threads();
-    if active < 2 {
-        eprintln!(
-            "bench_perf: parallel leg for {} is running single-threaded \
-             ({active} active thread(s)); the speedup row would be a lie",
-            spec.name
-        );
-        std::process::exit(2);
-    }
-    let (h0, m0, e0) = cache_counters();
-    set_enabled(true);
-    let _ = take_events();
-    telemetry::set_enabled(true);
-    let _ = telemetry::take_records();
-    let t = Instant::now();
-    let (scf_s, scf_iterations, dfpt_s, alpha_diag) = run_once(spec, &sys);
-    let parallel_total_s = t.elapsed().as_secs_f64();
-    set_enabled(false);
-    telemetry::set_enabled(false);
-    let events = take_events();
-    let records = telemetry::take_records();
-    let (h1, m1, e1) = cache_counters();
-
-    let attribution = attribute(&records, parallel_total_s, parallel_threads);
-    let phase_sum = |p: Phase| -> f64 {
-        events
-            .iter()
-            .filter(|ev| ev.phase == p)
-            .map(|ev| ev.dur_us / 1e6)
-            .sum()
-    };
-    let covered = phase_sum(Phase::Sumup)
-        + phase_sum(Phase::Rho)
-        + phase_sum(Phase::H)
-        + phase_sum(Phase::Sternheimer);
-    CaseResult {
-        name: spec.name,
-        atoms: sys.structure.len(),
-        basis: sys.n_basis(),
-        points: sys.n_points(),
-        scf_s,
-        scf_iterations,
-        dfpt_s,
-        dfpt_dirs: spec.job.dirs.len(),
-        alpha_diag,
-        phases: PhaseSeconds {
-            sumup: phase_sum(Phase::Sumup),
-            rho: phase_sum(Phase::Rho),
-            h: phase_sum(Phase::H),
-            sternheimer: phase_sum(Phase::Sternheimer),
-            other: (dfpt_s - covered).max(0.0),
-        },
-        serial_total_s,
-        parallel_total_s,
-        parallel_threads,
-        cache_hits: h1 - h0,
-        cache_misses: m1 - m0,
-        cache_evictions: e1 - e0,
-        attribution,
-    }
+    print!("{}", report.render_text());
+    report
 }
 
 /// Slack factor for the end-to-end guard: `parallel_total_s` may exceed
@@ -280,7 +171,7 @@ fn run_case(spec: &CaseSpec) -> CaseResult {
 /// (exit 4). Only genuinely oversubscribed single-core hosts (the 1-core
 /// CI runner, where every extra thread is pure overhead) keep a loose
 /// 25% allowance. Override with `QP_BENCH_E2E_SLACK`.
-fn e2e_slack(_parallel_threads: usize) -> f64 {
+fn e2e_slack() -> f64 {
     if let Some(s) = std::env::var("QP_BENCH_E2E_SLACK")
         .ok()
         .and_then(|s| s.parse::<f64>().ok())
@@ -306,18 +197,18 @@ fn e2e_slack(_parallel_threads: usize) -> f64 {
 /// ratio-based scheduling-overhead check still applies to them.
 const E2E_MIN_SERIAL_S: f64 = 0.1;
 
-fn run_efficiency_guard(results: &[CaseResult]) {
+fn run_efficiency_guard(results: &[ProfileReport]) {
     let sched_max = std::env::var("QP_BENCH_SCHED_MAX")
         .ok()
         .and_then(|s| s.parse::<f64>().ok())
         .unwrap_or(0.40);
+    let slack = e2e_slack();
     for c in results {
-        let slack = e2e_slack(c.parallel_threads);
         let limit = c.serial_total_s * (1.0 + slack);
         println!(
             "efficiency guard {}: parallel {:.3}s vs serial {:.3}s (limit {:.3}s), \
              sched overhead {:.1}% (max {:.0}%), dominant {}",
-            c.name,
+            c.case,
             c.parallel_total_s,
             c.serial_total_s,
             limit,
@@ -329,7 +220,7 @@ fn run_efficiency_guard(results: &[CaseResult]) {
             println!(
                 "efficiency guard {}: e2e check skipped (serial {:.3}s below \
                  {:.1}s noise floor)",
-                c.name, c.serial_total_s, E2E_MIN_SERIAL_S,
+                c.case, c.serial_total_s, E2E_MIN_SERIAL_S,
             );
         } else if c.parallel_total_s > limit {
             eprintln!(
@@ -337,8 +228,8 @@ fn run_efficiency_guard(results: &[CaseResult]) {
                  {:.3}s against a {:.3}s serial reference (slack {:.0}%); attribution: \
                  {:.1}% serial, {:.1}% scheduling overhead, {:.1}% imbalance, \
                  {:.1}% useful",
-                c.name,
-                c.parallel_threads,
+                c.case,
+                c.threads,
                 c.parallel_total_s,
                 c.serial_total_s,
                 100.0 * slack,
@@ -354,7 +245,7 @@ fn run_efficiency_guard(results: &[CaseResult]) {
                 "bench_perf: scheduling-overhead regression on {} — {:.1}% of the \
                  parallel wall clock went to region setup/queue/drain (max {:.0}%); \
                  setup {:.1}ms, queue-wait {:.1}ms over {} regions",
-                c.name,
+                c.case,
                 100.0 * c.attribution.scheduling_overhead_fraction,
                 100.0 * sched_max,
                 c.attribution.setup_s * 1e3,
@@ -423,20 +314,17 @@ fn run_phase_guard() {
 }
 
 /// One cycle's worth of assembly phases for a system: build + tabulation,
-/// Sumup, H and the density-matrix build. Everything the screening pass
-/// is supposed to make O(n); `rho` is tracked separately.
+/// Sumup and H. Everything the screening pass is supposed to make O(n);
+/// `rho` is tracked separately.
 struct AssemblyLeg {
     build_s: f64,
     sumup_s: f64,
     h_s: f64,
-    dm_s: f64,
-    /// Whether the DM probe took the block-sparse (linear-scaling) path.
-    dm_blocks: bool,
 }
 
 impl AssemblyLeg {
     fn e2e_s(&self) -> f64 {
-        self.build_s + self.sumup_s + self.h_s + self.dm_s
+        self.build_s + self.sumup_s + self.h_s
     }
 }
 
@@ -477,14 +365,9 @@ struct WeakScaling {
     ligand_dense_s: f64,
 }
 
-/// Deterministic pseudo-orbital fill for the density-matrix probes.
-fn pseudo(i: usize, j: usize) -> f64 {
-    ((i * 31 + j * 7 + 13) % 101) as f64 / 101.0 - 0.5
-}
-
 /// Run one cycle's assembly phases on a freshly built system and time
-/// each. The Sumup/H/DM inputs are synthetic — their cost depends only on
-/// the screening structure, not the values.
+/// each. The Sumup/H inputs are synthetic — their cost depends only on the
+/// screening structure, not the values.
 fn assembly_leg(build: impl Fn() -> System) -> (System, AssemblyLeg) {
     let t = Instant::now();
     let sys = build();
@@ -504,60 +387,12 @@ fn assembly_leg(build: impl Fn() -> System) -> (System, AssemblyLeg) {
     let h_s = t.elapsed().as_secs_f64();
     std::hint::black_box(&h);
 
-    let mut occ = vec![0.0; nb];
-    let nocc = sys.n_occupied().min(nb);
-    occ[..nocc].fill(2.0);
-    // DM routing mirrors what `--screening auto` callers get: the
-    // block-sparse build only when the plan is large and sparse enough to
-    // win (`dm_blocks_preferred`), dense GEMM otherwise — the small-n
-    // screened-DM regression stays off the scorecard. The blocks probe
-    // uses *localized* pseudo-orbitals (column `a` supported on the
-    // neighbourhood of its home atom) through the a-priori-support entry
-    // point, so activity comes from the plan and the probe measures the
-    // `O(surviving blocks)` regime the linear-scaling build targets.
-    let (dm_s, dm_blocks) = match sys
-        .screen()
-        .filter(|plan| operators::dm_blocks_preferred(plan))
-    {
-        Some(plan) => {
-            let fa = &plan.fn_atom;
-            // Filled by contiguous neighbour-block runs per row (not a
-            // per-element `contains`, whose binary searches dominate the
-            // untimed setup at large n).
-            let mut c = DMatrix::zeros(nb, nb);
-            for mu in 0..nb {
-                for &j in plan.neighbours.neighbours(fa[mu] as usize) {
-                    let (o, s) = (
-                        plan.partition.offset(j as usize),
-                        plan.partition.size(j as usize),
-                    );
-                    for a in o..o + s {
-                        c[(mu, a)] = pseudo(mu, a);
-                    }
-                }
-            }
-            let t = Instant::now();
-            std::hint::black_box(operators::density_matrix_occ_blocks_local(
-                plan, &c, &occ, fa, true,
-            ));
-            (t.elapsed().as_secs_f64(), true)
-        }
-        None => {
-            let c = DMatrix::from_fn(nb, nb, pseudo);
-            let t = Instant::now();
-            std::hint::black_box(operators::density_matrix_occ(&c, &occ));
-            (t.elapsed().as_secs_f64(), false)
-        }
-    };
-
     (
         sys,
         AssemblyLeg {
             build_s,
             sumup_s,
             h_s,
-            dm_s,
-            dm_blocks,
         },
     )
 }
@@ -645,16 +480,11 @@ fn run_weak_scaling(quick: bool) -> WeakScaling {
             .then(|| assembly_leg(|| sweep_system(n, ScreeningMode::Off, FarFieldMode::Direct)).1);
         println!(
             "weak-scaling n={n}: {} atoms, {} basis, fill {:.2}, screened e2e {:.3}s, \
-             rho(tree) {rho_tree_s:.3}s, dm path {}{}{}",
+             rho(tree) {rho_tree_s:.3}s{}{}",
             sys.structure.len(),
             sys.n_basis(),
             pair_fill,
             screened.e2e_s(),
-            if screened.dm_blocks {
-                "blocks"
-            } else {
-                "dense"
-            },
             rho_direct_s
                 .map(|r| {
                     format!(
@@ -685,18 +515,6 @@ fn run_weak_scaling(quick: bool) -> WeakScaling {
     let phase_points = |f: &dyn Fn(&SweepRow) -> Option<f64>| -> Vec<(usize, f64)> {
         rows.iter().filter_map(|r| Some((r.atoms, f(r)?))).collect()
     };
-    // The dm exponent is fitted over the rows that actually ran the
-    // block-sparse path (the asymptotic regime the guard is about); when
-    // the sweep is too small to reach it — quick mode — fall back to the
-    // routed series so the fit stays defined.
-    let dm_points = {
-        let blocks = phase_points(&|r| r.screened.dm_blocks.then_some(r.screened.dm_s));
-        if blocks.len() >= 2 {
-            blocks
-        } else {
-            phase_points(&|r| Some(r.screened.dm_s))
-        }
-    };
     let exponents = vec![
         (
             "build",
@@ -718,7 +536,6 @@ fn run_weak_scaling(quick: bool) -> WeakScaling {
             "h",
             loglog_exponent(&phase_points(&|r| Some(r.screened.h_s))),
         ),
-        ("dm", loglog_exponent(&dm_points)),
         (
             "e2e",
             loglog_exponent(&phase_points(&|r| Some(r.screened.e2e_s()))),
@@ -759,26 +576,9 @@ fn run_weak_scaling(quick: bool) -> WeakScaling {
     let nb = lig_on.n_basis();
     let p = DMatrix::from_fn(nb, nb, |i, j| if i == j { 1.0 } else { 0.0 });
     let v = vec![0.3; lig_on.n_points()];
-    let c = DMatrix::from_fn(nb, nb, pseudo);
-    let mut occ = vec![0.0; nb];
-    occ[..lig_on.n_occupied().min(nb)].fill(2.0);
     let cycle = |sys: &System| {
         std::hint::black_box(sys.density_on_grid(&p));
         std::hint::black_box(operators::potential_matrix(sys, &v));
-        // Same `--screening auto` DM routing as the sweep: the compact
-        // ligand never prefers the block-sparse build, so both legs take
-        // the dense GEMM here.
-        match sys
-            .screen()
-            .filter(|plan| operators::dm_blocks_preferred(plan))
-        {
-            Some(plan) => {
-                std::hint::black_box(operators::density_matrix_occ_blocks(plan, &c, &occ, true));
-            }
-            None => {
-                std::hint::black_box(operators::density_matrix_occ(&c, &occ));
-            }
-        }
     };
     // Interleave the reps so clock drift and cache state hit both legs
     // equally; best-of-5 per leg.
@@ -810,22 +610,23 @@ fn run_weak_scaling(quick: bool) -> WeakScaling {
 /// 1.75 — past that the pair list or per-batch subsets have stopped
 /// pruning; exit 7), and screened assembly must not lose to dense on the
 /// compact ligand-49 beyond `QP_BENCH_SCREEN_SLACK` overhead (default
-/// 0.25; exit 8). On the full sweep the quadratic-wall guards also run:
-/// tree-mode `rho` exponent ≤ `QP_BENCH_RHO_MAX` (default 1.4; exit 9)
-/// and blocks-path `dm` exponent ≤ `QP_BENCH_DM_MAX` (default 1.4; exit
-/// 10). Wherever the direct Rho oracle ran, the tree potential must
-/// agree within `QP_FARFIELD_TOL` (exit 11) — quick mode included.
+/// 0.25; exit 8). On the full sweep the quadratic-wall guard also runs:
+/// tree-mode `rho` exponent ≤ `QP_BENCH_RHO_MAX` (default 1.4; exit 9).
+/// Wherever the direct Rho oracle ran, the tree potential must agree
+/// within `QP_FARFIELD_TOL` (exit 11) — quick mode included.
 fn run_scaling_guard(ws: &WeakScaling, quick: bool) {
+    let exponent = |name: &str| {
+        ws.exponents
+            .iter()
+            .find(|(n, _)| *n == name)
+            .map(|&(_, e)| e)
+            .unwrap_or(f64::NAN)
+    };
     let max_exp = std::env::var("QP_BENCH_SCALING_MAX")
         .ok()
         .and_then(|s| s.parse::<f64>().ok())
         .unwrap_or(1.75);
-    let e2e = ws
-        .exponents
-        .iter()
-        .find(|(n, _)| *n == "e2e")
-        .map(|&(_, e)| e)
-        .unwrap_or(f64::NAN);
+    let e2e = exponent("e2e");
     println!("scaling guard: screened e2e exponent {e2e:.2} (max {max_exp:.2})");
     if !e2e.is_finite() || e2e > max_exp {
         eprintln!(
@@ -877,16 +678,9 @@ fn run_scaling_guard(ws: &WeakScaling, quick: bool) {
     }
 
     if quick {
-        println!("scaling guard: rho/dm exponent checks skipped (quick sweep is too small)");
+        println!("scaling guard: rho exponent check skipped (quick sweep is too small)");
         return;
     }
-    let exponent = |name: &str| {
-        ws.exponents
-            .iter()
-            .find(|(n, _)| *n == name)
-            .map(|&(_, e)| e)
-            .unwrap_or(f64::NAN)
-    };
     let rho_max = std::env::var("QP_BENCH_RHO_MAX")
         .ok()
         .and_then(|s| s.parse::<f64>().ok())
@@ -901,21 +695,6 @@ fn run_scaling_guard(ws: &WeakScaling, quick: bool) {
              potential evaluation"
         );
         std::process::exit(9);
-    }
-    let dm_max = std::env::var("QP_BENCH_DM_MAX")
-        .ok()
-        .and_then(|s| s.parse::<f64>().ok())
-        .unwrap_or(1.4);
-    let dm = exponent("dm");
-    println!("scaling guard: blocks-path dm exponent {dm:.2} (max {dm_max:.2})");
-    if !dm.is_finite() || dm > dm_max {
-        eprintln!(
-            "bench_perf: DM weak-scaling regression — the block-sparse \
-             density-matrix build fits t = O(n^{dm:.2}), above the {dm_max:.2} \
-             ceiling; the k-segment truncation on the screened pair support \
-             has stopped delivering near-linear cost"
-        );
-        std::process::exit(10);
     }
 }
 
@@ -969,11 +748,10 @@ fn json_f(v: f64) -> String {
 fn emit_assembly_leg(s: &mut String, indent: &str, leg: &AssemblyLeg) {
     let _ = writeln!(
         s,
-        "{indent}\"build_s\": {}, \"sumup_s\": {}, \"h_s\": {}, \"dm_s\": {}, \"e2e_s\": {}",
+        "{indent}\"build_s\": {}, \"sumup_s\": {}, \"h_s\": {}, \"e2e_s\": {}",
         json_f(leg.build_s),
         json_f(leg.sumup_s),
         json_f(leg.h_s),
-        json_f(leg.dm_s),
         json_f(leg.e2e_s())
     );
 }
@@ -988,7 +766,7 @@ fn emit_weak_scaling(s: &mut String, ws: &WeakScaling) {
     let _ = writeln!(s, "    \"monomers\": [{}],", sizes.join(", "));
     let _ = writeln!(
         s,
-        "    \"e2e_definition\": \"e2e_s = build + sumup + h + dm per cycle; e2e_full_s additionally includes the tree-mode rho (hierarchical multipole far field); rho_direct_s is the O(n^2) direct-path oracle at small n\","
+        "    \"e2e_definition\": \"e2e_s = build + sumup + h per cycle; e2e_full_s additionally includes the tree-mode rho (hierarchical multipole far field); rho_direct_s is the O(n^2) direct-path oracle at small n\","
     );
     let _ = writeln!(s, "    \"rows\": [");
     for (i, r) in ws.rows.iter().enumerate() {
@@ -1002,15 +780,6 @@ fn emit_weak_scaling(s: &mut String, ws: &WeakScaling) {
         let _ = writeln!(s, "        \"screened\": {{");
         emit_assembly_leg(s, "          ", &r.screened);
         let _ = writeln!(s, "        }},");
-        let _ = writeln!(
-            s,
-            "        \"dm_path\": \"{}\",",
-            if r.screened.dm_blocks {
-                "blocks"
-            } else {
-                "dense"
-            }
-        );
         let _ = writeln!(s, "        \"rho_tree_s\": {},", json_f(r.rho_tree_s));
         let _ = writeln!(
             s,
@@ -1072,15 +841,17 @@ fn emit_weak_scaling(s: &mut String, ws: &WeakScaling) {
     let _ = writeln!(s, "  }},");
 }
 
-fn emit_json(path: &str, quick: bool, gemm: &GemmNumbers, cases: &[CaseResult], ws: &WeakScaling) {
+fn emit_json(
+    path: &str,
+    quick: bool,
+    threads: usize,
+    gemm: &GemmNumbers,
+    cases: &[ProfileReport],
+    ws: &WeakScaling,
+) {
     let mut s = String::new();
-    let threads = cases
-        .iter()
-        .map(|c| c.parallel_threads)
-        .max()
-        .unwrap_or_else(default_profile_threads);
     let _ = writeln!(s, "{{");
-    let _ = writeln!(s, "  \"schema\": \"qp-bench-perf/v5\",");
+    let _ = writeln!(s, "  \"schema\": \"qp-bench-perf/v6\",");
     let _ = writeln!(s, "  \"quick\": {quick},");
     let _ = writeln!(s, "  \"pool_threads\": {threads},");
     emit_weak_scaling(&mut s, ws);
@@ -1117,110 +888,15 @@ fn emit_json(path: &str, quick: bool, gemm: &GemmNumbers, cases: &[CaseResult], 
         json_f(gemm.parallel_gflops / gemm.unblocked_gflops)
     );
     let _ = writeln!(s, "  }},");
+    // Each case is its profile document, indented into the array.
     let _ = writeln!(s, "  \"cases\": [");
     for (i, c) in cases.iter().enumerate() {
-        let total_lookups = c.cache_hits + c.cache_misses;
-        let hit_rate = if total_lookups > 0 {
-            c.cache_hits as f64 / total_lookups as f64
-        } else {
-            0.0
-        };
-        let alpha: Vec<String> = c.alpha_diag.iter().map(|&v| json_f(v)).collect();
-        let _ = writeln!(s, "    {{");
-        let _ = writeln!(s, "      \"name\": \"{}\",", c.name);
-        let _ = writeln!(
-            s,
-            "      \"atoms\": {}, \"basis\": {}, \"grid_points\": {},",
-            c.atoms, c.basis, c.points
-        );
-        let _ = writeln!(
-            s,
-            "      \"scf_s\": {}, \"scf_iterations\": {},",
-            json_f(c.scf_s),
-            c.scf_iterations
-        );
-        let _ = writeln!(
-            s,
-            "      \"dfpt_s\": {}, \"dfpt_directions\": {},",
-            json_f(c.dfpt_s),
-            c.dfpt_dirs
-        );
-        let _ = writeln!(s, "      \"alpha_diag\": [{}],", alpha.join(", "));
-        let _ = writeln!(s, "      \"phases_s\": {{");
-        let _ = writeln!(s, "        \"sumup\": {},", json_f(c.phases.sumup));
-        let _ = writeln!(s, "        \"rho\": {},", json_f(c.phases.rho));
-        let _ = writeln!(s, "        \"h\": {},", json_f(c.phases.h));
-        let _ = writeln!(
-            s,
-            "        \"sternheimer\": {},",
-            json_f(c.phases.sternheimer)
-        );
-        let _ = writeln!(s, "        \"other\": {}", json_f(c.phases.other));
-        let _ = writeln!(s, "      }},");
-        let a = &c.attribution;
-        let _ = writeln!(s, "      \"attribution\": {{");
-        let _ = writeln!(
-            s,
-            "        \"serial_fraction\": {},",
-            json_f(a.serial_fraction)
-        );
-        let _ = writeln!(
-            s,
-            "        \"scheduling_overhead_fraction\": {},",
-            json_f(a.scheduling_overhead_fraction)
-        );
-        let _ = writeln!(
-            s,
-            "        \"imbalance_fraction\": {},",
-            json_f(a.imbalance_fraction)
-        );
-        let _ = writeln!(
-            s,
-            "        \"useful_parallel_fraction\": {},",
-            json_f(a.useful_parallel_fraction)
-        );
-        let _ = writeln!(s, "        \"dominant_cause\": \"{}\",", a.dominant_cause);
-        let _ = writeln!(
-            s,
-            "        \"regions\": {}, \"inline_regions\": {}, \"nested_regions\": {},",
-            a.regions, a.inline_regions, a.nested_regions
-        );
-        let _ = writeln!(
-            s,
-            "        \"setup_s\": {}, \"queue_wait_s\": {}",
-            json_f(a.setup_s),
-            json_f(a.queue_wait_s)
-        );
-        let _ = writeln!(s, "      }},");
-        let _ = writeln!(s, "      \"legs\": [");
-        let _ = writeln!(
-            s,
-            "        {{ \"threads\": 1, \"total_s\": {} }},",
-            json_f(c.serial_total_s)
-        );
-        let _ = writeln!(
-            s,
-            "        {{ \"threads\": {}, \"total_s\": {} }}",
-            c.parallel_threads,
-            json_f(c.parallel_total_s)
-        );
-        let _ = writeln!(s, "      ],");
-        let _ = writeln!(
-            s,
-            "      \"serial_total_s\": {}, \"parallel_total_s\": {}, \"e2e_speedup\": {},",
-            json_f(c.serial_total_s),
-            json_f(c.parallel_total_s),
-            json_f(c.serial_total_s / c.parallel_total_s)
-        );
-        let _ = writeln!(s, "      \"basis_cache\": {{");
-        let _ = writeln!(
-            s,
-            "        \"hits\": {}, \"misses\": {}, \"evictions\": {},",
-            c.cache_hits, c.cache_misses, c.cache_evictions
-        );
-        let _ = writeln!(s, "        \"hit_rate\": {}", json_f(hit_rate));
-        let _ = writeln!(s, "      }}");
-        let _ = writeln!(s, "    }}{}", if i + 1 < cases.len() { "," } else { "" });
+        let doc = c.to_json();
+        let lines: Vec<&str> = doc.lines().collect();
+        for (k, line) in lines.iter().enumerate() {
+            let last = k + 1 == lines.len() && i + 1 < cases.len();
+            let _ = writeln!(s, "    {line}{}", if last { "," } else { "" });
+        }
     }
     let _ = writeln!(s, "  ]");
     let _ = writeln!(s, "}}");
@@ -1272,30 +948,12 @@ fn main() {
         run_scaling_guard(&ws, quick);
     }
 
-    let results: Vec<CaseResult> = cases(quick).iter().map(run_case).collect();
+    let reports: Vec<ProfileReport> = cases(quick)
+        .iter()
+        .map(|spec| run_case(spec, threads))
+        .collect();
     if guard {
-        run_efficiency_guard(&results);
+        run_efficiency_guard(&reports);
     }
-    for c in &results {
-        let lookups = c.cache_hits + c.cache_misses;
-        println!(
-            "{}: scf {:.2}s/{} iters, dfpt {:.2}s/{} dirs, e2e {:.2}s on {} threads (serial {:.2}s, {:.2}x), cache {:.1}% of {} lookups",
-            c.name,
-            c.scf_s,
-            c.scf_iterations,
-            c.dfpt_s,
-            c.dfpt_dirs,
-            c.parallel_total_s,
-            c.parallel_threads,
-            c.serial_total_s,
-            c.serial_total_s / c.parallel_total_s,
-            if lookups > 0 {
-                100.0 * c.cache_hits as f64 / lookups as f64
-            } else {
-                0.0
-            },
-            lookups,
-        );
-    }
-    emit_json(&out, quick, &gemm, &results, &ws);
+    emit_json(&out, quick, threads, &gemm, &reports, &ws);
 }

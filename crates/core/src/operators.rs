@@ -266,136 +266,6 @@ pub fn kinetic(system: &System) -> DMatrix {
     merge(system, &partials)
 }
 
-/// Atom count below which the block-sparse DM build is never preferred:
-/// the packing overhead beats the flop savings until the pair support is
-/// both large and sparse (the small-n regression visible in
-/// BENCH_perf.json — screened `dm_s` 0.005157 vs dense 0.000027 at 16
-/// monomers).
-pub const DM_BLOCKS_MIN_ATOMS: usize = 256;
-
-/// Pair-fill ceiling for preferring the block-sparse DM build: above it
-/// the screened contraction does almost all the dense flops plus the
-/// per-pair packing.
-pub const DM_BLOCKS_MAX_FILL: f64 = 0.125;
-
-/// Whether the block-sparse density-matrix build is expected to beat the
-/// dense GEMM for this plan — the `--screening auto` DM routing: callers
-/// (bench, serving layer) fall back to [`density_matrix_occ`] when this is
-/// false, so small or compact molecules never pay the block-sparse
-/// overhead. Purely a performance choice; both paths agree per the
-/// bit-identity contract.
-pub fn dm_blocks_preferred(plan: &ScreenPlan) -> bool {
-    plan.partition.n_blocks() >= DM_BLOCKS_MIN_ATOMS && plan.fill_ratio() <= DM_BLOCKS_MAX_FILL
-}
-
-/// Screened density-matrix build on the neighbor-pair support:
-/// `P_IJ = Σ_a f_a C_I,a C_J,aᵀ` evaluated only for stored pairs, with
-/// locally truncated k-segments — `O(surviving (pair, k-segment) blocks)`
-/// instead of the dense `O(n_basis² · n_occ)`. For localized orbitals
-/// (each column supported on one atom neighbourhood) this is the
-/// linear-scaling density-matrix construction of Shang et al.; for dense
-/// orbitals every segment survives and the cost reverts to
-/// `O(pairs · block² · n_occ)`.
-///
-/// The in-loop SCF density matrix stays dense (Pulay/DIIS mixes `P`
-/// itself, and masking would perturb the mixing history); this build is
-/// the large-polymer path where the dense product is the bottleneck.
-/// Deterministic at any thread count; entries match the masked dense
-/// [`density_matrix_occ`] bitwise (the k-segment truncation skips only
-/// exact-`±0.0` contributions — see
-/// `BlockSparseMatrix::rank_k_update_ab_screened`).
-pub fn density_matrix_occ_blocks(
-    plan: &ScreenPlan,
-    orbitals: &DMatrix,
-    occupations: &[f64],
-    parallel: bool,
-) -> BlockSparseMatrix {
-    let nb = orbitals.rows();
-    let mut m = plan.empty_blocks();
-    let occ_idx: Vec<usize> = occupations
-        .iter()
-        .enumerate()
-        .filter(|&(_, &f)| f != 0.0)
-        .map(|(i, _)| i)
-        .collect();
-    if occ_idx.is_empty() {
-        return m;
-    }
-    let k = occ_idx.len();
-    let scaled = DMatrix::from_fn(nb, k, |mu, a| {
-        occupations[occ_idx[a]] * orbitals[(mu, occ_idx[a])]
-    });
-    let plain = DMatrix::from_fn(nb, k, |nu, a| orbitals[(nu, occ_idx[a])]);
-    m.rank_k_update_ab_screened(&scaled, &plain, parallel)
-        .expect("partition matches orbitals");
-    m
-}
-
-/// [`density_matrix_occ_blocks`] for localized orbitals whose support is
-/// known a priori — the genuinely linear-scaling entry point. `home[a]`
-/// names the home atom of (global) orbital column `a`; the **caller
-/// guarantees** `orbitals[(μ, a)] == 0.0` whenever `fn_atom[μ]` is not a
-/// stored neighbour of `home[a]`. Under that contract the per-(block,
-/// k-segment) activity is derived from the screening plan in
-/// `O(n_occ · avg neighbours)` and the factors are packed straight from
-/// `orbitals` — no `O(n_basis · n_occ)` dense factor copies and no
-/// activity scan, so the whole build is `O(surviving (pair, segment)
-/// blocks)`.
-///
-/// Bit-identical to [`density_matrix_occ_blocks`] (and hence to the
-/// masked dense build): plan-derived activity is a superset of scanned
-/// activity, and over-claimed all-zero segments contribute exact `+0.0`
-/// per the segment lemma. A violated support contract silently drops
-/// contributions — tests pin the localized probe against the dense
-/// oracle.
-pub fn density_matrix_occ_blocks_local(
-    plan: &ScreenPlan,
-    orbitals: &DMatrix,
-    occupations: &[f64],
-    home: &[u32],
-    parallel: bool,
-) -> BlockSparseMatrix {
-    let mut m = plan.empty_blocks();
-    let occ_idx: Vec<usize> = occupations
-        .iter()
-        .enumerate()
-        .filter(|&(_, &f)| f != 0.0)
-        .map(|(i, _)| i)
-        .collect();
-    if occ_idx.is_empty() {
-        return m;
-    }
-    let k = occ_idx.len();
-    const KG: usize = qp_linalg::gemm::K_GROUP;
-    let n_seg = k.div_ceil(KG);
-    let nb_blocks = plan.partition.n_blocks();
-    let mut act = vec![false; nb_blocks * n_seg];
-    for s in 0..n_seg {
-        let mut last_home = u32::MAX;
-        for &a in &occ_idx[s * KG..((s + 1) * KG).min(k)] {
-            let h = home[a];
-            if h == last_home {
-                continue;
-            }
-            last_home = h;
-            for &i in plan.neighbours.neighbours(h as usize) {
-                act[i as usize * n_seg + s] = true;
-            }
-        }
-    }
-    let active = |b: usize, s: usize| act[b * n_seg + s];
-    m.rank_k_update_ab_packed(
-        k,
-        active,
-        active,
-        |row, t| occupations[occ_idx[t]] * orbitals[(row, occ_idx[t])],
-        |row, t| orbitals[(row, occ_idx[t])],
-        parallel,
-    )
-    .expect("partition matches orbitals");
-    m
-}
-
 /// The external (nuclear-attraction) potential at every grid point:
 /// `v_ext(p) = −Σ_I Z_I / |p − R_I|`.
 pub fn external_potential(system: &System) -> Vec<f64> {
@@ -594,95 +464,6 @@ mod tests {
         ] {
             for (x, y) in d.as_slice().iter().zip(s.as_slice()) {
                 assert_eq!(x.to_bits(), y.to_bits(), "{what} differs");
-            }
-        }
-    }
-
-    #[test]
-    fn screened_density_matrix_matches_masked_dense() {
-        use crate::screening::ScreenPlan;
-        use qp_chem::structures::polyethylene;
-        let structure = polyethylene(4);
-        let basis = qp_chem::basis::BasisSet::build(&structure, BasisSettings::Light);
-        let plan = ScreenPlan::build(&structure, &basis);
-        let nb = basis.len();
-        let mut seed = 42u64;
-        let mut rnd = move || {
-            seed = seed
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            ((seed >> 33) as f64) / (u32::MAX as f64) - 0.5
-        };
-        let c = DMatrix::from_fn(nb, nb, |_, _| rnd());
-        let n_occ = 10;
-        let occ: Vec<f64> = (0..nb).map(|i| if i < n_occ { 2.0 } else { 0.0 }).collect();
-        let screened = density_matrix_occ_blocks(&plan, &c, &occ, false);
-        let par = density_matrix_occ_blocks(&plan, &c, &occ, true);
-        // Parallel sweep is bit-identical to serial.
-        for (s, p) in screened
-            .to_dense()
-            .as_slice()
-            .iter()
-            .zip(par.to_dense().as_slice())
-        {
-            assert_eq!(s.to_bits(), p.to_bits());
-        }
-        // On-support entries agree with the dense build; off-support are
-        // exactly +0.0 in the screened form.
-        let dense = density_matrix_occ(&c, &occ);
-        let sd = screened.to_dense();
-        for i in 0..nb {
-            for j in 0..nb {
-                let on = plan
-                    .neighbours
-                    .contains(plan.fn_atom[i] as usize, plan.fn_atom[j] as usize);
-                if on {
-                    assert!(
-                        (sd[(i, j)] - dense[(i, j)]).abs() < 1e-12 * dense[(i, j)].abs().max(1.0),
-                        "({i},{j}): {} vs {}",
-                        sd[(i, j)],
-                        dense[(i, j)]
-                    );
-                } else {
-                    assert_eq!(sd[(i, j)].to_bits(), 0.0f64.to_bits());
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn local_density_matrix_matches_scanned_blocks_bitwise() {
-        use crate::screening::ScreenPlan;
-        use qp_chem::structures::polyethylene;
-        // Localized probe orbitals: column `a` lives on the screened
-        // neighbourhood of its home atom — exactly the support contract of
-        // the a-priori path. Plan-derived activity must reproduce the
-        // scanned path bit for bit, at any thread count.
-        let structure = polyethylene(6);
-        let basis = qp_chem::basis::BasisSet::build(&structure, BasisSettings::Light);
-        let plan = ScreenPlan::build(&structure, &basis);
-        let nb = basis.len();
-        let fa = &plan.fn_atom;
-        let pseudo = |i: usize, j: usize| ((i * 31 + j * 7 + 13) % 101) as f64 / 101.0 - 0.5;
-        let c = DMatrix::from_fn(nb, nb, |mu, a| {
-            if plan.neighbours.contains(fa[mu] as usize, fa[a] as usize) {
-                pseudo(mu, a)
-            } else {
-                0.0
-            }
-        });
-        let n_occ = nb / 3;
-        let occ: Vec<f64> = (0..nb).map(|i| if i < n_occ { 2.0 } else { 0.0 }).collect();
-        let scanned = density_matrix_occ_blocks(&plan, &c, &occ, false);
-        for par in [false, true] {
-            let local = density_matrix_occ_blocks_local(&plan, &c, &occ, fa, par);
-            for (s, l) in scanned
-                .to_dense()
-                .as_slice()
-                .iter()
-                .zip(local.to_dense().as_slice())
-            {
-                assert_eq!(s.to_bits(), l.to_bits());
             }
         }
     }

@@ -21,7 +21,10 @@
 //! "speedup" on a 1-core host: scheduling overhead + imbalance from
 //! oversubscription, not a serial bottleneck). Per-phase rows pair span
 //! self-times with the qp-linalg roofline counters to show achieved GFLOP/s
-//! and arithmetic intensity where the flops actually run.
+//! and arithmetic intensity where the flops actually run. The report also
+//! carries the job's own numbers — grid points, SCF iterations, the α
+//! diagonal and the basis-cache counters — so `bench_perf` records its
+//! cases straight from it.
 
 use crate::job::{Job, JobError};
 use crate::system::System;
@@ -202,6 +205,16 @@ pub struct ProfileReport {
     pub atoms: usize,
     /// Basis functions.
     pub basis: usize,
+    /// Integration grid points.
+    pub grid_points: usize,
+    /// Ground-state SCF iterations of the parallel leg.
+    pub scf_iterations: usize,
+    /// The field directions run, in the job's order.
+    pub dirs: Vec<usize>,
+    /// `α_dd` (Bohr³) of each direction in `dirs`.
+    pub alpha_diag: Vec<f64>,
+    /// Basis-cache hits, misses and evictions of the parallel leg's job.
+    pub basis_cache: (u64, u64, u64),
     /// 1-thread reference wall, seconds.
     pub serial_total_s: f64,
     /// Parallel-leg wall, seconds.
@@ -224,6 +237,17 @@ impl ProfileReport {
         self.serial_total_s / self.parallel_total_s
     }
 
+    /// Basis-cache hits over all lookups of the parallel leg (0 without
+    /// lookups).
+    fn cache_hit_rate(&self) -> f64 {
+        let (hits, misses, _) = self.basis_cache;
+        if hits + misses == 0 {
+            0.0
+        } else {
+            hits as f64 / (hits + misses) as f64
+        }
+    }
+
     /// The report as `qp-profile/v1` JSON.
     pub fn to_json(&self) -> String {
         fn f(v: f64) -> String {
@@ -239,7 +263,11 @@ impl ProfileReport {
         let _ = writeln!(s, "  \"schema\": \"qp-profile/v1\",");
         let _ = writeln!(s, "  \"case\": \"{}\",", self.case);
         let _ = writeln!(s, "  \"threads\": {},", self.threads);
-        let _ = writeln!(s, "  \"atoms\": {}, \"basis\": {},", self.atoms, self.basis);
+        let _ = writeln!(
+            s,
+            "  \"atoms\": {}, \"basis\": {}, \"grid_points\": {},",
+            self.atoms, self.basis, self.grid_points
+        );
         let _ = writeln!(
             s,
             "  \"serial_total_s\": {}, \"parallel_total_s\": {}, \"e2e_speedup\": {},",
@@ -249,9 +277,25 @@ impl ProfileReport {
         );
         let _ = writeln!(
             s,
-            "  \"scf_s\": {}, \"dfpt_s\": {},",
+            "  \"scf_s\": {}, \"scf_iterations\": {}, \"dfpt_s\": {},",
             f(self.scf_s),
+            self.scf_iterations,
             f(self.dfpt_s)
+        );
+        let dirs: Vec<String> = self.dirs.iter().map(usize::to_string).collect();
+        let alpha: Vec<String> = self.alpha_diag.iter().map(|&a| f(a)).collect();
+        let _ = writeln!(
+            s,
+            "  \"dirs\": [{}], \"alpha_diag\": [{}],",
+            dirs.join(", "),
+            alpha.join(", ")
+        );
+        let (hits, misses, evictions) = self.basis_cache;
+        let _ = writeln!(
+            s,
+            "  \"basis_cache\": {{ \"hits\": {hits}, \"misses\": {misses}, \
+             \"evictions\": {evictions}, \"hit_rate\": {} }},",
+            f(self.cache_hit_rate())
         );
         let _ = writeln!(s, "  \"attribution\": {{");
         let _ = writeln!(s, "    \"serial_fraction\": {},", f(a.serial_fraction));
@@ -324,17 +368,33 @@ impl ProfileReport {
         let mut s = String::new();
         let _ = writeln!(
             s,
-            "profile {}: {} atoms, {} basis fns, {} threads",
-            self.case, self.atoms, self.basis, self.threads
+            "profile {}: {} atoms, {} basis fns, {} grid points, {} threads",
+            self.case, self.atoms, self.basis, self.grid_points, self.threads
         );
         let _ = writeln!(
             s,
-            "  serial {:.3}s  parallel {:.3}s  speedup {:.2}x  (scf {:.3}s, dfpt {:.3}s)",
+            "  serial {:.3}s  parallel {:.3}s  speedup {:.2}x  (scf {:.3}s / {} iterations, \
+             dfpt {:.3}s)",
             self.serial_total_s,
             self.parallel_total_s,
             self.speedup(),
             self.scf_s,
+            self.scf_iterations,
             self.dfpt_s
+        );
+        let alpha: Vec<String> = self
+            .dirs
+            .iter()
+            .zip(&self.alpha_diag)
+            .map(|(&d, a)| format!("α[{d}{d}] {a:.4}"))
+            .collect();
+        let (hits, misses, evictions) = self.basis_cache;
+        let _ = writeln!(
+            s,
+            "  {}  basis cache {:.1}% of {} lookups, {evictions} evictions",
+            alpha.join("  "),
+            100.0 * self.cache_hit_rate(),
+            hits + misses
         );
         let _ = writeln!(s, "  parallel wall decomposes as:");
         let bar = |frac: f64| "#".repeat((frac * 40.0).round() as usize);
@@ -421,9 +481,9 @@ fn counter_by_phase(snap: &[MetricSample], name: &str) -> BTreeMap<String, u64> 
 /// Profile one case end to end: `job` as a serial reference leg, then as an
 /// instrumented parallel leg on `threads` threads, whose wall clock is
 /// decomposed by [`attribute`]. `build` is called once per leg so each
-/// starts with a cold basis cache, matching how `bench_perf` measures its
-/// legs. A stage that fails (the SCF or a direction) ends the profile with
-/// its error.
+/// starts with a cold basis cache, as a fresh run does. This is the case
+/// runner of both `qperturb --profile` and `bench_perf`. A stage that fails
+/// (the SCF or a direction) ends the profile with its error.
 pub fn profile_case(
     name: &str,
     build: &dyn Fn() -> System,
@@ -442,9 +502,8 @@ pub fn profile_case(
     // ---- Instrumented parallel leg. ----
     let _lease = ThreadLease::exactly(threads);
     let sys = build();
-    let atoms = sys.structure.len();
-    let basis = sys.n_basis();
 
+    let (h0, m0, e0) = sys.basis_cache().counters();
     let snap_before = qp_trace::global_metrics().snapshot();
     qp_trace::set_enabled(true);
     let _ = qp_trace::span::take_events();
@@ -461,6 +520,7 @@ pub fn profile_case(
     let events = qp_trace::span::take_events();
     let out = out?;
     let snap_after = qp_trace::global_metrics().snapshot();
+    let (h1, m1, e1) = sys.basis_cache().counters();
 
     let attribution = attribute(&records, parallel_total_s, threads);
 
@@ -510,8 +570,13 @@ pub fn profile_case(
     Ok(ProfileReport {
         case: name.to_string(),
         threads,
-        atoms,
-        basis,
+        atoms: sys.structure.len(),
+        basis: sys.n_basis(),
+        grid_points: sys.n_points(),
+        scf_iterations: out.ground.iterations,
+        dirs: job.dirs.clone(),
+        alpha_diag: job.dirs.iter().map(|&d| out.alpha[(d, d)]).collect(),
+        basis_cache: (h1 - h0, m1 - m0, e1 - e0),
         serial_total_s,
         parallel_total_s,
         scf_s: out.scf_s,
@@ -715,6 +780,11 @@ mod tests {
             threads: 2,
             atoms: 3,
             basis: 13,
+            grid_points: 100,
+            scf_iterations: 12,
+            dirs: vec![1],
+            alpha_diag: vec![9.5],
+            basis_cache: (3, 1, 0),
             serial_total_s: 0.0002,
             parallel_total_s: 0.0002,
             scf_s: 0.0001,
@@ -733,6 +803,43 @@ mod tests {
         let json = report.to_json();
         validate_profile_json(&json).expect("synthetic report must validate");
         assert!(report.render_text().contains("dominant non-useful bucket"));
+    }
+
+    #[test]
+    fn profile_reports_the_jobs_own_numbers() {
+        use crate::{DfptOptions, ScfOptions};
+        use qp_chem::basis::BasisSettings;
+        use qp_chem::grids::GridSettings;
+        use qp_chem::structures::water;
+        let build = || {
+            let mut gs = GridSettings::light();
+            gs.n_radial = 24;
+            gs.max_angular = 26;
+            System::build(water(), BasisSettings::Light, &gs, 120, 2)
+        };
+        let job = Job {
+            dirs: vec![1],
+            ..Job::new(ScfOptions::default(), DfptOptions::default())
+        };
+        let report = profile_case("water", &build, &job, 2).unwrap();
+        let plain = job.run(&build()).unwrap();
+        assert_eq!(report.scf_iterations, plain.ground.iterations);
+        assert_eq!(report.dirs, vec![1]);
+        assert_eq!(report.alpha_diag.len(), 1);
+        assert_eq!(
+            report.alpha_diag[0].to_bits(),
+            plain.alpha[(1, 1)].to_bits()
+        );
+        assert_eq!(report.grid_points, build().n_points());
+        let (hits, misses, _) = report.basis_cache;
+        assert!(
+            hits > 0 && misses > 0,
+            "cache counters {:?}",
+            report.basis_cache
+        );
+        let json = report.to_json();
+        validate_profile_json(&json).unwrap();
+        assert!(json.contains("\"scf_iterations\": ") && json.contains("\"alpha_diag\": ["));
     }
 
     #[test]

@@ -65,18 +65,6 @@ impl Structure {
         (lo, hi)
     }
 
-    /// Geometric center.
-    pub fn centroid(&self) -> [f64; 3] {
-        let mut c = [0.0; 3];
-        for a in &self.atoms {
-            for d in 0..3 {
-                c[d] += a.position[d];
-            }
-        }
-        let n = self.atoms.len().max(1) as f64;
-        [c[0] / n, c[1] / n, c[2] / n]
-    }
-
     /// Nucleus-nucleus repulsion energy `Σ_{I<J} Z_I Z_J / R_IJ` (Hartree).
     pub fn nuclear_repulsion(&self) -> f64 {
         let mut e = 0.0;
@@ -128,6 +116,41 @@ impl Structure {
             out[i].sort_unstable();
         }
         out
+    }
+
+    /// The first atom `j` (in input order) closer than `cutoff` Bohr to an
+    /// earlier atom `i`, as `(i, j)`. The same uniform cell list as
+    /// [`Self::neighbours_within`], but atoms enter it one at a time and the
+    /// search stops at the first close pair: the atoms in the list stay
+    /// pairwise `cutoff` apart, so each cell holds a bounded number of them
+    /// and the cost is O(N) on any input, a million coincident atoms
+    /// included. Cells are keyed by their floored f64 coordinates, so no
+    /// span of finite coordinates overflows a key.
+    pub(crate) fn first_pair_within(&self, cutoff: f64) -> Option<(usize, usize)> {
+        let cell = cutoff.max(1e-9);
+        // `+ 0.0` folds −0.0 into +0.0 before the bits become a key.
+        let bits = |c: [f64; 3]| c.map(|v| (v + 0.0).to_bits());
+        let mut cells: HashMap<[u64; 3], Vec<usize>> = HashMap::new();
+        for (j, a) in self.atoms.iter().enumerate() {
+            let c = a.position.map(|x| (x / cell).floor());
+            for dx in [-1.0, 0.0, 1.0] {
+                for dy in [-1.0, 0.0, 1.0] {
+                    for dz in [-1.0, 0.0, 1.0] {
+                        let Some(members) = cells.get(&bits([c[0] + dx, c[1] + dy, c[2] + dz]))
+                        else {
+                            continue;
+                        };
+                        for &i in members {
+                            if dist3(self.atoms[i].position, a.position) < cutoff {
+                                return Some((i, j));
+                            }
+                        }
+                    }
+                }
+            }
+            cells.entry(bits(c)).or_default().push(j);
+        }
+        None
     }
 
     /// Covalent bond list: pairs closer than 1.3 × the sum of covalent radii.
@@ -209,6 +232,15 @@ mod tests {
                 assert_eq!(nb[i].contains(&j), within, "pair ({i},{j})");
             }
         }
+        // The early-exit search stops at the first atom with a close
+        // predecessor, and no earlier atom has one.
+        let close = |a: usize, b: usize| dist3(w.atoms[a].position, w.atoms[b].position) < cutoff;
+        let (i, j) = w
+            .first_pair_within(cutoff)
+            .expect("bonds are shorter than 4 Bohr");
+        assert!(i < j && close(i, j));
+        assert!((0..j).all(|b| (0..b).all(|a| !close(a, b))));
+        assert_eq!(w.first_pair_within(0.5), None);
     }
 
     #[test]

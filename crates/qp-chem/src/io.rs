@@ -9,6 +9,7 @@
 use crate::elements::Element;
 use crate::geometry::{Atom, Structure};
 use crate::structures::BOHR_PER_ANGSTROM;
+use qp_linalg::vecops::dist3;
 
 /// Parse errors.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -18,7 +19,7 @@ pub enum ParseError {
     /// Unknown element symbol.
     UnknownElement(usize, String),
     /// Structurally valid but physically unusable input (no atoms,
-    /// non-finite coordinate, absurd atom count).
+    /// absurd atom count, two atoms at one point).
     Invalid(String),
 }
 
@@ -40,6 +41,32 @@ impl std::error::Error for ParseError {}
 /// socket from untrusted clients; a header claiming 10⁹ atoms is a memory
 /// bomb, not a molecule.
 const MAX_ATOMS: usize = 1_000_000;
+
+/// Closest approach (Bohr) two atoms of one structure may have: 0.26 Å,
+/// well under the shortest real bond (H₂, 1.40 Bohr). Two atoms at one
+/// point carry the same basis functions, so the overlap matrix is singular
+/// and the SCF would end in an eigensolver error that names neither atom.
+const MIN_ATOM_DISTANCE: f64 = 0.5;
+
+/// The parsed atoms as a structure, or `ParseError::Invalid` naming the
+/// first two atoms closer than [`MIN_ATOM_DISTANCE`].
+fn checked_structure(atoms: Vec<Atom>) -> Result<Structure, ParseError> {
+    let s = Structure::new(atoms);
+    if let Some((i, j)) = s.first_pair_within(MIN_ATOM_DISTANCE) {
+        let (a, b) = (&s.atoms[i], &s.atoms[j]);
+        return Err(ParseError::Invalid(format!(
+            "atoms {} ({}) and {} ({}) are {:.3} Å apart, closer than the {:.2} Å \
+             minimum: coincident atoms make the basis linearly dependent",
+            i + 1,
+            a.element.symbol(),
+            j + 1,
+            b.element.symbol(),
+            dist3(a.position, b.position) / BOHR_PER_ANGSTROM,
+            MIN_ATOM_DISTANCE / BOHR_PER_ANGSTROM,
+        )));
+    }
+    Ok(s)
+}
 
 /// Parse one coordinate token, rejecting the `NaN`/`inf` spellings Rust's
 /// `f64::parse` otherwise accepts — a non-finite position poisons every
@@ -94,7 +121,7 @@ pub fn parse_geometry_in(text: &str) -> Result<Structure, ParseError> {
     if atoms.is_empty() {
         return Err(ParseError::Invalid("no atoms in geometry".into()));
     }
-    Ok(Structure::new(atoms))
+    checked_structure(atoms)
 }
 
 /// Write a structure as FHI-aims `geometry.in` text (coordinates in Å).
@@ -164,7 +191,7 @@ pub fn parse_xyz(text: &str) -> Result<Structure, ParseError> {
             format!("header promised {n} atoms, found {}", atoms.len()),
         ));
     }
-    Ok(Structure::new(atoms))
+    checked_structure(atoms)
 }
 
 /// Write a structure as XYZ text (Å).
@@ -276,5 +303,23 @@ mod tests {
             parse_geometry_in("atom nan 0 0 O\n"),
             Err(ParseError::Malformed(1, _))
         ));
+        // Two atoms at one point make the overlap matrix singular; the
+        // error names both, and a pile of them is refused at its second
+        // atom, with no pairwise scan.
+        match parse_xyz("2\nsame\nH 0 0 0\nH 0 0 0\n") {
+            Err(ParseError::Invalid(what)) => {
+                assert!(what.contains("atoms 1 (H) and 2 (H)"), "{what}")
+            }
+            other => panic!("expected Invalid(coincident), got {other:?}"),
+        }
+        match parse_geometry_in("atom 0 0 0 O\natom 1 0 0 H\natom 0.1 0.1 0 O\n") {
+            Err(ParseError::Invalid(what)) => {
+                assert!(what.contains("atoms 1 (O) and 3 (O)"), "{what}")
+            }
+            other => panic!("expected Invalid(coincident), got {other:?}"),
+        }
+        let n = 200_000;
+        let pile = format!("{n}\npile\n{}", "H 0 0 0\n".repeat(n));
+        assert!(matches!(parse_xyz(&pile), Err(ParseError::Invalid(_))));
     }
 }

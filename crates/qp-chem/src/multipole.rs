@@ -260,15 +260,6 @@ impl MultipoleMoments {
             n_lm,
         }
     }
-
-    /// Size in bytes of one atom's moment table (one "row" of
-    /// `rho_multipole` in the paper's AllReduce packing discussion).
-    pub fn row_bytes(&self) -> usize {
-        self.moments
-            .first()
-            .map(|m| m.len() * std::mem::size_of::<f64>())
-            .unwrap_or(0)
-    }
 }
 
 /// The partitioned Hartree potential: per `(atom, lm)` a radial spline plus
@@ -953,15 +944,6 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn row_bytes_matches_layout() {
-        let s = single_atom();
-        let grid = IntegrationGrid::build(&s, &GridSettings::coarse());
-        let n = vec![0.0; grid.len()];
-        let mom = MultipoleMoments::compute(&s, &grid, &n, 3);
-        assert_eq!(mom.row_bytes(), grid.radial.len() * 16 * 8);
     }
 
     fn lcg_moments(lmax: usize, seed: u64) -> Vec<f64> {

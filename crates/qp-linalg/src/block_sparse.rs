@@ -5,17 +5,13 @@
 //! outside the atom-pair neighbor list.  This type stores only the
 //! surviving blocks: block rows/columns are atoms (each atom owns a
 //! contiguous run of basis functions), the pair structure is CSR over
-//! atoms, and each stored pair holds a dense row-major `|I| × |J|` block
-//! that the existing blocked GEMM (and its AVX2 microkernel) operates on.
-//!
-//! Determinism contract: every operation visits stored pairs in CSR order
-//! (rows ascending, columns ascending within a row) and accumulates with
-//! [`crate::gemm::gemm`], so results are bit-identical across thread counts
-//! and — because skipped blocks correspond to exact `+0.0` contributions —
-//! bit-identical to the equivalent dense computation on masked inputs.
+//! atoms, and each stored pair holds a dense row-major `|I| × |J|` block.
+//! The screened operator merge in `qp-core` scatters batch triangles into
+//! these blocks and densifies them with [`BlockSparseMatrix::to_dense`],
+//! which writes exact `+0.0` off the support — so the merged matrix is
+//! bit-identical to the dense merge.
 
 use crate::dense::DMatrix;
-use crate::gemm::gemm;
 use crate::{LinalgError, Result};
 
 /// Contiguous function ranges per atom block: block `i` owns functions
@@ -196,386 +192,6 @@ impl BlockSparseMatrix {
     pub fn memory_bytes(&self) -> usize {
         self.row_ptr.len() * 8 + self.cols.len() * 4 + self.data_off.len() * 8 + self.data.len() * 8
     }
-
-    /// Block-sparse product `A · B`.  The result support is the exact
-    /// pair-graph product (row `i` of `C` holds the union of `B`'s rows
-    /// reachable through `A`'s row `i`), so no nonzero is dropped; each
-    /// block product runs through the blocked GEMM microkernel with the
-    /// inner atom index `k` ascending, so the result is deterministic at
-    /// any thread count.  Values agree with the dense product of the
-    /// masked operands to rounding: the dense path groups each element's
-    /// k-chain by [`crate::gemm::K_GROUP`] segments while this path groups
-    /// it by atom blocks, so the low bits may differ (regrouping of the
-    /// same exact terms), never the support.
-    pub fn matmul(&self, other: &BlockSparseMatrix) -> Result<BlockSparseMatrix> {
-        if self.part != other.part {
-            return Err(LinalgError::DimensionMismatch {
-                op: "block_sparse::matmul",
-                dims: vec![self.part.total(), other.part.total()],
-            });
-        }
-        let nb = self.part.n_blocks();
-        // Support closure: merge the sorted B-rows selected by each A-row.
-        let mut row_ptr = Vec::with_capacity(nb + 1);
-        let mut cols: Vec<u32> = Vec::new();
-        row_ptr.push(0);
-        let mut mark = vec![false; nb];
-        let mut touched: Vec<u32> = Vec::new();
-        for i in 0..nb {
-            for p in self.row_ptr[i]..self.row_ptr[i + 1] {
-                let k = self.cols[p] as usize;
-                for &j in &other.cols[other.row_ptr[k]..other.row_ptr[k + 1]] {
-                    if !mark[j as usize] {
-                        mark[j as usize] = true;
-                        touched.push(j);
-                    }
-                }
-            }
-            touched.sort_unstable();
-            cols.extend_from_slice(&touched);
-            for &j in &touched {
-                mark[j as usize] = false;
-            }
-            touched.clear();
-            row_ptr.push(cols.len());
-        }
-        let mut out = BlockSparseMatrix::zeros(self.part.clone(), &row_ptr, &cols);
-        for i in 0..nb {
-            let rs = self.part.size(i);
-            // k ascending preserves the dense accumulation order per entry.
-            for p in self.row_ptr[i]..self.row_ptr[i + 1] {
-                let k = self.cols[p] as usize;
-                let ks = self.part.size(k);
-                let a_blk = &self.data[self.data_off[p]..self.data_off[p + 1]];
-                for q in other.row_ptr[k]..other.row_ptr[k + 1] {
-                    let j = other.cols[q] as usize;
-                    let js = self.part.size(j);
-                    let b_blk = &other.data[other.data_off[q]..other.data_off[q + 1]];
-                    let pair = out.find(i, j).expect("closure covers product support");
-                    let off = out.data_off[pair];
-                    gemm(
-                        rs,
-                        js,
-                        ks,
-                        a_blk,
-                        b_blk,
-                        &mut out.data[off..off + rs * js],
-                        false,
-                    );
-                }
-            }
-        }
-        Ok(out)
-    }
-
-    /// Rank-k update on the stored support: for every stored pair `(I, J)`,
-    /// `M_IJ += α · C_I · C_Jᵀ` where `C_I` is the row slice of `factor`
-    /// belonging to block `I`.  This is the screened density-matrix build
-    /// (`P = Σ_occ f |c⟩⟨c|` evaluated only where basis supports overlap):
-    /// cost `O(pairs · block² · k)` instead of the dense `O(n² · k)`.
-    /// Block rows own disjoint contiguous ranges of `data`, so the parallel
-    /// sweep is deterministic at any thread count.
-    pub fn rank_k_update(&mut self, alpha: f64, factor: &DMatrix, parallel: bool) -> Result<()> {
-        let mut scaled = factor.clone();
-        for v in scaled.as_mut_slice().iter_mut() {
-            *v *= alpha;
-        }
-        self.rank_k_update_ab(&scaled, factor, parallel)
-    }
-
-    /// Two-factor rank-k update on the stored support: for every stored
-    /// pair `(I, J)`, `M_IJ += L_I · R_Jᵀ`.  This is the occupation-scaled
-    /// density-matrix build (`L = f·C`, `R = C` over occupied columns);
-    /// [`Self::rank_k_update`] is the `L = α·R` special case.
-    pub fn rank_k_update_ab(
-        &mut self,
-        left: &DMatrix,
-        right: &DMatrix,
-        parallel: bool,
-    ) -> Result<()> {
-        if left.rows() != self.part.total()
-            || right.rows() != self.part.total()
-            || left.cols() != right.cols()
-        {
-            return Err(LinalgError::DimensionMismatch {
-                op: "block_sparse::rank_k_update",
-                dims: vec![left.rows(), right.rows(), left.cols(), right.cols()],
-            });
-        }
-        let k = left.cols();
-        let nb = self.part.n_blocks();
-        let fl = left.as_slice();
-        let fr = right.as_slice();
-        struct DataPtr(*mut f64);
-        unsafe impl Send for DataPtr {}
-        unsafe impl Sync for DataPtr {}
-        let dp = DataPtr(self.data.as_mut_ptr());
-        let part = &self.part;
-        let (row_ptr, cols, data_off) = (&self.row_ptr, &self.cols, &self.data_off);
-        let est = self
-            .data
-            .len()
-            .checked_div(nb)
-            .map_or(1, |per_row| (per_row * k).max(1) as u64);
-        let body = |i: usize| {
-            let _ = &dp;
-            let (ro, rs) = (part.offset(i), part.size(i));
-            // a = L_I (rs × k), contiguous copy once per block row.
-            let mut a = vec![0.0; rs * k];
-            a.copy_from_slice(&fl[ro * k..(ro + rs) * k]);
-            for p in row_ptr[i]..row_ptr[i + 1] {
-                let j = cols[p] as usize;
-                let (co, cs) = (part.offset(j), part.size(j));
-                // b = R_Jᵀ (k × cs), packed per pair.
-                let mut b = vec![0.0; k * cs];
-                for c in 0..cs {
-                    for kk in 0..k {
-                        b[kk * cs + c] = fr[(co + c) * k + kk];
-                    }
-                }
-                let out = unsafe { std::slice::from_raw_parts_mut(dp.0.add(data_off[p]), rs * cs) };
-                gemm(rs, cs, k, &a, &b, out, false);
-            }
-        };
-        if parallel {
-            qp_par::for_each_index_hinted(nb, est, body);
-        } else {
-            for i in 0..nb {
-                body(i);
-            }
-        }
-        Ok(())
-    }
-
-    /// Scale every stored entry.
-    pub fn scale(&mut self, alpha: f64) {
-        for v in self.data.iter_mut() {
-            *v *= alpha;
-        }
-    }
-
-    /// [`Self::rank_k_update_ab`] with locally truncated k-segments: the
-    /// factors are scanned once for per-(block row, [`K_GROUP`]-aligned
-    /// k-segment) activity, and each stored pair contracts only the
-    /// segments where *both* factors have a nonzero — the linear-scaling
-    /// response-density-matrix contraction (Shang et al.), where `L = C¹`
-    /// and `R = C` columns vanish outside each atom's screened
-    /// neighbourhood.
-    ///
-    /// Bit-identity with the dense-k update: `gemm` accumulates every C
-    /// element per ascending KC-aligned segment as `c += chain(segment)`,
-    /// with the chain seeded at `+0.0`. A segment whose products are all
-    /// `±0.0` therefore contributes exactly `c += +0.0` — invisible as
-    /// long as `c` is never `−0.0`, which holds here because stored
-    /// entries start at `+0.0` and segment chains seeded at `+0.0` can
-    /// never round to `−0.0`. One `gemm` call per surviving aligned
-    /// segment reproduces the dense grouping, hence the dense bits.
-    pub fn rank_k_update_ab_screened(
-        &mut self,
-        left: &DMatrix,
-        right: &DMatrix,
-        parallel: bool,
-    ) -> Result<()> {
-        if left.rows() != self.part.total()
-            || right.rows() != self.part.total()
-            || left.cols() != right.cols()
-        {
-            return Err(LinalgError::DimensionMismatch {
-                op: "block_sparse::rank_k_update_screened",
-                dims: vec![left.rows(), right.rows(), left.cols(), right.cols()],
-            });
-        }
-        const KG: usize = crate::gemm::K_GROUP;
-        let k = left.cols();
-        let nb = self.part.n_blocks();
-        if k == 0 {
-            return Ok(());
-        }
-        let n_seg = k.div_ceil(KG);
-        let fl = left.as_slice();
-        let fr = right.as_slice();
-        // Per-(block row, segment) nonzero bitmaps: one O(n·k) scan of each
-        // factor, amortized over O(pairs) block products.
-        let activity = |f: &[f64]| -> Vec<bool> {
-            let mut act = vec![false; nb * n_seg];
-            for i in 0..nb {
-                let (ro, rs) = (self.part.offset(i), self.part.size(i));
-                for r in 0..rs {
-                    let row = &f[(ro + r) * k..(ro + r + 1) * k];
-                    for s in 0..n_seg {
-                        if !act[i * n_seg + s]
-                            && row[s * KG..((s + 1) * KG).min(k)].iter().any(|&v| v != 0.0)
-                        {
-                            act[i * n_seg + s] = true;
-                        }
-                    }
-                }
-            }
-            act
-        };
-        let la = activity(fl);
-        let ra = activity(fr);
-        struct DataPtr(*mut f64);
-        unsafe impl Send for DataPtr {}
-        unsafe impl Sync for DataPtr {}
-        let dp = DataPtr(self.data.as_mut_ptr());
-        let part = &self.part;
-        let (row_ptr, cols, data_off) = (&self.row_ptr, &self.cols, &self.data_off);
-        let est = self
-            .data
-            .len()
-            .checked_div(nb)
-            .map_or(1, |per_row| (per_row * k).max(1) as u64);
-        let (la, ra) = (&la, &ra);
-        let body = |i: usize| {
-            let _ = &dp;
-            let (ro, rs) = (part.offset(i), part.size(i));
-            // Pack L_I's surviving segments once per block row.
-            let row_segs: Vec<usize> = (0..n_seg).filter(|&s| la[i * n_seg + s]).collect();
-            let a_segs: Vec<Vec<f64>> = row_segs
-                .iter()
-                .map(|&s| {
-                    let (ks, ke) = (s * KG, ((s + 1) * KG).min(k));
-                    let kk = ke - ks;
-                    let mut a = vec![0.0; rs * kk];
-                    for r in 0..rs {
-                        a[r * kk..(r + 1) * kk]
-                            .copy_from_slice(&fl[(ro + r) * k + ks..(ro + r) * k + ke]);
-                    }
-                    a
-                })
-                .collect();
-            for p in row_ptr[i]..row_ptr[i + 1] {
-                let j = cols[p] as usize;
-                let (co, cs) = (part.offset(j), part.size(j));
-                let out = unsafe { std::slice::from_raw_parts_mut(dp.0.add(data_off[p]), rs * cs) };
-                // Ascending segments preserve the dense accumulation order.
-                for (si, &s) in row_segs.iter().enumerate() {
-                    if !ra[j * n_seg + s] {
-                        continue;
-                    }
-                    let (ks, ke) = (s * KG, ((s + 1) * KG).min(k));
-                    let kk = ke - ks;
-                    // b = R_Jᵀ restricted to the segment (kk × cs).
-                    let mut b = vec![0.0; kk * cs];
-                    for c in 0..cs {
-                        for (kkk, bk) in (ks..ke).enumerate() {
-                            b[kkk * cs + c] = fr[(co + c) * k + bk];
-                        }
-                    }
-                    gemm(rs, cs, kk, &a_segs[si], &b, out, false);
-                }
-            }
-        };
-        if parallel {
-            qp_par::for_each_index_hinted(nb, est, body);
-        } else {
-            for i in 0..nb {
-                body(i);
-            }
-        }
-        Ok(())
-    }
-
-    /// [`Self::rank_k_update_ab_screened`] with caller-supplied structure:
-    /// the factors are delivered as element accessors (`*_elem(row, kc)`)
-    /// and per-(block row, [`K_GROUP`]-segment) activity oracles
-    /// (`*_active(block, seg)`) instead of dense matrices. Segments are
-    /// packed straight from the accessors, so when activity comes from an
-    /// a-priori sparsity structure (a screening plan) the whole update is
-    /// `O(surviving (pair, segment) blocks)` — no `O(n·k)` dense factor
-    /// copy and no `O(n·k)` activity scan.
-    ///
-    /// Bit-identity contract: the result matches
-    /// [`Self::rank_k_update_ab_screened`] on the dense factors
-    /// `L[(r,c)] = left_elem(r, c)`, `R[(r,c)] = right_elem(r, c)`
-    /// **provided each activity oracle covers every segment where its
-    /// factor has a nonzero** (an over-claimed all-zero segment contributes
-    /// an exact `+0.0` per the segment lemma above; an under-claimed
-    /// nonzero segment silently drops contributions).
-    pub fn rank_k_update_ab_packed<LA, RA, LE, RE>(
-        &mut self,
-        k: usize,
-        left_active: LA,
-        right_active: RA,
-        left_elem: LE,
-        right_elem: RE,
-        parallel: bool,
-    ) -> Result<()>
-    where
-        LA: Fn(usize, usize) -> bool + Sync,
-        RA: Fn(usize, usize) -> bool + Sync,
-        LE: Fn(usize, usize) -> f64 + Sync,
-        RE: Fn(usize, usize) -> f64 + Sync,
-    {
-        const KG: usize = crate::gemm::K_GROUP;
-        let nb = self.part.n_blocks();
-        if k == 0 {
-            return Ok(());
-        }
-        let n_seg = k.div_ceil(KG);
-        struct DataPtr(*mut f64);
-        unsafe impl Send for DataPtr {}
-        unsafe impl Sync for DataPtr {}
-        let dp = DataPtr(self.data.as_mut_ptr());
-        let part = &self.part;
-        let (row_ptr, cols, data_off) = (&self.row_ptr, &self.cols, &self.data_off);
-        let est = self
-            .data
-            .len()
-            .checked_div(nb)
-            .map_or(1, |per_row| (per_row * k).max(1) as u64);
-        let (left_active, right_active) = (&left_active, &right_active);
-        let (left_elem, right_elem) = (&left_elem, &right_elem);
-        let body = |i: usize| {
-            let _ = &dp;
-            let (ro, rs) = (part.offset(i), part.size(i));
-            let row_segs: Vec<usize> = (0..n_seg).filter(|&s| left_active(i, s)).collect();
-            let a_segs: Vec<Vec<f64>> = row_segs
-                .iter()
-                .map(|&s| {
-                    let (ks, ke) = (s * KG, ((s + 1) * KG).min(k));
-                    let kk = ke - ks;
-                    let mut a = vec![0.0; rs * kk];
-                    for r in 0..rs {
-                        for (t, kc) in (ks..ke).enumerate() {
-                            a[r * kk + t] = left_elem(ro + r, kc);
-                        }
-                    }
-                    a
-                })
-                .collect();
-            for p in row_ptr[i]..row_ptr[i + 1] {
-                let j = cols[p] as usize;
-                let (co, cs) = (part.offset(j), part.size(j));
-                let out = unsafe { std::slice::from_raw_parts_mut(dp.0.add(data_off[p]), rs * cs) };
-                // Ascending segments preserve the dense accumulation order.
-                for (si, &s) in row_segs.iter().enumerate() {
-                    if !right_active(j, s) {
-                        continue;
-                    }
-                    let (ks, ke) = (s * KG, ((s + 1) * KG).min(k));
-                    let kk = ke - ks;
-                    // b = R_Jᵀ restricted to the segment (kk × cs).
-                    let mut b = vec![0.0; kk * cs];
-                    for c in 0..cs {
-                        for (kkk, bk) in (ks..ke).enumerate() {
-                            b[kkk * cs + c] = right_elem(co + c, bk);
-                        }
-                    }
-                    gemm(rs, cs, kk, &a_segs[si], &b, out, false);
-                }
-            }
-        };
-        if parallel {
-            qp_par::for_each_index_hinted(nb, est, body);
-        } else {
-            for i in 0..nb {
-                body(i);
-            }
-        }
-        Ok(())
-    }
 }
 
 #[cfg(test)]
@@ -632,262 +248,5 @@ mod tests {
         }
         assert!(b.fill_ratio() < 1.0);
         assert!(b.memory_bytes() > 0);
-    }
-
-    #[test]
-    fn matmul_matches_masked_dense() {
-        let sizes = [2usize, 3, 2, 4, 1];
-        let (part, row_ptr, cols) = banded(&sizes, 1);
-        let n = part.total();
-        let da = lcg_matrix(n, n, 11);
-        let db = lcg_matrix(n, n, 23);
-        let a = BlockSparseMatrix::from_dense(&da, part.clone(), &row_ptr, &cols).unwrap();
-        let b = BlockSparseMatrix::from_dense(&db, part.clone(), &row_ptr, &cols).unwrap();
-        let product = a.matmul(&b).unwrap();
-        let sparse = product.to_dense();
-        let dense = a.to_dense().matmul(&b.to_dense()).unwrap();
-        // Same exact terms per element, grouped differently (atom blocks vs
-        // K_GROUP segments): values match to rounding, support exactly.
-        for (i, (s, d)) in sparse.as_slice().iter().zip(dense.as_slice()).enumerate() {
-            assert!(
-                (s - d).abs() <= 1e-13 * d.abs().max(1.0),
-                "entry {i}: {s} vs {d}"
-            );
-            if *d == 0.0 && product.find(0, 0).is_some() {
-                // Off the product support, to_dense emits exact +0.0.
-                continue;
-            }
-        }
-        // Entries outside the closed support are exactly +0.0 in both.
-        for bi in 0..sizes.len() {
-            for bj in 0..sizes.len() {
-                if bi.abs_diff(bj) > 2 {
-                    let (ro, co) = (part.offset(bi), part.offset(bj));
-                    assert!(product.find(bi, bj).is_none());
-                    assert_eq!(sparse[(ro, co)].to_bits(), 0.0f64.to_bits());
-                    assert_eq!(dense[(ro, co)].to_bits(), 0.0f64.to_bits());
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn matmul_widens_support() {
-        let sizes = [1usize, 1, 1, 1];
-        let (part, row_ptr, cols) = banded(&sizes, 1);
-        let mut a = BlockSparseMatrix::zeros(part, &row_ptr, &cols);
-        for p in 0..a.nnz_blocks() {
-            a.block_mut(p)[0] = 1.0;
-        }
-        let sq = a.matmul(&a).unwrap();
-        // Band 1 squared reaches band 2.
-        assert!(sq.find(0, 2).is_some());
-        assert!(sq.find(0, 3).is_none());
-    }
-
-    #[test]
-    fn rank_k_matches_masked_dense_bitwise() {
-        let sizes = [3usize, 2, 3, 1, 2];
-        let (part, row_ptr, cols) = banded(&sizes, 1);
-        let n = part.total();
-        let c = lcg_matrix(n, 4, 31);
-        let mut m = BlockSparseMatrix::zeros(part.clone(), &row_ptr, &cols);
-        m.rank_k_update(2.0, &c, false).unwrap();
-        // Dense oracle with identical per-entry accumulation: α·C·Cᵀ via
-        // the same gemm, masked afterwards.
-        let mut ct = DMatrix::zeros(4, n);
-        for i in 0..n {
-            for k in 0..4 {
-                ct[(k, i)] = c[(i, k)];
-            }
-        }
-        let mut scaled = c.clone();
-        for v in scaled.as_mut_slice().iter_mut() {
-            *v *= 2.0;
-        }
-        let mut dense = DMatrix::zeros(n, n);
-        gemm(
-            n,
-            n,
-            4,
-            scaled.as_slice(),
-            ct.as_slice(),
-            dense.as_mut_slice(),
-            false,
-        );
-        let masked = BlockSparseMatrix::from_dense(&dense, part, &row_ptr, &cols)
-            .unwrap()
-            .to_dense();
-        for (s, d) in m.to_dense().as_slice().iter().zip(masked.as_slice()) {
-            assert_eq!(s.to_bits(), d.to_bits());
-        }
-    }
-
-    #[test]
-    fn rank_k_parallel_bit_identical_to_serial() {
-        let sizes = [4usize, 3, 2, 5, 1, 3];
-        let (part, row_ptr, cols) = banded(&sizes, 2);
-        let c = lcg_matrix(part.total(), 6, 97);
-        let mut serial = BlockSparseMatrix::zeros(part.clone(), &row_ptr, &cols);
-        serial.rank_k_update(1.0, &c, false).unwrap();
-        let mut parallel = BlockSparseMatrix::zeros(part, &row_ptr, &cols);
-        parallel.rank_k_update(1.0, &c, true).unwrap();
-        for (s, p) in serial
-            .to_dense()
-            .as_slice()
-            .iter()
-            .zip(parallel.to_dense().as_slice())
-        {
-            assert_eq!(s.to_bits(), p.to_bits());
-        }
-    }
-
-    #[test]
-    fn screened_rank_k_bit_identical_to_dense_k() {
-        // k spans multiple K_GROUP segments; factors carry a block-local
-        // zero structure (each block row supports only a k-window), so the
-        // screened path actually skips segments — and must still match the
-        // full-k update bit for bit.
-        let sizes = [5usize, 3, 4, 2, 6, 3];
-        let (part, row_ptr, cols) = banded(&sizes, 2);
-        let n = part.total();
-        let k = 2 * crate::gemm::K_GROUP + 57;
-        let dense_l = lcg_matrix(n, k, 5);
-        let dense_r = lcg_matrix(n, k, 17);
-        let window = |bi: usize, kk: usize| -> bool {
-            // Block bi supports roughly one third of the k range.
-            let lo = (bi * k) / (sizes.len() + 2);
-            kk >= lo && kk < lo + k / 3
-        };
-        let block_of = |f: usize| (0..sizes.len()).rfind(|&b| part.offset(b) <= f).unwrap();
-        let mask = |m: &DMatrix| -> DMatrix {
-            DMatrix::from_fn(n, k, |r, c| {
-                if window(block_of(r), c) {
-                    m[(r, c)]
-                } else {
-                    0.0
-                }
-            })
-        };
-        let (l, r) = (mask(&dense_l), mask(&dense_r));
-        let mut full = BlockSparseMatrix::zeros(part.clone(), &row_ptr, &cols);
-        full.rank_k_update_ab(&l, &r, false).unwrap();
-        let mut screened = BlockSparseMatrix::zeros(part.clone(), &row_ptr, &cols);
-        screened.rank_k_update_ab_screened(&l, &r, false).unwrap();
-        for (f, s) in full
-            .to_dense()
-            .as_slice()
-            .iter()
-            .zip(screened.to_dense().as_slice())
-        {
-            assert_eq!(f.to_bits(), s.to_bits());
-        }
-        // Fully dense factors: every segment survives, still identical.
-        let mut full2 = BlockSparseMatrix::zeros(part.clone(), &row_ptr, &cols);
-        full2.rank_k_update_ab(&dense_l, &dense_r, false).unwrap();
-        let mut scr2 = BlockSparseMatrix::zeros(part, &row_ptr, &cols);
-        scr2.rank_k_update_ab_screened(&dense_l, &dense_r, false)
-            .unwrap();
-        for (f, s) in full2
-            .to_dense()
-            .as_slice()
-            .iter()
-            .zip(scr2.to_dense().as_slice())
-        {
-            assert_eq!(f.to_bits(), s.to_bits());
-        }
-    }
-
-    #[test]
-    fn screened_rank_k_parallel_bit_identical_to_serial() {
-        let sizes = [4usize, 3, 2, 5, 1, 3, 4];
-        let (part, row_ptr, cols) = banded(&sizes, 2);
-        let k = crate::gemm::K_GROUP + 31;
-        let l = lcg_matrix(part.total(), k, 3);
-        let r = lcg_matrix(part.total(), k, 9);
-        let mut serial = BlockSparseMatrix::zeros(part.clone(), &row_ptr, &cols);
-        serial.rank_k_update_ab_screened(&l, &r, false).unwrap();
-        let mut parallel = BlockSparseMatrix::zeros(part, &row_ptr, &cols);
-        parallel.rank_k_update_ab_screened(&l, &r, true).unwrap();
-        for (s, p) in serial
-            .to_dense()
-            .as_slice()
-            .iter()
-            .zip(parallel.to_dense().as_slice())
-        {
-            assert_eq!(s.to_bits(), p.to_bits());
-        }
-    }
-
-    #[test]
-    fn packed_rank_k_bit_identical_to_screened() {
-        // Same window-masked factors as the screened test, but structure
-        // delivered through the oracle/accessor API — including an
-        // over-claimed activity oracle (whole window rounded out to
-        // segment granularity), which must be invisible per the segment
-        // lemma.
-        let sizes = [5usize, 3, 4, 2, 6, 3];
-        let (part, row_ptr, cols) = banded(&sizes, 2);
-        let n = part.total();
-        const KG: usize = crate::gemm::K_GROUP;
-        let k = 2 * KG + 57;
-        let dense_l = lcg_matrix(n, k, 5);
-        let dense_r = lcg_matrix(n, k, 17);
-        let nb = sizes.len();
-        let window = |bi: usize, kk: usize| -> bool {
-            let lo = (bi * k) / (nb + 2);
-            kk >= lo && kk < lo + k / 3
-        };
-        let block_of = |f: usize| (0..nb).rfind(|&b| part.offset(b) <= f).unwrap();
-        let mask = |m: &DMatrix| -> DMatrix {
-            DMatrix::from_fn(n, k, |r, c| {
-                if window(block_of(r), c) {
-                    m[(r, c)]
-                } else {
-                    0.0
-                }
-            })
-        };
-        let (l, r) = (mask(&dense_l), mask(&dense_r));
-        let mut screened = BlockSparseMatrix::zeros(part.clone(), &row_ptr, &cols);
-        screened.rank_k_update_ab_screened(&l, &r, false).unwrap();
-        // Segment active iff the window touches it — a superset of the
-        // scanned nonzero segments.
-        let seg_active =
-            |bi: usize, s: usize| (s * KG..((s + 1) * KG).min(k)).any(|kk| window(bi, kk));
-        for par in [false, true] {
-            let mut packed = BlockSparseMatrix::zeros(part.clone(), &row_ptr, &cols);
-            packed
-                .rank_k_update_ab_packed(
-                    k,
-                    seg_active,
-                    seg_active,
-                    |row, kc| l[(row, kc)],
-                    |row, kc| r[(row, kc)],
-                    par,
-                )
-                .unwrap();
-            for (a, b) in screened
-                .to_dense()
-                .as_slice()
-                .iter()
-                .zip(packed.to_dense().as_slice())
-            {
-                assert_eq!(a.to_bits(), b.to_bits());
-            }
-        }
-    }
-
-    #[test]
-    fn scale_and_dimension_errors() {
-        let (part, row_ptr, cols) = banded(&[2, 2], 0);
-        let mut m = BlockSparseMatrix::zeros(part.clone(), &row_ptr, &cols);
-        m.block_mut(0)[0] = 3.0;
-        m.scale(0.5);
-        assert_eq!(m.block(0)[0], 1.5);
-        let bad = lcg_matrix(5, 2, 1);
-        assert!(m.rank_k_update(1.0, &bad, false).is_err());
-        let other = BlockSparseMatrix::zeros(BlockPartition::from_sizes(&[1, 1]), &row_ptr, &cols);
-        assert!(m.matmul(&other).is_err());
     }
 }

@@ -222,21 +222,6 @@ impl DMatrix {
         Ok(out)
     }
 
-    /// Symmetric rank-k update `self += alpha * a * aᵀ` through the blocked
-    /// parallel GEMM (the density-matrix build `P = 2 C_occ C_occᵀ` is this
-    /// operation).
-    pub fn rank_k_update(&mut self, alpha: f64, a: &DMatrix) -> Result<()> {
-        if self.rows != a.rows || self.cols != a.rows {
-            return Err(LinalgError::DimensionMismatch {
-                op: "rank_k_update",
-                dims: vec![self.rows, self.cols, a.rows, a.cols],
-            });
-        }
-        let at = a.transpose();
-        let prod = a.par_matmul(&at)?;
-        self.axpy(alpha, &prod)
-    }
-
     /// `self += alpha * other`.
     pub fn axpy(&mut self, alpha: f64, other: &DMatrix) -> Result<()> {
         if self.rows != other.rows || self.cols != other.cols {
@@ -329,17 +314,6 @@ impl DMatrix {
         }
         out
     }
-
-    /// Scatter-add a square sub-matrix back: `self[(idx[a], idx[b])] += block[(a, b)]`.
-    pub fn scatter_add_square(&mut self, idx: &[usize], block: &DMatrix) {
-        assert!(self.is_square());
-        assert_eq!(block.rows(), idx.len());
-        for (a, &ia) in idx.iter().enumerate() {
-            for (b, &ib) in idx.iter().enumerate() {
-                self[(ia, ib)] += block[(a, b)];
-            }
-        }
-    }
 }
 
 impl std::ops::Index<(usize, usize)> for DMatrix {
@@ -400,16 +374,6 @@ mod tests {
     }
 
     #[test]
-    fn rank_k_update_matches_explicit_product() {
-        let c = DMatrix::from_fn(9, 4, |i, j| (i * 4 + j) as f64 * 0.1 - 1.0);
-        let mut p = DMatrix::zeros(9, 9);
-        p.rank_k_update(2.0, &c).unwrap();
-        let mut expect = c.matmul(&c.transpose()).unwrap();
-        expect.scale(2.0);
-        assert!(p.max_abs_diff(&expect) < 1e-12);
-    }
-
-    #[test]
     fn max_abs_diff_propagates_nan() {
         let a = DMatrix::from_vec(1, 3, vec![1.0, f64::NAN, 0.0]).unwrap();
         let b = DMatrix::from_vec(1, 3, vec![0.0, 0.0, 5.0]).unwrap();
@@ -463,10 +427,6 @@ mod tests {
         let blk = m.gather_square(&idx);
         assert_eq!(blk[(0, 0)], m[(1, 1)]);
         assert_eq!(blk[(2, 1)], m[(4, 3)]);
-        let mut acc = DMatrix::zeros(5, 5);
-        acc.scatter_add_square(&idx, &blk);
-        assert_eq!(acc[(4, 3)], m[(4, 3)]);
-        assert_eq!(acc[(0, 0)], 0.0);
     }
 
     #[test]

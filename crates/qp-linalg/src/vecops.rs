@@ -30,12 +30,6 @@ pub fn scale(alpha: f64, x: &mut [f64]) {
     }
 }
 
-/// Maximum absolute element.
-#[inline]
-pub fn max_abs(a: &[f64]) -> f64 {
-    a.iter().fold(0.0, |m, &x| m.max(x.abs()))
-}
-
 /// Euclidean distance between two 3-vectors.
 #[inline]
 pub fn dist3(a: [f64; 3], b: [f64; 3]) -> f64 {
@@ -62,7 +56,6 @@ mod tests {
         assert_eq!(y, vec![3.0, -1.0]);
         scale(0.5, &mut y);
         assert_eq!(y, vec![1.5, -0.5]);
-        assert_eq!(max_abs(&y), 1.5);
     }
 
     #[test]

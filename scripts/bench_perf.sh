@@ -1,14 +1,16 @@
 #!/usr/bin/env bash
-# End-to-end perf tracker: ligand SCF+DFPT, a polyethylene case, GEMM
-# throughput and basis-cache hit rates -> BENCH_perf.json.
+# End-to-end perf tracker -> BENCH_perf.json: the ligand-49 and polyethylene
+# SCF + DFPT cases through the profiler (`qperturb --profile`'s), GEMM
+# throughput, and the polymer weak-scaling sweep of the production build,
+# Sumup, H and Rho kernels.
 #
 #   scripts/bench_perf.sh            # full workloads, writes BENCH_perf.json
 #   scripts/bench_perf.sh --quick    # CI smoke (~1 s), writes nothing durable
 #
 # The parallel leg runs on QP_THREADS threads (default: all cores; the
-# binary clamps to >= 2 and aborts rather than record a single-threaded
-# "parallel" row). Extra flags are passed through to the bench_perf binary
-# (e.g. --out PATH, --guard for the Sternheimer phase-regression check).
+# binary clamps to >= 2). Extra flags are passed through to the bench_perf
+# binary (e.g. --out PATH, --guard for the phase, end-to-end, scheduling
+# and weak-scaling regression checks).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 

@@ -26,10 +26,9 @@ echo "== regenerate BENCH_perf.json under the tightened e2e guard"
 # slower than its serial reference on a >= 2-core host (zero slack). The
 # guard also covers the polymer weak-scaling sweep: exit 7 if the fitted
 # end-to-end assembly exponent exceeds QP_BENCH_SCALING_MAX, exit 8 if the
-# screened path loses to dense on ligand-49, exit 9/10 if the tree-mode
-# Rho / screened-DM exponents exceed QP_BENCH_RHO_MAX/QP_BENCH_DM_MAX
-# (default 1.4), exit 11 if the tree far field deviates from the direct
-# oracle beyond QP_FARFIELD_TOL.
+# screened path loses to dense on ligand-49, exit 9 if the tree-mode Rho
+# exponent exceeds QP_BENCH_RHO_MAX (default 1.4), exit 11 if the tree far
+# field deviates from the direct oracle beyond QP_FARFIELD_TOL.
 QP_THREADS=2 bash scripts/bench_perf.sh --guard --out BENCH_perf.json
 
 echo "== archive weak-scaling rows (results/weak_scaling.json)"
@@ -179,6 +178,7 @@ echo "== edge inputs end in a typed error or a result, never a panic"
 edge_dir="$(mktemp -d)"
 printf '1\nH atom\nH 0.0 0.0 0.0\n' > "$edge_dir/h.xyz"
 printf '2\nOH radical\nO 0.0 0.0 0.0\nH 0.0 0.0 0.97\n' > "$edge_dir/oh.xyz"
+printf '2\nsame point\nH 0.0 0.0 0.0\nH 0.0 0.0 0.0\n' > "$edge_dir/same.xyz"
 expect_exit() { # code qperturb-args...
   local want="$1" got=0
   shift
@@ -189,9 +189,18 @@ expect_exit() { # code qperturb-args...
 expect_exit 0 "$edge_dir/h.xyz" --grid coarse --smearing 0.02
 expect_exit 1 "$edge_dir/oh.xyz" --grid coarse
 expect_exit 0 "$edge_dir/oh.xyz" --grid coarse --smearing 0.02
+expect_exit 1 "$edge_dir/same.xyz" --grid coarse
 expect_exit 1 --builtin helix:0
 expect_exit 2 --builtin water --smearing 0
 expect_exit 2 --builtin water --dfpt-mixing 0
+expect_exit 2 --builtin water --ranks 0
+# A profile of a job whose SCF does not converge ends in the typed error
+# (exit 1) and writes no report.
+printf 'sc_iter_limit 2\n' > "$edge_dir/short.control"
+expect_exit 1 --builtin water --grid coarse --control "$edge_dir/short.control" \
+    --profile "$edge_dir/p"
+[ ! -e "$edge_dir/p.json" ] || { echo "--profile wrote a report for a failed job"; exit 1; }
+echo "-- no report written for the failed profile"
 rm -rf "$edge_dir"
 
 echo "== serve smoke: served == direct bytes; kill -9 mid-job resumes bit-exactly"
