@@ -88,7 +88,6 @@ fn main() {
             max_restarts: 3,
             fault: Some(plan.clone()),
             machine: Some(machine),
-            ..ResilienceConfig::default()
         };
         let out = parallel_dfpt_direction_resilient(&system, &ground, dir, &opts, &cfg, &rcfg)
             .expect("supervised DFPT");

@@ -291,9 +291,8 @@ pub struct DirectionResponse {
 /// (the mixer is deterministic in its inputs, so a resumed cycle walks the
 /// identical floating-point sequence). The distributed drivers' ranks hold
 /// identical copies at every iteration boundary, so rank 0's is a
-/// consistent global cut. It is the `QPCK` record of a job's in-flight
-/// direction itself; the supervised driver writes it as a
-/// [`qp_resil::DfptCheckpoint`].
+/// consistent global cut. It is the in-flight direction of a job's `QPCK`
+/// record itself.
 pub type DfptDirState = qp_resil::JobDirCheckpoint;
 
 /// Outcome of a preemptible DFPT direction run.
@@ -337,22 +336,15 @@ impl DfptShared {
         }
     }
 
-    /// Field direction `dir`'s DFPT loop ([`Direction::run`]) inline on the
-    /// calling thread, over a one-rank [`Comm::solo`] covering every batch:
-    /// the serial driver. No thread is spawned and the rank tag is left
-    /// alone, so the spans it opens land on the caller's timeline (qp-serve
-    /// routes a job's spans by it). `resume` and `on_iter` are those of
-    /// [`Direction::run`], with `false` preempting.
-    pub(crate) fn run_solo(
-        &self,
-        system: &System,
-        ground: &ScfResult,
+    /// Field direction `dir`'s DFPT loop over this shared data.
+    pub(crate) fn direction<'a>(
+        &'a self,
+        system: &'a System,
+        ground: &'a ScfResult,
         dir: usize,
-        opts: &DfptOptions,
-        resume: Option<DfptDirState>,
-        on_iter: &mut dyn FnMut(&DfptDirState) -> bool,
-    ) -> Result<DirOutcome> {
-        let direction = Direction {
+        opts: &'a DfptOptions,
+    ) -> Direction<'a> {
+        Direction {
             system,
             ground,
             opts,
@@ -360,19 +352,7 @@ impl DfptShared {
             dip: &self.dips[dir],
             fxc: &self.fxc,
             c_t: &self.c_t,
-        };
-        let all: Vec<usize> = (0..system.batches.len()).collect();
-        // On one rank every scheme hands the moments back unchanged; the
-        // packed one does it in a single call.
-        direction
-            .run(
-                &Comm::solo(),
-                &all,
-                CollectiveScheme::Packed,
-                resume,
-                &mut |st| Ok(on_iter(st)),
-            )
-            .map_err(comm_failure)?
+        }
     }
 }
 
@@ -396,6 +376,30 @@ pub(crate) struct Direction<'a> {
 }
 
 impl Direction<'_> {
+    /// The DFPT loop ([`Direction::run`]) inline on the calling thread,
+    /// over a one-rank [`Comm::solo`] covering every batch: the serial
+    /// driver. No thread is spawned and the rank tag is left alone, so the
+    /// spans it opens land on the caller's timeline (qp-serve routes a
+    /// job's spans by it). `resume` and `on_iter` are those of
+    /// [`Direction::run`], with `false` preempting.
+    pub(crate) fn run_solo(
+        &self,
+        resume: Option<DfptDirState>,
+        on_iter: &mut dyn FnMut(&DfptDirState) -> bool,
+    ) -> Result<DirOutcome> {
+        let all: Vec<usize> = (0..self.system.batches.len()).collect();
+        // On one rank every scheme hands the moments back unchanged; the
+        // packed one does it in a single call.
+        self.run(
+            &Comm::solo(),
+            &all,
+            CollectiveScheme::Packed,
+            resume,
+            &mut |st| Ok(on_iter(st)),
+        )
+        .map_err(comm_failure)?
+    }
+
     /// The DFPT cycle of this direction on `comm`, this rank working on
     /// `batches` (ascending ids; together the ranks cover every batch
     /// once). From `resume` (or zero `P¹`), iterate until `‖ΔP¹‖ < tol`,
@@ -596,7 +600,10 @@ pub fn dfpt_direction_with(
     dir: usize,
     opts: &DfptOptions,
 ) -> Result<DirectionResponse> {
-    match shared.run_solo(system, ground, dir, opts, None, &mut |_| true)? {
+    match shared
+        .direction(system, ground, dir, opts)
+        .run_solo(None, &mut |_| true)?
+    {
         DirOutcome::Converged(resp) => Ok(resp),
         DirOutcome::Preempted(_) => unreachable!("callback never preempts"),
     }

@@ -6,22 +6,23 @@
 //!
 //! Without `ranks`, each direction runs inline on the caller's thread over a
 //! one-rank world. With `ranks`, each runs under the supervised SPMD driver
-//! ([`parallel_dfpt_direction_resilient`]), and when its resilience layer has
-//! a checkpoint directory the ground state is checkpointed to
-//! `<dir>/scf.qpck` every `checkpoint_interval` iterations and resumed from
-//! there on `restart`. A hook sees every iteration boundary; it can
-//! checkpoint the job there ([`Step::resume_state`]) or preempt it, and a job
-//! resumed from that [`JobState`] replays the rest bit-exactly.
+//! of [`crate::resil`]. A hook sees every iteration boundary (under `ranks`,
+//! not inside a supervised direction) and can preempt the job there; a job
+//! resumed from that [`JobState`] replays the rest bit-exactly. With
+//! `checkpoint`, the job is the one writer of that state to disk, as its
+//! `QPCK` job record: at every `k`-th iteration, at every commit of a
+//! supervised direction, and wherever the hook preempts it.
 
 use crate::dfpt::{DfptDirState, DfptOptions, DfptShared, DirOutcome};
 use crate::parallel::ParallelConfig;
-use crate::resil::{ck_err, parallel_dfpt_direction_resilient, ResilienceConfig};
+use crate::resil::{ck_err, supervise, ResilienceConfig};
 use crate::scf::{scf_preemptible, ScfOptions, ScfResult, ScfState};
 use crate::system::System;
 use crate::{properties, CoreError};
 use qp_linalg::DMatrix;
 use qp_resil::recovery::RecoveryStats;
 use qp_resil::JobDoneDirection;
+use std::path::PathBuf;
 use std::time::Instant;
 
 /// What one calculation runs on its [`System`] (built by
@@ -38,18 +39,22 @@ pub struct Job {
     /// DFPT over SPMD ranks under the supervisor and its resilience layer;
     /// `None` runs each direction inline.
     pub ranks: Option<(ParallelConfig, ResilienceConfig)>,
+    /// The file the job writes its [`JobState`] to, and every how many SCF
+    /// or DFPT iterations (0: only where the hook preempts). A record that
+    /// cannot be written ends the job with [`CoreError::Checkpoint`].
+    pub checkpoint: Option<(PathBuf, usize)>,
 }
 
-/// Where a job stands between two iterations: everything a resumed job
+/// Where the job stands between two iterations: everything a resumed job
 /// needs. It is the `QPCK` job record itself — the latest non-converged SCF
 /// state (a resumed job replays the short tail of the ground state from
 /// it), the converged directions in the job's order, and the loop state of
 /// the direction in flight — so a checkpoint holds exactly the job's state.
-/// The job never reads `key`; qp-serve keeps the request's content key
-/// there.
+/// The job never reads `key`; the front ends keep the job's content key
+/// there and refuse to resume from another job's state.
 pub type JobState = qp_resil::JobCheckpoint;
 
-/// What just happened at an iteration boundary.
+/// What just happened at an iteration boundary, as the job's hook sees it.
 pub enum Event<'a> {
     /// An SCF iteration ended short of convergence.
     ScfIter(&'a ScfState),
@@ -59,26 +64,6 @@ pub enum Event<'a> {
     DfptIter(&'a DfptDirState),
     /// Field direction `dir` converged.
     DfptConverged(usize, &'a JobDoneDirection),
-}
-
-/// A job at an iteration boundary, as its hook sees it.
-pub struct Step<'a> {
-    /// What just happened.
-    pub event: Event<'a>,
-    /// The job's state, less the in-flight direction's loop state, which
-    /// `event` carries.
-    state: &'a JobState,
-}
-
-impl Step<'_> {
-    /// The state a job resumed from this boundary starts from.
-    pub fn resume_state(&self) -> JobState {
-        let mut state = self.state.clone();
-        if let Event::DfptIter(st) = self.event {
-            state.cur_dir = Some(st.clone());
-        }
-        state
-    }
 }
 
 /// A finished job.
@@ -100,8 +85,6 @@ pub struct JobOutput {
     pub scf_s: f64,
     /// Wall seconds of this run's directions and α contraction.
     pub dfpt_s: f64,
-    /// The ground state's checkpoints in the checkpoint directory.
-    pub scf_checkpoints: RecoveryStats,
     /// The supervisor's account of each direction run under `ranks`.
     pub dfpt_recovery: Vec<RecoveryStats>,
 }
@@ -134,6 +117,7 @@ impl Job {
             dfpt,
             dirs: vec![0, 1, 2],
             ranks: None,
+            checkpoint: None,
         }
     }
 
@@ -151,49 +135,40 @@ impl Job {
         &self,
         system: &System,
         state: &mut JobState,
-        hook: &mut dyn FnMut(&Step<'_>) -> bool,
+        hook: &mut dyn FnMut(&Event<'_>) -> bool,
     ) -> Result<Option<JobOutput>, JobError> {
         let scf_err = |error| JobError { dir: None, error };
-        let scf_file = self
-            .ranks
-            .as_ref()
-            .and_then(|(_, rcfg)| Some((rcfg.checkpoint_dir.as_ref()?.join("scf.qpck"), rcfg)));
-        if let Some((path, rcfg)) = &scf_file {
-            if rcfg.restart && path.exists() {
-                state.scf = Some(ScfState::load(path).map_err(|e| scf_err(ck_err(e)))?);
-            }
-        }
-        let mut scf_checkpoints = RecoveryStats::default();
-        let mut io_error = None;
+        let every = self.checkpoint.as_ref().map_or(0, |(_, k)| *k);
+        let due = |iteration: usize| every != 0 && iteration.is_multiple_of(every);
+        // Write `state` with `cur` as its in-flight direction.
+        let record = |state: &JobState, cur: Option<&DfptDirState>| match &self.checkpoint {
+            Some((path, _)) => state.save_with(path, cur).map_err(ck_err),
+            None => Ok(()),
+        };
+        let mut write_error = None;
         let t0 = Instant::now();
         let ground = scf_preemptible(system, &self.scf, state.scf.clone(), &mut |st| {
-            if let Some((path, rcfg)) = &scf_file {
-                let k = rcfg.checkpoint_interval;
-                if k != 0 && st.iteration % k == 0 && io_error.is_none() {
-                    scf_checkpoints.checkpoints_written += 1;
-                    scf_checkpoints.checkpoint_bytes = st.to_bytes().len();
-                    io_error = st.save(path).err();
+            let go = hook(&Event::ScfIter(&st));
+            let write = !go || due(st.iteration);
+            state.scf = Some(st);
+            if write {
+                if let Err(e) = record(state, state.cur_dir.as_ref()) {
+                    write_error = Some(e);
+                    return false;
                 }
             }
-            state.scf = Some(st);
-            let st = state.scf.as_ref().expect("just stored");
-            hook(&Step {
-                event: Event::ScfIter(st),
-                state,
-            })
+            go
         })
         .map_err(scf_err)?;
         let scf_s = t0.elapsed().as_secs_f64();
-        if let Some(e) = io_error {
-            return Err(scf_err(ck_err(e)));
+        if let Some(e) = write_error.take() {
+            return Err(scf_err(e));
         }
         let Some(ground) = ground else {
             return Ok(None);
         };
-        if !hook(&Step {
-            event: Event::ScfConverged(&ground),
-            state,
-        }) {
+        if !hook(&Event::ScfConverged(&ground)) {
+            record(state, state.cur_dir.as_ref()).map_err(scf_err)?;
             return Ok(None);
         }
 
@@ -206,19 +181,27 @@ impl Job {
                 dir: Some(dir),
                 error,
             };
+            let direction = shared.direction(system, &ground, dir, &self.dfpt);
+            // The state of another direction (from another job's resume
+            // state) restarts this one afresh.
+            let resume = state.cur_dir.take().filter(|st| st.dir == dir);
             let (iterations, p1) = match &self.ranks {
                 None => {
-                    // The state of another direction (from another job's
-                    // resume state) restarts this one afresh.
-                    let resume = state.cur_dir.take().filter(|st| st.dir == dir);
-                    let outcome = shared
-                        .run_solo(system, &ground, dir, &self.dfpt, resume, &mut |st| {
-                            hook(&Step {
-                                event: Event::DfptIter(st),
-                                state,
-                            })
+                    let outcome = direction
+                        .run_solo(resume, &mut |st| {
+                            let go = hook(&Event::DfptIter(st));
+                            if !go || due(st.iteration) {
+                                if let Err(e) = record(state, Some(st)) {
+                                    write_error = Some(e);
+                                    return false;
+                                }
+                            }
+                            go
                         })
                         .map_err(fail)?;
+                    if let Some(e) = write_error.take() {
+                        return Err(fail(e));
+                    }
                     match outcome {
                         DirOutcome::Converged(resp) => (resp.iterations, resp.p1),
                         DirOutcome::Preempted(st) => {
@@ -228,10 +211,10 @@ impl Job {
                     }
                 }
                 Some((cfg, rcfg)) => {
-                    let out = parallel_dfpt_direction_resilient(
-                        system, &ground, dir, &self.dfpt, cfg, rcfg,
-                    )
-                    .map_err(fail)?;
+                    let base = &*state;
+                    let out =
+                        supervise(&direction, cfg, rcfg, resume, &|st| record(base, Some(st)))
+                            .map_err(fail)?;
                     dfpt_recovery.push(out.stats);
                     (out.direction.iterations, out.direction.p1)
                 }
@@ -243,10 +226,8 @@ impl Job {
                 alpha_col,
             });
             let done = state.dirs_done.last().expect("just pushed");
-            if !hook(&Step {
-                event: Event::DfptConverged(dir, done),
-                state,
-            }) {
+            if !hook(&Event::DfptConverged(dir, done)) {
+                record(state, None).map_err(fail)?;
                 return Ok(None);
             }
         }
@@ -267,7 +248,6 @@ impl Job {
             dfpt_iterations,
             scf_s,
             dfpt_s: t1.elapsed().as_secs_f64(),
-            scf_checkpoints,
             dfpt_recovery,
         }))
     }
@@ -300,6 +280,13 @@ mod tests {
         }
     }
 
+    /// A scratch file for a test's job record.
+    fn record_path(name: &str) -> PathBuf {
+        let dir = std::env::temp_dir().join(format!("qp_job_{name}_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        dir.join("job.qpck")
+    }
+
     #[test]
     fn scf_checkpoint_resume_is_bit_exact() {
         let sys = tiny_system(water());
@@ -310,35 +297,33 @@ mod tests {
         for (name, opts) in [("pulay", ScfOptions::default()), ("linear", linear)] {
             let reference = scf(&sys, &opts).unwrap();
 
-            let dir = std::env::temp_dir().join(format!("qp_job_scf_resume_{name}"));
-            std::fs::create_dir_all(&dir).unwrap();
-            let rcfg = ResilienceConfig {
-                checkpoint_dir: Some(dir.clone()),
-                checkpoint_interval: 3,
-                ..ResilienceConfig::default()
-            };
-            let job = |rcfg: &ResilienceConfig| Job {
+            let path = record_path(&format!("scf_resume_{name}"));
+            let job = Job {
                 dirs: Vec::new(),
-                ranks: Some((one_rank(), rcfg.clone())),
+                checkpoint: Some((path.clone(), 3)),
                 ..Job::new(opts, DfptOptions::default())
             };
-            let first = job(&rcfg).run(&sys).unwrap();
+            let first = job.run(&sys).unwrap();
             assert_eq!(first.ground.energy.to_bits(), reference.energy.to_bits());
-            assert!(first.scf_checkpoints.checkpoints_written > 0);
+            let record = JobState::load(&path).unwrap();
+            let seed = record.scf.as_ref().expect("an SCF seed");
+            assert!(seed.iteration.is_multiple_of(3), "{name}");
             // Linear mixing keeps no history to capture.
-            let ck = ScfState::load(&dir.join("scf.qpck")).unwrap();
             if opts.pulay.is_none() {
-                assert!(ck.diis_in.is_empty() && ck.diis_res.is_empty(), "{name}");
+                assert!(
+                    seed.diis_in.is_empty() && seed.diis_res.is_empty(),
+                    "{name}"
+                );
             }
 
-            // "Process death": rerun from the on-disk checkpoint. The resumed
+            // "Process death": rerun from the on-disk record. The resumed
             // run replays the tail of the cycle and lands on the identical
             // ground state.
-            let restart = ResilienceConfig {
-                restart: true,
-                ..rcfg
-            };
-            let second = job(&restart).run(&sys).unwrap().ground;
+            let second = job
+                .run_with(&sys, &mut JobState::load(&path).unwrap(), &mut |_| true)
+                .unwrap()
+                .expect("not preempted")
+                .ground;
             assert_eq!(
                 second.energy.to_bits(),
                 reference.energy.to_bits(),
@@ -351,8 +336,45 @@ mod tests {
                     .max_abs_diff(&reference.density_matrix)
                     == 0.0
             );
-            std::fs::remove_dir_all(&dir).ok();
+            std::fs::remove_dir_all(path.parent().unwrap()).ok();
         }
+    }
+
+    /// A job preempted mid-direction leaves its resume state on disk, and a
+    /// job resumed from that file lands on the uninterrupted α bits.
+    #[test]
+    fn preempted_job_writes_its_state_and_resumes_bit_exactly() {
+        let sys = tiny_system(water());
+        let path = record_path("preempt");
+        let job = Job {
+            checkpoint: Some((path.clone(), 5)),
+            ..Job::new(ScfOptions::default(), DfptOptions::default())
+        };
+        let mut state = JobState::default();
+        let mut preempted = false;
+        let out = job
+            .run_with(&sys, &mut state, &mut |ev| {
+                let stop = !preempted && matches!(ev, Event::DfptIter(st) if st.iteration == 3);
+                preempted |= stop;
+                !stop
+            })
+            .unwrap();
+        assert!(out.is_none() && preempted);
+        let cur = state.cur_dir.as_ref().expect("an in-flight direction");
+        assert_eq!((cur.dir, cur.iteration), (0, 3));
+        assert_eq!(JobState::load(&path).unwrap(), state);
+
+        let bits = |m: &DMatrix| m.as_slice().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let plain = Job::new(ScfOptions::default(), DfptOptions::default())
+            .run(&sys)
+            .unwrap();
+        let resumed = job
+            .run_with(&sys, &mut JobState::load(&path).unwrap(), &mut |_| true)
+            .unwrap()
+            .expect("not preempted");
+        assert_eq!(bits(&resumed.alpha), bits(&plain.alpha));
+        assert_eq!(resumed.dfpt_iterations, plain.dfpt_iterations);
+        std::fs::remove_dir_all(path.parent().unwrap()).ok();
     }
 
     /// One rank under the supervisor is the inline job to the bit, and a job

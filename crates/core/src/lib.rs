@@ -45,7 +45,7 @@ pub mod system;
 
 pub use dfpt::{DfptDirState, DfptOptions, DfptShared};
 pub use farfield::{FarFieldMode, FARFIELD_AUTO_MIN_ATOMS};
-pub use job::{Event, Job, JobError, JobOutput, JobState, Step};
+pub use job::{Event, Job, JobError, JobOutput, JobState};
 pub use mixing::DfptMixer;
 pub use profile::{profile_case, validate_profile_json, ProfileReport};
 pub use resil::{parallel_dfpt_direction_resilient, ResilienceConfig, ResilientDirectionResult};

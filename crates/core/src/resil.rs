@@ -1,9 +1,9 @@
 //! The self-recovering distributed DFPT driver: the crate's one DFPT loop
 //! ([`crate::dfpt`]) on `run_spmd` ranks under checkpoint/restart
-//! supervision, writing its loop state as a `QPCK` DFPT record. The plain
-//! [`crate::parallel::parallel_dfpt_direction`] is this driver with
-//! checkpoints and restarts off; the job pipeline ([`crate::job`]) runs it
-//! per direction under `--ranks` and checkpoints the SCF itself.
+//! supervision. The plain [`crate::parallel::parallel_dfpt_direction`] is
+//! this driver with checkpoints and restarts off; the job pipeline
+//! ([`crate::job`]) runs it per direction under `ranks`, resumes it from
+//! the job's record and writes every commit into that record.
 //!
 //! The recovery argument rests on determinism: the rank-ordered collectives
 //! make every rank hold a bit-identical [`DfptDirState`] (`P¹` and the
@@ -16,11 +16,10 @@
 //! Checkpoints are committed only after every collective of the covered
 //! iteration has completed on all ranks (a crashed rank kills the
 //! iteration's collectives first, so no torn state is ever captured), kept
-//! in memory across restarts, and mirrored to disk in the `QPCK` format
-//! when a checkpoint directory is configured. Faults injected through
-//! [`FaultPlan`](qp_resil::FaultPlan) fire once per process, so the
-//! restarted attempt sails past the crash site — exactly like a respawned
-//! MPI job on fresh hardware.
+//! in memory across restarts, and handed from rank 0 to the caller's commit
+//! callback. Faults injected through [`FaultPlan`](qp_resil::FaultPlan)
+//! fire once per process, so the restarted attempt sails past the crash
+//! site — exactly like a respawned MPI job on fresh hardware.
 
 use crate::dfpt::{fxc_on_grid, DfptDirState, DfptOptions, DirOutcome, Direction};
 use crate::operators;
@@ -29,26 +28,20 @@ use crate::scf::ScfResult;
 use crate::system::System;
 use crate::{CoreError, Result};
 use parking_lot::Mutex;
-use qp_linalg::DMatrix;
 use qp_machine::machine::MachineModel;
 use qp_mpi::{run_spmd_with, CommError, FaultHook, SpmdOptions};
 use qp_resil::recovery::{RecoveryPolicy, RecoveryStats, Supervisor};
-use qp_resil::{DfptCheckpoint, ResilError};
-use std::path::PathBuf;
+use qp_resil::ResilError;
 use std::sync::Arc;
 
 /// Configuration of the resilience layer around a driver.
 #[derive(Clone, Default)]
 pub struct ResilienceConfig {
-    /// Where `QPCK` checkpoints are mirrored (`None` = in-memory only; a
-    /// restarted *process* then cannot resume, but in-run recovery works).
-    pub checkpoint_dir: Option<PathBuf>,
-    /// Checkpoint every this many iterations (0 disables checkpointing).
+    /// Commit the loop state every this many iterations (0 disables
+    /// checkpointing).
     pub checkpoint_interval: usize,
     /// Restart budget for the supervised region.
     pub max_restarts: usize,
-    /// Resume from an existing on-disk checkpoint before the first attempt.
-    pub restart: bool,
     /// Fault hook installed into the SPMD runtime (usually a
     /// [`qp_resil::FaultPlan`] parsed from `QP_FAULT`).
     pub fault: Option<Arc<dyn FaultHook>>,
@@ -72,10 +65,8 @@ impl ResilienceConfig {
 impl std::fmt::Debug for ResilienceConfig {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ResilienceConfig")
-            .field("checkpoint_dir", &self.checkpoint_dir)
             .field("checkpoint_interval", &self.checkpoint_interval)
             .field("max_restarts", &self.max_restarts)
-            .field("restart", &self.restart)
             .field("fault", &self.fault.as_ref().map(|_| "FaultHook"))
             .field("machine", &self.machine.map(|m| m.name))
             .finish()
@@ -95,36 +86,6 @@ pub(crate) fn ck_err(e: ResilError) -> CoreError {
     CoreError::Checkpoint(e.to_string())
 }
 
-/// The loop state a `QPCK` DFPT checkpoint resumes for direction `dir` of
-/// a system with `nb` basis functions. A checkpoint with a non-empty `c1`
-/// was written by a driver that mixed `C¹` rather than `P¹`; its history
-/// cannot seed the `P¹` mixer, so it is refused.
-fn resume_state(ck: DfptCheckpoint, dir: usize, nb: usize) -> Result<DfptDirState> {
-    if ck.c1.rows() * ck.c1.cols() != 0 {
-        return Err(CoreError::Checkpoint(
-            "the DFPT checkpoint holds response coefficients C1 from a driver that mixed \
-             C1, which cannot resume the P1 mixer; remove it to start the direction afresh"
-                .into(),
-        ));
-    }
-    let fits = |m: &DMatrix| m.rows() == nb && m.cols() == nb;
-    let mut history = ck.diis_in.iter().chain(&ck.diis_res);
-    if ck.dir != dir || !fits(&ck.p1) || ck.diis_in.len() != ck.diis_res.len() || !history.all(fits)
-    {
-        return Err(CoreError::Checkpoint(format!(
-            "the DFPT checkpoint does not fit direction {dir} of a {nb}-function basis"
-        )));
-    }
-    Ok(DfptDirState {
-        dir,
-        iteration: ck.iteration,
-        p1: ck.p1,
-        residual: ck.residual,
-        diis_in: ck.diis_in,
-        diis_res: ck.diis_res,
-    })
-}
-
 /// Run one DFPT direction under supervision: checkpoint every
 /// `rcfg.checkpoint_interval` iterations, and on a rank failure or
 /// communication timeout restart the SPMD region from the last committed
@@ -137,7 +98,6 @@ pub fn parallel_dfpt_direction_resilient(
     cfg: &ParallelConfig,
     rcfg: &ResilienceConfig,
 ) -> Result<ResilientDirectionResult> {
-    let assignment = assign_batches(system, cfg);
     let dip = operators::dipole_matrix(system, dir);
     let fxc = fxc_on_grid(ground);
     let c_t = ground.orbitals.transpose();
@@ -150,28 +110,32 @@ pub fn parallel_dfpt_direction_resilient(
         fxc: &fxc,
         c_t: &c_t,
     };
+    supervise(&direction, cfg, rcfg, None, &|_| Ok(()))
+}
+
+/// The supervised run of `direction` from `resume` (afresh on `None`).
+/// Rank 0 hands every commit to `on_commit` before it becomes the restart
+/// point; an error from it ends the direction with that error.
+pub(crate) fn supervise(
+    direction: &Direction<'_>,
+    cfg: &ParallelConfig,
+    rcfg: &ResilienceConfig,
+    resume: Option<DfptDirState>,
+    on_commit: &(dyn Fn(&DfptDirState) -> Result<()> + Sync),
+) -> Result<ResilientDirectionResult> {
+    let system = direction.system;
+    let assignment = assign_batches(system, cfg);
     let interval = rcfg.checkpoint_interval;
 
-    let ck_path = rcfg
-        .checkpoint_dir
-        .as_ref()
-        .map(|d| d.join(format!("dfpt_dir{dir}.qpck")));
-    let initial = match (&ck_path, rcfg.restart) {
-        (Some(p), true) if p.exists() => {
-            let ck = DfptCheckpoint::load(p).map_err(ck_err)?;
-            Some(resume_state(ck, dir, system.n_basis())?)
-        }
-        _ => None,
-    };
     // The last *committed* state: captured by rank 0 only after every
     // collective of the covered iteration completed on all ranks, read by
     // every rank at the top of each attempt.
-    let store: Mutex<Option<DfptDirState>> = Mutex::new(initial);
-    // Checkpoint sizes written during the current attempt, drained into the
-    // supervisor between attempts (the SPMD closure cannot borrow it).
+    let store: Mutex<Option<DfptDirState>> = Mutex::new(resume);
+    // Checkpoint sizes committed during the current attempt, drained into
+    // the supervisor between attempts (the SPMD closure cannot borrow it).
     let written: Mutex<Vec<usize>> = Mutex::new(Vec::new());
-    // First disk-write error, if any (surfaced after the region exits).
-    let io_error: Mutex<Option<ResilError>> = Mutex::new(None);
+    // The commit callback's error, if any (surfaced after the region exits).
+    let commit_error: Mutex<Option<CoreError>> = Mutex::new(None);
 
     let mut spmd_opts = SpmdOptions::default();
     spmd_opts.fault.clone_from(&rcfg.fault);
@@ -192,22 +156,16 @@ pub fn parallel_dfpt_direction_resilient(
                 if comm.rank() != 0 || interval == 0 || st.iteration % interval != 0 {
                     return Ok(true);
                 }
-                let ck = DfptCheckpoint {
-                    dir,
-                    iteration: st.iteration,
-                    c1: DMatrix::zeros(0, 0),
-                    p1: st.p1.clone(),
-                    residual: st.residual,
-                    diis_in: st.diis_in.clone(),
-                    diis_res: st.diis_res.clone(),
-                };
-                written.lock().push(ck.to_bytes().len());
-                if let Some(p) = &ck_path {
-                    if let Err(e) = ck.save(p) {
-                        *io_error.lock() = Some(e);
-                        return Err(CommError::Mismatch("checkpoint write failed"));
-                    }
+                if let Err(e) = on_commit(st) {
+                    *commit_error.lock() = Some(e);
+                    return Err(CommError::Mismatch("checkpoint commit failed"));
                 }
+                let matrices = std::iter::once(&st.p1)
+                    .chain(&st.diis_in)
+                    .chain(&st.diis_res);
+                written
+                    .lock()
+                    .push(matrices.map(|m| 8 * m.as_slice().len()).sum());
                 *store.lock() = Some(st.clone());
                 Ok(true)
             })?;
@@ -226,8 +184,8 @@ pub fn parallel_dfpt_direction_resilient(
         out
     });
 
-    if let Some(e) = io_error.into_inner() {
-        return Err(ck_err(e));
+    if let Some(e) = commit_error.into_inner() {
+        return Err(e);
     }
     let (out, traffic) = run.map_err(comm_failure)?.swap_remove(0);
     let mut points_per_rank = vec![0; cfg.n_ranks];

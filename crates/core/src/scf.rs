@@ -122,8 +122,8 @@ pub struct ScfResult {
 
 /// The loop-carried SCF state between iterations: everything needed to
 /// resume the cycle at `iteration + 1` and replay the remaining iterations
-/// bit-exactly. It is the `QPCK` SCF record itself, so a checkpoint holds
-/// exactly the loop state.
+/// bit-exactly. It is the SCF seed of a job's `QPCK` record itself, so a
+/// checkpoint holds exactly the loop state.
 pub type ScfState = qp_resil::ScfCheckpoint;
 
 /// Electronic dipole moment `∫ r_I n(r) d³r` for each Cartesian direction,

@@ -18,17 +18,18 @@ mod control;
 mod serve_cli;
 
 use qp_chem::basis::BasisSettings;
+use qp_chem::geometry::Structure;
 use qp_chem::grids::GridSettings;
 use qp_chem::structures::Builtin;
 use qp_core::parallel::{CollectiveScheme, MappingKind, ParallelConfig};
 use qp_core::{
-    check_solver_options, CoreError, DfptOptions, FarFieldMode, Job, JobError, ResilienceConfig,
-    ScfOptions, ScreeningMode, System,
+    check_solver_options, CoreError, DfptOptions, FarFieldMode, Job, JobError, JobState,
+    ResilienceConfig, ScfOptions, ScreeningMode, System,
 };
 use qp_resil::FaultPlan;
 use qp_trace::{qp_error, qp_info, qp_warn};
 use std::num::NonZeroUsize;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use std::sync::Arc;
 use std::time::Duration;
@@ -44,9 +45,12 @@ struct Args {
     trace: Option<String>,
     metrics: Option<String>,
     ranks: Option<usize>,
-    ranks_per_node: Option<usize>,
-    /// Checkpoint directory and cadence, `--restart`, restart budget.
+    /// Checkpoint cadence and restart budget.
     resilience: ResilienceConfig,
+    /// Where the job writes its resume record, `job.qpck`.
+    checkpoint_dir: Option<PathBuf>,
+    /// Resume from that record.
+    restart: bool,
     result_json: Option<String>,
     screening: ScreeningMode,
     farfield: FarFieldMode,
@@ -100,11 +104,11 @@ serving (see 'qperturb serve --help' pattern below):
 resilience (distributed DFPT + checkpoint/restart):
   --ranks <N>              run DFPT over N in-process MPI ranks under a
                            self-recovering supervisor
-  --ranks-per-node <M>     ranks per simulated node   (default: all on one)
-  --checkpoint-dir <dir>   mirror QPCK checkpoints of the SCF and DFPT
-                           state to <dir>
+  --checkpoint-dir <dir>   write the job's QPCK resume record to
+                           <dir>/job.qpck (not with --profile)
   --checkpoint-interval <k>  checkpoint every k iterations  (default 5)
-  --restart                resume from the checkpoints in --checkpoint-dir
+  --restart                resume from <dir>/job.qpck; a record of another
+                           job is refused
   --max-restarts <n>       restart budget on rank failure (default 3)
 
 environment:
@@ -142,8 +146,9 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
         trace: None,
         metrics: None,
         ranks: None,
-        ranks_per_node: None,
         resilience: ResilienceConfig::with_interval(5),
+        checkpoint_dir: None,
+        restart: false,
         result_json: None,
         screening: ScreeningMode::Auto,
         farfield: FarFieldMode::Auto,
@@ -206,12 +211,9 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
             "--trace" => args.trace = Some(value()),
             "--metrics" => args.metrics = Some(value()),
             "--ranks" => args.ranks = Some(parsed::<NonZeroUsize>(&arg, value()).get()),
-            "--ranks-per-node" => {
-                args.ranks_per_node = Some(parsed::<NonZeroUsize>(&arg, value()).get())
-            }
-            "--checkpoint-dir" => args.resilience.checkpoint_dir = Some(PathBuf::from(value())),
+            "--checkpoint-dir" => args.checkpoint_dir = Some(PathBuf::from(value())),
             "--checkpoint-interval" => args.resilience.checkpoint_interval = parsed(&arg, value()),
-            "--restart" => args.resilience.restart = true,
+            "--restart" => args.restart = true,
             "--result-json" => args.result_json = Some(value()),
             "--max-restarts" => args.resilience.max_restarts = parsed(&arg, value()),
             "--help" | "-h" => usage(),
@@ -225,10 +227,16 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
     if args.input.is_none() && args.builtin.is_none() {
         usage()
     }
+    if args.profile.is_some() && args.checkpoint_dir.is_some() {
+        // The profiler runs the job twice from the start: it would write
+        // the record twice and could not resume from it.
+        qp_error!("--profile takes no --checkpoint-dir");
+        usage()
+    }
     Ok(args)
 }
 
-fn load_structure(args: &Args) -> Result<qp_chem::geometry::Structure, String> {
+fn load_structure(args: &Args) -> Result<Structure, String> {
     if let Some(b) = &args.builtin {
         return b
             .parse::<Builtin>()
@@ -266,34 +274,64 @@ fn job_failure(e: JobError) -> String {
 }
 
 /// The job to run: the parsed one, with DFPT through the distributed
-/// self-recovering driver when `--ranks`, `--checkpoint-dir` or `QP_FAULT`
-/// asks for the resilience layer (the SCF is then checkpointed under a
-/// checkpoint directory too); and the fault plan.
+/// self-recovering driver when `--ranks` or `QP_FAULT` asks for it, and its
+/// resume record written to `<dir>/job.qpck` under `--checkpoint-dir`; and
+/// the fault plan.
 fn resolve_job(args: &Args) -> Result<(Job, Option<Arc<FaultPlan>>), String> {
     let fault = FaultPlan::from_env().map_err(|e| format!("QP_FAULT: {e}"))?;
-    let rcfg = &args.resilience;
-    if rcfg.restart && rcfg.checkpoint_dir.is_none() {
+    if args.restart && args.checkpoint_dir.is_none() {
         return Err("--restart requires --checkpoint-dir".into());
     }
-    if let Some(d) = &rcfg.checkpoint_dir {
-        std::fs::create_dir_all(d).map_err(|e| format!("--checkpoint-dir {}: {e}", d.display()))?;
-    }
     let mut job = args.job.clone();
-    if args.ranks.is_some() || fault.is_some() || rcfg.checkpoint_dir.is_some() {
+    if let Some(d) = &args.checkpoint_dir {
+        std::fs::create_dir_all(d).map_err(|e| format!("--checkpoint-dir {}: {e}", d.display()))?;
+        job.checkpoint = Some((d.join("job.qpck"), args.resilience.checkpoint_interval));
+    }
+    if args.ranks.is_some() || fault.is_some() {
         let n_ranks = args.ranks.unwrap_or(4);
         let cfg = ParallelConfig {
             n_ranks,
-            ranks_per_node: args.ranks_per_node.unwrap_or(n_ranks).min(n_ranks),
+            ranks_per_node: n_ranks,
             mapping: MappingKind::LocalityEnhancing,
             collectives: CollectiveScheme::Packed,
         };
         let rcfg = ResilienceConfig {
             fault: fault.clone().map(|p| p as Arc<dyn qp_resil::FaultHook>),
-            ..rcfg.clone()
+            ..args.resilience.clone()
         };
         job.ranks = Some((cfg, rcfg));
     }
     Ok((job, fault))
+}
+
+/// The state the job `args` runs on `structure` starts from: under
+/// `--restart`, its `record` if there is one, refused unless it carries
+/// this job's content key (the one qp-serve's cache and job records use);
+/// else a fresh state with that key.
+fn start_state(
+    args: &Args,
+    structure: &Structure,
+    record: Option<&Path>,
+) -> Result<JobState, String> {
+    let (scf, dfpt) = (&args.job.scf, &args.job.dfpt);
+    let canonical = qp_serve::request::canonical(structure, args.basis, &args.grid, scf, dfpt);
+    let key = qp_serve::request::content_key(&canonical);
+    let Some(path) = record.filter(|p| args.restart && p.exists()) else {
+        return Ok(JobState {
+            key,
+            ..JobState::default()
+        });
+    };
+    let state = JobState::load(path).map_err(|e| format!("--restart {}: {e}", path.display()))?;
+    if state.key != key {
+        return Err(format!(
+            "--restart {}: the record belongs to another job (molecule, basis, grid or \
+             solver options differ)",
+            path.display()
+        ));
+    }
+    qp_info!("resuming from {}", path.display());
+    Ok(state)
 }
 
 fn run(args: &Args) -> Result<(), String> {
@@ -334,6 +372,8 @@ fn run(args: &Args) -> Result<(), String> {
     if job.dirs.is_empty() && args.result_json.is_some() {
         return Err("--result-json requires the DFPT phase (drop --no-dfpt)".into());
     }
+    let record = job.checkpoint.as_ref().map(|(path, _)| path.as_path());
+    let mut state = start_state(args, &structure, record)?;
     let t0 = std::time::Instant::now();
     let system = build();
     qp_info!(
@@ -361,7 +401,10 @@ fn run(args: &Args) -> Result<(), String> {
         );
     }
 
-    let out = job.run(&system).map_err(job_failure)?;
+    let out = job
+        .run_with(&system, &mut state, &mut |_| true)
+        .map_err(job_failure)?
+        .expect("a hook that never stops never preempts");
     let ground = &out.ground;
     let n_occ = system.n_occupied();
     // Every orbital is occupied when the basis has no more functions than
@@ -377,13 +420,6 @@ fn run(args: &Args) -> Result<(), String> {
         ground.eigenvalues[n_occ - 1],
         Duration::from_secs_f64(out.scf_s)
     );
-    if out.scf_checkpoints.checkpoints_written > 0 {
-        qp_info!(
-            "SCF checkpoints: {} written ({} bytes)",
-            out.scf_checkpoints.checkpoints_written,
-            out.scf_checkpoints.checkpoint_bytes
-        );
-    }
     let mu = out.dipole;
     qp_info!("dipole: [{:.4}, {:.4}, {:.4}] a.u.", mu[0], mu[1], mu[2]);
     if job.dirs.is_empty() {
@@ -392,9 +428,8 @@ fn run(args: &Args) -> Result<(), String> {
 
     if let Some((cfg, rcfg)) = &job.ranks {
         qp_info!(
-            "DFPT: supervised, {} ranks ({} per node), checkpoint every {}, restart budget {}",
+            "DFPT: supervised, {} ranks, checkpoint every {}, restart budget {}",
             cfg.n_ranks,
-            cfg.ranks_per_node,
             rcfg.checkpoint_interval,
             rcfg.max_restarts
         );
@@ -533,6 +568,30 @@ mod tests {
             parse_args(&strings(&base)).is_err(),
             "a missing deck is an error"
         );
+    }
+
+    /// `--restart` resumes from the job's own record and refuses, naming
+    /// the file, one keyed to another molecule or grid.
+    #[test]
+    fn restart_accepts_only_the_jobs_own_record() {
+        let path =
+            std::env::temp_dir().join(format!("qperturb-restart-{}.qpck", std::process::id()));
+        let start = |argv: &str| {
+            let args = parse_args(&argv.split(' ').map(String::from).collect::<Vec<_>>()).unwrap();
+            start_state(&args, &load_structure(&args).unwrap(), Some(&path))
+        };
+        let water = "--builtin water --grid coarse --restart";
+        let fresh = start(water).unwrap();
+        fresh.save(&path).unwrap();
+        assert_eq!(start(water).unwrap(), fresh);
+        for other in [
+            "--builtin polymer:1 --grid coarse --restart",
+            "--builtin water --grid light --restart",
+        ] {
+            let err = start(other).unwrap_err();
+            assert!(err.contains(&path.display().to_string()), "{err}");
+        }
+        std::fs::remove_file(&path).ok();
     }
 
     #[test]

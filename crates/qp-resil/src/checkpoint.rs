@@ -6,11 +6,16 @@
 //! offset  size  field
 //! 0       4     magic "QPCK"
 //! 4       4     format version (u32, currently 2)
-//! 8       1     kind (1 = SCF, 2 = DFPT)
+//! 8       1     kind (2 = DFPT direction, 3 = job)
 //! 9       8     payload length (u64)
 //! 17      8     FNV-1a 64 checksum of the payload
 //! 25      —     payload
 //! ```
+//!
+//! A job's resume state is one kind-3 [`JobCheckpoint`]: the SCF seed, the
+//! finished directions and the in-flight direction's loop state. Kind 2
+//! ([`DfptCheckpoint`]) is one direction's loop state on its own, which no
+//! driver writes any more. Kind 1, a standalone SCF record, is retired.
 //!
 //! Version history: v1 carried `(dir, iteration, c1, p1, residual)` for
 //! DFPT; v2 appends the Pulay/DIIS mixer history (`diis_in`, `diis_res`)
@@ -21,8 +26,7 @@
 //! Matrices are encoded as `rows:u64, cols:u64, data:f64×(rows·cols)` with
 //! `f64::to_le_bytes`, so a save→load round trip is **bit-exact** — the
 //! restored run replays the identical floating-point sequence, which is what
-//! lets a recovered DFPT direction land on the fault-free answer to 1e-8
-//! and the reproducibility test demand identical traces.
+//! lets a resumed job land on the uninterrupted answer to the last bit.
 //!
 //! Writes are atomic: the bytes go to `<path>.tmp` and are `rename`d into
 //! place, so a crash mid-write leaves the previous checkpoint intact.
@@ -37,7 +41,6 @@ const MAGIC: [u8; 4] = *b"QPCK";
 const VERSION: u32 = 2;
 const HEADER_LEN: usize = 4 + 4 + 1 + 8 + 8;
 
-const KIND_SCF: u8 = 1;
 const KIND_DFPT: u8 = 2;
 const KIND_JOB: u8 = 3;
 
@@ -216,6 +219,7 @@ fn atomic_write(path: &Path, bytes: &[u8]) -> Result<()> {
 
 /// Loop-carried SCF state: everything needed to resume the ground-state
 /// cycle at `iteration + 1` and replay the remaining iterations exactly.
+/// It is written only as the SCF seed of a [`JobCheckpoint`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct ScfCheckpoint {
     /// Completed SCF iterations.
@@ -248,44 +252,20 @@ impl ScfCheckpoint {
             diis_res: d.matrices()?,
         })
     }
-
-    /// Serialize to the framed `QPCK` byte representation.
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let mut e = Encoder::default();
-        self.encode_payload(&mut e);
-        frame(KIND_SCF, &e.buf)
-    }
-
-    /// Decode from framed bytes, verifying header and checksum.
-    pub fn from_bytes(bytes: &[u8]) -> Result<Self> {
-        let mut d = Decoder::new(unframe(bytes, KIND_SCF)?);
-        let out = Self::decode_payload(&mut d)?;
-        d.finish()?;
-        Ok(out)
-    }
-
-    /// Atomically write to `path` (temp file + rename).
-    pub fn save(&self, path: &Path) -> Result<()> {
-        atomic_write(path, &self.to_bytes())
-    }
-
-    /// Load and verify from `path`.
-    pub fn load(path: &Path) -> Result<Self> {
-        Self::from_bytes(&std::fs::read(path)?)
-    }
 }
 
-/// Loop-carried DFPT state for one field direction: resume the Sternheimer
-/// cycle at `iteration + 1` with the mixed `P¹` and its mixer history.
+/// Loop-carried DFPT state for one field direction, as a kind-2 record of
+/// its own: resume the Sternheimer cycle at `iteration + 1` with the mixed
+/// `P¹` and its mixer history. No driver writes or reads it; a job's
+/// in-flight direction lives in its [`JobCheckpoint`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct DfptCheckpoint {
     /// Cartesian direction (0 = x, 1 = y, 2 = z).
     pub dir: usize,
     /// Completed DFPT iterations.
     pub iteration: usize,
-    /// Response coefficients `C¹`: written empty (0×0) by the driver that
-    /// mixes `P¹`. A non-empty one marks a checkpoint from the earlier
-    /// driver that mixed `C¹`, whose history cannot resume the `P¹` mixer.
+    /// Response coefficients `C¹` of the earlier driver that mixed `C¹`
+    /// rather than `P¹` (empty otherwise).
     pub c1: DMatrix,
     /// Mixed response density matrix `P¹` entering the next iteration.
     pub p1: DMatrix,
@@ -388,12 +368,13 @@ impl JobDirCheckpoint {
     }
 }
 
-/// The preempt/resume state of one *served* simulation job: where the
-/// request was interrupted, and everything needed to replay the remainder
-/// bit-exactly. This is the `QPCK` payload behind `qp-serve`'s
-/// checkpointed preemption — a job preempted at an iteration boundary (or
-/// killed with the whole server) resumes from this state and lands on the
-/// identical SCF energy and polarizability as an uninterrupted run.
+/// The resume state of one job, and its only on-disk record: where the job
+/// stood at an iteration boundary, and everything needed to replay the
+/// remainder bit-exactly. The job pipeline writes it for `qperturb
+/// --checkpoint-dir` and for `qp-serve` alike — a job preempted at an
+/// iteration boundary, or killed with its process, resumes from this state
+/// and lands on the identical SCF energy and polarizability as an
+/// uninterrupted run.
 ///
 /// Layout choices mirror the driver: the SCF seed is the *latest
 /// non-converged* [`ScfCheckpoint`] (resume replays the short tail of the
@@ -402,8 +383,9 @@ impl JobDirCheckpoint {
 /// its full mixer state.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct JobCheckpoint {
-    /// Canonical content hash of the request this state belongs to
-    /// (rejected on resume if it does not match the job's request).
+    /// Content key of the job this state belongs to, over the canonical
+    /// string of its physics inputs (a front end refuses to resume a job
+    /// from another job's state).
     pub key: [u64; 2],
     /// Latest captured SCF state (`None` = SCF had not yet reached its
     /// first iteration boundary; resume recomputes from scratch).
@@ -417,6 +399,12 @@ pub struct JobCheckpoint {
 impl JobCheckpoint {
     /// Serialize to the framed `QPCK` byte representation.
     pub fn to_bytes(&self) -> Vec<u8> {
+        self.encode(self.cur_dir.as_ref())
+    }
+
+    /// The framed bytes of this state with `cur_dir` as its in-flight
+    /// direction.
+    fn encode(&self, cur_dir: Option<&JobDirCheckpoint>) -> Vec<u8> {
         let mut e = Encoder::default();
         e.put_u64(self.key[0]);
         e.put_u64(self.key[1]);
@@ -434,7 +422,7 @@ impl JobCheckpoint {
                 e.put_f64(a);
             }
         }
-        match &self.cur_dir {
+        match cur_dir {
             Some(cur) => {
                 e.put_u64(1);
                 cur.encode_payload(&mut e);
@@ -482,7 +470,14 @@ impl JobCheckpoint {
 
     /// Atomically write to `path` (temp file + rename).
     pub fn save(&self, path: &Path) -> Result<()> {
-        atomic_write(path, &self.to_bytes())
+        self.save_with(path, self.cur_dir.as_ref())
+    }
+
+    /// [`save`](Self::save) this state with `cur_dir` as its in-flight
+    /// direction: a job mid-direction writes its record without copying
+    /// the direction's loop state in.
+    pub fn save_with(&self, path: &Path, cur_dir: Option<&JobDirCheckpoint>) -> Result<()> {
+        atomic_write(path, &self.encode(cur_dir))
     }
 
     /// Load and verify from `path`.
@@ -520,25 +515,6 @@ mod tests {
         for (a, b) in back.c1.as_slice().iter().zip(ck.c1.as_slice()) {
             assert_eq!(a.to_bits(), b.to_bits());
         }
-    }
-
-    #[test]
-    fn scf_file_round_trip() {
-        let dir = std::env::temp_dir().join("qp_resil_ck_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("scf.qpck");
-        let ck = ScfCheckpoint {
-            iteration: 12,
-            energy: -75.91234,
-            p_mat: mat(3, 3, &[1., 0., 0., 0., 2., 0., 0., 0., 3.]),
-            diis_in: vec![mat(3, 3, &[0.5; 9]), mat(3, 3, &[0.25; 9])],
-            diis_res: vec![mat(3, 3, &[1e-3; 9]), mat(3, 3, &[1e-4; 9])],
-        };
-        ck.save(&path).unwrap();
-        assert_eq!(ScfCheckpoint::load(&path).unwrap(), ck);
-        // The atomic-write temp file must not survive.
-        assert!(!path.with_extension("tmp").exists());
-        std::fs::remove_file(&path).unwrap();
     }
 
     fn sample_job() -> JobCheckpoint {
@@ -590,10 +566,11 @@ mod tests {
         let ck = sample_job();
         ck.save(&path).unwrap();
         assert_eq!(JobCheckpoint::load(&path).unwrap(), ck);
+        // The atomic-write temp file must not survive.
         assert!(!path.with_extension("tmp").exists());
-        // The other readers must refuse a job checkpoint, and vice versa.
+        // The DFPT reader must refuse a job checkpoint, and vice versa.
         assert!(matches!(
-            ScfCheckpoint::from_bytes(&ck.to_bytes()),
+            DfptCheckpoint::from_bytes(&ck.to_bytes()),
             Err(ResilError::Format(_))
         ));
         assert!(matches!(
@@ -653,9 +630,11 @@ mod tests {
             Err(ResilError::Format(_))
         ));
 
-        // An SCF reader must refuse a DFPT checkpoint.
+        // Kind 1, the retired standalone SCF record, is refused.
+        let mut retired_kind = ck.to_bytes();
+        retired_kind[8] = 1;
         assert!(matches!(
-            ScfCheckpoint::from_bytes(&ck.to_bytes()),
+            DfptCheckpoint::from_bytes(&retired_kind),
             Err(ResilError::Format(_))
         ));
     }
@@ -673,16 +652,20 @@ mod tests {
         ) {
             let n = rows * cols;
             let take = |k: usize| mat(rows, cols, &vals[k * n..(k + 1) * n]);
-            let ck = ScfCheckpoint {
-                iteration,
-                energy: vals[0],
-                p_mat: take(0),
-                diis_in: (0..hist).map(take).collect(),
-                diis_res: (0..hist).map(|k| take(k + hist)).collect(),
+            let ck = JobCheckpoint {
+                scf: Some(ScfCheckpoint {
+                    iteration,
+                    energy: vals[0],
+                    p_mat: take(0),
+                    diis_in: (0..hist).map(take).collect(),
+                    diis_res: (0..hist).map(|k| take(k + hist)).collect(),
+                }),
+                ..JobCheckpoint::default()
             };
-            let back = ScfCheckpoint::from_bytes(&ck.to_bytes()).unwrap();
+            let back = JobCheckpoint::from_bytes(&ck.to_bytes()).unwrap();
             prop_assert_eq!(&back, &ck);
-            for (a, b) in back.p_mat.as_slice().iter().zip(ck.p_mat.as_slice()) {
+            let (p, q) = (back.scf.unwrap().p_mat, ck.scf.unwrap().p_mat);
+            for (a, b) in p.as_slice().iter().zip(q.as_slice()) {
                 prop_assert_eq!(a.to_bits(), b.to_bits());
             }
         }

@@ -11,13 +11,15 @@
 //!   iteration *k*. The same spec reproduces the same failure (and
 //!   therefore the same recovery trace) run after run.
 //! * [`checkpoint`] — a versioned, checksummed, hand-rolled binary format
-//!   (`QPCK`) snapshotting SCF state (density matrix + Pulay history) and
-//!   per-direction DFPT state (`P¹`, Pulay history, residual), written atomically
-//!   (temp file + rename) and restored round-trip bit-exact.
+//!   (`QPCK`) for a job's one resume record, [`JobCheckpoint`]: the SCF
+//!   seed (density matrix + Pulay history), the finished directions and the
+//!   in-flight direction's loop state (`P¹`, Pulay history, residual),
+//!   written atomically (temp file + rename) and restored round-trip
+//!   bit-exact.
 //! * [`recovery`] — the [`Supervisor`]: retries a failed SPMD region from
-//!   its last checkpoint, charges the modeled recovery cost (checkpoint
-//!   write, respawn, restore broadcast) to the `qp-machine` simulated
-//!   clock, and emits `qp-trace` spans on the `resil` phase.
+//!   its last in-memory commit, charges the modeled recovery cost
+//!   (checkpoint write, respawn, restore broadcast) to the `qp-machine`
+//!   simulated clock, and emits `qp-trace` spans on the `resil` phase.
 //!
 //! [`FaultHook`]: qp_mpi::FaultHook
 

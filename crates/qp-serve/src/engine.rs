@@ -1,7 +1,8 @@
 //! The job engine: runs one admitted request through the job pipeline of
 //! `qp-core` ([`qp_core::Job`]), the one `qperturb` runs too, with a hook
-//! that writes the progress lines, checks the preempt flag, and persists
-//! the `QPCK` job checkpoint every [`CHECKPOINT_INTERVAL`] iterations.
+//! that writes the progress lines and checks the preempt flag. The job
+//! itself writes its `QPCK` record every [`CHECKPOINT_INTERVAL`] iterations
+//! and where it is preempted.
 //!
 //! Two invariants rest on that:
 //!
@@ -18,7 +19,7 @@
 use crate::request::JobRequest;
 use crate::result::JobResultData;
 use crate::ServeError;
-use qp_core::{Event, Job, Step, System};
+use qp_core::{Event, Job, System};
 use qp_resil::JobCheckpoint;
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -28,7 +29,7 @@ pub enum EngineOutcome {
     /// The job ran to completion.
     Done(JobResultData),
     /// The job was preempted; its state is in the returned checkpoint
-    /// (already persisted if a checkpoint path was given).
+    /// (already written if a checkpoint path was given).
     Preempted(Box<JobCheckpoint>),
 }
 
@@ -36,23 +37,15 @@ pub enum EngineOutcome {
 /// iteration boundary.
 pub type ProgressFn<'a> = dyn FnMut(&str) + 'a;
 
-/// How often (in iterations) the engine persists a `QPCK` checkpoint while
-/// running. Preemption and shutdown always persist regardless.
+/// How often (in iterations) the job writes its `QPCK` record while
+/// running. Preemption and shutdown always write it regardless.
 pub const CHECKPOINT_INTERVAL: usize = 2;
 
-fn persist(ckpt: &JobCheckpoint, path: Option<&Path>) -> Result<(), ServeError> {
-    if let Some(p) = path {
-        ckpt.save(p)
-            .map_err(|e| ServeError::Internal(format!("checkpoint write: {e}")))?;
-    }
-    Ok(())
-}
-
 /// Run (or resume) one job. `preempt` is polled at every iteration
-/// boundary; when set, the engine persists a checkpoint and returns
-/// [`EngineOutcome::Preempted`]. `ckpt_path` additionally gets a periodic
-/// checkpoint every [`CHECKPOINT_INTERVAL`] iterations so a hard kill
-/// (process death, no preempt handshake) loses at most that much work.
+/// boundary; when set, the job writes its record and the engine returns
+/// [`EngineOutcome::Preempted`]. `ckpt_path` additionally gets the record
+/// every [`CHECKPOINT_INTERVAL`] iterations so a hard kill (process death,
+/// no preempt handshake) loses at most that much work.
 pub fn run_job(
     req: &JobRequest,
     resume: Option<JobCheckpoint>,
@@ -83,44 +76,41 @@ pub fn run_job(
         system.n_points()
     ));
 
-    let mut hook = |step: &Step<'_>| -> bool {
-        let (line, iteration) = match step.event {
+    let mut hook = |event: &Event<'_>| -> bool {
+        let (line, preemptible) = match *event {
             Event::ScfIter(st) => (
                 format!("scf iter={} energy={:.10}", st.iteration, st.energy),
-                Some(st.iteration),
+                true,
             ),
             Event::ScfConverged(g) => (
                 format!(
                     "scf converged: {} iterations, E={:.10} Ha",
                     g.iterations, g.energy
                 ),
-                None,
+                false,
             ),
             Event::DfptIter(st) => (
                 format!(
                     "dfpt dir={} iter={} residual={:.3e}",
                     st.dir, st.iteration, st.residual
                 ),
-                Some(st.iteration),
+                true,
             ),
             Event::DfptConverged(j, d) => (
                 format!("dfpt dir={j} converged in {} iterations", d.iterations),
-                None,
+                false,
             ),
         };
         progress(&line);
-        let Some(iteration) = iteration else {
-            return true;
-        };
-        let stop = preempt.load(Ordering::Relaxed);
-        if stop || iteration % CHECKPOINT_INTERVAL == 0 {
-            // Persist failures surface on the preempt path below; a
-            // periodic write that fails only costs resume granularity.
-            let _ = persist(&step.resume_state(), ckpt_path);
-        }
-        !stop
+        // A job is preempted only where an iteration ends short of
+        // convergence.
+        !(preemptible && preempt.load(Ordering::Relaxed))
     };
-    let out = Job::new(req.scf, req.dfpt)
+    let job = Job {
+        checkpoint: ckpt_path.map(|p| (p.to_path_buf(), CHECKPOINT_INTERVAL)),
+        ..Job::new(req.scf, req.dfpt)
+    };
+    let out = job
         .run_with(&system, &mut state, &mut hook)
         .map_err(|e| ServeError::Engine(e.to_string()))?;
     if let Some(out) = out {
@@ -130,7 +120,6 @@ pub fn run_job(
         }
         return Ok(EngineOutcome::Done(JobResultData::from(&out)));
     }
-    persist(&state, ckpt_path)?;
     progress(&match (&state.cur_dir, &state.scf) {
         (Some(st), _) => format!(
             "preempted during dfpt dir={} at iter={}",

@@ -18,12 +18,15 @@
 //! * [`json`] — hardened hand-rolled JSON (depth-capped parser, shortest
 //!   round-trip `f64` writer: the wire format *is* the bit format).
 //! * [`request`] — typed admission: untrusted JSON → validated
-//!   [`request::JobRequest`] + canonical content address.
+//!   [`request::JobRequest`] + canonical content address
+//!   ([`request::canonical`], which `qperturb` keys its resume record on
+//!   too).
 //! * [`cache`] — 128-bit-keyed, exact-string-verified result cache.
 //! * [`sched`] — fair-share queue (min cumulative cpu-seconds per tenant)
 //!   with cooperative checkpoint-boundary preemption decisions.
 //! * [`engine`] — one job through `qp_core::Job`, the pipeline the CLI
-//!   runs too: a hook that streams progress, checkpoints and preempts.
+//!   runs too: a hook that streams progress and preempts, and the job
+//!   writes its own `QPCK` record.
 //! * [`server`] — listener + connection handlers + worker pool + state-dir
 //!   durability (`job_<id>.meta.json` + `job_<id>.qpck`).
 //! * [`client`] — the blocking client the CLI subcommands and

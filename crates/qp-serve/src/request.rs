@@ -294,82 +294,101 @@ impl JobRequest {
         })
     }
 
-    /// The canonical content-address string: physics in, execution knobs
-    /// out (see module docs). Stable across protocol versions that do not
-    /// change the physics inputs.
+    /// The [`canonical`] content-address string of this request.
     pub fn canonical(&self) -> String {
-        let mut s = String::with_capacity(256 + 56 * self.structure.atoms.len());
-        s.push_str("qp-serve/v1;mol=");
-        for a in &self.structure.atoms {
-            let _ = write!(
-                s,
-                "{}:{:016x}:{:016x}:{:016x};",
-                a.element.symbol(),
-                a.position[0].to_bits(),
-                a.position[1].to_bits(),
-                a.position[2].to_bits()
-            );
-        }
-        let _ = write!(
-            s,
-            "basis={};",
-            match self.basis {
-                BasisSettings::Light => "light",
-                BasisSettings::Tier2 => "tier2",
-            }
-        );
-        let g = &self.grid;
-        let _ = write!(
-            s,
-            "grid=nr:{},rmin:{:016x},rmax:{:016x},maxang:{},minang:{},pcut:{:016x};",
-            g.n_radial,
-            g.r_min.to_bits(),
-            g.r_max.to_bits(),
-            g.max_angular,
-            g.min_angular,
-            g.partition_cutoff.to_bits()
-        );
-        let c = &self.scf;
-        let _ = write!(
-            s,
-            "scf=maxit:{},tol:{:016x},mix:{:016x},smear:{},pulay:{};",
-            c.max_iter,
-            c.tol.to_bits(),
-            c.mixing.to_bits(),
-            match c.smearing {
-                Some(kt) => format!("{:016x}", kt.to_bits()),
-                None => "none".to_string(),
-            },
-            match c.pulay {
-                Some(d) => d.to_string(),
-                None => "none".to_string(),
-            }
-        );
-        let d = &self.dfpt;
-        let _ = write!(
-            s,
-            "dfpt=maxit:{},tol:{:016x},mix:{:016x},mixer:{}",
-            d.max_iter,
-            d.tol.to_bits(),
-            d.mixing.to_bits(),
-            match d.mixer {
-                qp_core::DfptMixer::Linear => "linear".to_string(),
-                qp_core::DfptMixer::Pulay { depth } => format!("pulay{depth}"),
-            }
-        );
-        s
+        canonical(
+            &self.structure,
+            self.basis,
+            &self.grid,
+            &self.scf,
+            &self.dfpt,
+        )
     }
 
-    /// 128-bit FNV-1a pair over the canonical string — the cache/checkpoint
-    /// index key. Collisions are tolerated: lookups compare the full
-    /// canonical string before serving.
+    /// The [`content_key`] of this request.
     pub fn key(&self) -> [u64; 2] {
-        let canon = self.canonical();
-        [
-            fnv1a64(canon.as_bytes(), 0xcbf2_9ce4_8422_2325),
-            fnv1a64(canon.as_bytes(), 0x6c62_272e_07bb_0142),
-        ]
+        content_key(&self.canonical())
     }
+}
+
+/// The canonical content-address string of a job: physics in, execution
+/// knobs out (see module docs). The result cache keys on it, and both
+/// qp-serve and `qperturb` key a job's resume record on it. Stable across
+/// protocol versions that do not change the physics inputs.
+pub fn canonical(
+    structure: &Structure,
+    basis: BasisSettings,
+    grid: &GridSettings,
+    scf: &ScfOptions,
+    dfpt: &DfptOptions,
+) -> String {
+    let mut s = String::with_capacity(256 + 56 * structure.atoms.len());
+    s.push_str("qp-serve/v1;mol=");
+    for a in &structure.atoms {
+        let _ = write!(
+            s,
+            "{}:{:016x}:{:016x}:{:016x};",
+            a.element.symbol(),
+            a.position[0].to_bits(),
+            a.position[1].to_bits(),
+            a.position[2].to_bits()
+        );
+    }
+    let _ = write!(
+        s,
+        "basis={};",
+        match basis {
+            BasisSettings::Light => "light",
+            BasisSettings::Tier2 => "tier2",
+        }
+    );
+    let _ = write!(
+        s,
+        "grid=nr:{},rmin:{:016x},rmax:{:016x},maxang:{},minang:{},pcut:{:016x};",
+        grid.n_radial,
+        grid.r_min.to_bits(),
+        grid.r_max.to_bits(),
+        grid.max_angular,
+        grid.min_angular,
+        grid.partition_cutoff.to_bits()
+    );
+    let _ = write!(
+        s,
+        "scf=maxit:{},tol:{:016x},mix:{:016x},smear:{},pulay:{};",
+        scf.max_iter,
+        scf.tol.to_bits(),
+        scf.mixing.to_bits(),
+        match scf.smearing {
+            Some(kt) => format!("{:016x}", kt.to_bits()),
+            None => "none".to_string(),
+        },
+        match scf.pulay {
+            Some(d) => d.to_string(),
+            None => "none".to_string(),
+        }
+    );
+    let _ = write!(
+        s,
+        "dfpt=maxit:{},tol:{:016x},mix:{:016x},mixer:{}",
+        dfpt.max_iter,
+        dfpt.tol.to_bits(),
+        dfpt.mixing.to_bits(),
+        match dfpt.mixer {
+            qp_core::DfptMixer::Linear => "linear".to_string(),
+            qp_core::DfptMixer::Pulay { depth } => format!("pulay{depth}"),
+        }
+    );
+    s
+}
+
+/// 128-bit FNV-1a pair over a [`canonical`] string — the cache/checkpoint
+/// index key. Collisions are tolerated: lookups compare the full canonical
+/// string before serving.
+pub fn content_key(canonical: &str) -> [u64; 2] {
+    [
+        fnv1a64(canonical.as_bytes(), 0xcbf2_9ce4_8422_2325),
+        fnv1a64(canonical.as_bytes(), 0x6c62_272e_07bb_0142),
+    ]
 }
 
 fn fnv1a64(bytes: &[u8], offset_basis: u64) -> u64 {

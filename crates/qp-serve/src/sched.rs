@@ -6,9 +6,9 @@
 //! deterministic). A long-running job is preempted at its next iteration
 //! boundary when (a) a tenant with strictly lower usage is waiting and (b)
 //! the job has held the worker for at least one time slice. Preemption is
-//! cooperative and checkpoint-shaped: the worker persists `QPCK` job state
-//! and requeues, so the resumed job reproduces the uninterrupted result to
-//! the bit.
+//! cooperative and checkpoint-shaped: the job writes its `QPCK` record and
+//! the worker requeues it, so the resumed job reproduces the uninterrupted
+//! result to the bit.
 
 use std::collections::HashMap;
 use std::sync::{Condvar, Mutex};

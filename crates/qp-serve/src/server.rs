@@ -133,7 +133,10 @@ impl Job {
         self.cv.notify_all();
     }
 
+    /// Change the state and notify under the `progress` lock, the one a
+    /// waiter checks the state and sleeps under, so no waiter can miss it.
     fn set_state(&self, s: JobState) {
+        let _log = self.progress.lock().unwrap();
         *self.state.lock().unwrap() = s;
         self.cv.notify_all();
     }
@@ -590,11 +593,12 @@ fn wait_for_job(
     stream: bool,
     w: &mut TcpStream,
 ) -> Result<(), ServeError> {
+    let is_terminal = || matches!(job.state(), JobState::Done(_) | JobState::Failed(_));
     let mut sent = 0usize;
     loop {
         // Observe the state *before* draining: lines pushed before a
         // terminal flip are guaranteed to be forwarded.
-        let terminal = matches!(job.state(), JobState::Done(_) | JobState::Failed(_));
+        let terminal = is_terminal();
         if stream {
             let lines: Vec<String> = {
                 let log = job.progress.lock().unwrap();
@@ -618,12 +622,15 @@ fn wait_for_job(
                 "server shut down while waiting".into(),
             ));
         }
-        // Timed wait: robust against missed notifications and shutdown.
-        let guard = job.progress.lock().unwrap();
-        let _ = job
-            .cv
-            .wait_timeout(guard, Duration::from_millis(50))
-            .unwrap();
+        // Check and sleep under the lock that `set_state` and
+        // `push_progress` change the job under, so neither a state change
+        // nor a new line slips in between. The timeout only bounds the
+        // wait on a shutdown.
+        let log = job.progress.lock().unwrap();
+        if is_terminal() || (stream && log.lines.len() > sent) {
+            continue;
+        }
+        let _ = job.cv.wait_timeout(log, Duration::from_millis(50)).unwrap();
     }
 }
 
@@ -713,14 +720,11 @@ fn worker_loop(shared: &Arc<Shared>) {
         let _lease = job.request.threads.map(qp_par::ThreadLease::exactly);
 
         let started = Instant::now();
-        let resume = {
-            let mem = job.ckpt.lock().unwrap().take();
-            mem.or_else(|| {
-                job.ckpt_path(shared)
-                    .and_then(|p| JobCheckpoint::load(&p).ok())
-            })
-        };
-        let ckpt_path = job.ckpt_path(shared);
+        let ckpt_path = shared.ckpt_path(job.id);
+        let resume = job.ckpt.lock().unwrap().take().or_else(|| {
+            let path = ckpt_path.as_ref()?;
+            JobCheckpoint::load(path).ok()
+        });
         let outcome = {
             let job_ref = &job;
             let sched = &shared.sched;
@@ -766,11 +770,5 @@ fn worker_loop(shared: &Arc<Shared>) {
                 shared.sched.release(job.id, &job.tenant, elapsed);
             }
         }
-    }
-}
-
-impl Job {
-    fn ckpt_path(&self, shared: &Shared) -> Option<PathBuf> {
-        shared.ckpt_path(self.id)
     }
 }

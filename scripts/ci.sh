@@ -158,6 +158,8 @@ for plan in \
       --grid coarse --ranks 4 --checkpoint-dir "$ck_dir" \
       --checkpoint-interval 2 --result-json "$fault_dir/faulted.json"
   cmp "$fault_dir/fault_free.json" "$fault_dir/faulted.json"
+  [ "$(ls "$ck_dir")" = job.qpck ] \
+    || { echo "checkpoint dir holds more than job.qpck: $(ls "$ck_dir")"; exit 1; }
   rm -rf "$ck_dir"
 done
 echo "-- every faulted run == the fault-free --ranks 4 record (byte-identical)"
@@ -172,7 +174,41 @@ QP_LOG=warn ./target/release/qperturb --builtin water --grid coarse --ranks 4 \
     --result-json "$fault_dir/restarted.json" > /dev/null
 cmp "$fault_dir/first.json" "$fault_dir/restarted.json"
 echo "-- restarted == first run (byte-identical)"
+# A checkpoint directory alone keeps DFPT serial: the record changes no bit.
+QP_LOG=warn ./target/release/qperturb --builtin water --grid coarse \
+    --result-json "$fault_dir/plain.json" > /dev/null
+QP_LOG=warn ./target/release/qperturb --builtin water --grid coarse \
+    --checkpoint-dir "$ck_dir/serial" --result-json "$fault_dir/serial_ck.json" > /dev/null
+cmp "$fault_dir/plain.json" "$fault_dir/serial_ck.json"
+echo "-- serial --checkpoint-dir == plain run (byte-identical)"
 rm -rf "$ck_dir" "$fault_dir"
+
+echo "== kill -9 mid-job: --restart resumes from job.qpck to the plain bytes"
+kill_dir="$(mktemp -d)"
+kill_case() { # tag qperturb-args...
+  local tag="$1" pid status=0
+  shift
+  QP_LOG=warn ./target/release/qperturb --builtin polymer:2 "$@" \
+      --result-json "$kill_dir/${tag}_plain.json" > /dev/null
+  QP_LOG=warn ./target/release/qperturb --builtin polymer:2 "$@" \
+      --checkpoint-dir "$kill_dir/$tag" --checkpoint-interval 2 > /dev/null &
+  pid=$!
+  for _ in $(seq 1 600); do
+    [ -e "$kill_dir/$tag/job.qpck" ] && break
+    sleep 0.05
+  done
+  kill -9 "$pid" 2>/dev/null || true
+  wait "$pid" 2>/dev/null || status=$?
+  [ "$status" = 137 ] || { echo "$tag: the run ended (exit $status) before the kill"; exit 1; }
+  QP_LOG=warn ./target/release/qperturb --builtin polymer:2 "$@" \
+      --checkpoint-dir "$kill_dir/$tag" --checkpoint-interval 2 --restart \
+      --result-json "$kill_dir/${tag}_restarted.json" > /dev/null
+  cmp "$kill_dir/${tag}_plain.json" "$kill_dir/${tag}_restarted.json"
+  echo "-- $tag: killed and restarted == plain (byte-identical)"
+}
+kill_case serial
+kill_case ranks_2 --ranks 2
+rm -rf "$kill_dir"
 
 echo "== edge inputs end in a typed error or a result, never a panic"
 edge_dir="$(mktemp -d)"
@@ -194,6 +230,11 @@ expect_exit 1 --builtin helix:0
 expect_exit 2 --builtin water --smearing 0
 expect_exit 2 --builtin water --dfpt-mixing 0
 expect_exit 2 --builtin water --ranks 0
+# A record of another job is refused, naming the file, and never resumed.
+QP_LOG=error ./target/release/qperturb --builtin water --grid coarse \
+    --checkpoint-dir "$edge_dir/ck" --no-dfpt > /dev/null
+expect_exit 1 --builtin polymer:1 --grid coarse --checkpoint-dir "$edge_dir/ck" --restart
+expect_exit 2 --builtin water --grid coarse --checkpoint-dir "$edge_dir/ck" --profile "$edge_dir/p"
 # A profile of a job whose SCF does not converge ends in the typed error
 # (exit 1) and writes no report.
 printf 'sc_iter_limit 2\n' > "$edge_dir/short.control"

@@ -53,8 +53,8 @@ fn ligand_system() -> System {
 fn run_job(sys: &System, job: &Job, entries: &[(usize, usize)]) -> RunBits {
     let mut trace = Vec::new();
     let out = job
-        .run_with(sys, &mut JobState::default(), &mut |step| {
-            if let Event::ScfIter(st) = step.event {
+        .run_with(sys, &mut JobState::default(), &mut |event| {
+            if let Event::ScfIter(st) = event {
                 trace.push(st.energy.to_bits());
             }
             true

@@ -7,15 +7,16 @@
 //!   rank-ordered collectives replay deterministically.
 //! * The same `QP_FAULT` spec reproduces the identical failure/recovery
 //!   trace twice (fault event log and final state both match).
-//! * Recovery works purely in memory and with on-disk `QPCK` mirroring.
+//! * Recovery works in memory, and a supervised job's on-disk `QPCK`
+//!   record resumes it bit-exactly.
 
 use qp_core::parallel::{parallel_dfpt_direction, CollectiveScheme, MappingKind, ParallelConfig};
 use qp_core::resil::{parallel_dfpt_direction_resilient, ResilienceConfig};
 use qp_core::scf::{scf, ScfOptions, ScfResult};
 use qp_core::system::System;
-use qp_core::DfptOptions;
+use qp_core::{DfptOptions, Job, JobState};
 use qp_linalg::DMatrix;
-use qp_resil::FaultPlan;
+use qp_resil::{FaultPlan, ResilError};
 use std::sync::Arc;
 
 fn setup() -> (System, ScfResult) {
@@ -116,65 +117,53 @@ fn same_fault_spec_reproduces_the_identical_trace() {
     assert_eq!(p1_a.max_abs_diff(&p1_b), 0.0, "bit-identical final state");
 }
 
+/// A supervised job writes its commits into its one record; a job resumed
+/// from that file lands on the same bits, and a corrupted file is refused.
 #[test]
 fn disk_checkpoints_survive_corruption_detection_and_restart() {
-    let (sys, ground) = setup();
-    let opts = DfptOptions::default();
-    let dir_path = std::env::temp_dir().join("qp_resil_integration_disk");
+    let (sys, _) = setup();
+    let dir_path = std::env::temp_dir().join(format!("qp_resil_disk_{}", std::process::id()));
     std::fs::create_dir_all(&dir_path).unwrap();
-
-    let rcfg = ResilienceConfig {
-        checkpoint_dir: Some(dir_path.clone()),
-        checkpoint_interval: 2,
-        max_restarts: 1,
-        ..ResilienceConfig::default()
+    let path = dir_path.join("job.qpck");
+    let job = Job {
+        ranks: Some((cfg(), ResilienceConfig::with_interval(2))),
+        checkpoint: Some((path.clone(), 2)),
+        ..Job::new(ScfOptions::default(), DfptOptions::default())
     };
-    let first = parallel_dfpt_direction_resilient(&sys, &ground, 1, &opts, &cfg(), &rcfg).unwrap();
-    let ck_file = dir_path.join("dfpt_dir1.qpck");
-    assert!(ck_file.exists(), "checkpoint mirrored to disk");
+    let first = job.run(&sys).unwrap();
+    let files: Vec<_> = std::fs::read_dir(&dir_path)
+        .unwrap()
+        .map(|e| e.unwrap().file_name())
+        .collect();
+    assert_eq!(files, ["job.qpck"], "the record is the one file written");
 
-    // Restarting from the on-disk checkpoint replays the tail bit-exactly.
-    let restart = ResilienceConfig {
-        restart: true,
-        ..rcfg.clone()
-    };
-    let resumed =
-        parallel_dfpt_direction_resilient(&sys, &ground, 1, &opts, &cfg(), &restart).unwrap();
-    assert_eq!(resumed.direction.p1.max_abs_diff(&first.direction.p1), 0.0);
-    assert_eq!(resumed.direction.iterations, first.direction.iterations);
-
-    // A corrupted checkpoint must be rejected by the checksum with a clean
-    // error, not silently resumed from.
-    let mut bytes = std::fs::read(&ck_file).unwrap();
-    let n = bytes.len();
-    bytes[n - 1] ^= 0x01;
-    std::fs::write(&ck_file, &bytes).unwrap();
-    let out = parallel_dfpt_direction_resilient(&sys, &ground, 1, &opts, &cfg(), &restart);
-    assert!(
-        matches!(out, Err(qp_core::CoreError::Checkpoint(_))),
-        "corrupted checkpoint must surface cleanly: {out:?}"
+    // The last record holds a commit of the last direction; resuming from
+    // it replays the tail bit-exactly.
+    let mut record = JobState::load(&path).unwrap();
+    assert_eq!(record.dirs_done.len(), 2);
+    let cur = record.cur_dir.as_ref().expect("a committed direction");
+    assert!(cur.dir == 2 && cur.iteration.is_multiple_of(2));
+    let resumed = job
+        .run_with(&sys, &mut record, &mut |_| true)
+        .unwrap()
+        .expect("not preempted");
+    assert_eq!(resumed.alpha.max_abs_diff(&first.alpha), 0.0);
+    assert_eq!(resumed.dfpt_iterations, first.dfpt_iterations);
+    assert_eq!(
+        resumed.ground.energy.to_bits(),
+        first.ground.energy.to_bits()
     );
 
-    // A checkpoint from a driver that mixed the response coefficients C¹
-    // (non-empty `c1`, C¹-sized history) cannot seed the P¹ mixer: refused
-    // with a typed error, before any rank starts.
-    let nb = sys.n_basis();
-    let n_occ = sys.n_occupied();
-    let c1_sized = |v: f64| DMatrix::from_fn(nb, n_occ, |i, j| v * (i + j) as f64);
-    let old = qp_resil::DfptCheckpoint {
-        dir: 1,
-        iteration: 4,
-        c1: c1_sized(1e-3),
-        p1: first.direction.p1.clone(),
-        residual: 1e-3,
-        diis_in: vec![c1_sized(1e-3); 3],
-        diis_res: vec![c1_sized(1e-4); 3],
-    };
-    old.save(&ck_file).unwrap();
-    let out = parallel_dfpt_direction_resilient(&sys, &ground, 1, &opts, &cfg(), &restart);
+    // A corrupted record must be rejected by the checksum with a clean
+    // error, not silently resumed from.
+    let mut bytes = std::fs::read(&path).unwrap();
+    let n = bytes.len();
+    bytes[n - 1] ^= 0x01;
+    std::fs::write(&path, &bytes).unwrap();
+    let out = JobState::load(&path);
     assert!(
-        matches!(out, Err(qp_core::CoreError::Checkpoint(_))),
-        "a C1 checkpoint must be refused cleanly: {out:?}"
+        matches!(out, Err(ResilError::Checksum { .. })),
+        "corrupted record must surface cleanly: {out:?}"
     );
     std::fs::remove_dir_all(&dir_path).ok();
 }
