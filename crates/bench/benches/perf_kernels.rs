@@ -1,8 +1,8 @@
 //! Criterion microbenches for the qp-par substrate: blocked GEMM vs the
-//! legacy unblocked loop across sizes, the Householder eigensolver serial
-//! vs pooled, the Sumup kernel with the basis-value cache cold vs warm, and
-//! the Sternheimer response build — O(n⁴) pair-loop vs the factored
-//! `C·W·Cᵀ` GEMM form.
+//! legacy unblocked loop across sizes, the Householder eigensolver and the
+//! SCF's generalized eigensolve serial vs pooled, the Sumup kernel with the
+//! basis-value cache cold vs warm, and the Sternheimer response build —
+//! O(n⁴) pair-loop vs the factored `C·W·Cᵀ` GEMM form.
 //!
 //! Run with `CRITERION_FULL=1 cargo bench -p qp-bench --bench perf_kernels`
 //! for the larger iteration budget; numbers are recorded in EXPERIMENTS.md.
@@ -14,7 +14,7 @@ use qp_chem::structures::ligand49;
 use qp_core::dfpt::{sternheimer_response, sternheimer_response_pairwise};
 use qp_core::kernels::{sumup_phase, MatrixAccess};
 use qp_core::system::System;
-use qp_linalg::{symmetric_eigen, DMatrix};
+use qp_linalg::{generalized_symmetric_eigen_with, symmetric_eigen, Cholesky, DMatrix};
 
 fn test_matrix(n: usize, seed: usize) -> DMatrix {
     DMatrix::from_fn(n, n, |i, j| {
@@ -55,6 +55,30 @@ fn bench_eigen(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("pool-8", n), &n, |bch, _| {
             let _lease = qp_par::ThreadLease::exactly(8);
             bch.iter(|| symmetric_eigen(std::hint::black_box(&m)).unwrap())
+        });
+    }
+    // The SCF's call, `H C = ε S C` with S factored once per job: 145 is
+    // ligand-49's basis size.
+    for n in [145, 450] {
+        let mut h = test_matrix(n, 5);
+        h.symmetrize();
+        let g = test_matrix(n, 6);
+        let mut s = g.matmul(&g.transpose()).unwrap();
+        for d in 0..n {
+            s[(d, d)] += 1.0;
+        }
+        let s_chol = Cholesky::new(&s).unwrap();
+        group.bench_with_input(BenchmarkId::new("generalized-serial", n), &n, |bch, _| {
+            let _lease = qp_par::ThreadLease::exactly(1);
+            bch.iter(|| {
+                generalized_symmetric_eigen_with(&s_chol, std::hint::black_box(&h)).unwrap()
+            })
+        });
+        group.bench_with_input(BenchmarkId::new("generalized-pool-8", n), &n, |bch, _| {
+            let _lease = qp_par::ThreadLease::exactly(8);
+            bch.iter(|| {
+                generalized_symmetric_eigen_with(&s_chol, std::hint::black_box(&h)).unwrap()
+            })
         });
     }
     group.finish();

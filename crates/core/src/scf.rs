@@ -13,7 +13,7 @@ use crate::operators;
 use crate::system::System;
 use crate::{CoreError, Result};
 use qp_chem::xc;
-use qp_linalg::{generalized_symmetric_eigen, DMatrix};
+use qp_linalg::{generalized_symmetric_eigen_with, Cholesky, DMatrix};
 
 /// SCF options.
 #[derive(Debug, Clone, Copy)]
@@ -178,6 +178,8 @@ pub(crate) fn scf_preemptible(
     let residual_gauge = qp_trace::global_metrics().gauge("scf.residual", &[]);
     let energy_gauge = qp_trace::global_metrics().gauge("scf.energy", &[]);
     let s_mat = operators::overlap(system);
+    // S is fixed for the job: factor it once for every eigensolve.
+    let s_chol = Cholesky::new(&s_mat)?;
     let t_mat = operators::kinetic(system);
     let v_ext = operators::external_potential(system);
     let v_ext_mat = operators::potential_matrix(system, &v_ext);
@@ -219,7 +221,7 @@ pub(crate) fn scf_preemptible(
             MixState::with_history(mixer_kind, opts.mixing, st.diis_in, st.diis_res),
         ),
         None => {
-            let dec0 = generalized_symmetric_eigen(&h_core, &s_mat)?;
+            let dec0 = generalized_symmetric_eigen_with(&s_chol, &h_core)?;
             let occ0 = occupy(&dec0.eigenvalues);
             let p0 = operators::density_matrix_occ(&dec0.eigenvectors, &occ0);
             (0, p0, MixState::new(mixer_kind, opts.mixing))
@@ -243,7 +245,7 @@ pub(crate) fn scf_preemptible(
 
         let mut h = h_core.clone();
         h.axpy(1.0, &v_eff_mat)?;
-        let dec = generalized_symmetric_eigen(&h, &s_mat)?;
+        let dec = generalized_symmetric_eigen_with(&s_chol, &h)?;
         let occ = occupy(&dec.eigenvalues);
         let p_new = operators::density_matrix_occ(&dec.eigenvectors, &occ);
 

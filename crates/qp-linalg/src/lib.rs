@@ -34,7 +34,10 @@ pub use block_sparse::{BlockPartition, BlockSparseMatrix};
 pub use cholesky::Cholesky;
 pub use csr::CsrMatrix;
 pub use dense::DMatrix;
-pub use eigen::{generalized_symmetric_eigen, symmetric_eigen, EigenDecomposition};
+pub use eigen::{
+    generalized_symmetric_eigen, generalized_symmetric_eigen_with, symmetric_eigen,
+    EigenDecomposition,
+};
 
 /// Errors produced by the linear-algebra layer.
 #[derive(Debug, Clone, PartialEq)]

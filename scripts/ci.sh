@@ -53,6 +53,20 @@ for mol in water polymer:8; do
 done
 rm -rf "$screen_dir"
 
+echo "== thread count: byte-identical result records (smeared ligand-49, QP_THREADS=1 vs 3)"
+# 145 basis functions: the eigensolver's triangular solves split into
+# column blocks that fan out across the pool, and every region of the job
+# runs at both widths. The record must not change by a byte.
+threads_dir="$(mktemp -d)"
+for threads in 1 3; do
+  QP_LOG=warn QP_THREADS=$threads ./target/release/qperturb --builtin ligand \
+      --grid coarse --smearing 0.02 \
+      --result-json "$threads_dir/ligand_t$threads.json" > /dev/null
+done
+cmp "$threads_dir/ligand_t1.json" "$threads_dir/ligand_t3.json"
+echo "-- ligand QP_THREADS=1 == QP_THREADS=3 (byte-identical)"
+rm -rf "$threads_dir"
+
 echo "== far field: tree-served polarizability vs the direct oracle (QP_THREADS=3)"
 # The tree far field is on a tolerance contract (QP_FARFIELD_TOL), not a
 # byte one: the full DFPT observable must land within 1e-6 Bohr^3 of the
