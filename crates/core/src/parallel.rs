@@ -175,7 +175,7 @@ mod tests {
     use crate::dfpt::dfpt_direction;
     use crate::resil::{parallel_dfpt_direction_resilient, ResilienceConfig};
     use crate::scf::{scf, ScfOptions};
-    use crate::screening::ScreeningMode;
+    use crate::{FarFieldMode, ScreeningMode};
     use qp_chem::basis::BasisSettings;
     use qp_chem::grids::GridSettings;
     use qp_chem::structures::{polyethylene, water};
@@ -192,16 +192,17 @@ mod tests {
 
     /// polymer:4 on the coarse grid at the production expansion order,
     /// screening forced on (its 14 atoms are below the `Auto` threshold):
-    /// far-side (point, atom) pairs take the Poisson tails, and `H¹`
-    /// merges through the screened blocks.
+    /// far-side (point, atom) pairs take the Poisson tails, and the
+    /// Sternheimer update takes the occupation-class contraction.
     fn polymer_setup() -> (System, ScfResult) {
-        let sys = System::build_with_screening(
+        let sys = System::build_with_modes(
             polyethylene(4),
             BasisSettings::Light,
             &GridSettings::coarse(),
             200,
             4,
             ScreeningMode::On,
+            FarFieldMode::Auto,
         );
         assert!(sys.screen().is_some());
         let ground = scf(&sys, &ScfOptions::default()).unwrap();

@@ -1,32 +1,33 @@
-//! Sparsity-aware screening plan for operator assembly.
+//! Cutoff-sphere screening plan.
 //!
-//! [`ScreenPlan`] bundles the cutoff-sphere data structures from `qp-grid`
-//! with the basis-set bookkeeping the assembly kernels need:
+//! [`ScreenPlan`] bundles the cutoff-sphere data structures from `qp-grid`:
 //!
 //! * the atom-pair [`NeighborList`] — the exact support of every assembled
-//!   operator matrix (overlap, kinetic, potential, dipole, `H¹`),
+//!   operator matrix; its fill ratio is what the CLI and the weak-scaling
+//!   sweep report,
 //! * a [`BatchScreen`] cell list answering "which atoms reach this batch"
-//!   in O(neighbourhood) instead of the O(n_basis) linear scan,
-//! * the atom [`BlockPartition`] (each atom owns a contiguous run of basis
-//!   functions) that block-sparse operator matrices are stored over.
+//!   in O(neighbourhood) instead of the O(n_basis) linear scan.
+//!
+//! A plan does two jobs: the cell-list basis tabulation
+//! ([`ScreenPlan::functions_near`]) and, as a gate, the occupation-class
+//! Sternheimer contraction (`dfpt::sternheimer_response_screened`).
+//! Operators merge into the dense matrix with or without one: a rank's
+//! Hamiltonian is small and dense (the paper's §3.1), and the entries off
+//! the pair support come out exactly `+0.0` either way.
 //!
 //! **Bit-identity contract.** Screening never changes a single output bit:
 //!
 //! * The screened tabulation path returns the *same sorted function list*
 //!   as `BasisSet::functions_near` (same strict `<` predicate, atom-major
 //!   order), so every batch table is bytewise identical.
-//! * Entries of an assembled operator outside the neighbor-pair support
-//!   accumulate only exact `±0.0` terms.  An accumulator seeded at `+0.0`
-//!   stays `+0.0` under such additions (in round-to-nearest, exact
-//!   cancellation yields `+0.0` and `+0.0 + (−0.0) = +0.0`), so *skipping*
-//!   those additions — which is all the screened merge does — leaves every
-//!   on-support entry bit-identical and every off-support entry exactly
-//!   `+0.0`, matching what the dense path computes for it.
+//! * The occupation-class Sternheimer contraction skips only MO blocks its
+//!   weights never read and weight terms that are exactly `0.0`, and it
+//!   splits k on `K_GROUP` boundaries, so every element keeps the dense
+//!   GEMM's addition tree.
 
 use qp_chem::basis::BasisSet;
 use qp_chem::geometry::Structure;
 use qp_grid::{BatchScreen, NeighborList};
-use qp_linalg::{BlockPartition, BlockSparseMatrix};
 
 /// Structures at or above this many atoms turn screening on under
 /// [`ScreeningMode::Auto`].  Below it the neighbor list is ~dense and the
@@ -81,40 +82,22 @@ impl std::fmt::Display for ScreeningMode {
     }
 }
 
-/// The per-system screening plan: neighbor pairs, batch queries and the
-/// atom block partition.  Built once per [`crate::System`]; immutable and
-/// shared by every assembly phase.
+/// The per-system screening plan: neighbor pairs and batch queries.
+/// Built once per [`crate::System`]; immutable and shared by every phase.
 #[derive(Debug)]
 pub struct ScreenPlan {
     /// Atom-pair support of every assembled operator.
     pub neighbours: NeighborList,
     /// Cell-list range queries for batch tabulation.
     batch_screen: BatchScreen,
-    /// Atom blocks: atom `I` owns basis functions
-    /// `partition.offset(I)..partition.offset(I + 1)`.
-    pub partition: BlockPartition,
-    /// Owning atom of each basis function.
-    pub fn_atom: Vec<u32>,
 }
 
 impl ScreenPlan {
-    /// Build the plan for a structure and its basis.
-    pub fn build(structure: &Structure, basis: &BasisSet) -> Self {
-        let natoms = structure.len();
-        let sizes: Vec<usize> = (0..natoms)
-            .map(|a| basis.functions_of_atom(a).len())
-            .collect();
-        let mut fn_atom = vec![0u32; basis.len()];
-        for a in 0..natoms {
-            for i in basis.functions_of_atom(a) {
-                fn_atom[i] = a as u32;
-            }
-        }
+    /// Build the plan for a structure.
+    pub fn build(structure: &Structure) -> Self {
         ScreenPlan {
             neighbours: NeighborList::build(structure),
             batch_screen: BatchScreen::build(structure),
-            partition: BlockPartition::from_sizes(&sizes),
-            fn_atom,
         }
     }
 
@@ -132,23 +115,9 @@ impl ScreenPlan {
         out
     }
 
-    /// A zeroed block-sparse matrix over the plan's pair support.
-    pub fn empty_blocks(&self) -> BlockSparseMatrix {
-        BlockSparseMatrix::zeros(
-            self.partition.clone(),
-            &self.neighbours.row_ptr,
-            &self.neighbours.cols,
-        )
-    }
-
     /// Fraction of the dense pair space that survives screening.
     pub fn fill_ratio(&self) -> f64 {
         self.neighbours.fill_ratio()
-    }
-
-    /// Heap bytes held by the plan's index structures.
-    pub fn memory_bytes(&self) -> usize {
-        self.neighbours.memory_bytes() + self.fn_atom.len() * 4
     }
 }
 
@@ -184,7 +153,7 @@ mod tests {
     fn functions_near_matches_linear_scan() {
         for structure in [water(), polyethylene(10)] {
             let basis = BasisSet::build(&structure, BasisSettings::Light);
-            let plan = ScreenPlan::build(&structure, &basis);
+            let plan = ScreenPlan::build(&structure);
             let (lo, hi) = structure.bounding_box();
             let mid = [
                 0.5 * (lo[0] + hi[0]),
@@ -201,34 +170,5 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn partition_covers_basis_atom_major() {
-        let s = polyethylene(6);
-        let basis = BasisSet::build(&s, BasisSettings::Light);
-        let plan = ScreenPlan::build(&s, &basis);
-        assert_eq!(plan.partition.n_blocks(), s.len());
-        assert_eq!(plan.partition.total(), basis.len());
-        for (i, &a) in plan.fn_atom.iter().enumerate() {
-            assert_eq!(a as usize, basis.atom_of(i));
-            let off = plan.partition.offset(a as usize);
-            assert!(i >= off && i < off + plan.partition.size(a as usize));
-        }
-    }
-
-    #[test]
-    fn empty_blocks_cover_neighbour_support() {
-        let s = polyethylene(8);
-        let basis = BasisSet::build(&s, BasisSettings::Light);
-        let plan = ScreenPlan::build(&s, &basis);
-        let m = plan.empty_blocks();
-        assert_eq!(m.nnz_blocks(), plan.neighbours.n_pairs());
-        for i in 0..s.len() {
-            for &j in plan.neighbours.neighbours(i) {
-                assert!(m.find(i, j as usize).is_some());
-            }
-        }
-        assert!(m.fill_ratio() < 1.0);
     }
 }

@@ -103,7 +103,8 @@ pub struct System {
 }
 
 impl System {
-    /// Build a system with explicit settings and [`ScreeningMode::Auto`].
+    /// Build a system with explicit settings, [`ScreeningMode::Auto`] and
+    /// [`FarFieldMode::Auto`].
     pub fn build(
         structure: Structure,
         basis_settings: BasisSettings,
@@ -111,33 +112,13 @@ impl System {
         max_batch: usize,
         lmax: usize,
     ) -> Self {
-        Self::build_with_screening(
-            structure,
-            basis_settings,
-            grid_settings,
-            max_batch,
-            lmax,
-            ScreeningMode::Auto,
-        )
-    }
-
-    /// [`System::build`] with explicit screening control
-    /// (`--screening on|off|auto`) and [`FarFieldMode::Auto`].
-    pub fn build_with_screening(
-        structure: Structure,
-        basis_settings: BasisSettings,
-        grid_settings: &GridSettings,
-        max_batch: usize,
-        lmax: usize,
-        mode: ScreeningMode,
-    ) -> Self {
         Self::build_with_modes(
             structure,
             basis_settings,
             grid_settings,
             max_batch,
             lmax,
-            mode,
+            ScreeningMode::Auto,
             FarFieldMode::Auto,
         )
     }
@@ -160,7 +141,7 @@ impl System {
         let cache = BasisValueCache::from_env(batches.len(), basis.len());
         let screen = mode
             .enabled(structure.len())
-            .then(|| Arc::new(ScreenPlan::build(&structure, &basis)));
+            .then(|| Arc::new(ScreenPlan::build(&structure)));
         System {
             structure,
             basis,

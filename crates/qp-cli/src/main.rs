@@ -76,8 +76,9 @@ options:
   --dfpt-tol <x>           DFPT tolerance             (default 1e-7)
   --dfpt-mixing <x>        DFPT mixing                (default 0.6)
   --no-dfpt                stop after the ground state
-  --screening <on|off|auto>  cutoff-sphere screened assembly (default auto:
-                           on from 16 atoms; bit-identical either way)
+  --screening <on|off|auto>  cutoff-sphere screening of the basis tables
+                           and the Sternheimer update (default auto: on
+                           from 16 atoms; bit-identical either way)
   --farfield <direct|tree|auto>  Hartree far-field evaluation: exact
                            per-atom sum or hierarchical cluster-tree
                            multipoles within QP_FARFIELD_TOL (default

@@ -112,11 +112,6 @@ impl NeighborList {
     pub fn max_cutoff(&self) -> f64 {
         self.max_cutoff
     }
-
-    /// Heap bytes held by the list.
-    pub fn memory_bytes(&self) -> usize {
-        self.row_ptr.len() * 8 + self.cols.len() * 4 + self.cutoffs.len() * 8
-    }
 }
 
 /// Point-centred screening queries: which atoms' basis functions can be

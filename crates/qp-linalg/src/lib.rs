@@ -12,6 +12,9 @@
 //!
 //! * [`DMatrix`] — row-major dense matrix with the BLAS-level operations used
 //!   by the SCF and DFPT phases (`gemm`, `symm` products, transposes, …).
+//!   Every assembled operator is one: as in the paper's §3.1, a rank's
+//!   Hamiltonian is small and dense, so screened assembly in `qp-core`
+//!   merges its batch blocks straight into a `DMatrix`.
 //! * [`CsrMatrix`] — CSR sparse matrix with exact byte-footprint accounting,
 //!   used to quantify the memory-explosion obstacle of §3.1.1.
 //! * [`eigen`] — a dense symmetric eigensolver (Householder tridiagonal
@@ -22,7 +25,6 @@
 //! Everything is `f64`; quantum-chemistry response properties are far too
 //! ill-conditioned for `f32`.
 
-pub mod block_sparse;
 pub mod cholesky;
 pub mod csr;
 pub mod dense;
@@ -30,7 +32,6 @@ pub mod eigen;
 pub mod gemm;
 pub mod vecops;
 
-pub use block_sparse::{BlockPartition, BlockSparseMatrix};
 pub use cholesky::Cholesky;
 pub use csr::CsrMatrix;
 pub use dense::DMatrix;

@@ -18,7 +18,7 @@ use qp_chem::structures::{ligand49, polyethylene, water};
 use qp_core::dfpt::DfptOptions;
 use qp_core::scf::ScfOptions;
 use qp_core::system::System;
-use qp_core::{Event, Job, JobState, ScreeningMode};
+use qp_core::{Event, FarFieldMode, Job, JobState, ScreeningMode};
 
 /// One workload's full observable output, as exact bit patterns.
 #[derive(Debug, PartialEq, Eq)]
@@ -128,10 +128,12 @@ fn ligand_polarizability_bit_identical_1_vs_8_threads() {
 }
 
 /// Full SCF + DFPT on a polyethylene trimer, screened vs dense, at 1, 2 and
-/// 8 threads. The screened assembly skips only contributions that are exactly
-/// ±0.0, so the entire pipeline — energy trace, final energy, polarizability
-/// element — must match the dense path bit-for-bit at every thread count, and
-/// all six runs must agree with each other.
+/// 8 threads. Screening finds each batch's function list through the cell
+/// list (the same list) and restricts the Sternheimer contraction to the
+/// occupation classes that couple, skipping only exact zeros, so the entire
+/// pipeline — energy trace, final energy, polarizability element — must
+/// match the dense path bit-for-bit at every thread count, and all six runs
+/// must agree with each other.
 fn run_polymer(threads: usize, mode: ScreeningMode) -> RunBits {
     let _lease = qp_par::ThreadLease::exactly(threads);
     let mut gs = GridSettings::coarse();
@@ -140,8 +142,15 @@ fn run_polymer(threads: usize, mode: ScreeningMode) -> RunBits {
     gs.min_angular = 6;
     // n = 3 monomers → 20 atoms: above the auto-screening threshold, small
     // enough to run the six-run matrix inside the CI budget.
-    let sys =
-        System::build_with_screening(polyethylene(3), BasisSettings::Light, &gs, 150, 2, mode);
+    let sys = System::build_with_modes(
+        polyethylene(3),
+        BasisSettings::Light,
+        &gs,
+        150,
+        2,
+        mode,
+        FarFieldMode::Auto,
+    );
     run_job(&sys, &smeared_job(2), &[(2, 2)])
 }
 
