@@ -1,8 +1,9 @@
 //! Criterion microbenches for the qp-par substrate: blocked GEMM vs the
 //! legacy unblocked loop across sizes, the Householder eigensolver and the
 //! SCF's generalized eigensolve serial vs pooled, the Sumup kernel with the
-//! basis-value cache cold vs warm, and the Sternheimer response build —
-//! O(n⁴) pair-loop vs the factored `C·W·Cᵀ` GEMM form.
+//! basis-value cache cold vs warm, the Sternheimer response build —
+//! O(n⁴) pair-loop vs the factored `C·W·Cᵀ` GEMM form — and the Rho
+//! phase's Hartree potential on ligand-49, serial vs pooled.
 //!
 //! Run with `CRITERION_FULL=1 cargo bench -p qp-bench --bench perf_kernels`
 //! for the larger iteration budget; numbers are recorded in EXPERIMENTS.md.
@@ -14,6 +15,7 @@ use qp_chem::structures::ligand49;
 use qp_core::dfpt::{sternheimer_response, sternheimer_response_pairwise};
 use qp_core::kernels::{sumup_phase, MatrixAccess};
 use qp_core::system::System;
+use qp_core::{FarFieldMode, ScreeningMode};
 use qp_linalg::{generalized_symmetric_eigen_with, symmetric_eigen, Cholesky, DMatrix};
 
 fn test_matrix(n: usize, seed: usize) -> DMatrix {
@@ -170,11 +172,41 @@ fn bench_sternheimer(c: &mut Criterion) {
     group.finish();
 }
 
+/// `System::hartree_potential` on ligand-49 as a job builds it (coarse
+/// grid, multipole order 4): one radial Poisson solve and the planned
+/// evaluation at all 5 684 points. The Hartree plan and the moments are
+/// built before the clock, as a job builds them before its first cycle.
+fn bench_rho(c: &mut Criterion) {
+    let sys = System::for_job(
+        ligand49(),
+        BasisSettings::Light,
+        &GridSettings::coarse(),
+        ScreeningMode::Auto,
+        FarFieldMode::Auto,
+    );
+    assert!(
+        sys.hartree_plan().is_some(),
+        "ligand-49's plan fits the cap"
+    );
+    let nb = sys.n_basis();
+    let p = DMatrix::from_fn(nb, nb, |i, j| if i == j { 0.05 } else { 0.0 });
+    let moments = sys.multipole_moments(&sys.density_on_grid(&p));
+    let mut group = c.benchmark_group("rho");
+    for (name, threads) in [("serial", 1), ("pool-8", 8)] {
+        group.bench_function(&format!("ligand49-hartree-{name}"), |b| {
+            let _lease = qp_par::ThreadLease::exactly(threads);
+            b.iter(|| sys.hartree_potential(std::hint::black_box(&moments), None))
+        });
+    }
+    group.finish();
+}
+
 fn benches(c: &mut Criterion) {
     bench_gemm(c);
     bench_eigen(c);
     bench_sumup_cache(c);
     bench_sternheimer(c);
+    bench_rho(c);
 }
 
 criterion_group!(perf_kernels, benches);

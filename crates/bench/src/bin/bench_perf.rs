@@ -51,10 +51,10 @@
 //! tabulation, Sumup (density on grid) and H (potential matrix), all on
 //! the production kernels but fed a synthetic density matrix and
 //! potential — with cutoff-sphere screening on and the hierarchical
-//! far-field tree on, plus a dense reference leg and a direct-path Rho
-//! oracle at small n. It times no eigensolve and no density-matrix build:
-//! every job builds P densely. Each phase gets a fitted log–log exponent;
-//! `e2e_full_s` is the per-cycle assembly sum *including* tree-mode Rho.
+//! far-field tree on, plus a direct-path Rho oracle at small n. It times
+//! no eigensolve and no density-matrix build: every job builds P densely.
+//! Each phase gets a fitted log–log exponent; `e2e_full_s` is the
+//! per-cycle assembly sum *including* tree-mode Rho.
 
 use std::fmt::Write as _;
 use std::time::Instant;
@@ -343,8 +343,6 @@ struct SweepRow {
     /// Max relative deviation of the tree potential from the direct
     /// oracle over all grid points, where the oracle ran.
     farfield_dev: Option<f64>,
-    /// Dense reference at small n (the O(n²)+ path gets infeasible fast).
-    dense: Option<AssemblyLeg>,
 }
 
 impl SweepRow {
@@ -444,10 +442,10 @@ fn loglog_exponent(points: &[(usize, f64)]) -> f64 {
 }
 
 fn run_weak_scaling(quick: bool) -> WeakScaling {
-    let (sizes, dense_max, rho_max): (Vec<usize>, usize, usize) = if quick {
-        (vec![4, 8, 16], 8, 16)
+    let (sizes, rho_max): (Vec<usize>, usize) = if quick {
+        (vec![4, 8, 16], 16)
     } else {
-        (vec![4, 8, 16, 32, 64, 128, 256, 512, 1024], 32, 64)
+        (vec![4, 8, 16, 32, 64, 128, 256, 512, 1024], 64)
     };
     let mut rows = Vec::new();
     for &n in &sizes {
@@ -475,11 +473,9 @@ fn run_weak_scaling(quick: bool) -> WeakScaling {
             (None, None)
         };
         let pair_fill = sys.screen().map(|p| p.fill_ratio()).unwrap_or(1.0);
-        let dense = (n <= dense_max)
-            .then(|| assembly_leg(|| sweep_system(n, ScreeningMode::Off, FarFieldMode::Direct)).1);
         println!(
             "weak-scaling n={n}: {} atoms, {} basis, fill {:.2}, screened e2e {:.3}s, \
-             rho(tree) {rho_tree_s:.3}s{}{}",
+             rho(tree) {rho_tree_s:.3}s{}",
             sys.structure.len(),
             sys.n_basis(),
             pair_fill,
@@ -492,10 +488,6 @@ fn run_weak_scaling(quick: bool) -> WeakScaling {
                     )
                 })
                 .unwrap_or_default(),
-            dense
-                .as_ref()
-                .map(|d| format!(", dense e2e {:.3}s", d.e2e_s()))
-                .unwrap_or_default(),
         );
         rows.push(SweepRow {
             monomers: n,
@@ -507,7 +499,6 @@ fn run_weak_scaling(quick: bool) -> WeakScaling {
             rho_tree_s,
             rho_direct_s,
             farfield_dev,
-            dense,
         });
     }
 
@@ -542,10 +533,6 @@ fn run_weak_scaling(quick: bool) -> WeakScaling {
         (
             "e2e_full",
             loglog_exponent(&phase_points(&|r| Some(r.e2e_full_s()))),
-        ),
-        (
-            "dense_e2e",
-            loglog_exponent(&phase_points(&|r| r.dense.as_ref().map(AssemblyLeg::e2e_s))),
         ),
     ];
     for (name, e) in &exponents {
@@ -724,17 +711,7 @@ fn emit_weak_scaling(s: &mut String, ws: &WeakScaling) {
                 })
                 .unwrap_or_else(|| "null".into())
         );
-        let _ = writeln!(s, "        \"e2e_full_s\": {},", json_f(r.e2e_full_s()));
-        match &r.dense {
-            Some(d) => {
-                let _ = writeln!(s, "        \"dense\": {{");
-                emit_assembly_leg(s, "          ", d);
-                let _ = writeln!(s, "        }}");
-            }
-            None => {
-                let _ = writeln!(s, "        \"dense\": null");
-            }
-        }
+        let _ = writeln!(s, "        \"e2e_full_s\": {}", json_f(r.e2e_full_s()));
         let _ = writeln!(
             s,
             "      }}{}",

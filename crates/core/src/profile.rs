@@ -184,7 +184,8 @@ pub struct PhaseRow {
     pub phase: String,
     /// Span **self** time: wall seconds exclusively inside this phase.
     pub self_s: f64,
-    /// GEMM/matvec flops issued while a thread carried this label.
+    /// GEMM/matvec and Hartree-evaluation flops issued while a thread
+    /// carried this label.
     pub flops: u64,
     /// Compulsory bytes of those calls.
     pub bytes: u64,
@@ -457,11 +458,11 @@ impl ProfileReport {
     }
 }
 
-/// Counter reading for `name{phase=...}` from a snapshot, per phase label.
-fn counter_by_phase(snap: &[MetricSample], name: &str) -> BTreeMap<String, u64> {
+/// Sum of the counters `names{phase=...}` in a snapshot, per phase label.
+fn counter_by_phase(snap: &[MetricSample], names: &[&str]) -> BTreeMap<String, u64> {
     let mut out = BTreeMap::new();
     for s in snap {
-        if s.key.name != name {
+        if !names.contains(&s.key.name.as_str()) {
             continue;
         }
         if let MetricValue::Counter(v) = s.value {
@@ -527,10 +528,13 @@ pub fn profile_case(
     // Per-phase rows: span self-time + roofline counter deltas.
     let forest = qp_trace::build_forest(&events);
     let self_us = qp_trace::self_time_by_phase(&forest);
-    let flops_before = counter_by_phase(&snap_before, "linalg.gemm.flops");
-    let flops_after = counter_by_phase(&snap_after, "linalg.gemm.flops");
-    let bytes_before = counter_by_phase(&snap_before, "linalg.gemm.bytes");
-    let bytes_after = counter_by_phase(&snap_after, "linalg.gemm.bytes");
+    // The roofline kernels: GEMM and the Hartree evaluation.
+    let flops = ["linalg.gemm.flops", "rho.eval.flops"];
+    let bytes = ["linalg.gemm.bytes", "rho.eval.bytes"];
+    let flops_before = counter_by_phase(&snap_before, &flops);
+    let flops_after = counter_by_phase(&snap_after, &flops);
+    let bytes_before = counter_by_phase(&snap_before, &bytes);
+    let bytes_after = counter_by_phase(&snap_after, &bytes);
 
     let mut phase_names: Vec<String> = self_us.keys().map(|k| k.to_string()).collect();
     for k in flops_after.keys() {
@@ -837,6 +841,10 @@ mod tests {
             "cache counters {:?}",
             report.basis_cache
         );
+        // DFPT's Hartree evaluations book their roofline counts under the
+        // rho phase, which runs no GEMM.
+        let rho = report.phases.iter().find(|p| p.phase == "rho");
+        assert!(rho.is_some_and(|p| p.flops > 0 && p.bytes > 0), "{rho:?}");
         let json = report.to_json();
         validate_profile_json(&json).unwrap();
         assert!(json.contains("\"scf_iterations\": ") && json.contains("\"alpha_diag\": ["));

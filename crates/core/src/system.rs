@@ -28,6 +28,19 @@ const CLUSTER_LEAF_MAX: usize = 8;
 /// `QP_HARTREE_PLAN_MAX_MB` (0 disables the plan entirely).
 const DEFAULT_PLAN_CAP_MB: usize = 256;
 
+/// Roofline accounting for one Hartree evaluation, as GEMM books its
+/// own: the flops and compulsory bytes of
+/// [`HartreeSolution::eval_cost`](qp_chem::multipole::HartreeSolution::eval_cost)
+/// against the calling thread's phase label, so the profiler's phase rows
+/// report Rho's GFLOP/s and intensity.
+fn record_rho_roofline((flops, bytes): (u64, u64)) {
+    let labels: &[(&str, &str)] = &[("phase", qp_par::telemetry::current_label())];
+    let reg = qp_trace::global_metrics();
+    reg.counter("rho.eval.flops", labels).add(flops);
+    reg.counter("rho.eval.bytes", labels).add(bytes);
+    reg.counter("rho.eval.calls", labels).inc();
+}
+
 fn plan_cap_bytes() -> usize {
     static CAP: OnceLock<usize> = OnceLock::new();
     *CAP.get_or_init(|| {
@@ -273,39 +286,42 @@ impl System {
     ///
     /// The evaluation is the hierarchical far field when the mode enables
     /// the cluster tree (within the `QP_FARFIELD_TOL` budget), otherwise
-    /// the planned or the direct per-atom sum, which are bit-identical.
-    /// Each point's value lands in its own slot, so the result is
-    /// bit-identical at any thread count.
+    /// `HartreeSolution::eval_grid`: planned or direct, which are
+    /// bit-identical. Each point's value lands in its own slot, so the
+    /// result is bit-identical at any thread count. While the trace
+    /// recorder is on, the planned or direct evaluation books its
+    /// roofline counts against the calling thread's phase label (see
+    /// [`record_rho_roofline`]).
     pub fn hartree_potential(
         &self,
         moments: &MultipoleMoments,
         points: Option<&[usize]>,
     ) -> Vec<f64> {
         let hartree = solve_poisson(&self.structure, &self.grid, moments);
-        let natoms = self.structure.len();
-        let est = (natoms * hartree.n_lm * 8).max(1) as u64;
-        let far = self.farfield_tree().map(|tree| {
-            (
-                tree,
-                FarField::aggregate(tree, &hartree, qp_grid::farfield_tol()),
-            )
-        });
-        let plan = self.hartree_plan();
-        let eval = |gi: usize| match (&far, plan.as_deref()) {
-            (Some((tree, ff)), _) => ff.eval(tree, &hartree, self.grid.points[gi].position),
-            (None, Some(pl)) => hartree.eval_planned(pl, gi),
-            (None, None) => hartree.eval_atoms(self.grid.points[gi].position, 0..natoms),
-        };
-        let mut v = vec![0.0; self.grid.len()];
-        match points {
-            None => qp_par::fill_slice_hinted(&mut v, est, eval),
-            Some(points) => {
-                let mut at = vec![0.0; points.len()];
-                qp_par::fill_slice_hinted(&mut at, est, |i| eval(points[i]));
-                for (&gi, x) in points.iter().zip(at) {
-                    v[gi] = x;
+        let mut at = vec![0.0; points.map_or(self.grid.len(), <[usize]>::len)];
+        match self.farfield_tree() {
+            Some(tree) => {
+                let ff = FarField::aggregate(tree, &hartree, qp_grid::farfield_tol());
+                let est = (self.structure.len() * hartree.n_lm * 8).max(1) as u64;
+                qp_par::fill_slice_hinted(&mut at, est, |i| {
+                    let gi = points.map_or(i, |p| p[i]);
+                    ff.eval(tree, &hartree, self.grid.points[gi].position)
+                });
+            }
+            None => {
+                let plan = self.hartree_plan();
+                hartree.eval_grid(&self.grid, plan.as_deref(), points, &mut at);
+                if qp_trace::enabled() {
+                    record_rho_roofline(hartree.eval_cost(&self.grid, plan.as_deref(), points));
                 }
             }
+        }
+        let Some(points) = points else {
+            return at;
+        };
+        let mut v = vec![0.0; self.grid.len()];
+        for (&gi, x) in points.iter().zip(at) {
+            v[gi] = x;
         }
         v
     }

@@ -262,6 +262,40 @@ impl MultipoleMoments {
     }
 }
 
+/// Highest expansion order the Hartree evaluator is built for: the kernel
+/// is compiled once per channel count `(lmax+1)²`, for lmax 0 to this.
+pub const HARTREE_LMAX: usize = 4;
+
+/// Run `$body` with the const `$n` bound to the channel count `$n_lm`, one
+/// monomorphized copy per order up to [`HARTREE_LMAX`].
+macro_rules! with_channels {
+    ($n_lm:expr, $n:ident => $body:expr) => {
+        match $n_lm {
+            1 => {
+                const $n: usize = 1;
+                $body
+            }
+            4 => {
+                const $n: usize = 4;
+                $body
+            }
+            9 => {
+                const $n: usize = 9;
+                $body
+            }
+            16 => {
+                const $n: usize = 16;
+                $body
+            }
+            25 => {
+                const $n: usize = 25;
+                $body
+            }
+            n => unreachable!("{n} channels: from_channels admits lmax ≤ {HARTREE_LMAX}"),
+        }
+    };
+}
+
 /// The partitioned Hartree potential: per `(atom, lm)` a radial spline plus
 /// the analytic far-field multipole tail.
 #[derive(Debug)]
@@ -274,11 +308,13 @@ pub struct HartreeSolution {
     pub centers: Vec<[f64; 3]>,
     /// Radial knots, shared by every `(atom, lm)` spline.
     knots: Vec<f64>,
-    /// `coef[atom][(k * n_lm + lm) * 2 + {0, 1}]`: value and second
-    /// derivative at knot `k` of the natural cubic spline of `v_lm(r)`,
-    /// `r ≤ r_outer`. Knot-major, so one bracketing interval of an atom
-    /// reads two contiguous rows for all of its channels.
-    coef: Vec<Vec<f64>>,
+    /// `values[atom][k * n_lm + lm]`: value at knot `k` of the natural
+    /// cubic spline of `v_lm(r)`, `r ≤ r_outer`.
+    values: Vec<Vec<f64>>,
+    /// `curvatures[atom][k * n_lm + lm]`: that spline's second derivative
+    /// at knot `k`. A plane of its own, so the kernel reads both planes'
+    /// bracketing rows at unit stride.
+    curvatures: Vec<Vec<f64>>,
     /// `tails[atom][lm]`: far-field coefficient `q_lm` with
     /// `v_lm(r > r_outer) = 4π/(2l+1) · q_lm / r^{l+1}`.
     pub tails: Vec<Vec<f64>>,
@@ -347,8 +383,8 @@ impl HartreeSolution {
     /// A solution from its radial channels: `splines[atom][lm]` is `v_lm(r)`
     /// up to `r_outer`, every channel on one knot vector, and
     /// `tails[atom][lm]` its far-field coefficient `q_lm`. Only the knot
-    /// values and second derivatives are kept, packed per atom into the
-    /// knot-major table the evaluator reads.
+    /// values and second derivatives are kept, each in a knot-major plane
+    /// per atom. Panics above [`HARTREE_LMAX`].
     pub fn from_channels(
         lmax: usize,
         centers: Vec<[f64; 3]>,
@@ -356,6 +392,10 @@ impl HartreeSolution {
         tails: Vec<Vec<f64>>,
         r_outer: f64,
     ) -> Self {
+        assert!(
+            lmax <= HARTREE_LMAX,
+            "Hartree expansion order {lmax} above the evaluator's {HARTREE_LMAX}"
+        );
         let n_lm = num_harmonics(lmax);
         assert!(splines.len() == centers.len() && tails.len() == centers.len());
         let knots = splines
@@ -363,22 +403,23 @@ impl HartreeSolution {
             .and_then(|channels| channels.first())
             .map_or_else(Vec::new, |s| s.knots().to_vec());
         let n_r = knots.len();
-        let coef = splines
+        let (values, curvatures) = splines
             .iter()
             .map(|channels| {
                 assert_eq!(channels.len(), n_lm, "one spline per (l, m) channel");
-                let mut coef = vec![0.0; n_r * n_lm * 2];
+                let mut values = vec![0.0; n_r * n_lm];
+                let mut curvatures = vec![0.0; n_r * n_lm];
                 for (lm, spline) in channels.iter().enumerate() {
                     assert!(spline.knots() == knots, "every channel on one knot vector");
                     let knot_data = spline.values().iter().zip(spline.second_derivatives());
                     for (k, (&y, &y2)) in knot_data.enumerate() {
-                        coef[(k * n_lm + lm) * 2] = y;
-                        coef[(k * n_lm + lm) * 2 + 1] = y2;
+                        values[k * n_lm + lm] = y;
+                        curvatures[k * n_lm + lm] = y2;
                     }
                 }
-                coef
+                (values, curvatures)
             })
-            .collect();
+            .unzip();
         let fourpi = 4.0 * std::f64::consts::PI;
         let tail_pref = tails
             .iter()
@@ -396,7 +437,8 @@ impl HartreeSolution {
             n_lm,
             centers,
             knots,
-            coef,
+            values,
+            curvatures,
             tails,
             tail_pref,
             r_outer,
@@ -408,52 +450,70 @@ impl HartreeSolution {
     /// interval and weights of [`CubicSpline::locate`] at `r.max(1e-6)`
     /// and is called only inside `r_outer`.
     ///
-    /// The one kernel behind [`eval_atoms`](Self::eval_atoms) and
-    /// [`eval_planned`](Self::eval_planned). What does not depend on the
+    /// The one per-atom kernel behind every evaluator here and the far
+    /// field's near sum. It fills the `N` channel terms in one loop over
+    /// fixed-size arrays, which the compiler vectorizes, then adds them to
+    /// `v` one by one in channel order. What does not depend on the
     /// channel is formed once: `h²`, `a³ − a` and `b³ − b` per atom (every
     /// channel shares the knots), `r^{l+1}` once per `l`, and
     /// `4π/(2l+1)·q_lm` once per solve. Each is the value the per-channel
-    /// expression computed, and the rest of that expression keeps its
-    /// operation order, so every term — and the running sum — has the
-    /// bits of [`CubicSpline::eval_at`] and of the per-channel tail.
-    #[inline]
-    fn add_atom(
+    /// expression computed, and every term keeps its operation order, so
+    /// each term — and the running sum — has the bits of
+    /// [`CubicSpline::eval_at`] and of the per-channel tail.
+    // `always`: the benchmarked build; a plain `#[inline]` compiled the
+    // tail differently and measured no faster (EXPERIMENTS.md).
+    #[inline(always)]
+    fn add_atom<const N: usize>(
         &self,
         mut v: f64,
         ia: usize,
         r: f64,
-        ylm: &[f64],
+        ylm: &[f64; N],
         bracket: impl FnOnce() -> (usize, f64, f64),
     ) -> f64 {
-        let n_lm = self.n_lm;
+        let mut term = [0.0; N];
         if r <= self.r_outer {
             let (k, a, b) = bracket();
             let h = self.knots[k + 1] - self.knots[k];
             let hh = h * h;
             let (ca, cb) = (a * a * a - a, b * b * b - b);
-            let rows = &self.coef[ia][2 * k * n_lm..2 * (k + 2) * n_lm];
-            let (lo, hi) = rows.split_at(2 * n_lm);
-            for (lm, y) in ylm[..n_lm].iter().enumerate() {
-                let (y0, d0) = (lo[2 * lm], lo[2 * lm + 1]);
-                let (y1, d1) = (hi[2 * lm], hi[2 * lm + 1]);
-                v += (a * y0 + b * y1 + (ca * d0 + cb * d1) * hh / 6.0) * y;
+            let (y0, y1) = knot_rows::<N>(&self.values[ia], k);
+            let (d0, d1) = knot_rows::<N>(&self.curvatures[ia], k);
+            for (lm, t) in term.iter_mut().enumerate() {
+                *t = (a * y0[lm] + b * y1[lm] + (ca * d0[lm] + cb * d1[lm]) * hh / 6.0) * ylm[lm];
             }
         } else {
-            let pq = &self.tail_pref[ia];
-            for l in 0..=self.lmax {
-                let rl1 = r.powi(l as i32 + 1);
-                for lm in l * l..(l + 1) * (l + 1) {
-                    v += pq[lm] / rl1 * ylm[lm];
+            // r^{l+1} for l = 0..=4 by the squaring sequence of compiler-rt's
+            // `__powidf2`, so each power has the bits of `r.powi(l + 1)`.
+            let r2 = r * r;
+            let r4 = r2 * r2;
+            let powers = [r, r2, r * r2, r4, r * r4];
+            let mut rl1 = [0.0; N];
+            for (l, &p) in powers.iter().enumerate() {
+                for x in rl1.iter_mut().take((l + 1) * (l + 1)).skip(l * l) {
+                    *x = p;
                 }
             }
+            let pq: &[f64; N] = self.tail_pref[ia][..]
+                .try_into()
+                .expect("one tail prefactor per channel");
+            for (lm, t) in term.iter_mut().enumerate() {
+                *t = pq[lm] / rl1[lm] * ylm[lm];
+            }
+        }
+        for t in term {
+            v += t;
         }
         v
     }
 
-    /// Evaluate the potential at `p`, summing the contribution of the listed
-    /// atoms (callers prune by distance; pass `0..natoms` for all).
-    pub fn eval_atoms(&self, p: [f64; 3], atoms: impl IntoIterator<Item = usize>) -> f64 {
-        let mut ylm = vec![0.0; self.n_lm];
+    /// [`eval_atoms`](Self::eval_atoms) at `N` channels.
+    fn sum_atoms<const N: usize>(
+        &self,
+        p: [f64; 3],
+        atoms: impl IntoIterator<Item = usize>,
+    ) -> f64 {
+        let mut ylm = [0.0; N];
         let mut v = 0.0;
         for ia in atoms {
             let c = self.centers[ia];
@@ -465,6 +525,25 @@ impl HartreeSolution {
             });
         }
         v
+    }
+
+    /// [`eval_planned`](Self::eval_planned) at `N` channels.
+    fn sum_planned<const N: usize>(&self, plan: &HartreePlan, ip: usize) -> f64 {
+        let span = ip * plan.natoms..(ip + 1) * plan.natoms;
+        let (rows, _) = plan.ylm[span.start * N..span.end * N].as_chunks::<N>();
+        let (r, k) = (&plan.r[span.clone()], &plan.k[span.clone()]);
+        let (a, b) = (&plan.a[span.clone()], &plan.b[span]);
+        let mut v = 0.0;
+        for (ia, ylm) in rows.iter().enumerate() {
+            v = self.add_atom(v, ia, r[ia], ylm, || (k[ia] as usize, a[ia], b[ia]));
+        }
+        v
+    }
+
+    /// Evaluate the potential at `p`, summing the contribution of the listed
+    /// atoms (callers prune by distance; pass `0..natoms` for all).
+    pub fn eval_atoms(&self, p: [f64; 3], atoms: impl IntoIterator<Item = usize>) -> f64 {
+        with_channels!(self.n_lm, N => self.sum_atoms::<N>(p, atoms))
     }
 
     /// Evaluate summing all atoms.
@@ -481,18 +560,108 @@ impl HartreeSolution {
     pub fn eval_planned(&self, plan: &HartreePlan, ip: usize) -> f64 {
         debug_assert_eq!(plan.natoms, self.centers.len());
         debug_assert_eq!(plan.lmax, self.lmax);
-        let natoms = plan.natoms;
-        let n_lm = self.n_lm;
-        let mut v = 0.0;
-        for ia in 0..natoms {
-            let idx = ip * natoms + ia;
-            let ylm = &plan.ylm[idx * n_lm..(idx + 1) * n_lm];
-            v = self.add_atom(v, ia, plan.r[idx], ylm, || {
-                (plan.k[idx] as usize, plan.a[idx], plan.b[idx])
-            });
-        }
-        v
+        with_channels!(self.n_lm, N => self.sum_planned::<N>(plan, ip))
     }
+
+    /// The potential at many grid points: `out[i]` is the potential at
+    /// grid point `points[i]` (at point `i` when `points` is `None`), from
+    /// the plan's tables when there is a plan
+    /// ([`eval_planned`](Self::eval_planned)) and directly otherwise
+    /// ([`eval`](Self::eval)), bit-identical to either. The channel count
+    /// is dispatched once per call; the points fan out over the pool, each
+    /// into its own slot, so the result is the same at any thread count.
+    pub fn eval_grid(
+        &self,
+        grid: &IntegrationGrid,
+        plan: Option<&HartreePlan>,
+        points: Option<&[usize]>,
+        out: &mut [f64],
+    ) {
+        assert_eq!(out.len(), points.map_or(grid.len(), <[usize]>::len));
+        with_channels!(self.n_lm, N => self.fill_grid::<N>(grid, plan, points, out))
+    }
+
+    /// [`eval_grid`](Self::eval_grid) at `N` channels.
+    fn fill_grid<const N: usize>(
+        &self,
+        grid: &IntegrationGrid,
+        plan: Option<&HartreePlan>,
+        points: Option<&[usize]>,
+        out: &mut [f64],
+    ) {
+        let natoms = self.centers.len();
+        let est = (natoms * N * 8).max(1) as u64;
+        let point = |i: usize| points.map_or(i, |p| p[i]);
+        match plan {
+            Some(pl) => {
+                assert_eq!(
+                    (pl.natoms, pl.lmax),
+                    (natoms, self.lmax),
+                    "plan of this system"
+                );
+                qp_par::fill_slice_hinted(out, est, |i| self.sum_planned::<N>(pl, point(i)))
+            }
+            None => qp_par::fill_slice_hinted(out, est, |i| {
+                self.sum_atoms::<N>(grid.points[point(i)].position, 0..natoms)
+            }),
+        }
+    }
+
+    /// Roofline counts of one [`eval_grid`](Self::eval_grid) call over the
+    /// same points: `(flops, bytes)`.
+    ///
+    /// Flops are the kernel's algebraic operations: per pair inside
+    /// `r_outer`, 8 for the bracket's shared factors and 11 per channel;
+    /// per tail pair, `lmax` products for the powers and 3 per channel.
+    /// The direct path's distances and harmonics are not counted. Bytes
+    /// are compulsory traffic: each evaluated point's plan rows (its
+    /// position without a plan), the solution's knot planes and tail rows
+    /// once, and the potential written — so the intensity is an upper
+    /// bound, as for GEMM. Costs one pass over the points' distances.
+    pub fn eval_cost(
+        &self,
+        grid: &IntegrationGrid,
+        plan: Option<&HartreePlan>,
+        points: Option<&[usize]>,
+    ) -> (u64, u64) {
+        let natoms = self.centers.len();
+        let np = points.map_or(grid.len(), <[usize]>::len);
+        let mut inside = 0usize;
+        for i in 0..np {
+            let ip = points.map_or(i, |p| p[i]);
+            inside += match plan {
+                Some(pl) => pl.r[ip * natoms..(ip + 1) * natoms]
+                    .iter()
+                    .filter(|&&r| r <= self.r_outer)
+                    .count(),
+                None => {
+                    let p = grid.points[ip].position;
+                    let within = |c: &&[f64; 3]| {
+                        let d = [p[0] - c[0], p[1] - c[1], p[2] - c[2]];
+                        (d[0] * d[0] + d[1] * d[1] + d[2] * d[2]).sqrt() <= self.r_outer
+                    };
+                    self.centers.iter().filter(within).count()
+                }
+            };
+        }
+        let n = self.n_lm;
+        let tail = np * natoms - inside;
+        let flops = inside * (8 + 11 * n) + tail * (self.lmax + 3 * n);
+        let row = match plan {
+            Some(_) => natoms * (8 + 4 + 8 + 8 + 8 * n),
+            None => 24,
+        };
+        let tables = 8 * (self.knots.len() * (1 + 2 * natoms * n) + natoms * n);
+        let bytes = np * (row + 8) + tables;
+        (flops as u64, bytes as u64)
+    }
+}
+
+/// Rows `k` and `k + 1` of a knot-major plane of `N` channels.
+#[inline(always)]
+fn knot_rows<const N: usize>(plane: &[f64], k: usize) -> (&[f64; N], &[f64; N]) {
+    let (rows, _) = plane[k * N..(k + 2) * N].as_chunks::<N>();
+    (&rows[0], &rows[1])
 }
 
 /// Far-field tail potential of a real-harmonic moment vector `q` about
@@ -946,9 +1115,200 @@ mod tests {
         }
     }
 
+    /// The scalar Hartree kernel the channel-generic one replaced, kept as
+    /// its bit oracle: the interleaved knot table
+    /// `coef[atom][(k * n_lm + lm) * 2 + {0, 1}]`, `powi` in the tail, and
+    /// one scalar expression per channel, added to the sum as it is formed.
+    struct ScalarOracle<'a> {
+        sol: &'a HartreeSolution,
+        coef: Vec<Vec<f64>>,
+    }
+
+    impl<'a> ScalarOracle<'a> {
+        fn new(sol: &'a HartreeSolution) -> Self {
+            let coef = sol
+                .values
+                .iter()
+                .zip(&sol.curvatures)
+                .map(|(values, curvatures)| {
+                    values
+                        .iter()
+                        .zip(curvatures)
+                        .flat_map(|(&y, &y2)| [y, y2])
+                        .collect()
+                })
+                .collect();
+            ScalarOracle { sol, coef }
+        }
+
+        fn add_atom(&self, mut v: f64, ia: usize, r: f64, ylm: &[f64]) -> f64 {
+            let sol = self.sol;
+            let n_lm = sol.n_lm;
+            if r <= sol.r_outer {
+                let (k, a, b) = CubicSpline::locate(&sol.knots, r.max(1e-6));
+                let h = sol.knots[k + 1] - sol.knots[k];
+                let hh = h * h;
+                let (ca, cb) = (a * a * a - a, b * b * b - b);
+                let rows = &self.coef[ia][2 * k * n_lm..2 * (k + 2) * n_lm];
+                let (lo, hi) = rows.split_at(2 * n_lm);
+                for (lm, y) in ylm[..n_lm].iter().enumerate() {
+                    let (y0, d0) = (lo[2 * lm], lo[2 * lm + 1]);
+                    let (y1, d1) = (hi[2 * lm], hi[2 * lm + 1]);
+                    v += (a * y0 + b * y1 + (ca * d0 + cb * d1) * hh / 6.0) * y;
+                }
+            } else {
+                let pq = &sol.tail_pref[ia];
+                for l in 0..=sol.lmax {
+                    let rl1 = r.powi(l as i32 + 1);
+                    for lm in l * l..(l + 1) * (l + 1) {
+                        v += pq[lm] / rl1 * ylm[lm];
+                    }
+                }
+            }
+            v
+        }
+
+        fn eval(&self, p: [f64; 3]) -> f64 {
+            let mut ylm = vec![0.0; self.sol.n_lm];
+            let mut v = 0.0;
+            for (ia, c) in self.sol.centers.iter().enumerate() {
+                let d = [p[0] - c[0], p[1] - c[1], p[2] - c[2]];
+                let r = (d[0] * d[0] + d[1] * d[1] + d[2] * d[2]).sqrt();
+                real_spherical_harmonics(self.sol.lmax, d, &mut ylm);
+                v = self.add_atom(v, ia, r, &ylm);
+            }
+            v
+        }
+    }
+
+    /// A solution on `grid`'s knots whose channels all weigh alike at the
+    /// grid points: pseudo-random knot values, and tails scaled by `8^l`
+    /// so that beyond `r_outer` each order's `q_lm / r^{l+1}` term is as
+    /// large as the monopole's. A last-bit change in any one term then
+    /// shows in the sum.
+    fn even_weight_solution(s: &Structure, grid: &IntegrationGrid, lmax: usize) -> HartreeSolution {
+        let radii = grid.radial.radii();
+        let mut seed = 17 + lmax as u64;
+        let splines: Vec<Vec<CubicSpline>> = (0..s.len())
+            .map(|_| {
+                (0..num_harmonics(lmax))
+                    .map(|_| {
+                        seed += 1;
+                        CubicSpline::natural(radii.to_vec(), lcg_values(radii.len(), seed))
+                    })
+                    .collect()
+            })
+            .collect();
+        let tails = (0..s.len())
+            .map(|ia| {
+                let q = lcg_moments(lmax, 101 + ia as u64);
+                let scaled = q.iter().enumerate();
+                scaled
+                    .map(|(lm, &q)| q * 8f64.powi(lm.isqrt() as i32))
+                    .collect()
+            })
+            .collect();
+        let centers = s.atoms.iter().map(|a| a.position).collect();
+        HartreeSolution::from_channels(lmax, centers, &splines, tails, radii[radii.len() - 1])
+    }
+
+    #[test]
+    fn kernel_is_bit_identical_to_the_scalar_oracle() {
+        // Three off-axis atoms, the Poisson solution of a density with
+        // angular structure and a solution whose every channel weighs alike,
+        // at every order the evaluator is built for; both the spline and
+        // the tail branch run.
+        let _quiet = crate::spline::construction_window();
+        let centers = [[0.1, -0.2, 0.05], [1.7, 0.4, -0.3], [-0.9, 1.3, 0.8]];
+        let s3 = Structure::new(vec![
+            Atom::new(Element::O, centers[0]),
+            Atom::new(Element::H, centers[1]),
+            Atom::new(Element::H, centers[2]),
+        ]);
+        let grid = IntegrationGrid::build(&s3, &GridSettings::coarse());
+        let n: Vec<f64> = grid
+            .points
+            .iter()
+            .map(|p| {
+                let [x, y, z] = p.position;
+                let r1 = dist3(p.position, centers[0]);
+                let r3 = dist3(p.position, centers[2]);
+                (-0.8 * r1 * r1).exp() * (1.0 + 0.3 * x - 0.2 * y * z)
+                    + 0.4 * (-1.1 * r3 * r3).exp() * (1.0 + 0.5 * x * y)
+            })
+            .collect();
+        let subset: Vec<usize> = (0..grid.len()).rev().step_by(3).collect();
+        for lmax in 0..=HARTREE_LMAX {
+            let plan = HartreePlan::build(&s3, &grid, lmax);
+            let poisson =
+                solve_poisson(&s3, &grid, &MultipoleMoments::compute(&s3, &grid, &n, lmax));
+            for (kind, sol) in [
+                ("poisson", poisson),
+                ("even", even_weight_solution(&s3, &grid, lmax)),
+            ] {
+                let spline_pairs = plan.r.iter().filter(|&&r| r <= sol.r_outer).count();
+                assert!(
+                    spline_pairs > 0 && spline_pairs < plan.r.len(),
+                    "lmax {lmax}: both branches must run ({spline_pairs} of {} pairs inside r_outer)",
+                    plan.r.len()
+                );
+                // The roofline count sees the same branch split with or
+                // without the plan.
+                let n = sol.n_lm;
+                let tail_pairs = plan.r.len() - spline_pairs;
+                let flops = spline_pairs * (8 + 11 * n) + tail_pairs * (lmax + 3 * n);
+                assert_eq!(sol.eval_cost(&grid, Some(&plan), None).0, flops as u64);
+                assert_eq!(sol.eval_cost(&grid, None, None).0, flops as u64);
+                let oracle = ScalarOracle::new(&sol);
+                let expect: Vec<u64> = grid
+                    .points
+                    .iter()
+                    .map(|p| oracle.eval(p.position).to_bits())
+                    .collect();
+                for (ip, p) in grid.points.iter().enumerate() {
+                    let planned = sol.eval_planned(&plan, ip).to_bits();
+                    let direct = sol.eval_atoms(p.position, 0..s3.len()).to_bits();
+                    let tag = format!("{kind}, lmax {lmax}, point {ip}");
+                    assert_eq!(planned, expect[ip], "{tag}: eval_planned");
+                    assert_eq!(direct, expect[ip], "{tag}: eval_atoms");
+                }
+                for threads in [1, 8] {
+                    let _lease = qp_par::ThreadLease::exactly(threads);
+                    for pl in [Some(&plan), None] {
+                        let mut all = vec![0.0; grid.len()];
+                        sol.eval_grid(&grid, pl, None, &mut all);
+                        let mut some = vec![0.0; subset.len()];
+                        sol.eval_grid(&grid, pl, Some(&subset), &mut some);
+                        let tag = format!(
+                            "{kind}, lmax {lmax}, {threads} threads, plan {}",
+                            pl.is_some()
+                        );
+                        for (ip, v) in all.iter().enumerate() {
+                            assert_eq!(v.to_bits(), expect[ip], "{tag}: eval_grid at point {ip}");
+                        }
+                        for (&ip, v) in subset.iter().zip(&some) {
+                            assert_eq!(v.to_bits(), expect[ip], "{tag}: subset at point {ip}");
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "above the evaluator's")]
+    fn orders_above_the_evaluator_are_refused() {
+        HartreeSolution::from_channels(HARTREE_LMAX + 1, vec![], &[], vec![], 2.0);
+    }
+
     fn lcg_moments(lmax: usize, seed: u64) -> Vec<f64> {
+        lcg_values(num_harmonics(lmax), seed)
+    }
+
+    /// `n` pseudo-random values in `[-0.5, 0.5]`.
+    fn lcg_values(n: usize, seed: u64) -> Vec<f64> {
         let mut s = seed;
-        (0..num_harmonics(lmax))
+        (0..n)
             .map(|_| {
                 s = s
                     .wrapping_mul(6364136223846793005)

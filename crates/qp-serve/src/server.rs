@@ -38,6 +38,7 @@ use qp_resil::JobCheckpoint;
 use std::collections::HashMap;
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::panic::AssertUnwindSafe;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -701,8 +702,8 @@ fn lookup(v: &Json, shared: &Arc<Shared>) -> Result<Arc<Job>, ServeError> {
 }
 
 /// One worker: claim fair-share picks, run them through the engine, and
-/// route outcomes (done → cache + persist; preempted → requeue; failed →
-/// terminal error).
+/// route outcomes (done → cache + persist; preempted → requeue; failed or
+/// panicked → terminal error).
 fn worker_loop(shared: &Arc<Shared>) {
     while let Some(entry) = shared.sched.claim_next() {
         let Some(job) = shared.job(entry.job) else {
@@ -737,13 +738,27 @@ fn worker_loop(shared: &Arc<Shared>) {
                     job_ref.preempt.store(true, Ordering::Relaxed);
                 }
             };
-            engine::run_job(
-                &job.request,
-                resume,
-                ckpt_path.as_deref(),
-                &job.preempt,
-                &mut progress,
-            )
+            // A panic in the engine fails this job, not the worker: the
+            // job ends `failed` and its tenant's slot is released below.
+            std::panic::catch_unwind(AssertUnwindSafe(|| {
+                #[cfg(test)]
+                tests::panic_seam();
+                engine::run_job(
+                    &job_ref.request,
+                    resume,
+                    ckpt_path.as_deref(),
+                    &job_ref.preempt,
+                    &mut progress,
+                )
+            }))
+            .unwrap_or_else(|panic| {
+                let msg = panic
+                    .downcast_ref::<&str>()
+                    .map(|m| m.to_string())
+                    .or_else(|| panic.downcast_ref::<String>().cloned())
+                    .unwrap_or_else(|| "non-string payload".to_string());
+                Err(ServeError::Internal(format!("job panicked: {msg}")))
+            })
         };
         qp_trace::set_thread_rank(0);
         let elapsed = started.elapsed().as_secs_f64();
@@ -770,5 +785,81 @@ fn worker_loop(shared: &Arc<Shared>) {
                 shared.sched.release(job.id, &job.tenant, elapsed);
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::Client;
+
+    /// Set, the next job a worker starts panics in place of the engine:
+    /// the seam that lets a test drive an engine panic through a real
+    /// server. No other test in this crate runs a job.
+    static PANIC_NEXT_JOB: AtomicBool = AtomicBool::new(false);
+
+    pub(super) fn panic_seam() {
+        if PANIC_NEXT_JOB.swap(false, Ordering::SeqCst) {
+            panic!("injected engine panic");
+        }
+    }
+
+    /// Poll `job`'s status until it leaves `queued`/`running`; a job
+    /// still unfinished after a minute fails the test instead of hanging it.
+    fn settled(client: &mut Client, job: u64) -> Json {
+        let deadline = Instant::now() + Duration::from_secs(60);
+        loop {
+            let status = client.status(job).expect("status");
+            let state = status.get("state").and_then(|s| s.as_str()).unwrap_or("");
+            if state != "queued" && state != "running" {
+                return status;
+            }
+            assert!(
+                Instant::now() < deadline,
+                "job {job} still {state}: its worker is wedged"
+            );
+            std::thread::sleep(Duration::from_millis(20));
+        }
+    }
+
+    #[test]
+    fn a_panicking_job_fails_and_the_server_keeps_serving() {
+        let dir = std::env::temp_dir().join(format!("qp-serve-panic-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let handle = start(ServerConfig {
+            state_dir: Some(dir.clone()),
+            ..ServerConfig::default()
+        })
+        .expect("server starts");
+        let mut client = Client::connect(&handle.addr().to_string()).expect("connects");
+        let water = || parse(r#"{"tenant":"alice","molecule":{"builtin":"water"}}"#).unwrap();
+
+        PANIC_NEXT_JOB.store(true, Ordering::SeqCst);
+        let first = client
+            .submit(water(), false, false, |_| {})
+            .expect("admitted");
+        let status = settled(&mut client, first.job);
+        assert_eq!(status.get("state").and_then(|s| s.as_str()), Some("failed"));
+        let error = status.get("error").and_then(|e| e.as_str()).unwrap_or("");
+        assert!(error.contains("injected engine panic"), "{error}");
+        let meta = std::fs::read_to_string(dir.join(format!("job_{}.meta.json", first.job)))
+            .expect("meta persisted");
+        assert!(meta.contains(r#""state":"failed""#), "{meta}");
+
+        // The only worker survived, and the tenant's slot was released:
+        // the same request from the same tenant now completes.
+        let second = client
+            .submit(water(), false, false, |_| {})
+            .expect("admitted");
+        let status = settled(&mut client, second.job);
+        assert_eq!(status.get("state").and_then(|s| s.as_str()), Some("done"));
+        let stats = client.stats().expect("stats");
+        let jobs = stats.get("jobs").expect("job counts");
+        assert_eq!(jobs.get("failed").and_then(|v| v.as_usize()), Some(1));
+        assert_eq!(jobs.get("done").and_then(|v| v.as_usize()), Some(1));
+
+        handle.shutdown();
+        handle.join();
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

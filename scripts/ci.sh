@@ -57,6 +57,24 @@ screen_case polymer_8 --builtin polymer:8
 screen_case smeared_ligand --builtin ligand --smearing 0.02
 rm -rf "$screen_dir"
 
+echo "== planned vs direct Hartree: byte-identical result records"
+# QP_HARTREE_PLAN_MAX_MB=0 drops the Hartree plan, so every potential
+# evaluation recomputes its distances, harmonics and spline brackets: the
+# planned kernel must land on the direct path's bytes through whole jobs.
+plan_dir="$(mktemp -d)"
+plan_case() { # tag qperturb-args...
+  local tag="$1"
+  shift
+  QP_LOG=warn ./target/release/qperturb "$@" --result-json "$plan_dir/${tag}_planned.json" > /dev/null
+  QP_LOG=warn QP_HARTREE_PLAN_MAX_MB=0 ./target/release/qperturb "$@" \
+      --result-json "$plan_dir/${tag}_direct.json" > /dev/null
+  cmp "$plan_dir/${tag}_planned.json" "$plan_dir/${tag}_direct.json"
+  echo "-- $tag planned == direct (byte-identical)"
+}
+plan_case water --builtin water
+plan_case polymer_4 --builtin polymer:4 --grid coarse
+rm -rf "$plan_dir"
+
 echo "== thread count: byte-identical result records (smeared ligand-49, QP_THREADS=1 vs 3)"
 # 145 basis functions: the eigensolver's triangular solves split into
 # column blocks that fan out across the pool, and every region of the job
