@@ -20,7 +20,7 @@
 //! self-time of every phase, grid points, SCF iterations, the α diagonal
 //! and the basis-cache counters.
 //!
-//! `--guard` adds four regression checks:
+//! `--guard` adds five regression checks:
 //!
 //! 1. the phase check: one ligand-49 DFPT direction, failing the process
 //!    if the Sternheimer phase takes more than a generous multiple of
@@ -44,7 +44,12 @@
 //!    fitted tree-mode `rho` exponent must stay under [`RHO_MAX`] (1.4;
 //!    exit 9). Wherever the direct-path Rho oracle runs alongside the
 //!    tree, the two potentials must agree within `QP_FARFIELD_TOL`
-//!    (exit 11).
+//!    (exit 11);
+//! 5. the ledger check, on the full run's ligand-49 case: the phase
+//!    self-times must add up to at least [`LEDGER_MIN`] (95 %) of the
+//!    parallel wall, and neither the `scf` nor the `other` row may hold
+//!    more than [`BUCKET_MAX`] (10 %) of it (exit 12) — time that no
+//!    phase span names is time the ledger cannot explain.
 //!
 //! The polymer weak-scaling sweep runs H(C₂H₄)ₙH at n = 4…1024 (quick:
 //! 4…16) through the assembly phases of one cycle — system build +
@@ -256,6 +261,52 @@ fn run_efficiency_guard(results: &[ProfileReport]) {
     }
 }
 
+/// Share of the parallel wall the phase self-times must add up to (exit 12).
+const LEDGER_MIN: f64 = 0.95;
+
+/// Share of the parallel wall the `scf` and `other` rows may each hold
+/// (exit 12): above it, the SCF's own work has left its phase spans.
+const BUCKET_MAX: f64 = 0.10;
+
+/// The `--guard` ledger check on the ligand-49 case of the full run: the
+/// phase rows must add up to the wall within [`LEDGER_MIN`], and the
+/// catch-all `scf` and `other` rows must each stay under [`BUCKET_MAX`]
+/// (exit 12). Quick runs have no ligand-49 case and skip it.
+fn run_ledger_guard(results: &[ProfileReport]) {
+    let Some(c) = results.iter().find(|c| c.case == "ligand49") else {
+        println!("ledger guard: skipped (no ligand49 case in a quick run)");
+        return;
+    };
+    let wall = c.parallel_total_s;
+    let attributed: f64 = c.phases.iter().map(|p| p.self_s).sum();
+    let share = |name: &str| {
+        c.phases
+            .iter()
+            .find(|p| p.phase == name)
+            .map_or(0.0, |p| p.self_s / wall)
+    };
+    let (scf, other) = (share("scf"), share("other"));
+    println!(
+        "ledger guard ligand49: rows sum to {:.1}% of the {wall:.3}s wall (min {:.0}%), \
+         scf {:.1}%, other {:.1}% (max {:.0}%)",
+        100.0 * attributed / wall,
+        100.0 * LEDGER_MIN,
+        100.0 * scf,
+        100.0 * other,
+        100.0 * BUCKET_MAX,
+    );
+    if attributed < LEDGER_MIN * wall || scf > BUCKET_MAX || other > BUCKET_MAX {
+        eprintln!(
+            "bench_perf: ledger regression on ligand49 — the phase rows explain \
+             {attributed:.3}s of the {wall:.3}s wall, with {:.1}% in scf and {:.1}% in \
+             other; work has left the phase spans",
+            100.0 * scf,
+            100.0 * other,
+        );
+        std::process::exit(12);
+    }
+}
+
 /// The `--guard` phase-regression check: one ligand-49 DFPT direction
 /// with per-phase spans, failing if Sternheimer wall-time exceeds a
 /// generous multiple of the Sumup phase. The GEMM-form response build is
@@ -294,7 +345,8 @@ fn run_phase_guard() {
         std::process::exit(3);
     }
     // Rho leg: the multipole Poisson solve sits between Sumup and H on the
-    // same grid data. Healthy profiles put it at a small multiple of Sumup
+    // same grid data. Its spans hold the moments, the solve and the Hartree
+    // evaluation; the `f_xc·n¹` term has its own `xc` phase. Healthy profiles put it at a small multiple of Sumup
     // (~2.8x on the reference host); the pre-coarsening regression ran it
     // at ~14x. Guard with generous slack so only a structural regression
     // (per-point region dispatch, lost fusion) trips it.
@@ -845,6 +897,7 @@ fn main() {
         .collect();
     if guard {
         run_efficiency_guard(&reports);
+        run_ledger_guard(&reports);
     }
     emit_json(&out, quick, threads, &gemm, &reports, &ws);
 }

@@ -1,35 +1,29 @@
 //! The DFPT self-consistency cycle (Fig. 1 of the paper) and the
 //! polarizability (Eq. 13).
 //!
-//! Per field direction `J`:
-//!
-//! * **Sumup** — response density `n¹(r) = Σ P¹_μν χ_μ χ_ν` (Eq. 8)
-//! * **Rho**   — response electrostatic potential `v¹_es,tot` via the
-//!   multipole Poisson solver (Eq. 9)
-//! * **H**     — response Hamiltonian
-//!   `H¹_μν = ⟨χ_μ| v¹_es,tot + f_xc n¹ − r_J |χ_ν⟩` (Eqs. 10–12)
-//! * Sternheimer update: the response density matrix from the
-//!   occupation-aware pair formula ([`sternheimer_response`]; Eq. 7 at
-//!   integer occupations), mixed into `P¹` until `‖ΔP¹‖ < tol`.
-//!
-//! One loop, `Direction::run`, runs the cycle over a `qp_mpi::Comm`:
-//! each rank does the grid work of its own batches and collectives rebuild
-//! the replicated moments and `H¹`, so the serial entry points here are
-//! the one-rank case of the distributed drivers in [`crate::parallel`].
+//! Each field direction `J` is a cycle of the crate's one self-consistency
+//! loop: Sumup of `n¹` (Eq. 8), Rho (Eq. 9), the xc term `f_xc·n¹`, H¹
+//! (Eqs. 10–12), then this module's step, the Sternheimer update from the
+//! occupation-aware pair formula ([`sternheimer_response`]; Eq. 7 at
+//! integer occupations), mixed into `P¹` until `‖ΔP¹‖ < tol`. The serial
+//! entry points here are the one-rank case of the distributed drivers in
+//! [`crate::parallel`].
 //!
 //! The perturbation convention follows Eq. 11 (`ĥ¹ = … − r_J`), so the
 //! polarizability is `α_IJ = ∫ r_I n¹_J = Tr[P¹_J D_I] > 0` for physical
 //! systems.
 
-use crate::mixing::{DfptMixer, MixState};
+use crate::cycle::{self, Cycle, Outcome, Parts, Spec};
+use crate::mixing::DfptMixer;
 use crate::operators;
-use crate::parallel::{comm_failure, synthesize_moments, CollectiveScheme};
+use crate::parallel::CollectiveScheme;
 use crate::scf::ScfResult;
 use crate::system::System;
-use crate::{CoreError, Result};
+use crate::Result;
 use qp_chem::xc;
 use qp_linalg::DMatrix;
-use qp_mpi::{Comm, CommError, ReduceOp};
+use qp_mpi::{Comm, CommError};
+use qp_trace::Phase;
 
 /// The symmetric Sternheimer weight matrix in the MO basis:
 ///
@@ -296,13 +290,7 @@ pub struct DirectionResponse {
 pub type DfptDirState = qp_resil::JobDirCheckpoint;
 
 /// Outcome of a preemptible DFPT direction run.
-pub(crate) enum DirOutcome {
-    /// The cycle converged; the physics result.
-    Converged(DirectionResponse),
-    /// The `on_iter` callback requested preemption; the cycle resumes from
-    /// this state.
-    Preempted(DfptDirState),
-}
+pub(crate) type DirOutcome = Outcome<DirectionResponse, DfptDirState>;
 
 /// `f_xc(n₀)` at every grid point (Eq. 12).
 pub(crate) fn fxc_on_grid(ground: &ScfResult) -> Vec<f64> {
@@ -356,11 +344,10 @@ impl DfptShared {
     }
 }
 
-/// What one field direction's DFPT loop reads, and [`Direction::run`], the
-/// one DFPT iteration loop of the crate. The serial entry points run it on
-/// a one-rank [`Comm::solo`] over every batch; the distributed drivers
-/// ([`crate::parallel`], [`crate::resil`]) run it on each SPMD rank over
-/// the batches mapped to that rank.
+/// What one field direction's DFPT cycle reads. The serial entry points run
+/// it on a one-rank [`Comm::solo`] over every batch; the distributed drivers
+/// ([`crate::parallel`], [`crate::resil`]) run it on each SPMD rank over the
+/// batches mapped to that rank.
 pub(crate) struct Direction<'a> {
     pub(crate) system: &'a System,
     pub(crate) ground: &'a ScfResult,
@@ -376,7 +363,7 @@ pub(crate) struct Direction<'a> {
 }
 
 impl Direction<'_> {
-    /// The DFPT loop ([`Direction::run`]) inline on the calling thread,
+    /// The DFPT cycle ([`Direction::run`]) inline on the calling thread,
     /// over a one-rank [`Comm::solo`] covering every batch: the serial
     /// driver. No thread is spawned and the rank tag is left alone, so the
     /// spans it opens land on the caller's timeline (qp-serve routes a
@@ -390,59 +377,30 @@ impl Direction<'_> {
         let all: Vec<usize> = (0..self.system.batches.len()).collect();
         // On one rank every scheme hands the moments back unchanged; the
         // packed one does it in a single call.
-        self.run(
-            &Comm::solo(),
-            &all,
-            CollectiveScheme::Packed,
-            resume,
-            &mut |st| Ok(on_iter(st)),
-        )
-        .map_err(comm_failure)?
+        let packed = CollectiveScheme::Packed;
+        self.run(&Comm::solo(), &all, packed, resume, &mut |st| {
+            Ok(on_iter(st))
+        })?
     }
 
-    /// The DFPT cycle of this direction on `comm`, this rank working on
-    /// `batches` (ascending ids; together the ranks cover every batch
-    /// once). From `resume` (or zero `P¹`), iterate until `‖ΔP¹‖ < tol`,
-    /// the first non-finite residual, or `max_iter`.
-    ///
-    /// Each iteration is a fault-injection point (a no-op without a fault
-    /// hook), and after every iteration that neither converged nor failed
-    /// `on_iter` sees the loop-carried state: it may checkpoint it, and it
-    /// returns `false` to preempt the cycle there. The collectives fold in
-    /// rank order and everything after them is replicated, so every rank
-    /// takes the same branch at the same iteration; on one rank the
-    /// collectives hand back the caller's own bits and the loop is the
-    /// serial driver.
-    ///
-    /// The outer error is a communication failure; the inner result is the
-    /// cycle's own outcome.
+    /// This direction's cycle in the one self-consistency loop
+    /// ([`cycle::run`]) on `comm`, this rank working on `batches`, from
+    /// `resume` (or zero `P¹`).
     pub(crate) fn run(
         &self,
         comm: &Comm,
         batches: &[usize],
-        collectives: CollectiveScheme,
+        scheme: CollectiveScheme,
         resume: Option<DfptDirState>,
         on_iter: &mut dyn FnMut(&DfptDirState) -> std::result::Result<bool, CommError>,
     ) -> std::result::Result<Result<DirOutcome>, CommError> {
-        const WHAT: &str = "DFPT self-consistency";
-        let system = self.system;
-        let nb = system.n_basis();
-        let mut dir_span = qp_trace::SpanGuard::begin(
-            qp_trace::thread_rank(),
-            qp_trace::Phase::Dfpt,
-            "dfpt.direction",
-        );
-        if dir_span.is_recording() {
-            dir_span.arg("dir", self.dir).arg("basis", nb);
+        let nb = self.system.n_basis();
+        let rank = qp_trace::thread_rank();
+        let mut span = qp_trace::SpanGuard::begin(rank, Phase::Dfpt, "dfpt.direction");
+        if span.is_recording() {
+            span.arg("dir", self.dir).arg("basis", nb);
         }
-        // Work not covered by a finer phase_span (mixing, residual norms)
-        // lands in the "dfpt" bucket rather than "other".
-        let _label = qp_par::LabelGuard::set("dfpt");
-        let dir_label = ["x", "y", "z"][self.dir.min(2)];
-        let residual_gauge =
-            qp_trace::global_metrics().gauge("dfpt.residual", &[("dir", dir_label)]);
-
-        let mut state = resume.unwrap_or_else(|| DfptDirState {
+        let state = resume.unwrap_or_else(|| DfptDirState {
             dir: self.dir,
             iteration: 0,
             p1: DMatrix::zeros(nb, nb),
@@ -450,134 +408,75 @@ impl Direction<'_> {
             diis_in: Vec::new(),
             diis_res: Vec::new(),
         });
-        // The grid points this rank evaluates v¹ at.
-        let points: Vec<usize> = batches
-            .iter()
-            .flat_map(|&b| system.batches[b].points.iter())
-            .map(|pt| pt.grid_index as usize)
-            .collect();
+        cycle::run(self.system, self, comm, batches, scheme, state, on_iter)
+    }
+}
 
-        while state.iteration < self.opts.max_iter {
-            let iter = state.iteration + 1;
-            // A planned crash or stall at iteration `iter` fires here,
-            // before the iteration's collectives.
-            comm.fault_point("dfpt.iter", iter as u64)?;
-            let mut iter_span = qp_trace::SpanGuard::begin(
-                qp_trace::thread_rank(),
-                qp_trace::Phase::Dfpt,
-                "dfpt.iter",
-            );
-            if iter_span.is_recording() {
-                iter_span.arg("iter", iter);
-            }
-            let p1_target = self.response(comm, batches, &points, collectives, &state.p1)?;
+impl Cycle for &Direction<'_> {
+    type State = DfptDirState;
+    type Step = ();
+    type Output = DirectionResponse;
 
-            // Mix P¹: linear or Pulay/DIIS per `opts.mixer`, the history
-            // moving through the mixer and back into the state.
-            let mut mixer = MixState::with_history(
-                self.opts.mixer,
-                self.opts.mixing,
-                std::mem::take(&mut state.diis_in),
-                std::mem::take(&mut state.diis_res),
-            );
-            let p1 = mixer.step(&state.p1, &p1_target);
-            (state.diis_in, state.diis_res) = mixer.into_history();
-            state.residual = p1.max_abs_diff(&state.p1);
-            state.p1 = p1;
-            state.iteration = iter;
-            residual_gauge.set(state.residual);
-            if iter_span.is_recording() {
-                iter_span.arg("residual", state.residual);
-            }
-            if !state.residual.is_finite() {
-                return Ok(Err(CoreError::NonFinite {
-                    what: WHAT,
-                    iteration: iter,
-                    residual: state.residual,
-                }));
-            }
-            if state.residual < self.opts.tol {
-                return Ok(Ok(DirOutcome::Converged(DirectionResponse {
-                    p1: state.p1,
-                    iterations: iter,
-                })));
-            }
-            if !on_iter(&state)? {
-                return Ok(Ok(DirOutcome::Preempted(state)));
-            }
+    fn spec(&self) -> Spec {
+        let o = self.opts;
+        let dir = [("dir", ["x", "y", "z"][self.dir.min(2)])];
+        Spec {
+            what: "DFPT self-consistency",
+            phase: Phase::Dfpt,
+            iter: "dfpt.iter",
+            gauge: qp_trace::global_metrics().gauge("dfpt.residual", &dir),
+            before_mixing: false,
+            max_iter: o.max_iter,
+            tol: o.tol,
+            mixer: o.mixer,
+            mixing: o.mixing,
         }
-        Ok(Err(CoreError::NoConvergence {
-            what: WHAT,
-            iterations: self.opts.max_iter,
-            residual: state.residual,
-        }))
     }
 
-    /// One pass of Fig. 1 from `p1`: the unmixed `P¹` the Sternheimer
-    /// equation returns for the potential `p1` induces.
-    fn response(
-        &self,
-        comm: &Comm,
-        batches: &[usize],
-        points: &[usize],
-        collectives: CollectiveScheme,
-        p1: &DMatrix,
-    ) -> std::result::Result<DMatrix, CommError> {
-        let system = self.system;
-        let nb = system.n_basis();
+    fn parts(st: &mut DfptDirState) -> Parts<'_> {
+        (
+            &mut st.iteration,
+            &mut st.p1,
+            &mut st.diis_in,
+            &mut st.diis_res,
+        )
+    }
+
+    /// The response xc potential `f_xc(n₀)·n¹` (Eq. 12).
+    fn xc(&self, gi: usize, n1: f64) -> f64 {
+        self.fxc[gi] * n1
+    }
+
+    /// `H¹ = V¹ − D_J` (Eqs. 10–11), then the Sternheimer update in the MO
+    /// basis (occupation-aware GEMM form — handles both integer and
+    /// Fermi-Dirac ground states), replicated on every rank. With a
+    /// screening plan active, the MO transform skips the non-coupling
+    /// O*×O*/V*×V* blocks and C·W restricts each column class to its
+    /// coupling k-range — bit-identical to the dense contraction.
+    fn step(&self, mut h1: DMatrix, _: (&[f64], &[f64], &[f64])) -> Result<(DMatrix, ())> {
+        let _s = crate::phase_span(Phase::Sternheimer, "sternheimer");
+        h1.axpy(-1.0, self.dip)?;
         let c = &self.ground.orbitals;
         let (eps, occ) = (&self.ground.eigenvalues, &self.ground.occupations);
-
-        // Sumup: this rank's share of n¹ (Eq. 8), zero off its points.
-        let n1 = {
-            let _s = crate::phase_span(qp_trace::Phase::Sumup, "sumup.n1");
-            system.density_on(p1, batches)
-        };
-
-        // Rho: the moments of the share, summed across ranks; then one
-        // radial Poisson solve per rank (redundant, which avoids
-        // communicating the potential), v¹ at this rank's points (Eq. 9)
-        // and the xc kernel (Eq. 12).
-        let v1 = {
-            let _s = crate::phase_span(qp_trace::Phase::Rho, "rho.v1");
-            let mut moments = system.multipole_moments(&n1);
-            synthesize_moments(comm, collectives, &mut moments)?;
-            let mut v1 = system.hartree_potential(&moments, Some(points));
-            for &gi in points {
-                v1[gi] += self.fxc[gi] * n1[gi];
-            }
-            v1
-        };
-
-        // H: the response Hamiltonian (Eqs. 10-11), this rank's batches
-        // summed across ranks: induced part − r_J.
-        let h1 = {
-            let _s = crate::phase_span(qp_trace::Phase::H, "h1.integrate");
-            let part = operators::potential_matrix_on(system, &v1, batches);
-            let sum = comm.allreduce(ReduceOp::Sum, part.as_slice())?;
-            let mut h1 = DMatrix::from_vec(nb, nb, sum).expect("nb x nb");
-            h1.axpy(-1.0, self.dip).expect("nb x nb");
-            h1
-        };
-
-        // Sternheimer update in the MO basis (occupation-aware GEMM form —
-        // handles both integer and Fermi-Dirac ground states), replicated
-        // on every rank. With a screening plan active, the MO transform
-        // skips the non-coupling O*×O*/V*×V* blocks and C·W restricts each
-        // column class to its coupling k-range — bit-identical to the
-        // dense contraction.
-        let _s = crate::phase_span(qp_trace::Phase::Sternheimer, "sternheimer");
-        Ok(if system.screen().is_some() {
+        let p1 = if self.system.screen().is_some() {
             let h1_mo = h1_mo_screened(self.c_t, &h1, c, occ);
             sternheimer_response_screened(c, eps, occ, &h1_mo)
         } else {
-            let h1_mo = self
-                .c_t
-                .par_matmul(&h1)
-                .and_then(|m| m.par_matmul(c))
-                .expect("nb-square chain");
+            let h1_mo = self.c_t.par_matmul(&h1)?.par_matmul(c)?;
             sternheimer_response(c, eps, occ, &h1_mo)
-        })
+        };
+        Ok((p1, ()))
+    }
+
+    fn record(state: &mut DfptDirState, _: &(), residual: f64) {
+        state.residual = residual;
+    }
+
+    fn finish(self, st: DfptDirState, _: DMatrix, _: (), iter: usize) -> DirectionResponse {
+        DirectionResponse {
+            p1: st.p1,
+            iterations: iter,
+        }
     }
 }
 

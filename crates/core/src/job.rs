@@ -4,24 +4,28 @@
 //! qp-serve's engine, the profiler and `bench_perf` all run a [`Job`], so a
 //! check or a fix written here reaches every front end.
 //!
-//! Without `ranks`, each direction runs inline on the caller's thread over a
-//! one-rank world. With `ranks`, each runs under the supervised SPMD driver
-//! of [`crate::resil`]. A hook sees every iteration boundary (under `ranks`,
-//! not inside a supervised direction) and can preempt the job there; a job
-//! resumed from that [`JobState`] replays the rest bit-exactly. With
-//! `checkpoint`, the job is the one writer of that state to disk, as its
-//! `QPCK` job record: at every `k`-th iteration, at every commit of a
-//! supervised direction, and wherever the hook preempts it.
+//! The SCF and, without `ranks`, each direction run inline on the caller's
+//! thread over a one-rank world; with `ranks`, each direction runs under
+//! the supervised SPMD driver of [`crate::resil`]. A hook borrows the loop
+//! state at every iteration boundary (under `ranks`, not inside a
+//! supervised direction) and can preempt the job there; a job resumed from
+//! that [`JobState`] replays the rest bit-exactly. With `checkpoint`, the
+//! job is the one writer of that state to disk, as its `QPCK` job record:
+//! at every `k`-th iteration, at every commit of a supervised direction,
+//! and wherever the hook preempts it. It copies the loop state only into
+//! the record it writes.
 
-use crate::dfpt::{DfptDirState, DfptOptions, DfptShared, DirOutcome};
+use crate::cycle::Outcome;
+use crate::dfpt::{DfptDirState, DfptOptions, DfptShared};
 use crate::parallel::ParallelConfig;
 use crate::resil::{ck_err, supervise, ResilienceConfig};
-use crate::scf::{scf_preemptible, ScfOptions, ScfResult, ScfState};
+use crate::scf::{self, ScfOptions, ScfResult, ScfState};
 use crate::system::System;
 use crate::{properties, CoreError};
 use qp_linalg::DMatrix;
 use qp_resil::recovery::RecoveryStats;
 use qp_resil::JobDoneDirection;
+use std::cell::Cell;
 use std::path::PathBuf;
 use std::time::Instant;
 
@@ -140,36 +144,55 @@ impl Job {
         let scf_err = |error| JobError { dir: None, error };
         let every = self.checkpoint.as_ref().map_or(0, |(_, k)| *k);
         let due = |iteration: usize| every != 0 && iteration.is_multiple_of(every);
-        // Write `state` with `cur` as its in-flight direction.
-        let record = |state: &JobState, cur: Option<&DfptDirState>| match &self.checkpoint {
-            Some((path, _)) => state.save_with(path, cur).map_err(ck_err),
-            None => Ok(()),
+        // Write `state` with the SCF seed and in-flight direction borrowed
+        // from the loop that holds them.
+        let record = |st: &JobState, scf: Option<&ScfState>, cur: Option<&DfptDirState>| {
+            let path = self.checkpoint.as_ref().map(|(path, _)| path);
+            path.map_or(Ok(()), |p| st.save_with(p, scf, cur).map_err(ck_err))
         };
-        let mut write_error = None;
+        // The hook at every boundary. Where it stops the job or a record is
+        // due, the record is written; one that cannot be written stops the
+        // job too, and its error ends it.
+        let write_error = Cell::new(None);
+        let mut boundary = |event: &Event<'_>,
+                            st: &JobState,
+                            scf: Option<&ScfState>,
+                            cur: Option<&DfptDirState>| {
+            let due = match event {
+                Event::ScfIter(s) => due(s.iteration),
+                Event::DfptIter(s) => due(s.iteration),
+                _ => false,
+            };
+            let go = hook(event);
+            let write = !go || due;
+            let failed = |e| write_error.set(Some(e));
+            let written = !write || record(st, scf, cur).map_err(failed).is_ok();
+            written && go
+        };
+        let stop = || write_error.take().map_or(Ok(None), Err);
+
         let t0 = Instant::now();
-        let ground = scf_preemptible(system, &self.scf, state.scf.clone(), &mut |st| {
-            let go = hook(&Event::ScfIter(&st));
-            let write = !go || due(st.iteration);
-            state.scf = Some(st);
-            if write {
-                if let Err(e) = record(state, state.cur_dir.as_ref()) {
-                    write_error = Some(e);
-                    return false;
-                }
-            }
-            go
+        let resume = state.scf.take();
+        let outcome = scf::ground_state(system, &self.scf, resume, &mut |st| {
+            boundary(&Event::ScfIter(st), state, Some(st), state.cur_dir.as_ref())
         })
         .map_err(scf_err)?;
         let scf_s = t0.elapsed().as_secs_f64();
-        if let Some(e) = write_error.take() {
-            return Err(scf_err(e));
-        }
-        let Some(ground) = ground else {
-            return Ok(None);
+        let ground = match outcome {
+            Outcome::Converged((ground, seed)) => {
+                // A cycle that converged at its first iteration saw no
+                // boundary, and a fresh one leaves no seed.
+                state.scf = (seed.iteration > 0).then_some(seed);
+                ground
+            }
+            Outcome::Preempted(seed) => {
+                state.scf = Some(seed);
+                return stop().map_err(scf_err);
+            }
         };
-        if !hook(&Event::ScfConverged(&ground)) {
-            record(state, state.cur_dir.as_ref()).map_err(scf_err)?;
-            return Ok(None);
+        let event = Event::ScfConverged(&ground);
+        if !boundary(&event, state, state.scf.as_ref(), state.cur_dir.as_ref()) {
+            return stop().map_err(scf_err);
         }
 
         let dipole = properties::dipole_moment(system, &ground);
@@ -189,32 +212,23 @@ impl Job {
                 None => {
                     let outcome = direction
                         .run_solo(resume, &mut |st| {
-                            let go = hook(&Event::DfptIter(st));
-                            if !go || due(st.iteration) {
-                                if let Err(e) = record(state, Some(st)) {
-                                    write_error = Some(e);
-                                    return false;
-                                }
-                            }
-                            go
+                            boundary(&Event::DfptIter(st), state, state.scf.as_ref(), Some(st))
                         })
                         .map_err(fail)?;
-                    if let Some(e) = write_error.take() {
-                        return Err(fail(e));
-                    }
                     match outcome {
-                        DirOutcome::Converged(resp) => (resp.iterations, resp.p1),
-                        DirOutcome::Preempted(st) => {
+                        Outcome::Converged(resp) => (resp.iterations, resp.p1),
+                        Outcome::Preempted(st) => {
                             state.cur_dir = Some(st);
-                            return Ok(None);
+                            return stop().map_err(fail);
                         }
                     }
                 }
                 Some((cfg, rcfg)) => {
                     let base = &*state;
-                    let out =
-                        supervise(&direction, cfg, rcfg, resume, &|st| record(base, Some(st)))
-                            .map_err(fail)?;
+                    let out = supervise(&direction, cfg, rcfg, resume, &|st| {
+                        record(base, base.scf.as_ref(), Some(st))
+                    })
+                    .map_err(fail)?;
                     dfpt_recovery.push(out.stats);
                     (out.direction.iterations, out.direction.p1)
                 }
@@ -225,10 +239,9 @@ impl Job {
                 iterations,
                 alpha_col,
             });
-            let done = state.dirs_done.last().expect("just pushed");
-            if !hook(&Event::DfptConverged(dir, done)) {
-                record(state, None).map_err(fail)?;
-                return Ok(None);
+            let event = Event::DfptConverged(dir, state.dirs_done.last().expect("just pushed"));
+            if !boundary(&event, state, state.scf.as_ref(), None) {
+                return stop().map_err(fail);
             }
         }
         let mut alpha = DMatrix::zeros(3, 3);
@@ -368,6 +381,9 @@ mod tests {
         let plain = Job::new(ScfOptions::default(), DfptOptions::default())
             .run(&sys)
             .unwrap();
+        // The record's SCF seed is the last non-converged SCF iteration.
+        let seed = state.scf.as_ref().expect("an SCF seed");
+        assert_eq!(seed.iteration, plain.ground.iterations - 1);
         let resumed = job
             .run_with(&sys, &mut JobState::load(&path).unwrap(), &mut |_| true)
             .unwrap()

@@ -10,13 +10,14 @@
 //! 1. Ground-state DFT ([`scf`]): assemble `S`, `H` on the integration grid,
 //!    solve `H C = ε S C` (Eq. 5), iterate to self-consistency (Eqs. 1–6).
 //! 2. The DFPT self-consistency cycle ([`dfpt`]), per field direction:
-//!    response density matrix `P¹` (Eq. 7, phase **DM**), response density
-//!    `n¹(r)` (Eq. 8, phase **Sumup**), response electrostatic potential via
-//!    multipole Poisson (Eq. 9, phase **Rho**), response Hamiltonian `H¹`
-//!    (Eqs. 10–12, phase **H**), Sternheimer update of `P¹`, repeat until
-//!    `‖ΔP¹‖` is below threshold.
+//!    response density `n¹(r)` (Eq. 8, phase **Sumup**), response
+//!    electrostatic potential via multipole Poisson (Eq. 9, phase **Rho**),
+//!    response Hamiltonian `H¹` (Eqs. 10–12, phase **H**), Sternheimer
+//!    update of `P¹` (Eq. 7), repeat until `‖ΔP¹‖` is below threshold.
 //! 3. Polarizability `α_IJ = ∂μ_I/∂ξ_J` (Eq. 13).
 //!
+//! Steps 1 and 2 are cycles of one self-consistency loop over a
+//! `qp_mpi::Comm` (the private `cycle` module), with the same phase spans.
 //! [`job`] runs the three as one calculation: the pipeline `qperturb`,
 //! qp-serve, the profiler and the benches share. [`parallel`] runs the DFPT
 //! loop over `qp-mpi` ranks with either §3.1 task mapping, [`resil`]
@@ -29,6 +30,7 @@
 #![allow(clippy::needless_range_loop)]
 
 pub mod basis_cache;
+mod cycle;
 pub mod dfpt;
 pub mod farfield;
 pub mod job;
@@ -82,8 +84,9 @@ pub enum CoreError {
         /// Last residual.
         residual: f64,
     },
-    /// A self-consistency residual became NaN or infinite; the cycle stops
-    /// at the first such iteration.
+    /// A self-consistency residual or mixed iterate became NaN or
+    /// infinite; the cycle stops at the first such iteration, before the
+    /// next one reads it.
     NonFinite {
         /// Which cycle.
         what: &'static str,
@@ -102,6 +105,16 @@ pub enum CoreError {
     Linalg(qp_linalg::LinalgError),
     /// Checkpoint save/load failed (I/O, corruption, version mismatch).
     Checkpoint(String),
+    /// A distributed run lost a rank, timed out or disagreed on a
+    /// collective, and the supervisor's restart budget could not recover
+    /// it.
+    Comm(qp_mpi::CommError),
+}
+
+impl From<qp_mpi::CommError> for CoreError {
+    fn from(e: qp_mpi::CommError) -> Self {
+        CoreError::Comm(e)
+    }
 }
 
 impl From<qp_linalg::LinalgError> for CoreError {
@@ -127,7 +140,8 @@ impl std::fmt::Display for CoreError {
                 residual,
             } => write!(
                 f,
-                "{what} stopped at iteration {iteration}: the residual is {residual}"
+                "{what} stopped at iteration {iteration}: a non-finite iterate \
+                 (residual {residual})"
             ),
             CoreError::OpenShell { electrons } => write!(
                 f,
@@ -136,6 +150,7 @@ impl std::fmt::Display for CoreError {
             ),
             CoreError::Linalg(e) => write!(f, "linear algebra error: {e}"),
             CoreError::Checkpoint(e) => write!(f, "checkpoint error: {e}"),
+            CoreError::Comm(e) => write!(f, "distributed run failed: {e}"),
         }
     }
 }

@@ -1,10 +1,10 @@
 //! Self-consistency accelerators shared by the ground-state SCF and the
 //! DFPT response cycle: plain linear mixing and Pulay/DIIS extrapolation.
 //!
-//! [`MixState`] is the one mixer of the workspace: the SCF loop
-//! ([`mod@crate::scf`]) mixes the density matrix `P` through
-//! it, and the DFPT loop ([`crate::dfpt`], serial and distributed alike)
-//! mixes the response density matrix `P¹`.
+//! [`MixState`] is the one mixer of the workspace: the crate's one
+//! self-consistency loop mixes the density matrix `P` of the SCF and the
+//! response density matrix `P¹` of every DFPT direction through it, its
+//! history moving out of the loop state and back each iteration.
 //!
 //! Everything here is deterministic: the extrapolation is a fixed-order
 //! dense solve over the residual history, so mixed iterates are
@@ -103,15 +103,7 @@ pub enum MixState {
 impl MixState {
     /// Fresh mixer state for `mixer` with mixing factor `beta`.
     pub fn new(mixer: DfptMixer, beta: f64) -> Self {
-        match mixer {
-            DfptMixer::Linear => MixState::Linear { beta },
-            DfptMixer::Pulay { depth } => MixState::Pulay {
-                depth,
-                beta,
-                inputs: Vec::new(),
-                residuals: Vec::new(),
-            },
-        }
+        MixState::with_history(mixer, beta, Vec::new(), Vec::new())
     }
 
     /// Rebuild mixer state from a checkpointed history (empty vectors for
@@ -135,18 +127,8 @@ impl MixState {
         }
     }
 
-    /// The `(inputs, residuals)` history for checkpointing — empty for the
-    /// linear mixer.
-    pub fn history(&self) -> (&[DMatrix], &[DMatrix]) {
-        match self {
-            MixState::Linear { .. } => (&[], &[]),
-            MixState::Pulay {
-                inputs, residuals, ..
-            } => (inputs, residuals),
-        }
-    }
-
-    /// Consume the state, handing its history back — the inverse of
+    /// Consume the state, handing its `(inputs, residuals)` history back
+    /// (empty for the linear mixer) — the inverse of
     /// [`MixState::with_history`].
     pub fn into_history(self) -> (Vec<DMatrix>, Vec<DMatrix>) {
         match self {
@@ -207,7 +189,7 @@ mod tests {
         for (i, &v) in [2.0, 3.0, 4.0, 5.0].iter().enumerate() {
             assert!((out.as_slice()[i] - v).abs() < 1e-15);
         }
-        assert!(st.history().0.is_empty());
+        assert!(st.into_history().0.is_empty());
     }
 
     /// A contractive diagonal map `T(x)_i = λ_i x_i + b_i` with distinct
@@ -271,16 +253,11 @@ mod tests {
         for _ in 0..6 {
             x = st.step(&x, &tgt);
         }
-        let (ins, res) = st.history();
+        let (ins, res) = st.clone().into_history();
         assert!(ins.len() <= 3 && ins.len() == res.len());
         // Rebuilding from the snapshot must continue identically.
         let mut a = st.clone();
-        let mut b = MixState::with_history(
-            DfptMixer::Pulay { depth: 3 },
-            0.3,
-            ins.to_vec(),
-            res.to_vec(),
-        );
+        let mut b = MixState::with_history(DfptMixer::Pulay { depth: 3 }, 0.3, ins, res);
         let xa = a.step(&x, &tgt);
         let xb = b.step(&x, &tgt);
         assert_eq!(xa.max_abs_diff(&xb), 0.0, "bit-identical resume");

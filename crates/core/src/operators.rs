@@ -46,7 +46,8 @@ pub fn potential_matrix(system: &System, v: &[f64]) -> DMatrix {
 /// and the same merge, restricted to the listed batches. Over every batch
 /// it is [`potential_matrix`]; summed over a partition of the batches it
 /// is `potential_matrix` up to the order of the additions — the
-/// distributed driver's per-rank `H¹`.
+/// distributed driver's per-rank `H¹`. It books the `h.eval` roofline
+/// counts of [`weighted_product`] while tracing.
 pub fn potential_matrix_on(system: &System, v: &[f64], batches: &[usize]) -> DMatrix {
     assert_eq!(v.len(), system.n_points());
     weighted_product(system, batches, |gi| v[gi])
@@ -162,6 +163,13 @@ pub(crate) fn merge(system: &System, partials: &[(Arc<BatchBasisTable>, DMatrix)
 
 /// Shared quadrature core: `M_μν = Σ_p w_p f(p) χ_μ(p) χ_ν(p)` over the
 /// points of `batches`.
+///
+/// While the trace recorder is on, each call books its roofline counts
+/// against the calling thread's phase label, in closed form as Rho books
+/// its own: per point of a batch with `nf` functions, `(nf+1)²` flops (the
+/// weight product, `nf` row scalings and `nf(nf+1)/2` multiply-adds), and
+/// per batch `nf(nf+1)/2` merge additions; the bytes of the batch tables,
+/// each point's weight and `f`, each triangle and the `nb²` result.
 fn weighted_product(
     system: &System,
     batches: &[usize],
@@ -170,6 +178,21 @@ fn weighted_product(
     let partials = assemble_partials(system, batches, |batch, table| {
         weighted_block(system, batch, table, &f)
     });
+    if qp_trace::enabled() {
+        let nb = system.n_basis() as u64;
+        let (mut flops, mut bytes) = (0, 8 * nb * nb);
+        for (&bid, (table, _)) in batches.iter().zip(&partials) {
+            let np = system.batches[bid].len() as u64;
+            let nf = table.fn_indices.len() as u64;
+            let tri = nf * (nf + 1) / 2;
+            flops += np * (nf + 1) * (nf + 1) + tri;
+            bytes += 8 * (np * nf + 2 * np + tri);
+        }
+        let labels = [("phase", qp_par::telemetry::current_label())];
+        let reg = qp_trace::global_metrics();
+        reg.counter("h.eval.flops", &labels).add(flops);
+        reg.counter("h.eval.bytes", &labels).add(bytes);
+    }
     merge(system, &partials)
 }
 

@@ -2,37 +2,26 @@
 //!
 //! The parallel decomposition is FHI-aims': *grid work is distributed*
 //! (batches mapped to ranks by either §3.1 strategy), *matrices are
-//! replicated* and synthesized by collectives. Every rank runs the one DFPT
-//! loop of [`crate::dfpt`] over its own batches; per iteration it
-//!
-//! 1. computes its share of `n¹` (Sumup),
-//! 2. accumulates its partial `rho_multipole` rows and synthesizes them
-//!    across ranks — per-row AllReduce (baseline), packed (§3.2.1), or
-//!    packed + hierarchical (§3.2.2),
-//! 3. redundantly solves the radial Poisson problem ("trading redundant
-//!    calculations for communication avoidance", §4.2) and evaluates the
-//!    potential at its own points with the production Hartree evaluator
-//!    ([`System::hartree_potential`]: planned, direct or far-field tree),
-//! 4. assembles its partial `H¹` with the production per-batch kernel and
-//!    merge restricted to its batches
-//!    ([`operators::potential_matrix_on`]) and AllReduces it,
-//! 5. performs the (replicated) occupation-aware Sternheimer update and
-//!    mixes `P¹`.
+//! replicated* and synthesized by collectives. Every rank runs the crate's
+//! one self-consistency loop over its own batches: its share of Sumup, its
+//! partial `rho_multipole` rows synthesized across ranks by
+//! `synthesize_moments` (per-row AllReduce, packed §3.2.1, or packed +
+//! hierarchical §3.2.2), a redundant radial Poisson solve ("trading
+//! redundant calculations for communication avoidance", §4.2), the
+//! potential at its own points, and its partial `H¹` AllReduced; the
+//! Sternheimer update and the mixing are replicated.
 //!
 //! Deterministic rank-ordered reductions make every rank take identical
-//! branches, so no extra control-flow synchronization is needed. Only the
-//! order of the additions in the two reductions differs from the serial
-//! driver, which is the same loop on one rank. [`parallel_dfpt_direction`]
-//! is the supervised driver of [`crate::resil`] with checkpoints and
-//! restarts off.
-//!
-//! [`operators::potential_matrix_on`]: crate::operators::potential_matrix_on
+//! branches. Only the order of the additions in the two reductions differs
+//! from the serial driver, which is the same loop on one rank.
+//! [`parallel_dfpt_direction`] is the supervised driver of [`crate::resil`]
+//! with checkpoints and restarts off.
 
 use crate::dfpt::DfptOptions;
 use crate::resil::{parallel_dfpt_direction_resilient, ResilienceConfig};
 use crate::scf::ScfResult;
 use crate::system::System;
-use crate::{CoreError, Result};
+use crate::Result;
 use qp_chem::multipole::MultipoleMoments;
 use qp_grid::mapping::{LoadBalancingMapping, LocalityEnhancingMapping, TaskMapping};
 use qp_linalg::DMatrix;
@@ -143,19 +132,6 @@ pub(crate) fn synthesize_moments(
     Ok(())
 }
 
-/// Map a communication failure onto the core error type.
-pub(crate) fn comm_failure(e: CommError) -> CoreError {
-    CoreError::NoConvergence {
-        what: match e {
-            CommError::RankFailed => "parallel DFPT (rank failure)",
-            CommError::Timeout => "parallel DFPT (communication timeout)",
-            CommError::Mismatch(_) => "parallel DFPT (collective mismatch)",
-        },
-        iterations: 0,
-        residual: f64::NAN,
-    }
-}
-
 /// Run one DFPT direction distributed over `cfg.n_ranks` ranks: the
 /// supervised driver without checkpoints, restarts or fault injection.
 pub fn parallel_dfpt_direction(
@@ -175,7 +151,7 @@ mod tests {
     use crate::dfpt::dfpt_direction;
     use crate::resil::{parallel_dfpt_direction_resilient, ResilienceConfig};
     use crate::scf::{scf, ScfOptions};
-    use crate::{FarFieldMode, ScreeningMode};
+    use crate::{CoreError, FarFieldMode, ScreeningMode};
     use qp_chem::basis::BasisSettings;
     use qp_chem::grids::GridSettings;
     use qp_chem::structures::{polyethylene, water};
@@ -305,6 +281,20 @@ mod tests {
                 }) => assert!(iteration == 1 && residual.is_nan()),
                 other => panic!("expected a non-finite stop, got {other:?}"),
             }
+        }
+        // The SCF runs the same loop: its NaN iterate stops it with the same
+        // error before the eigensolver reads it.
+        let nan_scf = ScfOptions {
+            mixing: f64::NAN,
+            ..ScfOptions::default()
+        };
+        match scf(&sys, &nan_scf) {
+            Err(CoreError::NonFinite {
+                what: "ground-state SCF",
+                iteration,
+                ..
+            }) => assert!(iteration <= 2, "stopped at iteration {iteration}"),
+            other => panic!("expected the SCF's non-finite stop, got {other:?}"),
         }
     }
 

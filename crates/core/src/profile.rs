@@ -184,8 +184,8 @@ pub struct PhaseRow {
     pub phase: String,
     /// Span **self** time: wall seconds exclusively inside this phase.
     pub self_s: f64,
-    /// GEMM/matvec and Hartree-evaluation flops issued while a thread
-    /// carried this label.
+    /// GEMM/matvec, Hartree-evaluation and potential-matrix flops issued
+    /// while a thread carried this label.
     pub flops: u64,
     /// Compulsory bytes of those calls.
     pub bytes: u64,
@@ -528,9 +528,10 @@ pub fn profile_case(
     // Per-phase rows: span self-time + roofline counter deltas.
     let forest = qp_trace::build_forest(&events);
     let self_us = qp_trace::self_time_by_phase(&forest);
-    // The roofline kernels: GEMM and the Hartree evaluation.
-    let flops = ["linalg.gemm.flops", "rho.eval.flops"];
-    let bytes = ["linalg.gemm.bytes", "rho.eval.bytes"];
+    // The roofline kernels: GEMM, the Hartree evaluation and the
+    // potential-matrix assembly.
+    let flops = ["linalg.gemm.flops", "rho.eval.flops", "h.eval.flops"];
+    let bytes = ["linalg.gemm.bytes", "rho.eval.bytes", "h.eval.bytes"];
     let flops_before = counter_by_phase(&snap_before, &flops);
     let flops_after = counter_by_phase(&snap_after, &flops);
     let bytes_before = counter_by_phase(&snap_before, &bytes);
@@ -841,10 +842,19 @@ mod tests {
             "cache counters {:?}",
             report.basis_cache
         );
-        // DFPT's Hartree evaluations book their roofline counts under the
-        // rho phase, which runs no GEMM.
-        let rho = report.phases.iter().find(|p| p.phase == "rho");
-        assert!(rho.is_some_and(|p| p.flops > 0 && p.bytes > 0), "{rho:?}");
+        // The Hartree evaluations book their roofline counts under the rho
+        // phase, which runs no GEMM, and the potential-matrix assemblies
+        // under the h phase.
+        let row = |name: &str| report.phases.iter().find(|p| p.phase == name);
+        for name in ["rho", "h"] {
+            let r = row(name);
+            assert!(r.is_some_and(|p| p.flops > 0 && p.bytes > 0), "{r:?}");
+        }
+        // The SCF's own steps have rows of their own.
+        for name in ["eigen", "dm", "mixing"] {
+            let r = row(name);
+            assert!(r.is_some_and(|p| p.self_s > 0.0), "{name}: {r:?}");
+        }
         let json = report.to_json();
         validate_profile_json(&json).unwrap();
         assert!(json.contains("\"scf_iterations\": ") && json.contains("\"alpha_diag\": ["));

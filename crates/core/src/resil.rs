@@ -1,17 +1,16 @@
-//! The self-recovering distributed DFPT driver: the crate's one DFPT loop
-//! ([`crate::dfpt`]) on `run_spmd` ranks under checkpoint/restart
-//! supervision. The plain [`crate::parallel::parallel_dfpt_direction`] is
-//! this driver with checkpoints and restarts off; the job pipeline
-//! ([`crate::job`]) runs it per direction under `ranks`, resumes it from
-//! the job's record and writes every commit into that record.
+//! The self-recovering distributed DFPT driver: each DFPT direction's cycle
+//! of the crate's one self-consistency loop on `run_spmd` ranks under
+//! checkpoint/restart supervision. The plain
+//! [`crate::parallel::parallel_dfpt_direction`] is this driver with
+//! checkpoints and restarts off; the job pipeline ([`crate::job`]) runs it
+//! per direction under `ranks`, resumes it from the job's record and writes
+//! every commit into that record. (The SCF stays on one rank.)
 //!
 //! The recovery argument rests on determinism: the rank-ordered collectives
 //! make every rank hold a bit-identical [`DfptDirState`] (`P¹` and the
 //! mixer history) at each iteration boundary, so rank 0's checkpoint is a
 //! consistent global cut, and an attempt restarted from it replays the
-//! remaining iterations **bit-exactly** — a run that loses a rank mid-DFPT
-//! lands on the same polarizability as the fault-free run (the integration
-//! tests pin this to 1e-8, and it holds to the last bit).
+//! remaining iterations **bit-exactly**.
 //!
 //! Checkpoints are committed only after every collective of the covered
 //! iteration has completed on all ranks (a crashed rank kills the
@@ -19,11 +18,13 @@
 //! in memory across restarts, and handed from rank 0 to the caller's commit
 //! callback. Faults injected through [`FaultPlan`](qp_resil::FaultPlan)
 //! fire once per process, so the restarted attempt sails past the crash
-//! site — exactly like a respawned MPI job on fresh hardware.
+//! site. A failure the restart budget cannot absorb ends the direction
+//! with [`CoreError::Comm`].
 
-use crate::dfpt::{fxc_on_grid, DfptDirState, DfptOptions, DirOutcome, Direction};
+use crate::cycle::Outcome;
+use crate::dfpt::{fxc_on_grid, DfptDirState, DfptOptions, Direction};
 use crate::operators;
-use crate::parallel::{assign_batches, comm_failure, ParallelConfig, ParallelDirectionResult};
+use crate::parallel::{assign_batches, ParallelConfig, ParallelDirectionResult};
 use crate::scf::ScfResult;
 use crate::system::System;
 use crate::{CoreError, Result};
@@ -187,14 +188,14 @@ pub(crate) fn supervise(
     if let Some(e) = commit_error.into_inner() {
         return Err(e);
     }
-    let (out, traffic) = run.map_err(comm_failure)?.swap_remove(0);
+    let (out, traffic) = run?.swap_remove(0);
     let mut points_per_rank = vec![0; cfg.n_ranks];
     for (batch, &rank) in system.batches.iter().zip(&assignment) {
         points_per_rank[rank] += batch.len();
     }
     let resp = match out? {
-        DirOutcome::Converged(resp) => resp,
-        DirOutcome::Preempted(_) => unreachable!("the checkpoint callback never preempts"),
+        Outcome::Converged(resp) => resp,
+        Outcome::Preempted(_) => unreachable!("the checkpoint callback never preempts"),
     };
     Ok(ResilientDirectionResult {
         direction: ParallelDirectionResult {

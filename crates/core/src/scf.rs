@@ -2,18 +2,28 @@
 //!
 //! The DFT phase "serves to provide data for the DFPT phase" (artifact
 //! appendix): converged orbitals `C`, eigenvalues `ε`, density matrix `P`
-//! and ground-state density `n₀(r)`. The loop is the standard one —
-//! density → Hartree potential (multipole Poisson) → xc potential → `H` →
-//! generalized eigenproblem → new density — mixed by the shared
-//! [`MixState`] (Pulay/DIIS by default, linear under `pulay: None`).
+//! and ground-state density `n₀(r)`. The SCF is a cycle of the crate's one
+//! self-consistency loop, the loop every DFPT direction runs: density →
+//! Hartree potential → xc potential → `H` → this module's step (the
+//! generalized eigenproblem, occupations, new density matrix and energy) →
+//! mixing (Pulay/DIIS by default, linear under `pulay: None`). It measures
+//! `‖P_out − P_in‖` before mixing and ends on the unmixed `P_out`.
+//!
+//! Its set-up runs under the phase spans of the loop: `S`, `T` and `V_ext`
+//! under `h`, the factor of `S` and the initial eigensolve under `eigen`,
+//! the initial density matrix under `dm`, the final density under `sumup`.
 
+use crate::cycle::{self, Cycle, Outcome, Parts, Spec};
 use crate::dfpt::DfptOptions;
-use crate::mixing::{DfptMixer, MixState};
+use crate::mixing::DfptMixer;
 use crate::operators;
+use crate::parallel::CollectiveScheme;
 use crate::system::System;
 use crate::{CoreError, Result};
 use qp_chem::xc;
-use qp_linalg::{generalized_symmetric_eigen_with, Cholesky, DMatrix};
+use qp_linalg::{generalized_symmetric_eigen_with, Cholesky, DMatrix, EigenDecomposition};
+use qp_mpi::Comm;
+use qp_trace::Phase;
 
 /// SCF options.
 #[derive(Debug, Clone, Copy)]
@@ -140,188 +150,223 @@ pub fn electronic_dipole(system: &System, density: &[f64]) -> [f64; 3] {
 
 /// Run the ground-state SCF.
 pub fn scf(system: &System, opts: &ScfOptions) -> Result<ScfResult> {
-    Ok(scf_preemptible(system, opts, None, &mut |_| true)?
-        .expect("a callback that never stops the cycle never preempts it"))
+    match ground_state(system, opts, None, &mut |_| true)? {
+        Outcome::Converged((ground, _)) => Ok(ground),
+        Outcome::Preempted(_) => {
+            unreachable!("a hook that never stops the cycle never preempts it")
+        }
+    }
 }
 
-/// [`scf`] with checkpoint/preemption hooks — the entry point of the job
-/// pipeline ([`crate::job`]). `resume` seeds the loop from a previously
-/// captured [`ScfState`], and `on_iter` receives the loop-carried state
-/// after every non-converged iteration; returning `false` preempts the
-/// cycle there (`Ok(None)`), and that state is what a later call resumes
-/// from. A preempted-then-resumed cycle replays the identical
-/// floating-point sequence, so it lands on the bit-identical ground state.
+/// [`scf`] from `resume` (afresh on `None`) with a hook: the entry point
+/// of the job pipeline ([`crate::job`]). `on_iter` borrows the loop state
+/// after every non-converged iteration and returns `false` to preempt the
+/// cycle there; a later call resumes from the state handed back and
+/// replays the identical floating-point sequence. A converged cycle also
+/// hands back the state of its last non-converged iteration, untouched.
 ///
 /// Integer (aufbau) occupations fill doubly occupied orbitals, so they
 /// describe closed shells only: an odd electron count without
 /// `opts.smearing` is refused before the first iteration.
-pub(crate) fn scf_preemptible(
+pub(crate) fn ground_state(
     system: &System,
     opts: &ScfOptions,
     resume: Option<ScfState>,
-    on_iter: &mut dyn FnMut(ScfState) -> bool,
-) -> Result<Option<ScfResult>> {
-    let n_elec = system.n_electrons();
-    if opts.smearing.is_none() && n_elec % 2 == 1 {
-        return Err(CoreError::OpenShell { electrons: n_elec });
+    on_iter: &mut dyn FnMut(&ScfState) -> bool,
+) -> Result<Outcome<(ScfResult, ScfState), ScfState>> {
+    let electrons = system.n_electrons();
+    if opts.smearing.is_none() && electrons % 2 == 1 {
+        return Err(CoreError::OpenShell { electrons });
     }
-    let mut scf_span =
-        qp_trace::SpanGuard::begin(qp_trace::thread_rank(), qp_trace::Phase::Scf, "scf");
-    // Regions and GEMMs launched anywhere in the SCF loop default to the
-    // "scf" phase bucket unless a finer phase_span overrides it.
-    let _label = qp_par::LabelGuard::set("scf");
-    if scf_span.is_recording() {
-        scf_span
-            .arg("atoms", system.structure.len())
-            .arg("basis", system.n_basis());
+    let mut span = qp_trace::SpanGuard::begin(qp_trace::thread_rank(), Phase::Scf, "scf");
+    if span.is_recording() {
+        let atoms = system.structure.len();
+        span.arg("atoms", atoms).arg("basis", system.n_basis());
     }
-    let residual_gauge = qp_trace::global_metrics().gauge("scf.residual", &[]);
-    let energy_gauge = qp_trace::global_metrics().gauge("scf.energy", &[]);
-    let s_mat = operators::overlap(system);
-    // S is fixed for the job: factor it once for every eigensolve.
-    let s_chol = Cholesky::new(&s_mat)?;
-    let t_mat = operators::kinetic(system);
-    let v_ext = operators::external_potential(system);
-    let v_ext_mat = operators::potential_matrix(system, &v_ext);
-
-    let mut h_core = t_mat.clone();
-    h_core.axpy(1.0, &v_ext_mat)?;
-    if let Some(field) = opts.field {
-        for (d, &xi) in field.iter().enumerate() {
+    let (s_mat, h_core) = {
+        let _s = crate::phase_span(Phase::H, "h.core");
+        let mut h_core = operators::kinetic(system);
+        let v_ext = operators::external_potential(system);
+        h_core.axpy(1.0, &operators::potential_matrix(system, &v_ext))?;
+        for (d, &xi) in opts.field.iter().flatten().enumerate() {
             if xi != 0.0 {
-                let dip = operators::dipole_matrix(system, d);
-                h_core.axpy(-xi, &dip)?;
+                h_core.axpy(-xi, &operators::dipole_matrix(system, d))?;
             }
         }
-    }
+        (operators::overlap(system), h_core)
+    };
+    let eigen = || crate::phase_span(Phase::Eigen, "eigen.init");
+    // S is fixed for the job: factor it once for every eigensolve.
+    let s_chol = {
+        let _s = eigen();
+        Cholesky::new(&s_mat)?
+    };
+    let ground = Ground {
+        system,
+        opts,
+        s_mat,
+        s_chol,
+        h_core,
+    };
+    let state = match resume {
+        Some(state) => state,
+        // The initial guess: the density matrix of the core Hamiltonian.
+        None => {
+            let dec = {
+                let _s = eigen();
+                generalized_symmetric_eigen_with(&ground.s_chol, &ground.h_core)?
+            };
+            let _s = crate::phase_span(Phase::Dm, "dm");
+            let occ = ground.occupy(&dec.eigenvalues);
+            let p_mat = operators::density_matrix_occ(&dec.eigenvectors, &occ);
+            let (diis_in, diis_res) = (Vec::new(), Vec::new());
+            ScfState {
+                iteration: 0,
+                energy: 0.0,
+                p_mat,
+                diis_in,
+                diis_res,
+            }
+        }
+    };
+    let all: Vec<usize> = (0..system.batches.len()).collect();
+    // On one rank every scheme hands the moments back unchanged.
+    let (solo, packed) = (Comm::solo(), CollectiveScheme::Packed);
+    cycle::run(system, ground, &solo, &all, packed, state, &mut |st| {
+        Ok(on_iter(st))
+    })?
+}
 
-    // Initial guess: core Hamiltonian.
-    let n_occ = system.n_occupied();
-    let n_elec = n_elec as f64;
-    let occupy = |eigs: &[f64]| -> Vec<f64> {
-        match opts.smearing {
-            Some(kt) => operators::fermi_occupations(eigs, n_elec, kt),
+/// The SCF as a cycle of the one loop: the fixed one-electron matrices its
+/// step reads.
+struct Ground<'a> {
+    system: &'a System,
+    opts: &'a ScfOptions,
+    s_mat: DMatrix,
+    s_chol: Cholesky,
+    /// `T + V_ext`, and the field's `−Σ ξ_d D_d`.
+    h_core: DMatrix,
+}
+
+impl Ground<'_> {
+    /// Fermi–Dirac occupations under smearing, else 2 in each of the
+    /// lowest `n_occupied` orbitals.
+    fn occupy(&self, eigs: &[f64]) -> Vec<f64> {
+        match self.opts.smearing {
+            Some(kt) => operators::fermi_occupations(eigs, self.system.n_electrons() as f64, kt),
             None => {
                 let mut f = vec![0.0; eigs.len()];
-                for fi in f.iter_mut().take(n_occ) {
+                for fi in f.iter_mut().take(self.system.n_occupied()) {
                     *fi = 2.0;
                 }
                 f
             }
         }
-    };
-    let mixer_kind = match opts.pulay {
-        Some(depth) => DfptMixer::Pulay { depth },
-        None => DfptMixer::Linear,
-    };
-    let (start_iter, mut p_mat, mut mixer) = match resume {
-        Some(st) => (
-            st.iteration,
-            st.p_mat,
-            MixState::with_history(mixer_kind, opts.mixing, st.diis_in, st.diis_res),
-        ),
-        None => {
-            let dec0 = generalized_symmetric_eigen_with(&s_chol, &h_core)?;
-            let occ0 = occupy(&dec0.eigenvalues);
-            let p0 = operators::density_matrix_occ(&dec0.eigenvectors, &occ0);
-            (0, p0, MixState::new(mixer_kind, opts.mixing))
-        }
-    };
+    }
+}
 
-    let mut last: (qp_linalg::EigenDecomposition, f64, Vec<f64>);
-    let mut residual = f64::INFINITY;
-    for iter in (start_iter + 1)..=opts.max_iter {
-        let mut iter_span =
-            qp_trace::SpanGuard::begin(qp_trace::thread_rank(), qp_trace::Phase::Scf, "scf.iter");
-        if iter_span.is_recording() {
-            iter_span.arg("iter", iter);
-        }
-        let density = system.density_on_grid(&p_mat);
-        // Hartree potential of the electron density.
-        let v_h = system.hartree_potential(&system.multipole_moments(&density), None);
-        let v_xc: Vec<f64> = density.iter().map(|&n| xc::v_xc(n.max(0.0))).collect();
-        let v_eff: Vec<f64> = v_h.iter().zip(v_xc.iter()).map(|(a, b)| a + b).collect();
-        let v_eff_mat = operators::potential_matrix(system, &v_eff);
+impl Cycle for Ground<'_> {
+    type State = ScfState;
+    /// The eigendecomposition, its occupations and the energy.
+    type Step = (EigenDecomposition, Vec<f64>, f64);
+    type Output = (ScfResult, ScfState);
 
-        let mut h = h_core.clone();
-        h.axpy(1.0, &v_eff_mat)?;
-        let dec = generalized_symmetric_eigen_with(&s_chol, &h)?;
-        let occ = occupy(&dec.eigenvalues);
-        let p_new = operators::density_matrix_occ(&dec.eigenvectors, &occ);
-
-        residual = p_new.max_abs_diff(&p_mat);
-        residual_gauge.set(residual);
-        if iter_span.is_recording() {
-            iter_span.arg("residual", residual);
-        }
-
-        // Kohn-Sham total energy: Σ f_i ε_i − ½∫n v_H − ∫n v_xc + ∫n ε_xc
-        // + E_nuc-nuc.
-        let band: f64 = dec
-            .eigenvalues
-            .iter()
-            .zip(occ.iter())
-            .map(|(e, f)| f * e)
-            .sum();
-        let e_h: f64 = system
-            .grid
-            .points
-            .iter()
-            .zip(density.iter().zip(v_h.iter()))
-            .map(|(p, (&n, &vh))| p.weight * n * vh)
-            .sum();
-        let e_vxc: f64 = system
-            .grid
-            .points
-            .iter()
-            .zip(density.iter().zip(v_xc.iter()))
-            .map(|(p, (&n, &vx))| p.weight * n * vx)
-            .sum();
-        let e_xc: f64 = system
-            .grid
-            .points
-            .iter()
-            .zip(density.iter())
-            .map(|(p, &n)| p.weight * n * xc::epsilon_xc(n.max(0.0)))
-            .sum();
-        let energy = band - 0.5 * e_h - e_vxc + e_xc + system.structure.nuclear_repulsion();
-
-        last = (dec, energy, density);
-
-        if residual < opts.tol {
-            energy_gauge.set(energy);
-            // Final density consistent with the converged orbitals.
-            let density = system.density_on_grid(&p_new);
-            return Ok(Some(ScfResult {
-                energy,
-                eigenvalues: last.0.eigenvalues,
-                orbitals: last.0.eigenvectors,
-                density_matrix: p_new,
-                occupations: occ,
-                density,
-                overlap: s_mat,
-                iterations: iter,
-            }));
-        }
-
-        p_mat = mixer.step(&p_mat, &p_new);
-        let (diis_in, diis_res) = mixer.history();
-        let state = ScfState {
-            iteration: iter,
-            energy,
-            p_mat: p_mat.clone(),
-            diis_in: diis_in.to_vec(),
-            diis_res: diis_res.to_vec(),
-        };
-        if !on_iter(state) {
-            return Ok(None);
+    fn spec(&self) -> Spec {
+        let o = self.opts;
+        Spec {
+            what: "ground-state SCF",
+            phase: Phase::Scf,
+            iter: "scf.iter",
+            gauge: qp_trace::global_metrics().gauge("scf.residual", &[]),
+            before_mixing: true,
+            max_iter: o.max_iter,
+            tol: o.tol,
+            mixer: o
+                .pulay
+                .map_or(DfptMixer::Linear, |depth| DfptMixer::Pulay { depth }),
+            mixing: o.mixing,
         }
     }
-    Err(CoreError::NoConvergence {
-        what: "ground-state SCF",
-        iterations: opts.max_iter,
-        residual,
-    })
+
+    fn parts(st: &mut ScfState) -> Parts<'_> {
+        (
+            &mut st.iteration,
+            &mut st.p_mat,
+            &mut st.diis_in,
+            &mut st.diis_res,
+        )
+    }
+
+    fn xc(&self, _: usize, n: f64) -> f64 {
+        xc::v_xc(n.max(0.0))
+    }
+
+    /// `H = h_core + V`, the eigensolve with the once-factored `S`, the
+    /// occupations and `P_out` (Eqs. 3–6), and the Kohn–Sham energy
+    /// `Σ f_i ε_i − ½∫n v_H − ∫n v_xc + ∫n ε_xc + E_nuc-nuc`.
+    fn step(
+        &self,
+        v: DMatrix,
+        (n, v_h, v_xc): (&[f64], &[f64], &[f64]),
+    ) -> Result<(DMatrix, Self::Step)> {
+        let dec = {
+            let _s = crate::phase_span(Phase::Eigen, "eigen");
+            let mut h = self.h_core.clone();
+            h.axpy(1.0, &v)?;
+            generalized_symmetric_eigen_with(&self.s_chol, &h)?
+        };
+        let (occ, p_out) = {
+            let _s = crate::phase_span(Phase::Dm, "dm");
+            let occ = self.occupy(&dec.eigenvalues);
+            let p_out = operators::density_matrix_occ(&dec.eigenvectors, &occ);
+            (occ, p_out)
+        };
+        let band: f64 = dec.eigenvalues.iter().zip(&occ).map(|(e, f)| f * e).sum();
+        let points = &self.system.grid.points;
+        let integral = |g: &dyn Fn(usize, f64) -> f64| -> f64 {
+            let terms = points.iter().zip(n).enumerate();
+            terms.map(|(i, (p, &n))| p.weight * n * g(i, n)).sum()
+        };
+        let e_h = integral(&|i, _| v_h[i]);
+        let e_vxc = integral(&|i, _| v_xc[i]);
+        let e_xc = integral(&|_, n| xc::epsilon_xc(n.max(0.0)));
+        let energy = band - 0.5 * e_h - e_vxc + e_xc + self.system.structure.nuclear_repulsion();
+        Ok((p_out, (dec, occ, energy)))
+    }
+
+    fn record(state: &mut ScfState, step: &Self::Step, _: f64) {
+        state.energy = step.2;
+    }
+
+    /// The ground state, with the final density of the converged orbitals,
+    /// and the untouched seed.
+    fn finish(
+        self,
+        seed: ScfState,
+        p_out: DMatrix,
+        step: Self::Step,
+        iterations: usize,
+    ) -> Self::Output {
+        let (dec, occupations, energy) = step;
+        qp_trace::global_metrics()
+            .gauge("scf.energy", &[])
+            .set(energy);
+        let density = {
+            let _s = crate::phase_span(Phase::Sumup, "sumup");
+            self.system.density_on_grid(&p_out)
+        };
+        let ground = ScfResult {
+            energy,
+            eigenvalues: dec.eigenvalues,
+            orbitals: dec.eigenvectors,
+            density_matrix: p_out,
+            occupations,
+            density,
+            overlap: self.s_mat,
+            iterations,
+        };
+        (ground, seed)
+    }
 }
 
 #[cfg(test)]

@@ -1218,7 +1218,6 @@ mod tests {
         // angular structure and a solution whose every channel weighs alike,
         // at every order the evaluator is built for; both the spline and
         // the tail branch run.
-        let _quiet = crate::spline::construction_window();
         let centers = [[0.1, -0.2, 0.05], [1.7, 0.4, -0.3], [-0.9, 1.3, 0.8]];
         let s3 = Structure::new(vec![
             Atom::new(Element::O, centers[0]),

@@ -4,27 +4,9 @@
 //! expansion of the response density (`rho_multipole_spl`) and the partitioned
 //! Hartree potential (`delta_v_hart_part_spl`) are both stored as cubic-spline
 //! coefficient tables (§4.2), and "number of cubic splines performed" is the
-//! metric of Fig. 9(c).  A spline *construction* is the expensive step that the
-//! locality-enhancing mapping lets neighbouring atoms share (Fig. 4).
-
-use std::sync::atomic::{AtomicU64, Ordering};
-
-/// Global count of cubic-spline constructions — the quantity of Fig. 9(c).
-static SPLINE_CONSTRUCTIONS: AtomicU64 = AtomicU64::new(0);
-
-/// Read the global spline-construction counter.
-pub fn spline_constructions() -> u64 {
-    SPLINE_CONSTRUCTIONS.load(Ordering::Relaxed)
-}
-
-/// Held by `construction_counter_increments` and by tests that build many
-/// splines, so the counter test reads the process-wide count in a window
-/// in which no other test constructs one.
-#[cfg(test)]
-pub(crate) fn construction_window() -> std::sync::MutexGuard<'static, ()> {
-    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-    LOCK.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
-}
+//! metric of Fig. 9(c), which the footprint model counts.  A spline
+//! *construction* is the expensive step that the locality-enhancing mapping
+//! lets neighbouring atoms share (Fig. 4).
 
 /// A natural cubic spline through `(x_i, y_i)` with strictly increasing `x`.
 #[derive(Debug, Clone)]
@@ -44,8 +26,6 @@ impl CubicSpline {
         for w in x.windows(2) {
             assert!(w[1] > w[0], "x must be strictly increasing");
         }
-        SPLINE_CONSTRUCTIONS.fetch_add(1, Ordering::Relaxed);
-
         let n = x.len();
         let mut y2 = vec![0.0; n];
         let mut u = vec![0.0; n];
@@ -248,15 +228,6 @@ mod tests {
                 "prepared eval must match direct eval at t = {t}"
             );
         }
-    }
-
-    #[test]
-    fn construction_counter_increments() {
-        let _quiet = construction_window();
-        let before = spline_constructions();
-        let _ = CubicSpline::natural(vec![0.0, 1.0], vec![0.0, 1.0]);
-        let _ = CubicSpline::natural(vec![0.0, 1.0], vec![1.0, 0.0]);
-        assert_eq!(spline_constructions() - before, 2);
     }
 
     #[test]

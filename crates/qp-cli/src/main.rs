@@ -265,6 +265,9 @@ fn finish_observability() {
 /// A failed job's error, with the hint that fits it.
 fn job_failure(e: JobError) -> String {
     let hint = match (e.dir, &e.error) {
+        (_, CoreError::Comm(_)) => {
+            "hint: the supervisor restarts a failed rank at most --max-restarts times"
+        }
         (None, _) => "hint: try --smearing 0.02 and/or a smaller --scf-mixing",
         (Some(_), CoreError::NoConvergence { .. } | CoreError::NonFinite { .. }) => {
             "hint: near-metallic systems need a smaller --dfpt-mixing"

@@ -399,16 +399,16 @@ pub struct JobCheckpoint {
 impl JobCheckpoint {
     /// Serialize to the framed `QPCK` byte representation.
     pub fn to_bytes(&self) -> Vec<u8> {
-        self.encode(self.cur_dir.as_ref())
+        self.encode(self.scf.as_ref(), self.cur_dir.as_ref())
     }
 
-    /// The framed bytes of this state with `cur_dir` as its in-flight
-    /// direction.
-    fn encode(&self, cur_dir: Option<&JobDirCheckpoint>) -> Vec<u8> {
+    /// The framed bytes of this state with `scf` as its SCF seed and
+    /// `cur_dir` as its in-flight direction.
+    fn encode(&self, scf: Option<&ScfCheckpoint>, cur_dir: Option<&JobDirCheckpoint>) -> Vec<u8> {
         let mut e = Encoder::default();
         e.put_u64(self.key[0]);
         e.put_u64(self.key[1]);
-        match &self.scf {
+        match scf {
             Some(scf) => {
                 e.put_u64(1);
                 scf.encode_payload(&mut e);
@@ -470,14 +470,19 @@ impl JobCheckpoint {
 
     /// Atomically write to `path` (temp file + rename).
     pub fn save(&self, path: &Path) -> Result<()> {
-        self.save_with(path, self.cur_dir.as_ref())
+        self.save_with(path, self.scf.as_ref(), self.cur_dir.as_ref())
     }
 
-    /// [`save`](Self::save) this state with `cur_dir` as its in-flight
-    /// direction: a job mid-direction writes its record without copying
-    /// the direction's loop state in.
-    pub fn save_with(&self, path: &Path, cur_dir: Option<&JobDirCheckpoint>) -> Result<()> {
-        atomic_write(path, &self.encode(cur_dir))
+    /// [`save`](Self::save) this state with `scf` as its SCF seed and
+    /// `cur_dir` as its in-flight direction: a job mid-cycle writes its
+    /// record from the loop state it borrows, without copying it in.
+    pub fn save_with(
+        &self,
+        path: &Path,
+        scf: Option<&ScfCheckpoint>,
+        cur_dir: Option<&JobDirCheckpoint>,
+    ) -> Result<()> {
+        atomic_write(path, &self.encode(scf, cur_dir))
     }
 
     /// Load and verify from `path`.

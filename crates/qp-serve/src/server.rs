@@ -177,18 +177,20 @@ impl Shared {
             .map(|d| d.join(format!("job_{id}.qpck")))
     }
 
-    fn persist_meta(&self, job: &Job) {
+    /// Write `job`'s meta file with `state`. A job that ends writes it
+    /// before it publishes the state, so a client that sees the job settled
+    /// finds its meta on disk.
+    fn persist_meta(&self, job: &Job, state: &JobState) {
         let Some(path) = self.meta_path(job.id) else {
             return;
         };
-        let state = job.state();
         let mut pairs = vec![
             ("id", Json::Num(job.id as f64)),
             ("tenant", Json::Str(job.tenant.clone())),
             ("state", Json::Str(state.name().to_string())),
             ("request", job.request_json.clone()),
         ];
-        match &state {
+        match state {
             JobState::Done(r) => pairs.push(("result", r.to_json())),
             JobState::Failed(e) => pairs.push(("error", Json::Str(e.clone()))),
             // Running is a transient of this process; a restart re-admits
@@ -514,7 +516,7 @@ fn admit(shared: &Arc<Shared>, req_json: &Json) -> Result<(Arc<Job>, bool), Serv
         ckpt: Mutex::new(None),
     });
     shared.jobs.lock().unwrap().insert(id, job.clone());
-    shared.persist_meta(&job);
+    shared.persist_meta(&job, &job.state());
     if !hit {
         shared.sched.enqueue(id, &job.tenant);
     }
@@ -766,8 +768,9 @@ fn worker_loop(shared: &Arc<Shared>) {
         match outcome {
             Ok(EngineOutcome::Done(result)) => {
                 shared.cache.put(job.key, &job.canonical, result.clone());
-                job.set_state(JobState::Done(result));
-                shared.persist_meta(&job);
+                let done = JobState::Done(result);
+                shared.persist_meta(&job, &done);
+                job.set_state(done);
                 shared.sched.release(job.id, &job.tenant, elapsed);
             }
             Ok(EngineOutcome::Preempted(ckpt)) => {
@@ -780,8 +783,9 @@ fn worker_loop(shared: &Arc<Shared>) {
                 }
             }
             Err(e) => {
-                job.set_state(JobState::Failed(e.to_string()));
-                shared.persist_meta(&job);
+                let failed = JobState::Failed(e.to_string());
+                shared.persist_meta(&job, &failed);
+                job.set_state(failed);
                 shared.sched.release(job.id, &job.tenant, elapsed);
             }
         }

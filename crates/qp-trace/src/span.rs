@@ -24,10 +24,18 @@ pub enum Phase {
     /// The (response) electrostatic potential: multipole moments, radial
     /// Poisson solve and the potential on the grid (Eq. 9).
     Rho,
-    /// Response-Hamiltonian integration.
+    /// (Response-)Hamiltonian integration: the potential matrix on the
+    /// grid and its sum across ranks.
     H,
+    /// The exchange-correlation term on the grid: `v_xc(n)` in the SCF,
+    /// `f_xc·n¹` in DFPT.
+    Xc,
+    /// The generalized eigensolve of the SCF (and the factor of `S`).
+    Eigen,
     /// Sternheimer solve inside a DFPT iteration.
     Sternheimer,
+    /// Linear or Pulay mixing of the next iterate.
+    Mixing,
     /// SCF driver iterations.
     Scf,
     /// DFPT driver iterations.
@@ -54,7 +62,10 @@ impl Phase {
             Phase::Sumup => "sumup",
             Phase::Rho => "rho",
             Phase::H => "h",
+            Phase::Xc => "xc",
+            Phase::Eigen => "eigen",
             Phase::Sternheimer => "sternheimer",
+            Phase::Mixing => "mixing",
             Phase::Scf => "scf",
             Phase::Dfpt => "dfpt",
             Phase::Comm => "comm",
@@ -74,7 +85,10 @@ impl Phase {
             Phase::Sumup => "thread_state_iowait",
             Phase::Rho => "thread_state_runnable",
             Phase::H => "thread_state_unknown",
+            Phase::Xc => "thread_state_sleeping",
+            Phase::Eigen => "rail_response",
             Phase::Sternheimer => "light_memory_dump",
+            Phase::Mixing => "rail_animation",
             Phase::Scf => "background_memory_dump",
             Phase::Dfpt => "detailed_memory_dump",
             Phase::Comm => "generic_work",

@@ -266,6 +266,18 @@ expect_exit 1 --builtin helix:0
 expect_exit 2 --builtin water --smearing 0
 expect_exit 2 --builtin water --dfpt-mixing 0
 expect_exit 2 --builtin water --ranks 0
+# A rank that fails past the restart budget is reported as a rank failure,
+# with the hint that fits it, not as a convergence failure.
+got=0
+QP_LOG=error QP_FAULT="seed=5;crash:rank=2,iter=4" ./target/release/qperturb \
+    --builtin water --grid coarse --ranks 4 --max-restarts 0 \
+    > /dev/null 2> "$edge_dir/rank_failure.err" || got=$?
+[ "$got" = 1 ] || { echo "rank failure: exit $got, expected 1"; exit 1; }
+grep -q "rank failed" "$edge_dir/rank_failure.err" \
+  || { echo "rank failure not named: $(cat "$edge_dir/rank_failure.err")"; exit 1; }
+! grep -qi "mixing" "$edge_dir/rank_failure.err" \
+  || { echo "rank failure hint mentions mixing: $(cat "$edge_dir/rank_failure.err")"; exit 1; }
+echo "-- rank failure past --max-restarts 0: exit 1, named as a rank failure"
 # A record of another job is refused, naming the file, and never resumed.
 QP_LOG=error ./target/release/qperturb --builtin water --grid coarse \
     --checkpoint-dir "$edge_dir/ck" --no-dfpt > /dev/null
