@@ -25,6 +25,7 @@ use qp_core::resil::{parallel_dfpt_direction_resilient, ResilienceConfig};
 use qp_core::{scf, DfptOptions, ScfOptions, System};
 use qp_machine::hpc2;
 use qp_resil::FaultPlan;
+use qp_trace::json::{obj, Json};
 use std::sync::Arc;
 
 /// The planned crash fires right before iteration `CRASH_ITER` starts, so
@@ -119,28 +120,23 @@ fn main() {
             ],
             &widths,
         );
-        json.push(format!(
-            concat!(
-                "{{\"experiment\":\"ablation_recovery\",\"machine\":\"{}\",\"ranks\":{},",
-                "\"crash_iter\":{},\"interval\":{},\"restarts\":{},\"checkpoints\":{},",
-                "\"checkpoint_bytes\":{},\"replayed_iters\":{},\"sim_checkpoint_s\":{:.6},",
-                "\"sim_recovery_s\":{:.6},\"sim_overhead_s\":{:.6},\"iterations\":{},",
-                "\"p1_max_abs_dev\":{:.1e}}}"
-            ),
-            machine.name,
-            cfg.n_ranks,
-            CRASH_ITER,
-            interval,
-            s.restarts,
-            s.checkpoints_written,
-            s.checkpoint_bytes,
-            replayed,
-            s.sim_checkpoint_s,
-            s.sim_recovery_s,
-            s.sim_overhead_s(),
-            out.direction.iterations,
-            dev,
-        ));
+        let int = |v: usize| Json::Num(v as f64);
+        json.push(obj(vec![
+            ("experiment", Json::Str("ablation_recovery".to_string())),
+            ("machine", Json::Str(machine.name.to_string())),
+            ("ranks", int(cfg.n_ranks)),
+            ("crash_iter", int(CRASH_ITER)),
+            ("interval", int(interval)),
+            ("restarts", int(s.restarts)),
+            ("checkpoints", int(s.checkpoints_written)),
+            ("checkpoint_bytes", Json::Num(s.checkpoint_bytes as f64)),
+            ("replayed_iters", int(replayed)),
+            ("sim_checkpoint_s", Json::Num(s.sim_checkpoint_s)),
+            ("sim_recovery_s", Json::Num(s.sim_recovery_s)),
+            ("sim_overhead_s", Json::Num(s.sim_overhead_s())),
+            ("iterations", int(out.direction.iterations)),
+            ("p1_max_abs_dev", Json::Num(dev)),
+        ]));
     }
 
     println!("\nshort intervals buy short replays with steady write cost; 'none' writes");

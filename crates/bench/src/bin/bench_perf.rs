@@ -61,7 +61,6 @@
 //! Each phase gets a fitted log–log exponent; `e2e_full_s` is the
 //! per-cycle assembly sum *including* tree-mode Rho.
 
-use std::fmt::Write as _;
 use std::time::Instant;
 
 use qp_bench::workloads;
@@ -75,6 +74,7 @@ use qp_core::system::System;
 use qp_core::{profile_case, FarFieldMode, Job, ProfileReport, ScreeningMode};
 use qp_grid::farfield_tol;
 use qp_linalg::DMatrix;
+use qp_trace::json::{obj, Json};
 use qp_trace::span::{set_enabled, take_events, Phase};
 
 struct CaseSpec {
@@ -699,153 +699,77 @@ fn gemm_numbers(n: usize) -> GemmNumbers {
     }
 }
 
-fn json_f(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v:.6}")
-    } else {
-        "null".to_string()
-    }
-}
-
-fn emit_assembly_leg(s: &mut String, indent: &str, leg: &AssemblyLeg) {
-    let _ = writeln!(
-        s,
-        "{indent}\"build_s\": {}, \"sumup_s\": {}, \"h_s\": {}, \"e2e_s\": {}",
-        json_f(leg.build_s),
-        json_f(leg.sumup_s),
-        json_f(leg.h_s),
-        json_f(leg.e2e_s())
-    );
-}
-
-fn emit_weak_scaling(s: &mut String, ws: &WeakScaling) {
-    let _ = writeln!(s, "  \"weak_scaling\": {{");
-    let _ = writeln!(
-        s,
-        "    \"workload\": \"H(C2H4)_nH, coarse grid (n_radial=8, angular=6), light basis, screening on, farfield tree\","
-    );
-    let sizes: Vec<String> = ws.sizes.iter().map(|n| n.to_string()).collect();
-    let _ = writeln!(s, "    \"monomers\": [{}],", sizes.join(", "));
-    let _ = writeln!(
-        s,
-        "    \"e2e_definition\": \"e2e_s = build + sumup + h per cycle; e2e_full_s additionally includes the tree-mode rho (hierarchical multipole far field); rho_direct_s is the O(n^2) direct-path oracle at small n\","
-    );
-    let _ = writeln!(s, "    \"rows\": [");
-    for (i, r) in ws.rows.iter().enumerate() {
-        let _ = writeln!(s, "      {{");
-        let _ = writeln!(
-            s,
-            "        \"monomers\": {}, \"atoms\": {}, \"basis\": {}, \"grid_points\": {},",
-            r.monomers, r.atoms, r.basis, r.points
-        );
-        let _ = writeln!(s, "        \"pair_fill\": {},", json_f(r.pair_fill));
-        let _ = writeln!(s, "        \"screened\": {{");
-        emit_assembly_leg(s, "          ", &r.screened);
-        let _ = writeln!(s, "        }},");
-        let _ = writeln!(s, "        \"rho_tree_s\": {},", json_f(r.rho_tree_s));
-        let _ = writeln!(
-            s,
-            "        \"rho_direct_s\": {},",
-            r.rho_direct_s.map(json_f).unwrap_or_else(|| "null".into())
-        );
-        let _ = writeln!(
-            s,
-            "        \"farfield_dev\": {},",
-            // Deviations live at ~1e-9: scientific notation, not the
-            // fixed 6-decimal seconds format that would floor them to 0.
-            r.farfield_dev
-                .map(|d| {
-                    if d.is_finite() {
-                        format!("{d:e}")
-                    } else {
-                        "null".into()
-                    }
-                })
-                .unwrap_or_else(|| "null".into())
-        );
-        let _ = writeln!(s, "        \"e2e_full_s\": {}", json_f(r.e2e_full_s()));
-        let _ = writeln!(
-            s,
-            "      }}{}",
-            if i + 1 < ws.rows.len() { "," } else { "" }
-        );
-    }
-    let _ = writeln!(s, "    ],");
-    let _ = writeln!(s, "    \"fitted_exponents\": {{");
-    for (i, (name, e)) in ws.exponents.iter().enumerate() {
-        let _ = writeln!(
-            s,
-            "      \"{name}\": {}{}",
-            json_f(*e),
-            if i + 1 < ws.exponents.len() { "," } else { "" }
-        );
-    }
-    let _ = writeln!(s, "    }}");
-    let _ = writeln!(s, "  }},");
-}
-
-fn emit_json(
-    path: &str,
+/// The `qp-bench-perf/v6` document; each `cases[]` entry is that case's
+/// `qp-profile/v1` report.
+fn bench_json(
     quick: bool,
     threads: usize,
     gemm: &GemmNumbers,
     cases: &[ProfileReport],
     ws: &WeakScaling,
-) {
-    let mut s = String::new();
-    let _ = writeln!(s, "{{");
-    let _ = writeln!(s, "  \"schema\": \"qp-bench-perf/v6\",");
-    let _ = writeln!(s, "  \"quick\": {quick},");
-    let _ = writeln!(s, "  \"pool_threads\": {threads},");
-    emit_weak_scaling(&mut s, ws);
-    let _ = writeln!(s, "  \"gemm\": {{");
-    let _ = writeln!(s, "    \"n\": {},", gemm.n);
-    let _ = writeln!(
-        s,
-        "    \"microkernel\": \"{}\",",
-        qp_linalg::gemm::active_microkernel()
-    );
-    let _ = writeln!(
-        s,
-        "    \"unblocked_gflops\": {},",
-        json_f(gemm.unblocked_gflops)
-    );
-    let _ = writeln!(
-        s,
-        "    \"blocked_gflops\": {},",
-        json_f(gemm.blocked_gflops)
-    );
-    let _ = writeln!(
-        s,
-        "    \"parallel_gflops\": {},",
-        json_f(gemm.parallel_gflops)
-    );
-    let _ = writeln!(
-        s,
-        "    \"blocked_vs_unblocked\": {},",
-        json_f(gemm.blocked_gflops / gemm.unblocked_gflops)
-    );
-    let _ = writeln!(
-        s,
-        "    \"parallel_vs_unblocked\": {}",
-        json_f(gemm.parallel_gflops / gemm.unblocked_gflops)
-    );
-    let _ = writeln!(s, "  }},");
-    // Each case is its profile document, indented into the array.
-    let _ = writeln!(s, "  \"cases\": [");
-    for (i, c) in cases.iter().enumerate() {
-        let doc = c.to_json();
-        let lines: Vec<&str> = doc.lines().collect();
-        for (k, line) in lines.iter().enumerate() {
-            let last = k + 1 == lines.len() && i + 1 < cases.len();
-            let _ = writeln!(s, "    {line}{}", if last { "," } else { "" });
-        }
-    }
-    let _ = writeln!(s, "  ]");
-    let _ = writeln!(s, "}}");
-    std::fs::write(path, &s).expect("write BENCH_perf.json");
-    println!("wrote {path}");
+) -> Json {
+    let num = Json::Num;
+    let int = |v: usize| num(v as f64);
+    let text = |s: &str| Json::Str(s.to_string());
+    let leg = |l: &AssemblyLeg| {
+        obj(vec![
+            ("build_s", num(l.build_s)),
+            ("sumup_s", num(l.sumup_s)),
+            ("h_s", num(l.h_s)),
+            ("e2e_s", num(l.e2e_s())),
+        ])
+    };
+    let row = |r: &SweepRow| {
+        obj(vec![
+            ("monomers", int(r.monomers)),
+            ("atoms", int(r.atoms)),
+            ("basis", int(r.basis)),
+            ("grid_points", int(r.points)),
+            ("pair_fill", num(r.pair_fill)),
+            ("screened", leg(&r.screened)),
+            ("rho_tree_s", num(r.rho_tree_s)),
+            ("rho_direct_s", r.rho_direct_s.map_or(Json::Null, num)),
+            ("farfield_dev", r.farfield_dev.map_or(Json::Null, num)),
+            ("e2e_full_s", num(r.e2e_full_s())),
+        ])
+    };
+    let monomers = ws.sizes.iter().map(|&n| int(n)).collect();
+    let exponents = ws.exponents.iter().map(|&(name, e)| (name, num(e)));
+    let weak_scaling = obj(vec![
+        ("workload", text(SWEEP_WORKLOAD)),
+        ("monomers", Json::Arr(monomers)),
+        ("e2e_definition", text(SWEEP_E2E)),
+        ("rows", Json::Arr(ws.rows.iter().map(row).collect())),
+        ("fitted_exponents", obj(exponents.collect())),
+    ]);
+    let speedup = |gflops: f64| num(gflops / gemm.unblocked_gflops);
+    let gemm_doc = obj(vec![
+        ("n", int(gemm.n)),
+        ("microkernel", text(qp_linalg::gemm::active_microkernel())),
+        ("unblocked_gflops", num(gemm.unblocked_gflops)),
+        ("blocked_gflops", num(gemm.blocked_gflops)),
+        ("parallel_gflops", num(gemm.parallel_gflops)),
+        ("blocked_vs_unblocked", speedup(gemm.blocked_gflops)),
+        ("parallel_vs_unblocked", speedup(gemm.parallel_gflops)),
+    ]);
+    let cases = cases.iter().map(ProfileReport::to_json).collect();
+    obj(vec![
+        ("schema", text("qp-bench-perf/v6")),
+        ("quick", Json::Bool(quick)),
+        ("pool_threads", int(threads)),
+        ("weak_scaling", weak_scaling),
+        ("gemm", gemm_doc),
+        ("cases", Json::Arr(cases)),
+    ])
 }
+
+/// The sweep's workload and what its `e2e` columns sum, as recorded in the
+/// JSON.
+const SWEEP_WORKLOAD: &str = "H(C2H4)_nH, coarse grid (n_radial=8, angular=6), light basis, \
+                              screening on, farfield tree";
+const SWEEP_E2E: &str = "e2e_s = build + sumup + h per cycle; e2e_full_s additionally includes \
+                         the tree-mode rho (hierarchical multipole far field); rho_direct_s is \
+                         the O(n^2) direct-path oracle at small n";
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -899,5 +823,7 @@ fn main() {
         run_efficiency_guard(&reports);
         run_ledger_guard(&reports);
     }
-    emit_json(&out, quick, threads, &gemm, &reports, &ws);
+    let doc = bench_json(quick, threads, &gemm, &reports, &ws);
+    std::fs::write(&out, format!("{doc:#}\n")).expect("write BENCH_perf.json");
+    println!("wrote {out}");
 }

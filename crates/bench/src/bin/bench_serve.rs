@@ -23,7 +23,7 @@
 //!
 //! Usage: `bench_serve [--quick] [--out BENCH_serve.json]`
 
-use qp_serve::json::{parse, Json};
+use qp_serve::json::{obj, parse, Json};
 use qp_serve::{Client, ServerConfig};
 use std::time::{Duration, Instant};
 
@@ -124,14 +124,6 @@ fn percentile(sorted: &[f64], p: f64) -> f64 {
     }
     let idx = ((sorted.len() as f64 - 1.0) * p).round() as usize;
     sorted[idx.min(sorted.len() - 1)]
-}
-
-fn json_f(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "null".to_string()
-    }
 }
 
 fn main() {
@@ -295,15 +287,12 @@ fn main() {
     let hits = get_num(&["cache", "hits"]);
     let misses = get_num(&["cache", "misses"]);
     let hit_rate = hits / (hits + misses).max(1.0);
-    let tenants: Vec<String> = {
-        let mut t: Vec<&str> = tpl.iter().map(|t| t.tenant).collect();
-        t.sort();
-        t.dedup();
-        t.iter().map(|s| s.to_string()).collect()
-    };
-    let usage_lines: Vec<String> = tenants
+    let mut tenants: Vec<&str> = tpl.iter().map(|t| t.tenant).collect();
+    tenants.sort();
+    tenants.dedup();
+    let usage = tenants
         .iter()
-        .map(|t| format!("    \"{t}\": {}", json_f(get_num(&["usage", t.as_str()]))))
+        .map(|&t| (t.to_string(), Json::Num(get_num(&["usage", t]))))
         .collect();
     println!(
         "mixed: {n_requests} requests in {wall_s:.2}s = {req_per_s:.1} req/s, p50 {p50:.3}s, p99 {p99:.3}s, cache hit rate {:.1}%",
@@ -313,52 +302,44 @@ fn main() {
     client.shutdown().expect("shutdown");
     handle.join();
 
-    let mut s = String::new();
-    use std::fmt::Write as _;
-    let _ = writeln!(s, "{{");
-    let _ = writeln!(s, "  \"bench\": \"serve\",");
-    let _ = writeln!(
-        s,
-        "  \"mode\": \"{}\",",
-        if quick { "quick" } else { "full" }
-    );
-    let _ = writeln!(s, "  \"anchor\": {{");
-    let _ = writeln!(s, "    \"molecule\": \"{anchor}\",");
-    let _ = writeln!(s, "    \"cold_s\": {},", json_f(cold_s));
-    let _ = writeln!(s, "    \"cache_hit_s\": {},", json_f(warm_s));
-    let _ = writeln!(s, "    \"speedup\": {},", json_f(speedup));
-    let _ = writeln!(s, "    \"min_speedup\": {},", json_f(min_speedup));
-    let _ = writeln!(s, "    \"bit_identical\": true");
-    let _ = writeln!(s, "  }},");
-    let _ = writeln!(s, "  \"large_jobs\": [");
-    for (i, j) in large_jobs.iter().enumerate() {
-        let _ = writeln!(
-            s,
-            "    {{ \"molecule\": \"{}\", \"cold_s\": {}, \"cache_hit_s\": {}, \"speedup\": {} }}{}",
-            j.molecule,
-            json_f(j.cold_s),
-            json_f(j.hit_s),
-            json_f(j.cold_s / j.hit_s.max(1e-9)),
-            if i + 1 < large_jobs.len() { "," } else { "" }
-        );
-    }
-    let _ = writeln!(s, "  ],");
-    let _ = writeln!(s, "  \"mixed\": {{");
-    let _ = writeln!(s, "    \"requests\": {n_requests},");
-    let _ = writeln!(s, "    \"connections\": {CLIENTS},");
-    let _ = writeln!(s, "    \"wall_s\": {},", json_f(wall_s));
-    let _ = writeln!(s, "    \"req_per_s\": {},", json_f(req_per_s));
-    let _ = writeln!(s, "    \"latency_p50_s\": {},", json_f(p50));
-    let _ = writeln!(s, "    \"latency_p99_s\": {},", json_f(p99));
-    let _ = writeln!(s, "    \"cache_hits\": {},", hits as u64);
-    let _ = writeln!(s, "    \"cache_misses\": {},", misses as u64);
-    let _ = writeln!(s, "    \"cache_hit_rate\": {}", json_f(hit_rate));
-    let _ = writeln!(s, "  }},");
-    let _ = writeln!(s, "  \"usage_cpu_s\": {{");
-    let _ = writeln!(s, "{}", usage_lines.join(",\n"));
-    let _ = writeln!(s, "  }}");
-    let _ = writeln!(s, "}}");
-    std::fs::write(&out, &s).expect("write BENCH_serve.json");
+    let num = Json::Num;
+    let text = |s: &str| Json::Str(s.to_string());
+    let anchor = obj(vec![
+        ("molecule", text(anchor)),
+        ("cold_s", num(cold_s)),
+        ("cache_hit_s", num(warm_s)),
+        ("speedup", num(speedup)),
+        ("min_speedup", num(min_speedup)),
+        ("bit_identical", Json::Bool(true)),
+    ]);
+    let large_jobs = large_jobs.iter().map(|j| {
+        obj(vec![
+            ("molecule", text(&j.molecule)),
+            ("cold_s", num(j.cold_s)),
+            ("cache_hit_s", num(j.hit_s)),
+            ("speedup", num(j.cold_s / j.hit_s.max(1e-9))),
+        ])
+    });
+    let mixed = obj(vec![
+        ("requests", num(n_requests as f64)),
+        ("connections", num(CLIENTS as f64)),
+        ("wall_s", num(wall_s)),
+        ("req_per_s", num(req_per_s)),
+        ("latency_p50_s", num(p50)),
+        ("latency_p99_s", num(p99)),
+        ("cache_hits", num(hits)),
+        ("cache_misses", num(misses)),
+        ("cache_hit_rate", num(hit_rate)),
+    ]);
+    let doc = obj(vec![
+        ("bench", text("serve")),
+        ("mode", text(if quick { "quick" } else { "full" })),
+        ("anchor", anchor),
+        ("large_jobs", Json::Arr(large_jobs.collect())),
+        ("mixed", mixed),
+        ("usage_cpu_s", Json::Obj(usage)),
+    ]);
+    std::fs::write(&out, format!("{doc:#}\n")).expect("write BENCH_serve.json");
     println!("wrote {out}");
 
     if speedup < min_speedup {

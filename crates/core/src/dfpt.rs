@@ -313,13 +313,25 @@ pub struct DfptShared {
 }
 
 impl DfptShared {
-    /// Precompute the shared data from the converged ground state.
+    /// Precompute the shared data from the converged ground state, each
+    /// part under the phase span of the work it is: the dipole matrices are
+    /// potential-matrix assemblies (`h`), `f_xc` is the xc kernel (`xc`),
+    /// and `Cᵀ` serves the Sternheimer MO transform (`sternheimer`).
     pub fn new(system: &System, ground: &ScfResult) -> Self {
-        DfptShared {
-            dips: (0..3)
+        let dips = {
+            let _s = crate::phase_span(Phase::H, "h.dipole");
+            (0..3)
                 .map(|d| operators::dipole_matrix(system, d))
-                .collect(),
-            fxc: fxc_on_grid(ground),
+                .collect()
+        };
+        let fxc = {
+            let _s = crate::phase_span(Phase::Xc, "xc.kernel");
+            fxc_on_grid(ground)
+        };
+        let _s = crate::phase_span(Phase::Sternheimer, "sternheimer.c_t");
+        DfptShared {
+            dips,
+            fxc,
             c_t: ground.orbitals.transpose(),
         }
     }

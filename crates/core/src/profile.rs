@@ -29,6 +29,7 @@
 use crate::job::{Job, JobError};
 use crate::system::System;
 use qp_par::{RegionRecord, ThreadLease};
+use qp_trace::json::{self, obj, Json};
 use qp_trace::metrics::{MetricSample, MetricValue};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -249,118 +250,77 @@ impl ProfileReport {
         }
     }
 
-    /// The report as `qp-profile/v1` JSON.
-    pub fn to_json(&self) -> String {
-        fn f(v: f64) -> String {
-            if v.is_finite() {
-                format!("{v:.6}")
-            } else {
-                "null".to_string()
-            }
-        }
-        let a = &self.attribution;
-        let mut s = String::new();
-        let _ = writeln!(s, "{{");
-        let _ = writeln!(s, "  \"schema\": \"qp-profile/v1\",");
-        let _ = writeln!(s, "  \"case\": \"{}\",", self.case);
-        let _ = writeln!(s, "  \"threads\": {},", self.threads);
-        let _ = writeln!(
-            s,
-            "  \"atoms\": {}, \"basis\": {}, \"grid_points\": {},",
-            self.atoms, self.basis, self.grid_points
-        );
-        let _ = writeln!(
-            s,
-            "  \"serial_total_s\": {}, \"parallel_total_s\": {}, \"e2e_speedup\": {},",
-            f(self.serial_total_s),
-            f(self.parallel_total_s),
-            f(self.speedup())
-        );
-        let _ = writeln!(
-            s,
-            "  \"scf_s\": {}, \"scf_iterations\": {}, \"dfpt_s\": {},",
-            f(self.scf_s),
-            self.scf_iterations,
-            f(self.dfpt_s)
-        );
-        let dirs: Vec<String> = self.dirs.iter().map(usize::to_string).collect();
-        let alpha: Vec<String> = self.alpha_diag.iter().map(|&a| f(a)).collect();
-        let _ = writeln!(
-            s,
-            "  \"dirs\": [{}], \"alpha_diag\": [{}],",
-            dirs.join(", "),
-            alpha.join(", ")
-        );
+    /// The report as a `qp-profile/v1` document; `qperturb --profile`
+    /// writes it indented (`{:#}`), `bench_perf` nests it in its `cases`.
+    pub fn to_json(&self) -> Json {
+        let num = Json::Num;
+        let text = |s: &str| Json::Str(s.to_string());
+        let int = |v: usize| num(v as f64);
         let (hits, misses, evictions) = self.basis_cache;
-        let _ = writeln!(
-            s,
-            "  \"basis_cache\": {{ \"hits\": {hits}, \"misses\": {misses}, \
-             \"evictions\": {evictions}, \"hit_rate\": {} }},",
-            f(self.cache_hit_rate())
-        );
-        let _ = writeln!(s, "  \"attribution\": {{");
-        let _ = writeln!(s, "    \"serial_fraction\": {},", f(a.serial_fraction));
-        let _ = writeln!(
-            s,
-            "    \"scheduling_overhead_fraction\": {},",
-            f(a.scheduling_overhead_fraction)
-        );
-        let _ = writeln!(
-            s,
-            "    \"imbalance_fraction\": {},",
-            f(a.imbalance_fraction)
-        );
-        let _ = writeln!(
-            s,
-            "    \"useful_parallel_fraction\": {},",
-            f(a.useful_parallel_fraction)
-        );
-        let _ = writeln!(s, "    \"dominant_cause\": \"{}\",", a.dominant_cause);
-        let _ = writeln!(
-            s,
-            "    \"regions\": {}, \"inline_regions\": {}, \"nested_regions\": {},",
-            a.regions, a.inline_regions, a.nested_regions
-        );
-        let _ = writeln!(
-            s,
-            "    \"setup_s\": {}, \"queue_wait_s\": {},",
-            f(a.setup_s),
-            f(a.queue_wait_s)
-        );
-        let _ = writeln!(s, "    \"grain_histogram\": [");
-        for (i, b) in a.grain_histogram.iter().enumerate() {
-            let _ = writeln!(
-                s,
-                "      {{ \"grain_le\": {}, \"regions\": {} }}{}",
-                b.grain_le,
-                b.regions,
-                if i + 1 < a.grain_histogram.len() {
-                    ","
-                } else {
-                    ""
-                }
-            );
-        }
-        let _ = writeln!(s, "    ]");
-        let _ = writeln!(s, "  }},");
-        let _ = writeln!(s, "  \"phases\": [");
-        for (i, p) in self.phases.iter().enumerate() {
-            let _ = writeln!(
-                s,
-                "    {{ \"phase\": \"{}\", \"self_s\": {}, \"flops\": {}, \"bytes\": {}, \
-                 \"gflops\": {}, \"arithmetic_intensity\": {} }}{}",
-                p.phase,
-                f(p.self_s),
-                p.flops,
-                p.bytes,
-                f(p.gflops),
-                f(p.intensity),
-                if i + 1 < self.phases.len() { "," } else { "" }
-            );
-        }
-        let _ = writeln!(s, "  ]");
-        let _ = writeln!(s, "}}");
-        s
+        let a = &self.attribution;
+        let grains = a.grain_histogram.iter().map(|b| {
+            obj(vec![
+                ("grain_le", int(b.grain_le)),
+                ("regions", int(b.regions)),
+            ])
+        });
+        let phases = self.phases.iter().map(|p| {
+            obj(vec![
+                ("phase", text(&p.phase)),
+                ("self_s", num(p.self_s)),
+                ("flops", num(p.flops as f64)),
+                ("bytes", num(p.bytes as f64)),
+                ("gflops", num(p.gflops)),
+                ("arithmetic_intensity", num(p.intensity)),
+            ])
+        });
+        let basis_cache = obj(vec![
+            ("hits", num(hits as f64)),
+            ("misses", num(misses as f64)),
+            ("evictions", num(evictions as f64)),
+            ("hit_rate", num(self.cache_hit_rate())),
+        ]);
+        let attribution = obj(vec![
+            ("serial_fraction", num(a.serial_fraction)),
+            (
+                "scheduling_overhead_fraction",
+                num(a.scheduling_overhead_fraction),
+            ),
+            ("imbalance_fraction", num(a.imbalance_fraction)),
+            ("useful_parallel_fraction", num(a.useful_parallel_fraction)),
+            ("dominant_cause", text(a.dominant_cause)),
+            ("regions", int(a.regions)),
+            ("inline_regions", int(a.inline_regions)),
+            ("nested_regions", int(a.nested_regions)),
+            ("setup_s", num(a.setup_s)),
+            ("queue_wait_s", num(a.queue_wait_s)),
+            ("grain_histogram", Json::Arr(grains.collect())),
+        ]);
+        obj(vec![
+            ("schema", text("qp-profile/v1")),
+            ("case", text(&self.case)),
+            ("threads", int(self.threads)),
+            ("atoms", int(self.atoms)),
+            ("basis", int(self.basis)),
+            ("grid_points", int(self.grid_points)),
+            ("serial_total_s", num(self.serial_total_s)),
+            ("parallel_total_s", num(self.parallel_total_s)),
+            ("e2e_speedup", num(self.speedup())),
+            ("scf_s", num(self.scf_s)),
+            ("scf_iterations", int(self.scf_iterations)),
+            ("dfpt_s", num(self.dfpt_s)),
+            (
+                "dirs",
+                Json::Arr(self.dirs.iter().map(|&d| int(d)).collect()),
+            ),
+            (
+                "alpha_diag",
+                Json::Arr(self.alpha_diag.iter().map(|&v| num(v)).collect()),
+            ),
+            ("basis_cache", basis_cache),
+            ("attribution", attribution),
+            ("phases", Json::Arr(phases.collect())),
+        ])
     }
 
     /// Human-readable decomposition, one screen.
@@ -592,27 +552,14 @@ pub fn profile_case(
     })
 }
 
-/// Validate a `qp-profile/v1` JSON document: well-formed JSON, all four
-/// fractions present, each in `[0, 1]`, summing to 1 within ±0.02.
+/// Validate a `qp-profile/v1` JSON document: well-formed JSON with the
+/// schema marker, and all four attribution fractions present, each in
+/// `[0, 1]`, summing to 1 within ±0.02.
 pub fn validate_profile_json(body: &str) -> std::result::Result<(), String> {
-    qp_trace::validate_json(body).map_err(|e| format!("malformed JSON: {e}"))?;
-    if !body.contains("\"schema\": \"qp-profile/v1\"") {
+    let doc = json::parse(body).map_err(|e| format!("malformed JSON: {e}"))?;
+    if doc.get("schema").and_then(Json::as_str) != Some("qp-profile/v1") {
         return Err("missing qp-profile/v1 schema marker".to_string());
     }
-    let field = |name: &str| -> std::result::Result<f64, String> {
-        let pat = format!("\"{name}\": ");
-        let at = body
-            .find(&pat)
-            .ok_or_else(|| format!("missing field {name}"))?;
-        let rest = &body[at + pat.len()..];
-        let end = rest
-            .find([',', '\n', '}'])
-            .ok_or_else(|| format!("unterminated field {name}"))?;
-        rest[..end]
-            .trim()
-            .parse::<f64>()
-            .map_err(|e| format!("field {name}: {e}"))
-    };
     let names = [
         "serial_fraction",
         "scheduling_overhead_fraction",
@@ -621,7 +568,11 @@ pub fn validate_profile_json(body: &str) -> std::result::Result<(), String> {
     ];
     let mut sum = 0.0;
     for name in names {
-        let v = field(name)?;
+        let v = doc
+            .get("attribution")
+            .and_then(|a| a.get(name))
+            .and_then(Json::as_f64)
+            .ok_or_else(|| format!("missing or non-numeric attribution.{name}"))?;
         if !(0.0..=1.0).contains(&v) {
             return Err(format!("{name} = {v} outside [0, 1]"));
         }
@@ -781,7 +732,8 @@ mod tests {
             false,
         )];
         let report = ProfileReport {
-            case: "synthetic".to_string(),
+            // A file name may hold any character the writer must escape.
+            case: "wa\"ter\\.xyz".to_string(),
             threads: 2,
             atoms: 3,
             basis: 13,
@@ -805,8 +757,13 @@ mod tests {
             }],
             folded: "scf 100\n".to_string(),
         };
-        let json = report.to_json();
+        let json = format!("{:#}", report.to_json());
         validate_profile_json(&json).expect("synthetic report must validate");
+        let doc = json::parse(&json).unwrap();
+        assert_eq!(
+            doc.get("case").and_then(Json::as_str),
+            Some(report.case.as_str())
+        );
         assert!(report.render_text().contains("dominant non-useful bucket"));
     }
 
@@ -855,16 +812,23 @@ mod tests {
             let r = row(name);
             assert!(r.is_some_and(|p| p.self_s > 0.0), "{name}: {r:?}");
         }
-        let json = report.to_json();
+        // Every flop is booked under the phase whose span ran it.
+        let other = row("other");
+        assert!(other.is_none_or(|p| p.flops == 0), "{other:?}");
+        let json = format!("{:#}", report.to_json());
         validate_profile_json(&json).unwrap();
-        assert!(json.contains("\"scf_iterations\": ") && json.contains("\"alpha_diag\": ["));
+        let doc = json::parse(&json).unwrap();
+        let iterations = doc.get("scf_iterations").and_then(Json::as_usize);
+        assert_eq!(iterations, Some(report.scf_iterations));
+        let alpha = doc.get("alpha_diag").and_then(Json::as_arr);
+        assert_eq!(alpha.map(<[Json]>::len), Some(1));
     }
 
     #[test]
     fn validation_rejects_bad_fractions() {
-        let good = "{\n  \"schema\": \"qp-profile/v1\",\n  \"serial_fraction\": 0.5,\n  \
-                    \"scheduling_overhead_fraction\": 0.3,\n  \"imbalance_fraction\": 0.1,\n  \
-                    \"useful_parallel_fraction\": 0.1\n}\n";
+        let good = "{\"schema\": \"qp-profile/v1\", \"attribution\": {\"serial_fraction\": 0.5, \
+                    \"scheduling_overhead_fraction\": 0.3, \"imbalance_fraction\": 0.1, \
+                    \"useful_parallel_fraction\": 0.1}}";
         validate_profile_json(good).expect("balanced fractions validate");
         let bad_sum = good.replace("0.5", "0.9");
         assert!(validate_profile_json(&bad_sum).is_err());
@@ -875,6 +839,8 @@ mod tests {
                 "\"scheduling_overhead_fraction\": -0.7",
             );
         assert!(validate_profile_json(&out_of_range).is_err());
+        let null_fraction = good.replace("0.5", "null");
+        assert!(validate_profile_json(&null_fraction).is_err());
         assert!(validate_profile_json("{}").is_err());
     }
 }

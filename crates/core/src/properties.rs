@@ -47,6 +47,8 @@ pub fn clausius_mossotti(alpha_iso: f64, number_density: f64) -> Option<f64> {
 
 /// Total (electronic + nuclear) dipole moment of the ground state (a.u.).
 pub fn dipole_moment(system: &System, ground: &ScfResult) -> [f64; 3] {
+    // The l = 1 moment of the density: Rho's work.
+    let _s = crate::phase_span(qp_trace::Phase::Rho, "rho.dipole");
     let mut mu = [0.0; 3];
     // Nuclear part: +Σ Z_I R_I.
     for atom in &system.structure.atoms {

@@ -494,7 +494,7 @@ fn run_profile(
     print!("{}", report.render_text());
     let json_path = format!("{base}.json");
     let folded_path = format!("{base}.folded");
-    std::fs::write(&json_path, report.to_json())
+    std::fs::write(&json_path, format!("{:#}\n", report.to_json()))
         .map_err(|e| format!("failed to write {json_path}: {e}"))?;
     std::fs::write(&folded_path, &report.folded)
         .map_err(|e| format!("failed to write {folded_path}: {e}"))?;

@@ -14,10 +14,10 @@
 //! `matmul` skipped `aik == 0.0`, silently changing flop counts between
 //! dense and sparse-ish inputs); sparsity belongs to the CSR path.
 //!
-//! The MR×NR microkernel is runtime-dispatched: an AVX2 `std::arch` path
-//! on x86_64 hosts that support it, and the portable scalar loop
-//! everywhere else (`QP_GEMM_KERNEL=scalar|avx2|auto` overrides, and
-//! [`set_microkernel`] switches at runtime for tests/benches). The AVX2
+//! The MR×NR microkernel is runtime-dispatched from CPUID: an AVX2
+//! `std::arch` path on x86_64 hosts that support it, and the portable
+//! scalar loop everywhere else ([`set_microkernel`] switches at runtime for
+//! the scalar-vs-AVX2 bit-identity tests). The AVX2
 //! kernel deliberately uses separate `mul`/`add` — **no FMA** — and seeds
 //! its vector accumulators from `acc`, so every C element sees the exact
 //! same IEEE operation sequence as the scalar kernel: SIMD and scalar
@@ -73,8 +73,8 @@ fn pack_b(b: &[f64], ldb: usize, pc: usize, jc: usize, kc: usize, nc: usize, out
     }
 }
 
-/// Microkernel selector: resolved once from `QP_GEMM_KERNEL` + CPUID on
-/// first use, switchable afterwards via [`set_microkernel`].
+/// Microkernel selector: resolved once from CPUID on first use,
+/// switchable afterwards via [`set_microkernel`].
 const KERNEL_UNINIT: u8 = 0;
 const KERNEL_SCALAR: u8 = 1;
 const KERNEL_AVX2: u8 = 2;
@@ -91,19 +91,12 @@ fn avx2_available() -> bool {
     false
 }
 
-fn resolve_kernel(choice: &str) -> u8 {
-    match choice {
-        "scalar" => KERNEL_SCALAR,
-        // "avx2" silently falls back when the host can't run it: an env
-        // override must never turn into an illegal-instruction crash.
-        "avx2" | "auto" | "" => {
-            if avx2_available() {
-                KERNEL_AVX2
-            } else {
-                KERNEL_SCALAR
-            }
-        }
-        _ => KERNEL_SCALAR,
+/// The fastest kernel this host runs.
+fn detected_kernel() -> u8 {
+    if avx2_available() {
+        KERNEL_AVX2
+    } else {
+        KERNEL_SCALAR
     }
 }
 
@@ -112,8 +105,7 @@ fn kernel_kind() -> u8 {
     if k != KERNEL_UNINIT {
         return k;
     }
-    let choice = std::env::var("QP_GEMM_KERNEL").unwrap_or_default();
-    let resolved = resolve_kernel(choice.trim());
+    let resolved = detected_kernel();
     KERNEL.store(resolved, Ordering::Relaxed);
     resolved
 }
@@ -146,7 +138,7 @@ pub fn set_microkernel(choice: &str) -> Result<&'static str, String> {
             }
             KERNEL_AVX2
         }
-        "auto" => resolve_kernel("auto"),
+        "auto" => detected_kernel(),
         other => return Err(format!("unknown microkernel {other:?}")),
     };
     KERNEL.store(kind, Ordering::Relaxed);

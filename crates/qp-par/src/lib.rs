@@ -33,8 +33,8 @@ pub mod pool;
 pub mod telemetry;
 
 pub use pool::{
-    active_threads, for_each_index, for_each_index_hinted, inline_cutoff_ns, join,
-    region_allocations, run_region, run_region_hinted, set_active_threads, ThreadLease,
+    active_threads, for_each_index, for_each_index_hinted, join, region_allocations, run_region,
+    run_region_hinted, set_active_threads, ThreadLease, INLINE_CUTOFF_NS,
 };
 pub use telemetry::{LabelGuard, LaneStats, RegionRecord};
 
@@ -137,7 +137,7 @@ where
         return Vec::new();
     }
     let est = est_item_ns.saturating_mul(n as u64);
-    if active_threads() <= 1 || n == 1 || est < inline_cutoff_ns() {
+    if active_threads() <= 1 || n == 1 || est < INLINE_CUTOFF_NS {
         return items.into_iter().map(f).collect();
     }
     map_vec(items, f)

@@ -10,9 +10,9 @@
 //!
 //! * **Grain-size heuristic** — callers that know their per-item cost use
 //!   the `_hinted` entry points; regions whose estimated serial time falls
-//!   below [`inline_cutoff_ns`] (`QP_PAR_INLINE_NS`, default 50 µs — the
-//!   approximate 2-thread break-even against the measured region setup
-//!   cost) run inline on the caller with no queue traffic and no setup.
+//!   below [`INLINE_CUTOFF_NS`] (50 µs — the approximate 2-thread
+//!   break-even against the measured region setup cost) run inline on the
+//!   caller with no queue traffic and no setup.
 //! * **Reusable region shell** — each thread caches its last drained
 //!   `Region` allocation and re-arms it for the next submission when it
 //!   holds the only reference, so iteration-heavy phases (SCF/DFPT loops)
@@ -32,12 +32,12 @@ use std::time::Instant;
 /// compromise.
 const CHUNKS_PER_THREAD: usize = 4;
 
-/// Default estimated-serial-cost cutoff below which a *hinted* region runs
-/// inline. The profiled enqueue+wakeup cost is ~25-30 µs per region, so at
-/// 2 threads a region only breaks even once its serial work exceeds
-/// roughly `setup / (1 - 1/T - imbalance)` ≈ 70 µs; 50 µs errs slightly
-/// toward fan-out for the benefit of wider hosts.
-const DEFAULT_INLINE_CUTOFF_NS: u64 = 50_000;
+/// Estimated-serial-cost cutoff below which a *hinted* region runs inline.
+/// The profiled enqueue+wakeup cost is ~25-30 µs per region, so at 2
+/// threads a region only breaks even once its serial work exceeds roughly
+/// `setup / (1 - 1/T - imbalance)` ≈ 70 µs; 50 µs errs slightly toward
+/// fan-out for the benefit of wider hosts.
+pub const INLINE_CUTOFF_NS: u64 = 50_000;
 
 type PanicPayload = Box<dyn std::any::Any + Send + 'static>;
 
@@ -100,9 +100,9 @@ struct RunFields {
     n_chunks: usize,
     /// Submitter's qp-trace rank, propagated to workers.
     rank: usize,
-    /// Submitter's phase label at submission, propagated to chunk
-    /// executors while telemetry records — so work done (and roofline
-    /// counters emitted) inside worker chunks lands in the right phase.
+    /// Submitter's phase label at submission, set on every chunk executor
+    /// — so work done (and roofline counters emitted) inside worker chunks
+    /// lands in the submitter's phase whether or not telemetry records.
     label: &'static str,
     /// Telemetry side-car (`None` when recording is off).
     stats: Option<Arc<RegionStats>>,
@@ -175,7 +175,7 @@ impl Region {
                 let t0 = stats.as_ref().map(|_| Instant::now());
                 if let Err(p) = catch_unwind(AssertUnwindSafe(|| {
                     let _depth = stats.as_ref().map(|_| telemetry::enter_chunk());
-                    let _label = stats.as_ref().map(|_| telemetry::LabelGuard::set(label));
+                    let _label = telemetry::LabelGuard::set(label);
                     job(start, end)
                 })) {
                     self.cancelled.store(true, Ordering::Release);
@@ -255,18 +255,6 @@ fn threads_from_env() -> usize {
     std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1)
-}
-
-/// Serial-cost cutoff for the hinted inline heuristic (`QP_PAR_INLINE_NS`,
-/// default [`DEFAULT_INLINE_CUTOFF_NS`]; `0` disables inlining-by-hint).
-pub fn inline_cutoff_ns() -> u64 {
-    static CUTOFF: OnceLock<u64> = OnceLock::new();
-    *CUTOFF.get_or_init(|| {
-        std::env::var("QP_PAR_INLINE_NS")
-            .ok()
-            .and_then(|v| v.trim().parse::<u64>().ok())
-            .unwrap_or(DEFAULT_INLINE_CUTOFF_NS)
-    })
 }
 
 /// Current parallelism target (1 = everything runs inline on the caller).
@@ -394,7 +382,7 @@ pub fn run_region(n_items: usize, job: &(dyn Fn(usize, usize) + Sync)) {
 }
 
 /// [`run_region`] with a caller-supplied per-item cost estimate (ns). When
-/// the estimated serial time is below [`inline_cutoff_ns`] the region runs
+/// the estimated serial time is below [`INLINE_CUTOFF_NS`] the region runs
 /// inline — no queue, no wakeup, no setup — which is a net win for regions
 /// cheaper than the scheduling round trip.
 pub fn run_region_hinted(n_items: usize, est_item_ns: u64, job: &(dyn Fn(usize, usize) + Sync)) {
@@ -413,12 +401,9 @@ fn run_region_impl(n_items: usize, est_item_ns: Option<u64>, job: &(dyn Fn(usize
     }
     // Grain-size heuristic: a region whose whole serial cost is below the
     // scheduling round trip is cheaper to run right here.
-    if let Some(est) = est_item_ns {
-        let cutoff = inline_cutoff_ns();
-        if cutoff > 0 && est.saturating_mul(n_items as u64) < cutoff {
-            run_inline(n_items, n_items, 1, threads, recording, job);
-            return;
-        }
+    if est_item_ns.is_some_and(|est| est.saturating_mul(n_items as u64) < INLINE_CUTOFF_NS) {
+        run_inline(n_items, n_items, 1, threads, recording, job);
+        return;
     }
     let chunk = n_items.div_ceil(threads * CHUNKS_PER_THREAD).max(1);
     let n_chunks = n_items.div_ceil(chunk);
@@ -428,11 +413,7 @@ fn run_region_impl(n_items: usize, est_item_ns: Option<u64>, job: &(dyn Fn(usize
     }
     let t_start = recording.then(Instant::now);
     let nested = recording && telemetry::in_chunk();
-    let label = if recording {
-        telemetry::current_label()
-    } else {
-        "other"
-    };
+    let label = telemetry::current_label();
     let p = pool();
     ensure_workers(p, threads - 1);
     // SAFETY (lifetime erasure): the region is fully drained before this

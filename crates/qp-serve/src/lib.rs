@@ -15,8 +15,10 @@
 //! loop-carried state is complete, and the CI can compare a served result
 //! against a direct CLI run with a byte-for-byte `cmp`.
 //!
-//! * [`json`] — hardened hand-rolled JSON (depth-capped parser, shortest
-//!   round-trip `f64` writer: the wire format *is* the bit format).
+//! * [`json`] — the workspace's one JSON module, `qp_trace::json`
+//!   (depth-capped parser, shortest round-trip `f64` writer: the wire
+//!   format *is* the bit format), re-exported so the protocol's types sit
+//!   beside the rest of the service.
 //! * [`request`] — typed admission: untrusted JSON → validated
 //!   [`request::JobRequest`] + canonical content address
 //!   ([`request::canonical`], which `qperturb` keys its resume record on
@@ -35,11 +37,12 @@
 pub mod cache;
 pub mod client;
 pub mod engine;
-pub mod json;
 pub mod request;
 pub mod result;
 pub mod sched;
 pub mod server;
+
+pub use qp_trace::json;
 
 pub use cache::{CacheStats, ResultCache};
 pub use client::{Client, SubmitOutcome};

@@ -22,6 +22,10 @@
 //! * [`export`] — Chrome trace-event JSON (loadable in Perfetto: one track
 //!   per rank, phase-colored spans, a second process for simulated time)
 //!   and flat JSON/CSV metrics dumps.
+//! * [`json`] — the workspace's one JSON module: the [`json::Json`] value, a
+//!   strict depth-capped parser and the shortest-round-trip writer (compact,
+//!   or indented with `{:#}`). qp-serve's wire format, `--result-json`,
+//!   traces, metrics, the profile report and the bench files all use it.
 //! * [`log`] — `QP_LOG={error,warn,info,debug}` leveled logging macros;
 //!   `info`/`debug` go to stdout, `warn`/`error` to stderr, matching the
 //!   CLI's historical output at the default `info` level.
@@ -34,12 +38,13 @@
 
 pub mod attrib;
 pub mod export;
+pub mod json;
 pub mod log;
 pub mod metrics;
 pub mod span;
 
 pub use attrib::{build_forest, collapsed_stacks, self_time_by_phase, SpanNode};
-pub use export::{chrome_trace_json, metrics_csv, metrics_json, validate_json};
+pub use export::{chrome_trace_json, metrics_csv, metrics_json};
 pub use metrics::{global_metrics, Counter, Gauge, Histogram, MetricValue, MetricsRegistry};
 pub use span::{
     clear_span_observer, enabled, set_enabled, set_span_observer, set_thread_rank, sim_span,
@@ -134,7 +139,7 @@ mod tests {
         finish().unwrap();
         set_enabled(false);
         let body = std::fs::read_to_string(&trace).unwrap();
-        validate_json(&body).unwrap();
+        json::parse(&body).unwrap();
         assert!(body.contains("file-test"));
         assert!(std::fs::read_to_string(&metrics)
             .unwrap()

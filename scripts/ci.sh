@@ -163,6 +163,17 @@ test -s "$profile_dir/profile_water.folded" \
 mkdir -p results
 cp "$profile_dir/profile_water.folded" results/profile_water.folded
 echo "-- archived results/profile_water.folded"
+# The case name is the geometry file's name as given: a `"` and a `\` in it
+# must come back escaped, in a report that still validates.
+quoted_xyz="$profile_dir/wa\"t\\er.xyz"
+printf '3\nwater\nO 0.0 0.0 0.0\nH 0.756950 0.585882 0.0\nH -0.756950 0.585882 0.0\n' \
+    > "$quoted_xyz"
+QP_LOG=warn ./target/release/qperturb "$quoted_xyz" --grid coarse \
+    --profile "$profile_dir/profile_quoted" > /dev/null
+./target/release/profile_report --validate "$profile_dir/profile_quoted.json"
+jq -e --arg name "$quoted_xyz" '.case == $name' "$profile_dir/profile_quoted.json" > /dev/null \
+  || { echo "profile report lost its case name: $quoted_xyz"; exit 1; }
+echo "-- a case name holding '\"' and '\\' round-trips through the report"
 rm -rf "$profile_dir"
 
 echo "== figures: the kernel-driven figures regenerate byte-identically"
