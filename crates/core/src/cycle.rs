@@ -108,6 +108,12 @@ pub(crate) fn run<C: Cycle>(
         .collect();
     points.sort_unstable();
     let subset = (points.len() < system.n_points()).then_some(&points[..]);
+    // The mixer lives as long as the loop, so the Gram matrix of its
+    // residual history carries from one iteration to the next (a cycle
+    // that starts or resumes rebuilds it at its first DIIS step); the
+    // history stays in the state, which the hook checkpoints, and is lent
+    // to the mixer for each step.
+    let mut mixer = MixState::new(spec.mixer, spec.mixing);
     let mut residual = f64::INFINITY;
     while *C::parts(&mut state).0 < spec.max_iter {
         let iter = *C::parts(&mut state).0 + 1;
@@ -152,10 +158,9 @@ pub(crate) fn run<C: Cycle>(
         if !(spec.before_mixing && residual < spec.tol) {
             let _s = phase_span(Phase::Mixing, "mixing");
             let (iteration, x, inputs, residuals) = C::parts(&mut state);
-            let (ins, res) = (std::mem::take(inputs), std::mem::take(residuals));
-            let mut mixer = MixState::with_history(spec.mixer, spec.mixing, ins, res);
+            mixer.swap_history(inputs, residuals);
             let next = mixer.step(x, &x_out);
-            (*inputs, *residuals) = mixer.into_history();
+            mixer.swap_history(inputs, residuals);
             if !spec.before_mixing {
                 residual = next.max_abs_diff(x);
             }

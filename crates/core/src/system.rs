@@ -8,7 +8,7 @@
 use crate::basis_cache::BasisValueCache;
 use crate::farfield::FarFieldMode;
 use crate::screening::{ScreenPlan, ScreeningMode};
-use qp_chem::basis::{BasisSet, BasisSettings};
+use qp_chem::basis::{AtomBasis, BasisSet, BasisSettings, GRADIENT_STEP};
 use qp_chem::geometry::Structure;
 use qp_chem::grids::{GridSettings, IntegrationGrid};
 use qp_chem::multipole::{solve_poisson, HartreePlan, MultipoleMoments};
@@ -326,7 +326,14 @@ impl System {
         v
     }
 
+    /// The basis table of `batch`: every function that reaches a point of
+    /// the batch, its value at each point, and there, where the value is
+    /// non-zero, its central-difference gradient. Each atom's functions
+    /// are evaluated together ([`AtomBasis::eval`]), at the point and at
+    /// its six `±H` neighbours, and every entry has the bits of the
+    /// per-function `BasisFunction::eval`/`eval_grad`.
     fn tabulate_batch(&self, batch: &Batch) -> BatchBasisTable {
+        const H: f64 = GRADIENT_STEP;
         let basis = &self.basis;
         // Prune: functions whose support reaches any point of the batch.
         let radius = batch
@@ -340,21 +347,50 @@ impl System {
             Some(plan) => plan.functions_near(basis, batch.center, radius),
             None => basis.functions_near(batch.center, radius),
         };
+        // The list in runs of one atom's functions: (atom, first k, end).
+        let mut runs: Vec<(usize, usize, usize)> = Vec::new();
+        for (ki, &fi) in fn_indices.iter().enumerate() {
+            let atom = basis.atom_of(fi);
+            match runs.last_mut() {
+                Some((a, _, end)) if *a == atom => *end = ki + 1,
+                _ => runs.push((atom, ki, ki + 1)),
+            }
+        }
         let nf = fn_indices.len();
         let np = batch.points.len();
         let mut values = vec![0.0; np * nf];
         let mut gradients = vec![0.0; np * nf * 3];
+        // One atom's values at the point, then at +H and −H along x, y, z.
+        let width = basis.atoms.iter().map(AtomBasis::len).max().unwrap_or(0);
+        let mut at = vec![0.0; 7 * width];
         for (pi, pt) in batch.points.iter().enumerate() {
-            for (ki, &fi) in fn_indices.iter().enumerate() {
-                let f = &basis.functions[fi];
-                let v = f.eval(pt.position);
-                values[pi * nf + ki] = v;
-                if v != 0.0 {
-                    let g = f.eval_grad(pt.position);
-                    let base = (pi * nf + ki) * 3;
-                    gradients[base] = g[0];
-                    gradients[base + 1] = g[1];
-                    gradients[base + 2] = g[2];
+            for &(a, k0, k1) in &runs {
+                let atom = &basis.atoms[a];
+                let (n, first) = (atom.len(), basis.atom_offsets[a]);
+                let (here, moved) = at.split_at_mut(n);
+                if !atom.eval(pt.position, here) {
+                    continue; // beyond the cutoff: the zeros stand
+                }
+                let local = |ki: usize| fn_indices[ki] - first;
+                if (k0..k1).any(|ki| here[local(ki)] != 0.0) {
+                    for d in 0..3 {
+                        let (mut pp, mut pm) = (pt.position, pt.position);
+                        pp[d] += H;
+                        pm[d] -= H;
+                        atom.eval(pp, &mut moved[2 * d * n..]);
+                        atom.eval(pm, &mut moved[(2 * d + 1) * n..]);
+                    }
+                }
+                for ki in k0..k1 {
+                    let j = local(ki);
+                    let v = here[j];
+                    values[pi * nf + ki] = v;
+                    if v != 0.0 {
+                        let g = &mut gradients[(pi * nf + ki) * 3..][..3];
+                        for (d, g) in g.iter_mut().enumerate() {
+                            *g = (moved[2 * d * n + j] - moved[(2 * d + 1) * n + j]) / (2.0 * H);
+                        }
+                    }
                 }
             }
         }
@@ -475,7 +511,10 @@ impl System {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use qp_chem::structures::water;
+    use qp_chem::basis::BasisFunction;
+    use qp_chem::harmonics::{lm_index, num_harmonics, real_spherical_harmonics};
+    use qp_chem::structures::{ligand49, polyethylene, water};
+    use qp_grid::batch::BatchPoint;
     use qp_linalg::DMatrix;
 
     fn small_system() -> System {
@@ -509,15 +548,158 @@ mod tests {
         assert_eq!(m1, m0, "no rebuild after warm-up");
     }
 
+    /// `BasisFunction::eval`, the per-function oracle (test-only inside
+    /// qp-chem, where `AtomBasis::eval` is checked against it), over
+    /// qp-chem's public pieces: the function's own distance, spline search
+    /// at `r.max(1e-5)` and harmonics up to its own `l`.
+    fn chi(f: &BasisFunction, p: [f64; 3]) -> f64 {
+        let c = f.center;
+        let d = [p[0] - c[0], p[1] - c[1], p[2] - c[2]];
+        let r = (d[0] * d[0] + d[1] * d[1] + d[2] * d[2]).sqrt();
+        if r >= f.radial.cutoff {
+            return 0.0;
+        }
+        let rad = f.radial.spline.eval(r.max(1e-5));
+        if rad == 0.0 {
+            return 0.0;
+        }
+        let mut y = vec![0.0; num_harmonics(f.l)];
+        real_spherical_harmonics(f.l, d, &mut y);
+        rad * y[lm_index(f.l, f.m)]
+    }
+
+    /// `BasisFunction::eval_grad`: central differences of [`chi`].
+    fn chi_grad(f: &BasisFunction, p: [f64; 3]) -> [f64; 3] {
+        std::array::from_fn(|d| {
+            let (mut pp, mut pm) = (p, p);
+            pp[d] += GRADIENT_STEP;
+            pm[d] -= GRADIENT_STEP;
+            (chi(f, pp) - chi(f, pm)) / (2.0 * GRADIENT_STEP)
+        })
+    }
+
+    /// The per-function oracle's table of `batch`: the linear scan's
+    /// function list, each value by [`chi`] and, where it is non-zero, each
+    /// gradient by [`chi_grad`].
+    fn oracle_table(s: &System, batch: &Batch) -> BatchBasisTable {
+        let radius = batch
+            .points
+            .iter()
+            .map(|p| dist3(p.position, batch.center))
+            .fold(0.0, f64::max);
+        let fn_indices = s.basis.functions_near(batch.center, radius);
+        let nf = fn_indices.len();
+        let mut values = vec![0.0; batch.points.len() * nf];
+        let mut gradients = vec![0.0; values.len() * 3];
+        for (pi, pt) in batch.points.iter().enumerate() {
+            for (ki, &fi) in fn_indices.iter().enumerate() {
+                let f = &s.basis.functions[fi];
+                let v = chi(f, pt.position);
+                values[pi * nf + ki] = v;
+                if v != 0.0 {
+                    let base = (pi * nf + ki) * 3;
+                    gradients[base..base + 3].copy_from_slice(&chi_grad(f, pt.position));
+                }
+            }
+        }
+        BatchBasisTable {
+            fn_indices,
+            values,
+            gradients,
+        }
+    }
+
+    fn assert_same_table(got: &BatchBasisTable, want: &BatchBasisTable, tag: &str) {
+        assert_eq!(got.fn_indices, want.fn_indices, "{tag}: function list");
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
+        let nf = want.fn_indices.len().max(1);
+        let (gv, wv) = (bits(&got.values), bits(&want.values));
+        assert_eq!(gv.len(), wv.len(), "{tag}: table size");
+        for (i, (g, w)) in gv.iter().zip(&wv).enumerate() {
+            assert_eq!(
+                g,
+                w,
+                "{tag}: value at point {}, function {}",
+                i / nf,
+                i % nf
+            );
+        }
+        let (gg, wg) = (bits(&got.gradients), bits(&want.gradients));
+        for (i, (g, w)) in gg.iter().zip(&wg).enumerate() {
+            let (p, k) = (i / 3 / nf, i / 3 % nf);
+            assert_eq!(g, w, "{tag}: gradient {} at point {p}, function {k}", i % 3);
+        }
+    }
+
+    /// Points at and within a few gradient steps of every nucleus, where
+    /// the radius clamp and the zero direction act.
+    fn nuclear_batch(structure: &qp_chem::Structure) -> Batch {
+        let offsets = [
+            [0.0, 0.0, 0.0],
+            [GRADIENT_STEP, 0.0, 0.0],
+            [0.0, -GRADIENT_STEP, 0.0],
+            [3e-6, -2e-6, 1e-6],
+            [0.0, 0.0, 7e-6],
+            [2e-5, 1e-5, 0.0],
+            [0.0, 4e-5, -1e-6],
+        ];
+        let points: Vec<BatchPoint> = structure
+            .atoms
+            .iter()
+            .enumerate()
+            .flat_map(|(ia, atom)| {
+                offsets.iter().map(move |o| BatchPoint {
+                    position: std::array::from_fn(|d| atom.position[d] + o[d]),
+                    atom: ia as u32,
+                    grid_index: u32::MAX,
+                })
+            })
+            .collect();
+        let n = points.len() as f64;
+        let center = std::array::from_fn(|d| points.iter().map(|p| p.position[d]).sum::<f64>() / n);
+        Batch {
+            id: 0,
+            points,
+            center,
+        }
+    }
+
     #[test]
     fn tabulated_values_match_direct_evaluation() {
-        let s = small_system();
-        let b = &s.batches[0];
-        let t = s.table(0);
-        for (pi, pt) in b.points.iter().enumerate().take(5) {
-            for (ki, &fi) in t.fn_indices.iter().enumerate() {
-                let direct = s.basis.functions[fi].eval(pt.position);
-                assert!((t.value(pi, ki) - direct).abs() < 1e-14);
+        // Every value and gradient of every batch table has the bits of the
+        // per-function oracle: the served water (the light grid at 24
+        // shells of 26 points), polymer:2, ligand-49 and tier2 water (the
+        // d shells) on the coarse grid, at 1 and 8 threads with screening
+        // on and off, and a batch of points at the nuclei.
+        let mut served = GridSettings::light();
+        served.n_radial = 24;
+        served.max_angular = 26;
+        let coarse = GridSettings::coarse();
+        let cases = [
+            ("served water", water(), BasisSettings::Light, &served),
+            ("polymer:2", polyethylene(2), BasisSettings::Light, &coarse),
+            ("ligand-49", ligand49(), BasisSettings::Light, &coarse),
+            ("tier2 water", water(), BasisSettings::Tier2, &coarse),
+        ];
+        for (name, structure, basis, grid) in cases {
+            let mut want: Option<Vec<BatchBasisTable>> = None;
+            for mode in [ScreeningMode::On, ScreeningMode::Off] {
+                for threads in [1, 8] {
+                    let _lease = qp_par::ThreadLease::exactly(threads);
+                    let s =
+                        System::for_job(structure.clone(), basis, grid, mode, FarFieldMode::Auto);
+                    let want = want.get_or_insert_with(|| {
+                        s.batches.iter().map(|b| oracle_table(&s, b)).collect()
+                    });
+                    s.warm_tables();
+                    for (b, w) in s.batches.iter().zip(want.iter()) {
+                        let tag = format!("{name}, {mode:?}, {threads} threads, batch {}", b.id);
+                        assert_same_table(&s.table(b.id), w, &tag);
+                    }
+                    let near = nuclear_batch(&s.structure);
+                    let tag = format!("{name}, {mode:?}, {threads} threads, nuclear batch");
+                    assert_same_table(&s.tabulate_batch(&near), &oracle_table(&s, &near), &tag);
+                }
             }
         }
     }

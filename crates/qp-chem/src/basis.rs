@@ -9,11 +9,21 @@
 
 use crate::elements::{Element, Shell};
 use crate::geometry::Structure;
-use crate::harmonics::{lm_index, ylm_vec};
+#[cfg(test)]
+use crate::harmonics::ylm_vec;
+use crate::harmonics::{lm_index, num_harmonics, real_spherical_harmonics};
 use crate::radial::RadialGrid;
 use crate::spline::CubicSpline;
 use std::collections::HashMap;
 use std::sync::Arc;
+
+/// Step of the central-difference basis gradient (Bohr): the tabulated
+/// gradient at `p` is `(χ(p + H e_d) − χ(p − H e_d)) / (2H)`.
+pub const GRADIENT_STEP: f64 = 1e-5;
+
+/// Highest angular momentum of a basis shell (the elements carry at most
+/// d shells); [`AtomBasis::eval`] keeps its harmonics on the stack.
+pub const SHELL_LMAX: usize = 3;
 
 /// Basis accuracy settings, mirroring the paper's two HIV-ligand runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -68,7 +78,7 @@ impl RadialFunction {
     }
 
     /// Evaluate `R(r)`, zero beyond the cutoff.
-    #[inline]
+    #[cfg(test)]
     pub fn eval(&self, r: f64) -> f64 {
         if r >= self.cutoff {
             0.0
@@ -94,6 +104,10 @@ pub struct BasisFunction {
     pub m: i64,
 }
 
+/// The per-function evaluators [`AtomBasis::eval`] replaced, kept as its
+/// bit oracle: each call finds its own distance, spline bracket and
+/// harmonics, and the gradient costs six more calls.
+#[cfg(test)]
 impl BasisFunction {
     /// Evaluate `χ(p) = R(|p - center|) · Y_lm(p - center)`.
     pub fn eval(&self, p: [f64; 3]) -> f64 {
@@ -114,13 +128,12 @@ impl BasisFunction {
         rad * y[lm_index(self.l, self.m)]
     }
 
-    /// Numerical gradient of `χ` at `p` (central differences).
-    ///
-    /// Used by the kinetic-energy matrix via
-    /// `T_μν = ½ ∫ ∇χ_μ · ∇χ_ν` (integration by parts is exact for finitely
-    /// supported functions).
+    /// Numerical gradient of `χ` at `p` (central differences with
+    /// [`GRADIENT_STEP`]): the gradient the batch tables hold for the
+    /// kinetic-energy matrix `T_μν = ½ ∫ ∇χ_μ · ∇χ_ν` (integration by parts
+    /// is exact for finitely supported functions).
     pub fn eval_grad(&self, p: [f64; 3]) -> [f64; 3] {
-        const H: f64 = 1e-5;
+        const H: f64 = GRADIENT_STEP;
         let mut g = [0.0; 3];
         for d in 0..3 {
             let mut pp = p;
@@ -133,6 +146,101 @@ impl BasisFunction {
     }
 }
 
+/// One atom's basis functions, evaluated together. Every shell of an
+/// element is tabulated on the same logarithmic knots to the same cutoff
+/// ([`RadialFunction::build`]; [`BasisSet::build`] checks it), so at one
+/// position the atom's functions share one distance, one spline bracket
+/// ([`CubicSpline::locate`]) and one set of real harmonics up to the
+/// atom's highest `l`; each shell then costs one
+/// [`CubicSpline::eval_at`].
+#[derive(Debug)]
+pub struct AtomBasis {
+    /// Center coordinates (Bohr).
+    center: [f64; 3],
+    /// The cutoff radius every shell shares (Bohr).
+    cutoff: f64,
+    /// The radial shells in function order: shell `s` owns the `2l + 1`
+    /// functions (`m = −l..=l`) after those of the shells before it.
+    shells: Vec<Arc<RadialFunction>>,
+    /// Highest `l` of the shells.
+    lmax: usize,
+    /// Number of functions.
+    len: usize,
+}
+
+impl AtomBasis {
+    /// The atom's shells over its radial tables, which must share one knot
+    /// vector and one cutoff (panics otherwise).
+    fn new(center: [f64; 3], shells: Vec<Arc<RadialFunction>>) -> Self {
+        let first = shells.first().expect("an atom has at least one shell");
+        for s in &shells {
+            assert!(
+                s.cutoff == first.cutoff && s.spline.knots() == first.spline.knots(),
+                "every shell of {:?} on one knot vector and cutoff",
+                s.element
+            );
+            assert!(
+                s.shell.l as usize <= SHELL_LMAX,
+                "shell above l = {SHELL_LMAX}"
+            );
+        }
+        let lmax = shells.iter().map(|s| s.shell.l as usize).max().unwrap_or(0);
+        let len = shells.iter().map(|s| 2 * s.shell.l as usize + 1).sum();
+        AtomBasis {
+            center,
+            cutoff: first.cutoff,
+            shells,
+            lmax,
+            len,
+        }
+    }
+
+    /// Number of functions on the atom.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// True when the atom carries no functions (never for a built basis).
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// The values at `p` of the atom's functions, in function order, into
+    /// `out[..self.len()]`; `false` (and zeros) when `p` is at or beyond
+    /// the cutoff. Each value has the bits of the per-function
+    /// `BasisFunction::eval`: the same distance, the spline at
+    /// `r.max(1e-5)` through the bracket its own binary search finds, the
+    /// same harmonic (a harmonic does not depend on the order it is
+    /// evaluated up to), and `0.0` where the radial part is zero.
+    pub fn eval(&self, p: [f64; 3], out: &mut [f64]) -> bool {
+        let out = &mut out[..self.len];
+        let c = self.center;
+        let d = [p[0] - c[0], p[1] - c[1], p[2] - c[2]];
+        let r = (d[0] * d[0] + d[1] * d[1] + d[2] * d[2]).sqrt();
+        if r >= self.cutoff {
+            out.fill(0.0);
+            return false;
+        }
+        let (k, a, b) = CubicSpline::locate(self.shells[0].spline.knots(), r.max(1e-5));
+        let mut ylm = [0.0; num_harmonics(SHELL_LMAX)];
+        real_spherical_harmonics(self.lmax, d, &mut ylm);
+        let mut f = 0;
+        for shell in &self.shells {
+            let rad = shell.spline.eval_at(k, a, b);
+            let l = shell.shell.l as usize;
+            for m in -(l as i64)..=(l as i64) {
+                out[f] = if rad == 0.0 {
+                    0.0
+                } else {
+                    rad * ylm[lm_index(l, m)]
+                };
+                f += 1;
+            }
+        }
+        true
+    }
+}
+
 /// The full basis set of a structure.
 #[derive(Debug)]
 pub struct BasisSet {
@@ -141,6 +249,9 @@ pub struct BasisSet {
     pub functions: Vec<BasisFunction>,
     /// First function index of each atom; `atom_offsets[natoms] = len()`.
     pub atom_offsets: Vec<usize>,
+    /// Each atom's functions as one evaluator, `atoms[ia]` owning
+    /// `functions_of_atom(ia)` in order.
+    pub atoms: Vec<AtomBasis>,
     settings: BasisSettings,
 }
 
@@ -151,17 +262,20 @@ impl BasisSet {
         let mut radial_cache: HashMap<(Element, usize), Arc<RadialFunction>> = HashMap::new();
         let mut functions = Vec::new();
         let mut atom_offsets = Vec::with_capacity(structure.len() + 1);
+        let mut atoms = Vec::with_capacity(structure.len());
         for (ia, atom) in structure.atoms.iter().enumerate() {
             atom_offsets.push(functions.len());
             let shells = match settings {
                 BasisSettings::Light => atom.element.shells_light(),
                 BasisSettings::Tier2 => atom.element.shells_tier2(),
             };
+            let mut radials = Vec::with_capacity(shells.len());
             for (si, shell) in shells.iter().enumerate() {
                 let radial = radial_cache
                     .entry((atom.element, si))
                     .or_insert_with(|| Arc::new(RadialFunction::build(atom.element, *shell)))
                     .clone();
+                radials.push(radial.clone());
                 let l = shell.l as usize;
                 for m in -(l as i64)..=(l as i64) {
                     functions.push(BasisFunction {
@@ -173,11 +287,13 @@ impl BasisSet {
                     });
                 }
             }
+            atoms.push(AtomBasis::new(atom.position, radials));
         }
         atom_offsets.push(functions.len());
         BasisSet {
             functions,
             atom_offsets,
+            atoms,
             settings,
         }
     }
@@ -315,6 +431,58 @@ mod tests {
             pm[d] -= h;
             let fd = (f.eval(pp) - f.eval(pm)) / (2.0 * h);
             assert!((g[d] - fd).abs() < 1e-8);
+        }
+    }
+
+    #[test]
+    fn atom_evaluator_matches_the_per_function_oracle_bit_for_bit() {
+        // Every function of every atom, light and tier2 (the d shells), at
+        // pseudo-random points within and beyond the cutoffs, at every
+        // nucleus and within a few gradient steps of it.
+        let mut s = 0x2545_f491_4f6c_dd1du64;
+        let mut next = move || {
+            s = s
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            ((s >> 11) as f64) / ((1u64 << 53) as f64) * 2.0 - 1.0
+        };
+        let near = [
+            [0.0, 0.0, 0.0],
+            [GRADIENT_STEP, 0.0, 0.0],
+            [3e-6, -2e-6, 1e-6],
+            [0.0, 0.0, -7e-6],
+            [2e-5, 1e-5, 0.0],
+        ];
+        for structure in [water(), ligand49()] {
+            for settings in [BasisSettings::Light, BasisSettings::Tier2] {
+                let b = BasisSet::build(&structure, settings);
+                let mut points = Vec::new();
+                for atom in &structure.atoms {
+                    let c = atom.position;
+                    points.extend(near.iter().map(|o| [c[0] + o[0], c[1] + o[1], c[2] + o[2]]));
+                    for _ in 0..40 {
+                        let scale = 12.0 * next().abs();
+                        points.push([
+                            c[0] + scale * next(),
+                            c[1] + scale * next(),
+                            c[2] + scale * next(),
+                        ]);
+                    }
+                }
+                let mut out = vec![0.0; b.atoms.iter().map(AtomBasis::len).max().unwrap()];
+                for p in points {
+                    for (ia, atom) in b.atoms.iter().enumerate() {
+                        atom.eval(p, &mut out);
+                        for (j, fi) in b.functions_of_atom(ia).enumerate() {
+                            assert_eq!(
+                                out[j].to_bits(),
+                                b.functions[fi].eval(p).to_bits(),
+                                "{settings:?}, atom {ia}, function {fi}, point {p:?}"
+                            );
+                        }
+                    }
+                }
+            }
         }
     }
 

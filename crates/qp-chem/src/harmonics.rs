@@ -10,7 +10,7 @@
 pub const LMAX_SUPPORTED: usize = 12;
 
 /// Number of real harmonics with `l ≤ lmax`: `(lmax+1)²`.
-pub fn num_harmonics(lmax: usize) -> usize {
+pub const fn num_harmonics(lmax: usize) -> usize {
     (lmax + 1) * (lmax + 1)
 }
 
@@ -63,7 +63,53 @@ fn assoc_legendre_all(lmax: usize, x: f64, plm: &mut [f64]) {
 /// internally). Output is indexed by [`lm_index`]; length `(lmax+1)²`.
 ///
 /// Normalization: `∫ Y_lm Y_l'm' dΩ = δ δ`.
+///
+/// Allocation-free: the Legendre workspace is on the stack, the
+/// normalizations come from `norm_table`, and `cos(mφ)`/`sin(mφ)` are
+/// formed once per `m` (from one `atan2`, skipped at `lmax = 0`) instead
+/// of once per `(l, m)`. Every value is the same expression on the same
+/// operands as the per-call form it replaced (kept as the test oracle
+/// `real_spherical_harmonics_oracle`), so each harmonic has its bits: a
+/// harmonic does not depend on `lmax`, and the grid tabulation, the direct
+/// Hartree path and the multipole moments all stay on their bit-identity
+/// contracts.
 pub fn real_spherical_harmonics(lmax: usize, dir: [f64; 3], out: &mut [f64]) {
+    assert!(lmax <= LMAX_SUPPORTED);
+    assert!(out.len() >= num_harmonics(lmax));
+    let r = (dir[0] * dir[0] + dir[1] * dir[1] + dir[2] * dir[2]).sqrt();
+    let (x, y, z) = if r > 0.0 {
+        (dir[0] / r, dir[1] / r, dir[2] / r)
+    } else {
+        (0.0, 0.0, 1.0)
+    };
+    let mut plm = [0.0f64; (LMAX_SUPPORTED + 1) * (LMAX_SUPPORTED + 2) / 2];
+    assoc_legendre_all(lmax, z, &mut plm);
+    let pidx = |l: usize, m: usize| l * (l + 1) / 2 + m;
+    let norms = norm_table();
+    for l in 0..=lmax {
+        out[lm_index(l, 0)] = norms[pidx(l, 0)] * plm[pidx(l, 0)];
+    }
+    if lmax == 0 {
+        return;
+    }
+    let phi = y.atan2(x);
+    for m in 1..=lmax {
+        let mm = m as f64;
+        let (cm, sm) = ((mm * phi).cos(), (mm * phi).sin());
+        for l in m..=lmax {
+            let np = norms[pidx(l, m)] * plm[pidx(l, m)];
+            out[lm_index(l, m as i64)] = np * cm;
+            out[lm_index(l, -(m as i64))] = np * sm;
+        }
+    }
+}
+
+/// The per-call form of [`real_spherical_harmonics`]: a heap Legendre
+/// workspace, each normalization recomputed, and two trig calls per
+/// `(l, m)`. The bit oracle of the allocation-free evaluator and of
+/// everything tabulated with it.
+#[cfg(test)]
+pub fn real_spherical_harmonics_oracle(lmax: usize, dir: [f64; 3], out: &mut [f64]) {
     assert!(lmax <= LMAX_SUPPORTED);
     assert!(out.len() >= num_harmonics(lmax));
     let r = (dir[0] * dir[0] + dir[1] * dir[1] + dir[2] * dir[2]).sqrt();
@@ -77,12 +123,6 @@ pub fn real_spherical_harmonics(lmax: usize, dir: [f64; 3], out: &mut [f64]) {
     let mut plm = vec![0.0; (lmax + 1) * (lmax + 2) / 2];
     assoc_legendre_all(lmax, cos_theta, &mut plm);
     let pidx = |l: usize, m: usize| l * (l + 1) / 2 + m;
-
-    // cos(m φ), sin(m φ) via the recurrence on (x, y) = (sinθ cosφ, sinθ sinφ):
-    // c_m = sinθ^m cos(mφ), s_m = sinθ^m sin(mφ) are polynomial in (x, y),
-    // but we need plain cos(mφ)/sin(mφ); compute φ from atan2 — clearer and
-    // these evaluations are not on the hot path of the kernels (those use
-    // tabulated values).
     let phi = y.atan2(x);
 
     let fourpi = 4.0 * std::f64::consts::PI;
@@ -107,16 +147,18 @@ pub fn real_spherical_harmonics(lmax: usize, dir: [f64; 3], out: &mut [f64]) {
     }
 }
 
-/// Convenience: allocate and return the harmonics vector.
+/// Convenience: allocate and return the harmonics vector (per-call
+/// oracle form).
+#[cfg(test)]
 pub fn ylm_vec(lmax: usize, dir: [f64; 3]) -> Vec<f64> {
     let mut out = vec![0.0; num_harmonics(lmax)];
-    real_spherical_harmonics(lmax, dir, &mut out);
+    real_spherical_harmonics_oracle(lmax, dir, &mut out);
     out
 }
 
 /// Normalization constants of the real harmonics, indexed `l*(l+1)/2 + m`
-/// for `0 ≤ m ≤ l ≤ LMAX_SUPPORTED` — the exact per-call constants of
-/// [`real_spherical_harmonics`], tabulated once.
+/// for `0 ≤ m ≤ l ≤ LMAX_SUPPORTED`: the per-call constants of the oracle
+/// form, each the same expression, tabulated once.
 fn norm_table() -> &'static [f64] {
     use std::sync::OnceLock;
     static NORMS: OnceLock<Vec<f64>> = OnceLock::new();
@@ -142,9 +184,8 @@ fn norm_table() -> &'static [f64] {
 }
 
 /// Fast variant of [`real_spherical_harmonics`] for the hierarchical
-/// far-field hot loop: tabulated normalizations, stack-allocated Legendre
-/// workspace, and `cos(mφ)/sin(mφ)` by the complex rotation recurrence
-/// instead of 2·lmax·(lmax+1)/2 libm trig calls.
+/// far-field hot loop: `cos(mφ)/sin(mφ)` by the complex rotation
+/// recurrence instead of an `atan2` and 2·lmax libm trig calls.
 ///
 /// NOT bit-identical to the reference evaluator (the azimuthal recurrence
 /// rounds differently in the last ulp) — callers on a bit-identity contract
@@ -273,6 +314,55 @@ mod tests {
                     "gram[{a},{b}] = {}",
                     gram[a * nh + b]
                 );
+            }
+        }
+    }
+
+    #[test]
+    fn allocation_free_harmonics_match_the_per_call_oracle_bit_for_bit() {
+        // Pseudo-random directions over the sphere and at every scale, the
+        // zero vector, the poles, the axes and in-plane directions (where
+        // the Legendre argument cos θ is exactly 0).
+        let mut dirs: Vec<[f64; 3]> = vec![
+            [0.0, 0.0, 0.0],
+            [0.0, 0.0, 1.0],
+            [0.0, 0.0, -1.0],
+            [0.0, 0.0, 3.7e-6],
+            [0.0, 0.0, -2.5e3],
+            [1.0, 0.0, 0.0],
+            [-1.0, 0.0, 0.0],
+            [0.0, 1.0, 0.0],
+            [0.0, -1.0, 0.0],
+            [0.6, -0.8, 0.0],
+            [-1.3, -0.2, 0.0],
+            [1e-12, 1e-12, 0.0],
+            [-0.0, 0.0, -0.0],
+        ];
+        let mut s = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = || {
+            s = s
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            ((s >> 11) as f64) / ((1u64 << 53) as f64) * 2.0 - 1.0
+        };
+        for i in 0..400 {
+            let scale = 10f64.powi(i % 13 - 6);
+            dirs.push([next() * scale, next() * scale, next() * scale]);
+        }
+        for lmax in 0..=LMAX_SUPPORTED {
+            let n = num_harmonics(lmax);
+            let (mut free, mut oracle) = (vec![0.0; n], vec![0.0; n]);
+            for d in &dirs {
+                real_spherical_harmonics(lmax, *d, &mut free);
+                real_spherical_harmonics_oracle(lmax, *d, &mut oracle);
+                for idx in 0..n {
+                    assert_eq!(
+                        free[idx].to_bits(),
+                        oracle[idx].to_bits(),
+                        "lmax {lmax}, direction {d:?}, harmonic {:?}",
+                        lm_from_index(idx)
+                    );
+                }
             }
         }
     }

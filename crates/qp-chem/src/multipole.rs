@@ -59,50 +59,50 @@ impl HartreePlan {
     /// Build the plan for a structure/grid pair. Cost: one harmonics
     /// evaluation and one binary search per (point, atom) — about one
     /// iteration's worth of the work it then saves every iteration.
+    ///
+    /// The tables are allocated once at their final size and each point's
+    /// row is written in place, blocks of points fanning out over the
+    /// pool, so the build's peak is the plan's own size. Every entry is
+    /// the same expression at any thread count.
     pub fn build(structure: &Structure, grid: &IntegrationGrid, lmax: usize) -> HartreePlan {
+        /// Grid points per parallel work item.
+        const BLOCK: usize = 64;
         let n_lm = num_harmonics(lmax);
         let natoms = structure.len();
         let np = grid.points.len();
         let radii = grid.radial.radii();
-        // Per-point rows computed in parallel (slot `ip` owns its row), then
-        // flattened in index order — deterministic at any thread count.
-        let rows = qp_par::map_vec((0..np).collect::<Vec<usize>>(), |ip| {
-            let p = &grid.points[ip];
-            let mut row_r = vec![0.0f64; natoms];
-            let mut row_k = vec![0u32; natoms];
-            let mut row_a = vec![0.0f64; natoms];
-            let mut row_b = vec![0.0f64; natoms];
-            let mut row_ylm = vec![0.0f64; natoms * n_lm];
-            for ia in 0..natoms {
-                let c = structure.atoms[ia].position;
-                // Same arithmetic as eval_atoms / compute: d, then r.
-                let d = [
-                    p.position[0] - c[0],
-                    p.position[1] - c[1],
-                    p.position[2] - c[2],
-                ];
-                let r = (d[0] * d[0] + d[1] * d[1] + d[2] * d[2]).sqrt();
-                row_r[ia] = r;
-                real_spherical_harmonics(lmax, d, &mut row_ylm[ia * n_lm..(ia + 1) * n_lm]);
-                let (k, a, b) = CubicSpline::locate(radii, r.max(1e-6));
-                row_k[ia] = k as u32;
-                row_a[ia] = a;
-                row_b[ia] = b;
+        let mut r = vec![0.0f64; np * natoms];
+        let mut k = vec![0u32; np * natoms];
+        let mut a = vec![0.0f64; np * natoms];
+        let mut b = vec![0.0f64; np * natoms];
+        let mut ylm = vec![0.0f64; np * natoms * n_lm];
+        let pair = BLOCK * natoms.max(1);
+        let blocks: Vec<_> = r
+            .chunks_mut(pair)
+            .zip(k.chunks_mut(pair))
+            .zip(a.chunks_mut(pair).zip(b.chunks_mut(pair)))
+            .zip(ylm.chunks_mut(pair * n_lm))
+            .enumerate()
+            .collect();
+        qp_par::for_each_vec(blocks, |(blk, (((r, k), (a, b)), ylm))| {
+            let points = &grid.points[blk * BLOCK..][..r.len() / natoms];
+            for (j, p) in points.iter().enumerate() {
+                for (ia, atom) in structure.atoms.iter().enumerate() {
+                    let c = atom.position;
+                    // Same arithmetic as eval_atoms / compute: d, then r.
+                    let d = [
+                        p.position[0] - c[0],
+                        p.position[1] - c[1],
+                        p.position[2] - c[2],
+                    ];
+                    let x = j * natoms + ia;
+                    r[x] = (d[0] * d[0] + d[1] * d[1] + d[2] * d[2]).sqrt();
+                    real_spherical_harmonics(lmax, d, &mut ylm[x * n_lm..(x + 1) * n_lm]);
+                    let (kx, ax, bx) = CubicSpline::locate(radii, r[x].max(1e-6));
+                    (k[x], a[x], b[x]) = (kx as u32, ax, bx);
+                }
             }
-            (row_r, row_k, row_a, row_b, row_ylm)
         });
-        let mut r = Vec::with_capacity(np * natoms);
-        let mut k = Vec::with_capacity(np * natoms);
-        let mut a = Vec::with_capacity(np * natoms);
-        let mut b = Vec::with_capacity(np * natoms);
-        let mut ylm = Vec::with_capacity(np * natoms * n_lm);
-        for (row_r, row_k, row_a, row_b, row_ylm) in rows {
-            r.extend_from_slice(&row_r);
-            k.extend_from_slice(&row_k);
-            a.extend_from_slice(&row_a);
-            b.extend_from_slice(&row_b);
-            ylm.extend_from_slice(&row_ylm);
-        }
         let mut atom_points = vec![Vec::new(); natoms];
         for (ip, p) in grid.points.iter().enumerate() {
             atom_points[p.atom as usize].push(ip as u32);
@@ -899,6 +899,7 @@ mod tests {
     use crate::elements::Element;
     use crate::geometry::Atom;
     use crate::grids::GridSettings;
+    use crate::harmonics::real_spherical_harmonics_oracle;
     use qp_linalg::vecops::dist3;
 
     fn single_atom() -> Structure {
@@ -1111,6 +1112,85 @@ mod tests {
                     p.to_bits(),
                     "lmax {lmax}: potential mismatch at point {ip}"
                 );
+            }
+        }
+    }
+
+    /// The plan as it was built before its tables were written in place:
+    /// per-point row vectors from the per-call harmonics, copied into the
+    /// final arrays in point order.
+    fn oracle_plan(structure: &Structure, grid: &IntegrationGrid, lmax: usize) -> HartreePlan {
+        let n_lm = num_harmonics(lmax);
+        let natoms = structure.len();
+        let radii = grid.radial.radii();
+        let (mut r, mut k, mut a, mut b, mut ylm) = (vec![], vec![], vec![], vec![], vec![]);
+        for p in &grid.points {
+            let mut row_ylm = vec![0.0f64; natoms * n_lm];
+            for (ia, atom) in structure.atoms.iter().enumerate() {
+                let c = atom.position;
+                let d = [
+                    p.position[0] - c[0],
+                    p.position[1] - c[1],
+                    p.position[2] - c[2],
+                ];
+                let rr = (d[0] * d[0] + d[1] * d[1] + d[2] * d[2]).sqrt();
+                r.push(rr);
+                real_spherical_harmonics_oracle(lmax, d, &mut row_ylm[ia * n_lm..(ia + 1) * n_lm]);
+                let (kk, aa, bb) = CubicSpline::locate(radii, rr.max(1e-6));
+                k.push(kk as u32);
+                a.push(aa);
+                b.push(bb);
+            }
+            ylm.extend_from_slice(&row_ylm);
+        }
+        let mut atom_points = vec![Vec::new(); natoms];
+        for (ip, p) in grid.points.iter().enumerate() {
+            atom_points[p.atom as usize].push(ip as u32);
+        }
+        HartreePlan {
+            lmax,
+            n_lm,
+            natoms,
+            r,
+            k,
+            a,
+            b,
+            ylm,
+            atom_points,
+        }
+    }
+
+    #[test]
+    fn plan_built_in_place_matches_the_oracle_plan() {
+        // Every table entry, at every order the evaluator takes and at 1
+        // and 8 threads, on a grid whose point count is not a multiple of
+        // the build's block.
+        let s3 = Structure::new(vec![
+            Atom::new(Element::O, [0.1, -0.2, 0.05]),
+            Atom::new(Element::H, [1.7, 0.4, -0.3]),
+            Atom::new(Element::H, [-0.9, 1.3, 0.8]),
+        ]);
+        let grid = IntegrationGrid::build(&s3, &GridSettings::coarse());
+        assert_ne!(grid.len() % 64, 0);
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
+        for lmax in 0..=HARTREE_LMAX {
+            let want = oracle_plan(&s3, &grid, lmax);
+            for threads in [1, 8] {
+                let _lease = qp_par::ThreadLease::exactly(threads);
+                let got = HartreePlan::build(&s3, &grid, lmax);
+                let tag = format!("lmax {lmax}, {threads} threads");
+                assert_eq!(
+                    (got.lmax, got.n_lm, got.natoms),
+                    (lmax, want.n_lm, 3),
+                    "{tag}"
+                );
+                assert_eq!(bits(&got.r), bits(&want.r), "{tag}: r");
+                assert_eq!(got.k, want.k, "{tag}: k");
+                assert_eq!(bits(&got.a), bits(&want.a), "{tag}: a");
+                assert_eq!(bits(&got.b), bits(&want.b), "{tag}: b");
+                assert_eq!(bits(&got.ylm), bits(&want.ylm), "{tag}: ylm");
+                assert_eq!(got.atom_points, want.atom_points, "{tag}: atom points");
+                assert_eq!(got.memory_bytes(), want.memory_bytes(), "{tag}");
             }
         }
     }

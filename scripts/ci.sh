@@ -22,8 +22,10 @@ echo "== perf smoke + Sternheimer phase-regression guard (bench_perf --quick --g
 bash scripts/bench_perf.sh --quick --guard --out "$(mktemp)"
 
 echo "== regenerate BENCH_perf.json under the tightened e2e guard"
-# Full workloads with --guard: exits 4 whenever any case's parallel leg is
-# slower than its serial reference on a >= 2-core host (zero slack). The
+# Full workloads with --guard: exits 4 when a case's parallel leg is slower
+# than its serial reference on a >= 2-core host (zero slack) in the median
+# of three serial/parallel pairs (the second and third are run only when
+# the first pair is over the limit). The
 # guard also covers the polymer weak-scaling sweep: exit 7 if the fitted
 # end-to-end assembly exponent exceeds 1.75, exit 9 if the tree-mode Rho
 # exponent exceeds 1.4, exit 11 if the tree far field deviates from the
@@ -36,11 +38,33 @@ jq '.weak_scaling' BENCH_perf.json > results/weak_scaling.json
 test -s results/weak_scaling.json
 echo "-- archived results/weak_scaling.json"
 
+echo "== golden records: result bytes pinned in results/golden/"
+# Each record is the committed --result-json of one coarse-grid run: water,
+# --no-pulay water, tier2 water (the only l = 2 basis tabulation), smeared
+# ligand-49 and polymer:8. The screening, thread-count and SPMD legs below
+# compare their runs of these jobs with the records; this leg makes the two
+# runs no other leg does. A change that alters a bit regenerates the records
+# and says so. The bytes depend on the toolchain's libm (exp, atan2, sin,
+# cos, powf), so a host with another libm regenerates them too.
+cargo build -q --release -p qp-cli
+golden() { # record tag
+  cmp "$1" "results/golden/$2.json" \
+    || { echo "$2: result bytes differ from results/golden/$2.json"; exit 1; }
+  echo "-- $2 == results/golden/$2.json (byte-identical)"
+}
+golden_dir="$(mktemp -d)"
+QP_LOG=warn QP_THREADS=3 ./target/release/qperturb --builtin water --grid coarse \
+    --basis tier2 --result-json "$golden_dir/water_tier2.json" > /dev/null
+golden "$golden_dir/water_tier2.json" water_tier2
+QP_LOG=warn QP_THREADS=3 ./target/release/qperturb --builtin water --grid coarse \
+    --no-pulay --result-json "$golden_dir/water_no_pulay.json" > /dev/null
+golden "$golden_dir/water_no_pulay.json" water_no_pulay
+rm -rf "$golden_dir"
+
 echo "== screened vs dense: byte-identical result records (QP_THREADS=3)"
 # Smeared ligand-49 has fractional occupations: it holds the
 # occupation-class Sternheimer update to the dense one under Fermi-Dirac
-# weights, at the size the benchmark runs.
-cargo build -q --release -p qp-cli
+# weights, at the size the benchmark runs. Both records are the golden one.
 screen_dir="$(mktemp -d)"
 screen_case() { # tag qperturb-args...
   local tag="$1" mode
@@ -51,6 +75,7 @@ screen_case() { # tag qperturb-args...
   done
   cmp "$screen_dir/${tag}_on.json" "$screen_dir/${tag}_off.json"
   echo "-- $tag screened == dense (byte-identical)"
+  golden "$screen_dir/${tag}_on.json" "$tag"
 }
 screen_case water --builtin water
 screen_case polymer_8 --builtin polymer:8
@@ -87,6 +112,7 @@ for threads in 1 3; do
 done
 cmp "$threads_dir/ligand_t1.json" "$threads_dir/ligand_t3.json"
 echo "-- ligand QP_THREADS=1 == QP_THREADS=3 (byte-identical)"
+golden "$threads_dir/ligand_t1.json" smeared_ligand
 rm -rf "$threads_dir"
 
 echo "== far field: tree-served polarizability vs the direct oracle (QP_THREADS=3)"
@@ -148,7 +174,8 @@ spmd_case() { # tag "rank counts" qperturb-args...
     fi
   done
 }
-spmd_case polymer:8 "1 2 4" --builtin polymer:8 --grid coarse
+spmd_case polymer_8 "1 2 4" --builtin polymer:8 --grid coarse
+golden "$spmd_dir/polymer_8_serial.json" polymer_8
 spmd_case smeared_water "1 2" --builtin water --grid coarse --smearing 0.02
 rm -rf "$spmd_dir"
 
