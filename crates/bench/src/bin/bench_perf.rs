@@ -74,7 +74,7 @@ use qp_core::profile::default_profile_threads;
 use qp_core::scf::{scf, ScfOptions};
 use qp_core::system::System;
 use qp_core::{profile_case, FarFieldMode, Job, ProfileReport, ScreeningMode};
-use qp_grid::farfield_tol;
+use qp_grid::{farfield_tol, NeighborList};
 use qp_linalg::DMatrix;
 use qp_trace::json::{obj, Json};
 use qp_trace::span::{set_enabled, take_events, Phase};
@@ -546,7 +546,9 @@ fn run_weak_scaling(quick: bool) -> WeakScaling {
         } else {
             (None, None)
         };
-        let pair_fill = sys.screen().map(|p| p.fill_ratio()).unwrap_or(1.0);
+        let pair_fill = sys
+            .screen()
+            .map_or(1.0, |_| NeighborList::build(&sys.structure).fill_ratio());
         println!(
             "weak-scaling n={n}: {} atoms, {} basis, fill {:.2}, screened e2e {:.3}s, \
              rho(tree) {rho_tree_s:.3}s{}",

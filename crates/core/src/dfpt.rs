@@ -115,6 +115,26 @@ fn occupation_classes(occupations: &[f64]) -> (usize, usize) {
     (a, b.max(a))
 }
 
+/// Smallest basis for the occupation-class route: below it the restricted
+/// GEMMs' packing costs more than the blocks they skip (see
+/// [`class_restricted`]).
+const CLASS_ROUTE_MIN_BASIS: usize = 48;
+
+/// Whether the Sternheimer update takes the occupation-class route
+/// ([`h1_mo_screened`] and [`sternheimer_response_screened`]) instead of
+/// the dense GEMMs. The route skips the `O*×O*` and `V*×V*` blocks of
+/// the occupation classes `(a, b)`, a share `(a² + (nb−b)²)/nb²` of `W`,
+/// and pays when that share is at least a half and `nb` is at least
+/// [`CLASS_ROUTE_MIN_BASIS`]. Integer occupations always skip at least
+/// half; a band of fractional occupations adds a third column class whose
+/// GEMM costs more than the smaller share saves. Both routes give the
+/// same bits, so the choice changes only speed.
+pub(crate) fn class_restricted(occupations: &[f64]) -> bool {
+    let nb = occupations.len();
+    let (a, b) = occupation_classes(occupations);
+    nb >= CLASS_ROUTE_MIN_BASIS && 2 * (a * a + (nb - b) * (nb - b)) >= nb * nb
+}
+
 /// Screened MO transform of the response Hamiltonian: `Cᵀ·H¹·C` with the
 /// `O*×O*` and `V*×V*` diagonal blocks skipped (left exactly `0.0`).
 /// [`sternheimer_weights`] checks `|f_p − f_q| < 1e-12` *before* reading
@@ -461,16 +481,17 @@ impl Cycle for &Direction<'_> {
 
     /// `H¹ = V¹ − D_J` (Eqs. 10–11), then the Sternheimer update in the MO
     /// basis (occupation-aware GEMM form — handles both integer and
-    /// Fermi-Dirac ground states), replicated on every rank. With a
-    /// screening plan active, the MO transform skips the non-coupling
-    /// O*×O*/V*×V* blocks and C·W restricts each column class to its
-    /// coupling k-range — bit-identical to the dense contraction.
+    /// Fermi-Dirac ground states), replicated on every rank. When the
+    /// occupation classes skip enough ([`class_restricted`]), the MO
+    /// transform skips the non-coupling O*×O*/V*×V* blocks and C·W
+    /// restricts each column class to its coupling k-range — bit-identical
+    /// to the dense contraction.
     fn step(&self, mut h1: DMatrix, _: (&[f64], &[f64], &[f64])) -> Result<(DMatrix, ())> {
         let _s = crate::phase_span(Phase::Sternheimer, "sternheimer");
         h1.axpy(-1.0, self.dip)?;
         let c = &self.ground.orbitals;
         let (eps, occ) = (&self.ground.eigenvalues, &self.ground.occupations);
-        let p1 = if self.system.screen().is_some() {
+        let p1 = if class_restricted(occ) {
             let h1_mo = h1_mo_screened(self.c_t, &h1, c, occ);
             sternheimer_response_screened(c, eps, occ, &h1_mo)
         } else {
@@ -806,6 +827,24 @@ mod sternheimer_tests {
             assert_eq!(d.to_bits(), s.to_bits());
         }
         assert_eq!(screened.frobenius_norm(), 0.0);
+    }
+
+    #[test]
+    fn class_route_needs_half_the_weights_skipped_and_48_functions() {
+        let integer = |nb: usize, occ: usize| -> Vec<f64> {
+            (0..nb).map(|i| if i < occ { 2.0 } else { 0.0 }).collect()
+        };
+        // Integer occupations skip at least half of W.
+        assert!(class_restricted(&integer(58, 33))); // polymer:4
+        assert!(class_restricted(&integer(114, 65))); // polymer:8
+        assert!(class_restricted(&integer(48, 24))); // exactly half
+        assert!(!class_restricted(&integer(47, 24))); // below the size floor
+        assert!(!class_restricted(&integer(7, 5))); // water
+
+        // Two fractional occupations of 48: 23² + 23² < 48²/2.
+        let mut smeared = integer(48, 24);
+        (smeared[23], smeared[24]) = (1.2, 0.8);
+        assert!(!class_restricted(&smeared));
     }
 
     #[test]

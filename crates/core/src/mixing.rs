@@ -328,6 +328,28 @@ mod tests {
     }
 
     #[test]
+    fn nan_target_restarts_the_history_instead_of_panicking() {
+        // The third target holds a NaN, so the DIIS system does: the step
+        // restarts the history and hands back the linear mix, whose NaN the
+        // loop's non-finite check then reports as a typed error.
+        let beta = 0.4;
+        let mut st = MixState::new(DfptMixer::Pulay { depth: 6 }, beta);
+        let mut x = m(&[0.0; 4]);
+        for _ in 0..2 {
+            x = st.step(&x, &apply(&x));
+        }
+        let mut t = apply(&x);
+        t.as_mut_slice()[1] = f64::NAN;
+        let out = st.step(&x, &t);
+        let linear = linear_mix(&x, &t, beta);
+        for (o, l) in out.as_slice().iter().zip(linear.as_slice()) {
+            assert_eq!(o.to_bits(), l.to_bits());
+        }
+        assert!(out.as_slice()[1].is_nan());
+        assert!(st.into_history().0.is_empty(), "the history restarts");
+    }
+
+    #[test]
     fn pulay_fixed_point_converges_faster_than_linear() {
         let run = |mixer: DfptMixer| {
             let mut st = MixState::new(mixer, 0.5);

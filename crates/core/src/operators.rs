@@ -394,7 +394,7 @@ mod tests {
         );
         assert!(scr.screen().is_some() && dense.screen().is_none());
         assert!(
-            scr.screen().unwrap().fill_ratio() < 1.0,
+            qp_grid::NeighborList::build(&scr.structure).fill_ratio() < 1.0,
             "polymer must actually screen pairs"
         );
         for (d, s, what) in [

@@ -169,7 +169,8 @@ mod tests {
     /// polymer:4 on the coarse grid at the production expansion order,
     /// screening forced on (its 14 atoms are below the `Auto` threshold):
     /// far-side (point, atom) pairs take the Poisson tails, and the
-    /// Sternheimer update takes the occupation-class contraction.
+    /// Sternheimer update takes the occupation-class contraction (58 basis
+    /// functions, integer occupations).
     fn polymer_setup() -> (System, ScfResult) {
         let sys = System::build_with_modes(
             polyethylene(4),
@@ -182,6 +183,7 @@ mod tests {
         );
         assert!(sys.screen().is_some());
         let ground = scf(&sys, &ScfOptions::default()).unwrap();
+        assert!(crate::dfpt::class_restricted(&ground.occupations));
         (sys, ground)
     }
 

@@ -35,18 +35,11 @@ use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::time::Instant;
 
-/// Parallel-leg width: `QP_THREADS` if set, else available parallelism,
-/// clamped to ≥ 2 so the parallel machinery is actually exercised.
+/// Parallel-leg width: the pool's width (`QP_THREADS` if set, else
+/// available parallelism), clamped to ≥ 2 so the parallel machinery is
+/// actually exercised.
 pub fn default_profile_threads() -> usize {
-    std::env::var("QP_THREADS")
-        .ok()
-        .and_then(|s| s.parse::<usize>().ok())
-        .unwrap_or_else(|| {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-        })
-        .max(2)
+    qp_par::active_threads().max(2)
 }
 
 /// One bar of the region grain-size histogram.

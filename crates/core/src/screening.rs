@@ -1,37 +1,28 @@
 //! Cutoff-sphere screening plan.
 //!
-//! [`ScreenPlan`] bundles the cutoff-sphere data structures from `qp-grid`:
-//!
-//! * the atom-pair [`NeighborList`] — the exact support of every assembled
-//!   operator matrix; its fill ratio is what the CLI and the weak-scaling
-//!   sweep report,
-//! * a [`BatchScreen`] cell list answering "which atoms reach this batch"
-//!   in O(neighbourhood) instead of the O(n_basis) linear scan.
-//!
-//! A plan does two jobs: the cell-list basis tabulation
-//! ([`ScreenPlan::functions_near`]) and, as a gate, the occupation-class
-//! Sternheimer contraction (`dfpt::sternheimer_response_screened`).
-//! Operators merge into the dense matrix with or without one: a rank's
+//! [`ScreenPlan`] holds `qp-grid`'s [`BatchScreen`] cell list, which
+//! answers "which atoms reach this batch" in O(neighbourhood) instead of
+//! the O(n_basis) linear scan of the basis tabulation
+//! ([`ScreenPlan::functions_near`]). That is all screening changes.
+//! Operators merge into the dense matrix with or without a plan: a rank's
 //! Hamiltonian is small and dense (the paper's §3.1), and the entries off
-//! the pair support come out exactly `+0.0` either way.
+//! the atom-pair support come out exactly `+0.0` either way. The
+//! Sternheimer update picks its route from the occupations, not from the
+//! plan (see `dfpt::class_restricted`).
 //!
 //! **Bit-identity contract.** Screening never changes a single output bit:
-//!
-//! * The screened tabulation path returns the *same sorted function list*
-//!   as `BasisSet::functions_near` (same strict `<` predicate, atom-major
-//!   order), so every batch table is bytewise identical.
-//! * The occupation-class Sternheimer contraction skips only MO blocks its
-//!   weights never read and weight terms that are exactly `0.0`, and it
-//!   splits k on `K_GROUP` boundaries, so every element keeps the dense
-//!   GEMM's addition tree.
+//! the screened tabulation path returns the *same sorted function list* as
+//! `BasisSet::functions_near` (same strict `<` predicate, atom-major
+//! order), so every batch table is bytewise identical.
 
 use qp_chem::basis::BasisSet;
 use qp_chem::geometry::Structure;
-use qp_grid::{BatchScreen, NeighborList};
+use qp_grid::BatchScreen;
 
 /// Structures at or above this many atoms turn screening on under
-/// [`ScreeningMode::Auto`].  Below it the neighbor list is ~dense and the
-/// plan is pure overhead; the choice is bit-invisible either way.
+/// [`ScreeningMode::Auto`].  Below it every atom reaches nearly every
+/// batch and the cell list is pure overhead; the choice is bit-invisible
+/// either way.
 pub const AUTO_MIN_ATOMS: usize = 16;
 
 /// User-facing screening control (`--screening on|off|auto`).
@@ -82,13 +73,11 @@ impl std::fmt::Display for ScreeningMode {
     }
 }
 
-/// The per-system screening plan: neighbor pairs and batch queries.
-/// Built once per [`crate::System`]; immutable and shared by every phase.
+/// The per-system screening plan: cell-list range queries for batch
+/// tabulation. Built once per [`crate::System`]; immutable and shared by
+/// every phase.
 #[derive(Debug)]
 pub struct ScreenPlan {
-    /// Atom-pair support of every assembled operator.
-    pub neighbours: NeighborList,
-    /// Cell-list range queries for batch tabulation.
     batch_screen: BatchScreen,
 }
 
@@ -96,7 +85,6 @@ impl ScreenPlan {
     /// Build the plan for a structure.
     pub fn build(structure: &Structure) -> Self {
         ScreenPlan {
-            neighbours: NeighborList::build(structure),
             batch_screen: BatchScreen::build(structure),
         }
     }
@@ -113,11 +101,6 @@ impl ScreenPlan {
             out.extend(basis.functions_of_atom(a as usize));
         }
         out
-    }
-
-    /// Fraction of the dense pair space that survives screening.
-    pub fn fill_ratio(&self) -> f64 {
-        self.neighbours.fill_ratio()
     }
 }
 

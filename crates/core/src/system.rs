@@ -1,11 +1,19 @@
 //! The assembled simulation system: structure + basis + grid + batches +
 //! tabulated basis values.
 //!
-//! Basis values (and gradients) at grid points are tabulated once, batch by
+//! Basis values (and gradients) at grid points are tabulated batch by
 //! batch with cutoff pruning — the "two-level fine-grained parallelism,
 //! across batches and grid points" data layout of §4.1.
+//!
+//! What a [`System`] derives from its geometry follows one rule: it is
+//! built on first use and kept for the system's life while it fits its
+//! budget, and computed per use otherwise. The basis tables are kept one
+//! batch at a time within [`budget_bytes`] of the basis size, the Hartree
+//! plan whole within `PLAN_BUDGET_BYTES`.
+//! Either way every output bit is the same; the budgets decide only what
+//! stays resident.
 
-use crate::basis_cache::BasisValueCache;
+use crate::basis_cache::{budget_bytes, BasisValueCache};
 use crate::farfield::FarFieldMode;
 use crate::screening::{ScreenPlan, ScreeningMode};
 use qp_chem::basis::{AtomBasis, BasisSet, BasisSettings, GRADIENT_STEP};
@@ -22,11 +30,10 @@ use std::sync::{Arc, OnceLock};
 /// large enough that the tree has O(n/8) leaves.
 const CLUSTER_LEAF_MAX: usize = 8;
 
-/// Default cap on the Hartree-plan table size. The bench systems sit in the
-/// tens of MB; systems whose plan would exceed the cap silently use the
-/// direct (recompute-per-iteration) Hartree path instead. Override with
-/// `QP_HARTREE_PLAN_MAX_MB` (0 disables the plan entirely).
-const DEFAULT_PLAN_CAP_MB: usize = 256;
+/// Budget of the Hartree plan's tables: 256 MiB. The bench systems' plans
+/// sit in the tens of MB; a system whose plan would exceed the budget
+/// takes the direct Hartree path, which recomputes the geometry per use.
+const PLAN_BUDGET_BYTES: usize = 256 * 1024 * 1024;
 
 /// Roofline accounting for one Hartree evaluation, as GEMM books its
 /// own: the flops and compulsory bytes of
@@ -39,18 +46,6 @@ fn record_rho_roofline((flops, bytes): (u64, u64)) {
     reg.counter("rho.eval.flops", labels).add(flops);
     reg.counter("rho.eval.bytes", labels).add(bytes);
     reg.counter("rho.eval.calls", labels).inc();
-}
-
-fn plan_cap_bytes() -> usize {
-    static CAP: OnceLock<usize> = OnceLock::new();
-    *CAP.get_or_init(|| {
-        std::env::var("QP_HARTREE_PLAN_MAX_MB")
-            .ok()
-            .and_then(|v| v.parse::<usize>().ok())
-            .unwrap_or(DEFAULT_PLAN_CAP_MB)
-            * 1024
-            * 1024
-    })
 }
 
 /// Per-batch table of basis-function values at the batch's grid points.
@@ -94,15 +89,13 @@ pub struct System {
     pub grid: IntegrationGrid,
     /// The grid's batches (grid-adapted cut-plane method).
     pub batches: Vec<Batch>,
-    /// Lazily built, LRU-capped per-batch basis tables (see
-    /// [`crate::basis_cache`]). Grid points never move across SCF/DFPT
-    /// iterations, so each table is computed once and reused every
-    /// iteration.
+    /// Per-batch basis tables, each built on first use and kept while
+    /// the kept tables fit the budget (see [`crate::basis_cache`]).
     cache: BasisValueCache,
     /// Multipole expansion order used by the Poisson solver.
     pub lmax: usize,
-    /// Lazily built per-(point, atom) geometry tables for the Hartree
-    /// phases; `None` when the tables would exceed the size cap.
+    /// Per-(point, atom) geometry tables for the Hartree phases, built on
+    /// first use; `None` when they would exceed [`PLAN_BUDGET_BYTES`].
     hartree_plan: OnceLock<Option<Arc<HartreePlan>>>,
     /// Cutoff-sphere screening plan (`Some` when screening is active).
     /// Screening is bit-invisible: every screened path produces the same
@@ -151,7 +144,7 @@ impl System {
         let basis = BasisSet::build(&structure, basis_settings);
         let grid = IntegrationGrid::build(&structure, grid_settings);
         let batches = batches_from_grid(&grid, max_batch);
-        let cache = BasisValueCache::from_env(batches.len(), basis.len());
+        let cache = BasisValueCache::new(batches.len(), budget_bytes(basis.len()));
         let screen = mode
             .enabled(structure.len())
             .then(|| Arc::new(ScreenPlan::build(&structure)));
@@ -202,7 +195,8 @@ impl System {
         )
     }
 
-    /// The basis table for batch `bid`, from cache or freshly tabulated.
+    /// The basis table for batch `bid`: the kept one, or freshly
+    /// tabulated.
     pub fn table(&self, bid: usize) -> Arc<BatchBasisTable> {
         self.cache
             .get(bid, || self.tabulate_batch(&self.batches[bid]))
@@ -229,14 +223,15 @@ impl System {
             .as_ref()
     }
 
-    /// The underlying basis-value cache (hit rates, residency, capacity).
+    /// The per-batch basis tables (hit counts, kept bytes).
     pub fn basis_cache(&self) -> &BasisValueCache {
         &self.cache
     }
 
-    /// Build every batch table up front, in parallel (the SCF driver does
-    /// this implicitly on its first assembly; benches use it explicitly to
-    /// separate cold from warm timings).
+    /// Build every batch table up front, in parallel, keeping those that
+    /// fit the budget (the SCF driver does this implicitly on its first
+    /// assembly; benches use it explicitly to separate cold from warm
+    /// timings).
     pub fn warm_tables(&self) {
         // Tabulating a batch is radial-spline + harmonics work per
         // (point, function) — always worth fanning out.
@@ -248,36 +243,31 @@ impl System {
     /// The Hartree geometry plan (per-point distances, harmonics, spline
     /// brackets), built once on first use and shared by the SCF and DFPT
     /// potential phases. Returns `None` when the tables would exceed
-    /// `QP_HARTREE_PLAN_MAX_MB` — the choice depends only on system size
-    /// and environment, never on the thread count, so both paths stay
-    /// deterministic.
+    /// `PLAN_BUDGET_BYTES`: the choice depends only on system size,
+    /// never on the thread count, and both paths give the same bits.
     pub fn hartree_plan(&self) -> Option<Arc<HartreePlan>> {
         self.hartree_plan
             .get_or_init(|| {
                 let est =
                     HartreePlan::estimate_bytes(self.grid.len(), self.structure.len(), self.lmax);
-                if est <= plan_cap_bytes() && plan_cap_bytes() > 0 {
-                    Some(Arc::new(HartreePlan::build(
-                        &self.structure,
-                        &self.grid,
-                        self.lmax,
-                    )))
-                } else {
-                    None
-                }
+                (est <= PLAN_BUDGET_BYTES)
+                    .then(|| Arc::new(HartreePlan::build(&self.structure, &self.grid, self.lmax)))
             })
             .clone()
     }
 
     /// Multipole moments (`rho_multipole`) of a density given at every grid
-    /// point: from the Hartree plan's tables when the plan exists, directly
-    /// otherwise. The two are bit-identical, and which one runs depends
-    /// only on system size.
+    /// point, the harmonics read from the Hartree plan when it is kept and
+    /// computed otherwise (bit-identical either way).
     pub fn multipole_moments(&self, density: &[f64]) -> MultipoleMoments {
-        match self.hartree_plan().as_deref() {
-            Some(pl) => MultipoleMoments::compute_planned(&self.structure, &self.grid, density, pl),
-            None => MultipoleMoments::compute(&self.structure, &self.grid, density, self.lmax),
-        }
+        let plan = self.hartree_plan();
+        MultipoleMoments::compute_with(
+            &self.structure,
+            &self.grid,
+            density,
+            self.lmax,
+            plan.as_deref(),
+        )
     }
 
     /// The Hartree potential of `moments` on the grid: one radial Poisson
@@ -546,6 +536,69 @@ mod tests {
         let (h1, m1, _) = s.basis_cache().counters();
         assert_eq!(h1 - h0, s.batches.len() as u64, "all warm lookups hit");
         assert_eq!(m1, m0, "no rebuild after warm-up");
+    }
+
+    #[test]
+    fn tables_past_the_budget_leave_the_kept_ones_hitting() {
+        // A budget of half the tables: after warm-up every Sumup hits each
+        // kept table and rebuilds only the others, and the density keeps
+        // the unbounded system's bits.
+        let full = small_system();
+        full.warm_tables();
+        let all_bytes = full.basis_cache().resident_bytes();
+        let mut s = small_system();
+        s.cache = BasisValueCache::new(s.batches.len(), all_bytes / 2);
+        s.warm_tables();
+        let (_, built, dropped) = s.basis_cache().counters();
+        let n = s.batches.len() as u64;
+        let kept = n - dropped;
+        assert_eq!(built, n);
+        assert!(kept > 0 && dropped > 0, "{kept} kept, {dropped} dropped");
+        assert!(s.basis_cache().resident_bytes() <= all_bytes / 2);
+        let p = DMatrix::identity(s.n_basis());
+        let want = full.density_on_grid(&p);
+        for sweep in 0..2 {
+            let (h0, m0, e0) = s.basis_cache().counters();
+            let got = s.density_on_grid(&p);
+            let (h1, m1, e1) = s.basis_cache().counters();
+            assert_eq!(h1 - h0, kept, "sweep {sweep}: every kept table hits");
+            assert_eq!((m1 - m0, e1 - e0), (dropped, dropped), "sweep {sweep}");
+            for (i, (g, w)) in got.iter().zip(&want).enumerate() {
+                assert_eq!(g.to_bits(), w.to_bits(), "sweep {sweep}: point {i}");
+            }
+        }
+    }
+
+    #[test]
+    fn jobs_without_the_hartree_plan_have_the_planned_bits() {
+        // The plan forced off, as past PLAN_BUDGET_BYTES: every potential
+        // evaluation and moment sum recomputes its geometry, and whole jobs
+        // (ground state, three field directions) land on the planned bits.
+        use crate::{DfptOptions, Job, ScfOptions};
+        let (light, coarse) = (GridSettings::light(), GridSettings::coarse());
+        for (name, structure, grid) in [
+            ("water", water(), &light),
+            ("polymer:4", polyethylene(4), &coarse),
+        ] {
+            let build = || {
+                let (screen, far) = (ScreeningMode::Auto, FarFieldMode::Auto);
+                System::for_job(structure.clone(), BasisSettings::Light, grid, screen, far)
+            };
+            let planned = build();
+            assert!(planned.hartree_plan().is_some(), "{name}: the plan fits");
+            let mut direct = build();
+            direct.hartree_plan = OnceLock::from(None);
+            let job = Job::new(ScfOptions::default(), DfptOptions::default());
+            let (a, b) = (job.run(&planned).unwrap(), job.run(&direct).unwrap());
+            assert_eq!(
+                a.ground.energy.to_bits(),
+                b.ground.energy.to_bits(),
+                "{name}"
+            );
+            for (x, y) in a.alpha.as_slice().iter().zip(b.alpha.as_slice()) {
+                assert_eq!(x.to_bits(), y.to_bits(), "{name}: alpha");
+            }
+        }
     }
 
     /// `BasisFunction::eval`, the per-function oracle (test-only inside

@@ -49,10 +49,6 @@ pub struct HartreePlan {
     /// `ylm[(ip*natoms + ia)*n_lm + lm]`: real spherical harmonics of the
     /// point-to-atom direction.
     ylm: Vec<f64>,
-    /// Per-atom grid-point indices in grid order (the points partitioned
-    /// to that atom) — lets the moment accumulation parallelize over atoms
-    /// while preserving the serial accumulation order per atom.
-    atom_points: Vec<Vec<u32>>,
 }
 
 impl HartreePlan {
@@ -103,10 +99,6 @@ impl HartreePlan {
                 }
             }
         });
-        let mut atom_points = vec![Vec::new(); natoms];
-        for (ip, p) in grid.points.iter().enumerate() {
-            atom_points[p.atom as usize].push(ip as u32);
-        }
         HartreePlan {
             lmax,
             n_lm,
@@ -116,7 +108,6 @@ impl HartreePlan {
             a,
             b,
             ylm,
-            atom_points,
         }
     }
 
@@ -132,14 +123,13 @@ impl HartreePlan {
             + self.a.len() * 8
             + self.b.len() * 8
             + self.ylm.len() * 8
-            + self.atom_points.iter().map(|v| v.len() * 4).sum::<usize>()
     }
 
     /// Estimated table size for a hypothetical plan (gate big systems
     /// before paying the build).
     pub fn estimate_bytes(np: usize, natoms: usize, lmax: usize) -> usize {
         let n_lm = num_harmonics(lmax);
-        np * natoms * (8 + 4 + 8 + 8 + n_lm * 8) + np * 4
+        np * natoms * (8 + 4 + 8 + 8 + n_lm * 8)
     }
 }
 
@@ -186,69 +176,64 @@ impl MultipoleMoments {
         density: &[f64],
         lmax: usize,
     ) -> Self {
-        assert_eq!(density.len(), grid.points.len());
-        let n_lm = num_harmonics(lmax);
-        let n_shells = grid.radial.len();
-        let fourpi = 4.0 * std::f64::consts::PI;
-        let mut moments = vec![vec![0.0; n_shells * n_lm]; structure.len()];
-        let mut ylm = vec![0.0; n_lm];
-        for (p, &n_val) in grid.points.iter().zip(density.iter()) {
-            let ia = p.atom as usize;
-            let center = structure.atoms[ia].position;
-            let dir = [
-                p.position[0] - center[0],
-                p.position[1] - center[1],
-                p.position[2] - center[2],
-            ];
-            real_spherical_harmonics(lmax, dir, &mut ylm);
-            let base = p.shell as usize * n_lm;
-            // n_atom = partition * n;  ∫ dΩ ≈ 4π Σ w_ang.
-            let f = fourpi * p.w_angular * p.partition * n_val;
-            let row = &mut moments[ia][base..base + n_lm];
-            for (m, y) in row.iter_mut().zip(ylm.iter()) {
-                *m += f * y;
-            }
-        }
-        MultipoleMoments {
-            lmax,
-            moments,
-            n_lm,
-        }
+        Self::compute_with(structure, grid, density, lmax, None)
     }
 
-    /// Plan-accelerated [`compute`](Self::compute): the harmonics come from
-    /// the [`HartreePlan`] tables and the per-atom accumulations run in
-    /// parallel. Bit-identical to `compute` because each grid point
-    /// contributes only to its own atom's moments (`p.atom`), the plan's
-    /// `atom_points` lists preserve grid order, and the scalar expression
-    /// `f * y` is unchanged — so every `moments[ia]` slot sees the exact
-    /// same additions in the exact same order as the serial loop.
+    /// [`compute`](Self::compute) with the harmonics read from `plan`.
     pub fn compute_planned(
         structure: &Structure,
         grid: &IntegrationGrid,
         density: &[f64],
         plan: &HartreePlan,
     ) -> Self {
+        Self::compute_with(structure, grid, density, plan.lmax, Some(plan))
+    }
+
+    /// The moments kernel: one row per atom over that atom's points
+    /// (`grid.atom_ranges`), the rows fanned out over the pool. A grid
+    /// point adds only to its own atom's row, in grid order, so each row
+    /// sees the same additions in the same order at any thread count. The
+    /// harmonics of a point come from `plan` when given, else are
+    /// computed from the same point-to-atom vector the plan is built from:
+    /// the result is bit-identical either way.
+    pub fn compute_with(
+        structure: &Structure,
+        grid: &IntegrationGrid,
+        density: &[f64],
+        lmax: usize,
+        plan: Option<&HartreePlan>,
+    ) -> Self {
+        let natoms = structure.len();
         assert_eq!(density.len(), grid.points.len());
-        assert_eq!(plan.natoms, structure.len());
-        let lmax = plan.lmax;
-        let n_lm = plan.n_lm;
+        assert_eq!(grid.atom_ranges.len(), natoms);
+        if let Some(plan) = plan {
+            assert_eq!((plan.natoms, plan.lmax), (natoms, lmax));
+        }
+        let n_lm = num_harmonics(lmax);
         let n_shells = grid.radial.len();
         let fourpi = 4.0 * std::f64::consts::PI;
-        let natoms = plan.natoms;
-        // Per-atom moment rows are independent: parallelize over atoms.
-        // Each atom's accumulation walks its points in grid order, matching
-        // the serial loop's visit order for that atom exactly.
         let moments = qp_par::map_vec((0..natoms).collect::<Vec<usize>>(), |ia| {
+            let center = structure.atoms[ia].position;
             let mut row = vec![0.0f64; n_shells * n_lm];
-            for &ip32 in &plan.atom_points[ia] {
-                let ip = ip32 as usize;
+            let mut computed = vec![0.0; n_lm];
+            for ip in grid.atom_ranges[ia].clone() {
                 let p = &grid.points[ip];
+                let ylm = match plan {
+                    Some(plan) => &plan.ylm[(ip * natoms + ia) * n_lm..][..n_lm],
+                    None => {
+                        let dir = [
+                            p.position[0] - center[0],
+                            p.position[1] - center[1],
+                            p.position[2] - center[2],
+                        ];
+                        real_spherical_harmonics(lmax, dir, &mut computed);
+                        &computed[..]
+                    }
+                };
                 let base = p.shell as usize * n_lm;
+                // n_atom = partition * n;  ∫ dΩ ≈ 4π Σ w_ang.
                 let f = fourpi * p.w_angular * p.partition * density[ip];
-                let ylm = &plan.ylm[(ip * natoms + ia) * n_lm..(ip * natoms + ia + 1) * n_lm];
-                let dst = &mut row[base..base + n_lm];
-                for (m, y) in dst.iter_mut().zip(ylm.iter()) {
+                for (m, y) in row[base..base + n_lm].iter_mut().zip(ylm) {
                     *m += f * y;
                 }
             }
@@ -1057,6 +1042,36 @@ mod tests {
         assert!((v - 1.0).abs() < 0.02, "midpoint potential {v}");
     }
 
+    /// The moments as one serial pass over the grid in point order,
+    /// before they became one row per atom: the kernel's bit oracle.
+    fn serial_moments(
+        s: &Structure,
+        grid: &IntegrationGrid,
+        density: &[f64],
+        lmax: usize,
+    ) -> Vec<Vec<f64>> {
+        let n_lm = num_harmonics(lmax);
+        let fourpi = 4.0 * std::f64::consts::PI;
+        let mut moments = vec![vec![0.0; grid.radial.len() * n_lm]; s.len()];
+        let mut ylm = vec![0.0; n_lm];
+        for (p, &n_val) in grid.points.iter().zip(density) {
+            let ia = p.atom as usize;
+            let c = s.atoms[ia].position;
+            let dir = [
+                p.position[0] - c[0],
+                p.position[1] - c[1],
+                p.position[2] - c[2],
+            ];
+            real_spherical_harmonics(lmax, dir, &mut ylm);
+            let base = p.shell as usize * n_lm;
+            let f = fourpi * p.w_angular * p.partition * n_val;
+            for (m, y) in moments[ia][base..base + n_lm].iter_mut().zip(&ylm) {
+                *m += f * y;
+            }
+        }
+        moments
+    }
+
     #[test]
     fn planned_moments_and_eval_are_bit_identical_to_direct() {
         // Two off-axis atoms so the harmonics, partition weights, and both
@@ -1080,20 +1095,21 @@ mod tests {
             assert_eq!(plan.natoms(), 2);
             assert!(plan.memory_bytes() > 0);
 
+            let serial = serial_moments(&s2, &grid, &n, lmax);
             let direct = MultipoleMoments::compute(&s2, &grid, &n, lmax);
-            let planned = MultipoleMoments::compute_planned(&s2, &grid, &n, &plan);
-            for (ia, (d, p)) in direct
-                .moments
-                .iter()
-                .zip(planned.moments.iter())
-                .enumerate()
-            {
-                for (j, (dv, pv)) in d.iter().zip(p.iter()).enumerate() {
-                    assert_eq!(
-                        dv.to_bits(),
-                        pv.to_bits(),
-                        "lmax {lmax}: moment mismatch atom {ia} slot {j}"
-                    );
+            for threads in [1, 8] {
+                let _lease = qp_par::ThreadLease::exactly(threads);
+                let planned = MultipoleMoments::compute_planned(&s2, &grid, &n, &plan);
+                for got in [&direct.moments, &planned.moments] {
+                    for (ia, (w, g)) in serial.iter().zip(got).enumerate() {
+                        for (j, (wv, gv)) in w.iter().zip(g).enumerate() {
+                            assert_eq!(
+                                wv.to_bits(),
+                                gv.to_bits(),
+                                "lmax {lmax}, {threads} threads: moment mismatch atom {ia} slot {j}"
+                            );
+                        }
+                    }
                 }
             }
 
@@ -1143,10 +1159,6 @@ mod tests {
             }
             ylm.extend_from_slice(&row_ylm);
         }
-        let mut atom_points = vec![Vec::new(); natoms];
-        for (ip, p) in grid.points.iter().enumerate() {
-            atom_points[p.atom as usize].push(ip as u32);
-        }
         HartreePlan {
             lmax,
             n_lm,
@@ -1156,7 +1168,6 @@ mod tests {
             a,
             b,
             ylm,
-            atom_points,
         }
     }
 
@@ -1189,7 +1200,6 @@ mod tests {
                 assert_eq!(bits(&got.a), bits(&want.a), "{tag}: a");
                 assert_eq!(bits(&got.b), bits(&want.b), "{tag}: b");
                 assert_eq!(bits(&got.ylm), bits(&want.ylm), "{tag}: ylm");
-                assert_eq!(got.atom_points, want.atom_points, "{tag}: atom points");
                 assert_eq!(got.memory_bytes(), want.memory_bytes(), "{tag}");
             }
         }

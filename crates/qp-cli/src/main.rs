@@ -77,8 +77,8 @@ options:
   --dfpt-mixing <x>        DFPT mixing                (default 0.6)
   --no-dfpt                stop after the ground state
   --screening <on|off|auto>  cutoff-sphere screening of the basis tables
-                           and the Sternheimer update (default auto: on
-                           from 16 atoms; bit-identical either way)
+                           (default auto: on from 16 atoms; bit-identical
+                           either way)
   --farfield <direct|tree|auto>  Hartree far-field evaluation: exact
                            per-atom sum or hierarchical cluster-tree
                            multipoles within QP_FARFIELD_TOL (default
@@ -387,12 +387,13 @@ fn run(args: &Args) -> Result<(), String> {
         system.batches.len(),
         t0.elapsed()
     );
-    if let Some(plan) = system.screen() {
+    if system.screen().is_some() && qp_trace::log::log_enabled(qp_trace::log::Level::Info) {
+        let pairs = qp_grid::NeighborList::build(&system.structure);
         qp_info!(
             "screening: {} of {} atom pairs survive ({:.1}% fill)",
-            plan.neighbours.n_pairs(),
+            pairs.n_pairs(),
             system.structure.len() * system.structure.len(),
-            100.0 * plan.fill_ratio()
+            100.0 * pairs.fill_ratio()
         );
     }
     if let Some(tree) = system.farfield_tree() {

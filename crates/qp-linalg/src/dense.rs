@@ -467,11 +467,15 @@ pub fn lu_solve(a: &DMatrix, b: &[f64]) -> crate::Result<Vec<f64>> {
     let mut m = a.clone();
     let mut x = b.to_vec();
     for col in 0..n {
-        // Partial pivot.
+        // Partial pivot. `total_cmp` ranks NaN and ∞ above every finite
+        // magnitude, so a non-finite column yields a non-finite pivot.
         let (pivot_row, pivot_val) = (col..n)
             .map(|r| (r, m[(r, col)].abs()))
-            .max_by(|p, q| p.1.partial_cmp(&q.1).expect("finite"))
+            .max_by(|p, q| p.1.total_cmp(&q.1))
             .expect("non-empty");
+        if !pivot_val.is_finite() {
+            return Err(LinalgError::NonFinite { pivot: col });
+        }
         if pivot_val < 1e-14 {
             return Err(LinalgError::NotPositiveDefinite { pivot: col });
         }
@@ -508,6 +512,18 @@ pub fn lu_solve(a: &DMatrix, b: &[f64]) -> crate::Result<Vec<f64>> {
 #[cfg(test)]
 mod lu_tests {
     use super::*;
+
+    #[test]
+    fn non_finite_pivot_column_is_an_error() {
+        for bad in [f64::NAN, f64::INFINITY] {
+            let a =
+                DMatrix::from_vec(3, 3, vec![1.0, 2.0, 0.0, bad, 1.0, 1.0, 0.5, 0.0, 3.0]).unwrap();
+            match lu_solve(&a, &[1.0, 0.0, 0.0]) {
+                Err(e) => assert_eq!(e, LinalgError::NonFinite { pivot: 0 }, "{bad}"),
+                Ok(x) => panic!("{bad}: solved to {x:?}"),
+            }
+        }
+    }
 
     #[test]
     fn solves_general_system() {

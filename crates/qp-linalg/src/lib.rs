@@ -55,6 +55,11 @@ pub enum LinalgError {
         /// Index of the pivot that failed.
         pivot: usize,
     },
+    /// A pivot column held a NaN or an infinity.
+    NonFinite {
+        /// Index of the pivot column.
+        pivot: usize,
+    },
     /// An iterative algorithm failed to converge.
     NoConvergence {
         /// Description of the algorithm.
@@ -72,6 +77,9 @@ impl std::fmt::Display for LinalgError {
             }
             LinalgError::NotPositiveDefinite { pivot } => {
                 write!(f, "matrix not positive definite (pivot {pivot})")
+            }
+            LinalgError::NonFinite { pivot } => {
+                write!(f, "non-finite value in pivot column {pivot}")
             }
             LinalgError::NoConvergence { what, iterations } => {
                 write!(f, "{what} failed to converge after {iterations} iterations")
