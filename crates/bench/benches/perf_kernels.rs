@@ -1,5 +1,5 @@
-//! Criterion microbenches for the qp-par substrate: blocked GEMM vs the
-//! legacy unblocked loop across sizes, the Householder eigensolver and the
+//! Criterion microbenches for the qp-par substrate: the blocked GEMM serial
+//! vs pooled across sizes, the Householder eigensolver and the
 //! SCF's generalized eigensolve serial vs pooled, the Sumup kernel with the
 //! basis-value cache cold vs warm, the Sternheimer response build —
 //! O(n⁴) pair-loop vs the factored `C·W·Cᵀ` GEMM form — and the Rho
@@ -29,9 +29,6 @@ fn bench_gemm(c: &mut Criterion) {
     for n in [64, 128, 256, 512, 768] {
         let a = test_matrix(n, 0);
         let b = test_matrix(n, 1);
-        group.bench_with_input(BenchmarkId::new("unblocked", n), &n, |bch, _| {
-            bch.iter(|| a.matmul_unblocked(std::hint::black_box(&b)).unwrap())
-        });
         group.bench_with_input(BenchmarkId::new("blocked", n), &n, |bch, _| {
             bch.iter(|| a.matmul(std::hint::black_box(&b)).unwrap())
         });

@@ -22,12 +22,12 @@
 //!
 //! `--guard` adds five regression checks:
 //!
-//! 1. the phase check: one ligand-49 DFPT direction, failing the process
-//!    if the Sternheimer phase takes more than a generous multiple of
-//!    Sumup — the signature of the O(n⁴) pair-loop accidentally replacing
-//!    the GEMM-form response build (exit 3) — or if the Rho phase exceeds
-//!    its own multiple of Sumup — region coarsening / fused super-batch
-//!    regression (exit 6);
+//! 1. the phase check, on the full run's ligand-49 case: its Sternheimer
+//!    self-time must stay under a generous multiple of its Sumup self-time
+//!    — past it the O(n⁴) pair-loop has replaced the GEMM-form response
+//!    build (exit 3) — and its Rho self-time under its own multiple of
+//!    Sumup — past it region coarsening or the fused super-batches have
+//!    regressed (exit 6);
 //! 2. the end-to-end check: any case whose parallel leg is slower than
 //!    `serial × (1 + slack)` is profiled twice more, and fails (exit 4)
 //!    if the median parallel/serial ratio of its three pairs is still
@@ -53,6 +53,9 @@
 //!    more than [`BUCKET_MAX`] (10 %) of it (exit 12) — time that no
 //!    phase span names is time the ledger cannot explain.
 //!
+//! The phase and ledger checks read the profiled ligand-49 job, so a quick
+//! run, which has no ligand-49 case, skips them and says so.
+//!
 //! The polymer weak-scaling sweep runs H(C₂H₄)ₙH at n = 4…1024 (quick:
 //! 4…16) through the assembly phases of one cycle — system build +
 //! tabulation, Sumup (density on grid) and H (potential matrix), all on
@@ -68,16 +71,15 @@ use std::time::Instant;
 use qp_bench::workloads;
 use qp_chem::basis::BasisSettings;
 use qp_chem::grids::GridSettings;
-use qp_core::dfpt::{dfpt_direction, DfptOptions};
+use qp_core::dfpt::DfptOptions;
 use qp_core::operators;
 use qp_core::profile::default_profile_threads;
-use qp_core::scf::{scf, ScfOptions};
+use qp_core::scf::ScfOptions;
 use qp_core::system::System;
 use qp_core::{profile_case, FarFieldMode, Job, ProfileReport, ScreeningMode};
-use qp_grid::{farfield_tol, NeighborList};
+use qp_grid::farfield_tol;
 use qp_linalg::DMatrix;
 use qp_trace::json::{obj, Json};
-use qp_trace::span::{set_enabled, take_events, Phase};
 
 struct CaseSpec {
     name: &'static str,
@@ -86,18 +88,9 @@ struct CaseSpec {
     job: Job,
 }
 
-/// The statistics-grade ligand grid shared with `tests/determinism_threads.rs`.
-fn ligand_system() -> System {
-    workloads::bench_ligand_system()
-}
-
 fn polymer_system() -> System {
     // H(C2H4)4H: 26 atoms — big enough to spread over many grid batches.
     workloads::bench_polymer_system(26)
-}
-
-fn water_system() -> System {
-    workloads::bench_water_system()
 }
 
 /// The job over `dirs` with the bench SCF and DFPT settings.
@@ -116,7 +109,7 @@ fn cases(quick: bool) -> Vec<CaseSpec> {
         vec![
             CaseSpec {
                 name: "water",
-                build: water_system,
+                build: workloads::bench_water_system,
                 job: Job {
                     dirs: vec![1],
                     ..Job::new(ScfOptions::default(), DfptOptions::default())
@@ -144,7 +137,7 @@ fn cases(quick: bool) -> Vec<CaseSpec> {
         vec![
             CaseSpec {
                 name: "ligand49",
-                build: ligand_system,
+                build: workloads::bench_ligand_system,
                 job: bench_job(&[0, 1, 2]),
             },
             CaseSpec {
@@ -190,8 +183,8 @@ fn e2e_slack() -> f64 {
 const SCHED_MAX: f64 = 0.40;
 
 /// Ceiling on the fitted exponent of the screened per-cycle assembly cost
-/// over the polymer sweep (exit 7): past it the pair list or the
-/// per-batch subsets have stopped pruning.
+/// over the polymer sweep (exit 7): past it the per-batch subsets have
+/// stopped pruning.
 const SCALING_MAX: f64 = 1.75;
 
 /// Ceiling on the fitted tree-mode `rho` exponent over the full sweep
@@ -283,6 +276,24 @@ fn run_efficiency_guard(specs: &[CaseSpec], results: &[ProfileReport], threads: 
     }
 }
 
+/// Bound on a case's Sternheimer self-time, as a multiple of
+/// max(Sumup, [`PHASE_FLOOR_S`]) (exit 3). The GEMM-form response build is
+/// two Level-3 products, far cheaper than Sumup's grid contraction: the
+/// ligand-49 rows of `BENCH_perf.json` put it at 0.62× Sumup (v6) and
+/// 0.57× (v7).
+const STERNHEIMER_FACTOR: f64 = 5.0;
+
+/// Bound on a case's Rho self-time, as a multiple of max(Sumup,
+/// [`PHASE_FLOOR_S`]) (exit 6). The multipole Poisson solve sits between
+/// Sumup and H on the same grid data: the ligand-49 rows of
+/// `BENCH_perf.json` put it at 1.04× Sumup (v6 and v7), so only a
+/// structural regression (per-point region dispatch, lost fusion) trips it.
+const RHO_FACTOR: f64 = 6.0;
+
+/// Floor under the Sumup self-time the phase bounds scale with, so timer
+/// noise on a fast Sumup cannot trip them.
+const PHASE_FLOOR_S: f64 = 0.05;
+
 /// Share of the parallel wall the phase self-times must add up to (exit 12).
 const LEDGER_MIN: f64 = 0.95;
 
@@ -290,99 +301,92 @@ const LEDGER_MIN: f64 = 0.95;
 /// (exit 12): above it, the SCF's own work has left its phase spans.
 const BUCKET_MAX: f64 = 0.10;
 
-/// The `--guard` ledger check on the ligand-49 case of the full run: the
-/// phase rows must add up to the wall within [`LEDGER_MIN`], and the
-/// catch-all `scf` and `other` rows must each stay under [`BUCKET_MAX`]
-/// (exit 12). Quick runs have no ligand-49 case and skip it.
-fn run_ledger_guard(results: &[ProfileReport]) {
-    let Some(c) = results.iter().find(|c| c.case == "ligand49") else {
-        println!("ledger guard: skipped (no ligand49 case in a quick run)");
-        return;
-    };
+/// A `--guard` check that failed: the exit code that reports it, and why.
+struct Violation {
+    exit: i32,
+    why: String,
+}
+
+/// Self-seconds of `phase` in a case's ledger (0 when no span ran).
+fn self_s(c: &ProfileReport, phase: &str) -> f64 {
+    c.phases
+        .iter()
+        .find(|p| p.phase == phase)
+        .map_or(0.0, |p| p.self_s)
+}
+
+/// The phase check: the Sternheimer (exit 3) and Rho (exit 6) self-times
+/// within their multiples of max(Sumup, [`PHASE_FLOOR_S`]). A pass returns
+/// the line that reports it.
+fn phase_check(c: &ProfileReport) -> Result<String, Violation> {
+    let sumup = self_s(c, "sumup");
+    let mut line = format!("phase guard {}: sumup {sumup:.3}s", c.case);
+    for (phase, factor, exit, cause) in [
+        (
+            "sternheimer",
+            STERNHEIMER_FACTOR,
+            3,
+            "the O(n4) pair-loop is back",
+        ),
+        (
+            "rho",
+            RHO_FACTOR,
+            6,
+            "region coarsening or Rho fusion has regressed",
+        ),
+    ] {
+        let (t, limit) = (self_s(c, phase), factor * sumup.max(PHASE_FLOOR_S));
+        if t > limit {
+            let why = format!(
+                "{phase} phase regression — {t:.3}s exceeds {factor}x max(sumup, \
+                 {PHASE_FLOOR_S}s) = {limit:.3}s; {cause}"
+            );
+            return Err(Violation { exit, why });
+        }
+        line += &format!(", {phase} {t:.3}s (limit {limit:.3}s)");
+    }
+    Ok(line)
+}
+
+/// The ledger check (exit 12): the phase rows add up to the wall within
+/// [`LEDGER_MIN`], and the catch-all `scf` and `other` rows each stay
+/// under [`BUCKET_MAX`] of it. A pass returns the line that reports it.
+fn ledger_check(c: &ProfileReport) -> Result<String, Violation> {
     let wall = c.parallel_total_s;
     let attributed: f64 = c.phases.iter().map(|p| p.self_s).sum();
-    let share = |name: &str| {
-        c.phases
-            .iter()
-            .find(|p| p.phase == name)
-            .map_or(0.0, |p| p.self_s / wall)
-    };
-    let (scf, other) = (share("scf"), share("other"));
-    println!(
-        "ledger guard ligand49: rows sum to {:.1}% of the {wall:.3}s wall (min {:.0}%), \
-         scf {:.1}%, other {:.1}% (max {:.0}%)",
-        100.0 * attributed / wall,
+    let (scf, other) = (self_s(c, "scf") / wall, self_s(c, "other") / wall);
+    let summary = format!(
+        "the phase rows explain {attributed:.3}s of the {wall:.3}s wall (min {:.0}%), \
+         {:.1}% in scf and {:.1}% in other (max {:.0}%)",
         100.0 * LEDGER_MIN,
         100.0 * scf,
         100.0 * other,
         100.0 * BUCKET_MAX,
     );
     if attributed < LEDGER_MIN * wall || scf > BUCKET_MAX || other > BUCKET_MAX {
-        eprintln!(
-            "bench_perf: ledger regression on ligand49 — the phase rows explain \
-             {attributed:.3}s of the {wall:.3}s wall, with {:.1}% in scf and {:.1}% in \
-             other; work has left the phase spans",
-            100.0 * scf,
-            100.0 * other,
-        );
-        std::process::exit(12);
+        let why = format!("ledger regression — {summary}; work has left the phase spans");
+        return Err(Violation { exit: 12, why });
     }
+    Ok(format!("ledger guard {}: {summary}", c.case))
 }
 
-/// The `--guard` phase-regression check: one ligand-49 DFPT direction
-/// with per-phase spans, failing if Sternheimer wall-time exceeds a
-/// generous multiple of the Sumup phase. The GEMM-form response build is
-/// two Level-3 products — far cheaper than Sumup's grid contraction — so
-/// tripping this bound means the O(n⁴) pair-loop (or something equally
-/// catastrophic) is back on the hot path.
-fn run_phase_guard() {
-    const FACTOR: f64 = 5.0;
-    const FLOOR_S: f64 = 0.05;
-    println!("phase guard: ligand49, 1 DFPT direction ...");
-    let sys = ligand_system();
-    let ground = scf(&sys, &workloads::bench_scf_options()).expect("guard SCF converges");
-    set_enabled(true);
-    let _ = take_events();
-    dfpt_direction(&sys, &ground, 1, &workloads::bench_dfpt_options())
-        .expect("guard DFPT converges");
-    set_enabled(false);
-    let events = take_events();
-    let phase_sum = |p: Phase| -> f64 {
-        events
-            .iter()
-            .filter(|ev| ev.phase == p)
-            .map(|ev| ev.dur_us / 1e6)
-            .sum()
+/// The `--guard` phase and ledger checks on the ligand-49 case of the full
+/// run (exits 3, 6 and 12). Quick runs have no ligand-49 case and skip
+/// them.
+fn run_report_guards(results: &[ProfileReport]) {
+    let Some(c) = results.iter().find(|c| c.case == "ligand49") else {
+        println!("phase guard: skipped (no ligand49 case in a quick run)");
+        println!("ledger guard: skipped (no ligand49 case in a quick run)");
+        return;
     };
-    let sumup = phase_sum(Phase::Sumup);
-    let sternheimer = phase_sum(Phase::Sternheimer);
-    let limit = FACTOR * sumup.max(FLOOR_S);
-    println!("phase guard: sumup {sumup:.3}s, sternheimer {sternheimer:.3}s (limit {limit:.3}s)");
-    if sternheimer > limit {
-        eprintln!(
-            "bench_perf: Sternheimer phase regression — {sternheimer:.3}s exceeds \
-             {FACTOR}x max(sumup = {sumup:.3}s, {FLOOR_S}s); the O(n4) pair-loop \
-             is likely back on the hot path"
-        );
-        std::process::exit(3);
-    }
-    // Rho leg: the multipole Poisson solve sits between Sumup and H on the
-    // same grid data. Its spans hold the moments, the solve and the Hartree
-    // evaluation; the `f_xc·n¹` term has its own `xc` phase. Healthy profiles put it at a small multiple of Sumup
-    // (~2.8x on the reference host); the pre-coarsening regression ran it
-    // at ~14x. Guard with generous slack so only a structural regression
-    // (per-point region dispatch, lost fusion) trips it.
-    const RHO_FACTOR: f64 = 6.0;
-    let rho = phase_sum(Phase::Rho);
-    let rho_limit = RHO_FACTOR * sumup.max(FLOOR_S);
-    println!("phase guard: rho {rho:.3}s (limit {rho_limit:.3}s)");
-    if rho > rho_limit {
-        eprintln!(
-            "bench_perf: Rho phase regression — {rho:.3}s exceeds {RHO_FACTOR}x \
-             max(sumup = {sumup:.3}s, {FLOOR_S}s); region coarsening or the fused \
-             Rho super-batches have likely regressed"
-        );
-        std::process::exit(6);
+    for check in [phase_check, ledger_check] {
+        match check(c) {
+            Ok(line) => println!("{line}"),
+            Err(v) => {
+                eprintln!("bench_perf: ligand49: {}", v.why);
+                std::process::exit(v.exit);
+            }
+        }
     }
 }
 
@@ -406,8 +410,6 @@ struct SweepRow {
     atoms: usize,
     basis: usize,
     points: usize,
-    /// Surviving fraction of the atom-pair matrix under screening.
-    pair_fill: f64,
     screened: AssemblyLeg,
     /// Multipole far-field potential rebuild (the DFPT Rho phase) on the
     /// hierarchical cluster tree — O(n log n), measured at every size.
@@ -546,15 +548,11 @@ fn run_weak_scaling(quick: bool) -> WeakScaling {
         } else {
             (None, None)
         };
-        let pair_fill = sys
-            .screen()
-            .map_or(1.0, |_| NeighborList::build(&sys.structure).fill_ratio());
         println!(
-            "weak-scaling n={n}: {} atoms, {} basis, fill {:.2}, screened e2e {:.3}s, \
+            "weak-scaling n={n}: {} atoms, {} basis, screened e2e {:.3}s, \
              rho(tree) {rho_tree_s:.3}s{}",
             sys.structure.len(),
             sys.n_basis(),
-            pair_fill,
             screened.e2e_s(),
             rho_direct_s
                 .map(|r| {
@@ -570,7 +568,6 @@ fn run_weak_scaling(quick: bool) -> WeakScaling {
             atoms: sys.structure.len(),
             basis: sys.n_basis(),
             points: sys.n_points(),
-            pair_fill,
             screened,
             rho_tree_s,
             rho_direct_s,
@@ -686,7 +683,6 @@ fn run_scaling_guard(ws: &WeakScaling, quick: bool) {
 
 struct GemmNumbers {
     n: usize,
-    unblocked_gflops: f64,
     blocked_gflops: f64,
     parallel_gflops: f64,
 }
@@ -706,9 +702,6 @@ fn gemm_numbers(n: usize) -> GemmNumbers {
     let b = DMatrix::from_fn(n, n, |i, j| ((i * 13 + j * 17) % 89) as f64 / 89.0 - 0.5);
     let flops = 2.0 * (n as f64).powi(3);
     let reps = 3;
-    let unblocked = time_best(reps, || {
-        std::hint::black_box(a.matmul_unblocked(&b).unwrap());
-    });
     let blocked = time_best(reps, || {
         std::hint::black_box(a.matmul(&b).unwrap());
     });
@@ -717,13 +710,12 @@ fn gemm_numbers(n: usize) -> GemmNumbers {
     });
     GemmNumbers {
         n,
-        unblocked_gflops: flops / unblocked / 1e9,
         blocked_gflops: flops / blocked / 1e9,
         parallel_gflops: flops / parallel / 1e9,
     }
 }
 
-/// The `qp-bench-perf/v6` document; each `cases[]` entry is that case's
+/// The `qp-bench-perf/v7` document; each `cases[]` entry is that case's
 /// `qp-profile/v1` report.
 fn bench_json(
     quick: bool,
@@ -749,7 +741,6 @@ fn bench_json(
             ("atoms", int(r.atoms)),
             ("basis", int(r.basis)),
             ("grid_points", int(r.points)),
-            ("pair_fill", num(r.pair_fill)),
             ("screened", leg(&r.screened)),
             ("rho_tree_s", num(r.rho_tree_s)),
             ("rho_direct_s", r.rho_direct_s.map_or(Json::Null, num)),
@@ -766,19 +757,15 @@ fn bench_json(
         ("rows", Json::Arr(ws.rows.iter().map(row).collect())),
         ("fitted_exponents", obj(exponents.collect())),
     ]);
-    let speedup = |gflops: f64| num(gflops / gemm.unblocked_gflops);
     let gemm_doc = obj(vec![
         ("n", int(gemm.n)),
         ("microkernel", text(qp_linalg::gemm::active_microkernel())),
-        ("unblocked_gflops", num(gemm.unblocked_gflops)),
         ("blocked_gflops", num(gemm.blocked_gflops)),
         ("parallel_gflops", num(gemm.parallel_gflops)),
-        ("blocked_vs_unblocked", speedup(gemm.blocked_gflops)),
-        ("parallel_vs_unblocked", speedup(gemm.parallel_gflops)),
     ]);
     let cases = cases.iter().map(ProfileReport::to_json).collect();
     obj(vec![
-        ("schema", text("qp-bench-perf/v6")),
+        ("schema", text("qp-bench-perf/v7")),
         ("quick", Json::Bool(quick)),
         ("pool_threads", int(threads)),
         ("weak_scaling", weak_scaling),
@@ -813,20 +800,13 @@ fn main() {
         threads
     );
 
-    if guard {
-        run_phase_guard();
-    }
-
     let gemm = gemm_numbers(if quick { 256 } else { 512 });
     println!(
-        "GEMM n={} ({} microkernel): unblocked {:.2} GF/s, blocked {:.2} GF/s ({:.2}x), parallel {:.2} GF/s ({:.2}x)",
+        "GEMM n={} ({} microkernel): blocked {:.2} GF/s, parallel {:.2} GF/s",
         gemm.n,
         qp_linalg::gemm::active_microkernel(),
-        gemm.unblocked_gflops,
         gemm.blocked_gflops,
-        gemm.blocked_gflops / gemm.unblocked_gflops,
         gemm.parallel_gflops,
-        gemm.parallel_gflops / gemm.unblocked_gflops,
     );
 
     let ws = {
@@ -843,9 +823,96 @@ fn main() {
     let reports: Vec<ProfileReport> = specs.iter().map(|spec| run_case(spec, threads)).collect();
     if guard {
         run_efficiency_guard(&specs, &reports, threads);
-        run_ledger_guard(&reports);
+        run_report_guards(&reports);
     }
     let doc = bench_json(quick, threads, &gemm, &reports, &ws);
     std::fs::write(&out, format!("{doc:#}\n")).expect("write BENCH_perf.json");
     println!("wrote {out}");
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use qp_core::profile::PhaseRow;
+
+    /// A report whose phase ledger is `rows` over a `wall_s` parallel wall.
+    fn report(wall_s: f64, rows: &[(&str, f64)]) -> ProfileReport {
+        let row = |&(phase, self_s): &(&str, f64)| PhaseRow {
+            phase: phase.to_string(),
+            self_s,
+            ..PhaseRow::default()
+        };
+        ProfileReport {
+            parallel_total_s: wall_s,
+            phases: rows.iter().map(row).collect(),
+            ..ProfileReport::default()
+        }
+    }
+
+    /// Just past `x`.
+    fn past(x: f64) -> f64 {
+        x * (1.0 + 1e-9)
+    }
+
+    #[test]
+    fn committed_ligand49_rows_pass() {
+        // The ligand49 case of BENCH_perf.json at qp-bench-perf/v6 (2 pool
+        // threads): Sternheimer 0.62x and Rho 1.04x Sumup, the rows 99.9 %
+        // of the wall.
+        let rows = [
+            ("eigen", 0.30861),
+            ("h", 0.17394),
+            ("rho", 0.15826),
+            ("sumup", 0.15292),
+            ("sternheimer", 0.09505),
+            ("mixing", 0.03590),
+            ("dm", 0.03387),
+            ("scf", 0.01417),
+            ("xc", 0.01175),
+            ("comm", 0.00524),
+            ("dfpt", 0.00249),
+        ];
+        let c = report(0.99292, &rows);
+        assert!(phase_check(&c).is_ok() && ledger_check(&c).is_ok());
+    }
+
+    #[test]
+    fn each_phase_bound_trips_just_past_its_limit() {
+        // Sumup 0.2 s scales the bounds; Sumup 0.01 s sits under the floor,
+        // which scales them instead.
+        for (sumup, scale) in [(0.2, 0.2), (0.01, PHASE_FLOOR_S)] {
+            for (phase, factor, code) in [
+                ("sternheimer", STERNHEIMER_FACTOR, 3),
+                ("rho", RHO_FACTOR, 6),
+            ] {
+                let limit = factor * scale;
+                let at = report(10.0, &[("sumup", sumup), (phase, limit)]);
+                assert!(phase_check(&at).is_ok(), "{phase} at its limit");
+                let over = report(10.0, &[("sumup", sumup), (phase, past(limit))]);
+                assert_eq!(
+                    phase_check(&over).map_err(|v| v.exit).err(),
+                    Some(code),
+                    "{phase}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn each_ledger_bound_trips_just_past_its_limit() {
+        let wall = 2.0;
+        let attributed = LEDGER_MIN * wall;
+        let exit = |rows: &[(&str, f64)]| ledger_check(&report(wall, rows)).err().map(|v| v.exit);
+        assert_eq!(exit(&[("h", attributed)]), None);
+        assert_eq!(exit(&[("h", attributed * (1.0 - 1e-9))]), Some(12));
+        for bucket in ["scf", "other"] {
+            let at = BUCKET_MAX * wall;
+            assert_eq!(exit(&[("h", attributed), (bucket, at)]), None, "{bucket}");
+            assert_eq!(
+                exit(&[("h", attributed), (bucket, past(at))]),
+                Some(12),
+                "{bucket}"
+            );
+        }
+    }
 }

@@ -1,7 +1,8 @@
 //! # qp-bench
 //!
 //! The figure-regeneration harness: one binary per table/figure of the
-//! paper's evaluation (§5), plus ablation studies and criterion
+//! paper's evaluation (§5), plus ablation studies, `bench_perf` (real
+//! jobs through the profiler, into `BENCH_perf.json`) and criterion
 //! microbenches.
 //!
 //! Method (documented in DESIGN.md §6): every harness (i) builds the real

@@ -134,13 +134,16 @@ impl Job {
     /// Run the job from `state` (the default state starts it afresh),
     /// calling `hook` at every iteration boundary (under `ranks`, not inside
     /// a supervised direction). A hook that returns `false` preempts the job
-    /// there: `Ok(None)`, and `state` is where it resumes.
+    /// there: `Ok(None)`, and `state` is where it resumes. A `state` whose
+    /// matrices do not fit `system` ends the job with
+    /// [`CoreError::Checkpoint`] before it starts.
     pub fn run_with(
         &self,
         system: &System,
         state: &mut JobState,
         hook: &mut dyn FnMut(&Event<'_>) -> bool,
     ) -> Result<Option<JobOutput>, JobError> {
+        check_fits(state, system.n_basis())?;
         let scf_err = |error| JobError { dir: None, error };
         let every = self.checkpoint.as_ref().map_or(0, |(_, k)| *k);
         let due = |iteration: usize| every != 0 && iteration.is_multiple_of(every);
@@ -264,6 +267,46 @@ impl Job {
             dfpt_recovery,
         }))
     }
+}
+
+/// Refuse a resume state whose SCF seed or in-flight direction does not fit
+/// a system of `nb` basis functions: every matrix `nb × nb`, and as many
+/// mixer inputs as residuals. The content key hashes a job's inputs, not
+/// the code, so a record written by a build with other basis tables passes
+/// the key check and lands here.
+fn check_fits(state: &JobState, nb: usize) -> Result<(), JobError> {
+    let fits = |p: &DMatrix, ins: &[DMatrix], res: &[DMatrix]| {
+        if ins.len() != res.len() {
+            return Err(format!(
+                "{} mixer inputs but {} residuals",
+                ins.len(),
+                res.len()
+            ));
+        }
+        let odd = std::iter::once(p)
+            .chain(ins)
+            .chain(res)
+            .find(|m| (m.rows(), m.cols()) != (nb, nb));
+        odd.map_or(Ok(()), |m| {
+            Err(format!(
+                "a {} x {} matrix, but the system has {nb} basis functions",
+                m.rows(),
+                m.cols()
+            ))
+        })
+    };
+    let refuse = |dir, what: &str, why| JobError {
+        dir,
+        error: CoreError::Checkpoint(format!("the record's {what} holds {why}")),
+    };
+    if let Some(s) = &state.scf {
+        fits(&s.p_mat, &s.diis_in, &s.diis_res).map_err(|why| refuse(None, "SCF seed", why))?;
+    }
+    if let Some(d) = &state.cur_dir {
+        let what = format!("direction {} in flight", d.dir);
+        fits(&d.p1, &d.diis_in, &d.diis_res).map_err(|why| refuse(Some(d.dir), &what, why))?;
+    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -425,6 +468,57 @@ mod tests {
             assert_eq!(y.alpha[(i, 2)], 0.0);
         }
         assert_eq!(y.dfpt_iterations, [0, full.dfpt_iterations[1], 0]);
+    }
+
+    /// A record written by a build with other basis tables passes the
+    /// content-key check; an SCF seed or in-flight direction of another
+    /// basis size, or a mixer history with more inputs than residuals, is
+    /// refused before the first iteration.
+    #[test]
+    fn resume_state_that_does_not_fit_the_system_is_refused() {
+        let sys = tiny_system(water());
+        let m = DMatrix::identity;
+        let seed = |p_mat, diis_in, diis_res| JobState {
+            scf: Some(ScfState {
+                iteration: 4,
+                energy: -76.0,
+                p_mat,
+                diis_in,
+                diis_res,
+            }),
+            ..JobState::default()
+        };
+        let in_flight = |p1| JobState {
+            cur_dir: Some(DfptDirState {
+                dir: 0,
+                iteration: 4,
+                residual: 1e-3,
+                p1,
+                diis_in: Vec::new(),
+                diis_res: Vec::new(),
+            }),
+            ..JobState::default()
+        };
+        let nb = sys.n_basis();
+        let (two, one) = (vec![m(nb); 2], vec![m(nb)]);
+        let cases = [
+            (seed(m(2), vec![], vec![]), None, "a 2 x 2 matrix"),
+            (seed(m(10), vec![], vec![]), None, "a 10 x 10 matrix"),
+            (in_flight(m(2)), Some(0), "a 2 x 2 matrix"),
+            (in_flight(m(10)), Some(0), "a 10 x 10 matrix"),
+            (seed(m(nb), two, one), None, "2 mixer inputs but 1"),
+        ];
+        let job = Job::new(ScfOptions::default(), DfptOptions::default());
+        for (mut state, dir, want) in cases {
+            let err = job
+                .run_with(&sys, &mut state, &mut |_| panic!("no iteration runs"))
+                .expect_err("refused");
+            assert_eq!(err.dir, dir, "{err}");
+            assert!(
+                matches!(&err.error, CoreError::Checkpoint(e) if e.contains(want)),
+                "{err}"
+            );
+        }
     }
 
     /// The OH radical has 9 electrons: integer occupations would run it as

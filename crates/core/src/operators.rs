@@ -393,10 +393,6 @@ mod tests {
             FarFieldMode::Auto,
         );
         assert!(scr.screen().is_some() && dense.screen().is_none());
-        assert!(
-            qp_grid::NeighborList::build(&scr.structure).fill_ratio() < 1.0,
-            "polymer must actually screen pairs"
-        );
         for (d, s, what) in [
             (overlap(&dense), overlap(&scr), "overlap"),
             (kinetic(&dense), kinetic(&scr), "kinetic"),

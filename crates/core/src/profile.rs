@@ -52,7 +52,7 @@ pub struct GrainBucket {
 }
 
 /// The wall-clock decomposition of a parallel leg.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct Attribution {
     /// Wall time outside any parallel region / total.
     pub serial_fraction: f64,
@@ -172,7 +172,7 @@ pub fn attribute(records: &[RegionRecord], parallel_total_s: f64, threads: usize
 
 /// One pipeline phase of the parallel leg: where the time went and what the
 /// flops achieved there.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct PhaseRow {
     /// Phase tag (`"rho"`, `"sternheimer"`, ...).
     pub phase: String,
@@ -190,7 +190,7 @@ pub struct PhaseRow {
 }
 
 /// A complete profile of one case.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct ProfileReport {
     /// Case name.
     pub case: String,

@@ -262,8 +262,16 @@ fn finish_observability() {
     }
 }
 
-/// A failed job's error, with the hint that fits it.
-fn job_failure(e: JobError) -> String {
+/// A failed job's error, with the hint that fits it; `resumed_from` is the
+/// record a `--restart` run resumed from.
+fn job_failure(e: JobError, resumed_from: Option<&Path>) -> String {
+    if let (CoreError::Checkpoint(_), Some(path)) = (&e.error, resumed_from) {
+        return format!(
+            "{e}\nhint: the record may come from another build: drop --restart, or delete \
+             {}, to start the job afresh",
+            path.display()
+        );
+    }
     let hint = match (e.dir, &e.error) {
         (_, CoreError::Comm(_)) => {
             "hint: the supervisor restarts a failed rank at most --max-restarts times"
@@ -387,15 +395,6 @@ fn run(args: &Args) -> Result<(), String> {
         system.batches.len(),
         t0.elapsed()
     );
-    if system.screen().is_some() && qp_trace::log::log_enabled(qp_trace::log::Level::Info) {
-        let pairs = qp_grid::NeighborList::build(&system.structure);
-        qp_info!(
-            "screening: {} of {} atom pairs survive ({:.1}% fill)",
-            pairs.n_pairs(),
-            system.structure.len() * system.structure.len(),
-            100.0 * pairs.fill_ratio()
-        );
-    }
     if let Some(tree) = system.farfield_tree() {
         qp_info!(
             "farfield: hierarchical tree, {} cluster nodes over {} atoms \
@@ -408,7 +407,7 @@ fn run(args: &Args) -> Result<(), String> {
 
     let out = job
         .run_with(&system, &mut state, &mut |_| true)
-        .map_err(job_failure)?
+        .map_err(|e| job_failure(e, record.filter(|_| args.restart)))?
         .expect("a hook that never stops never preempts");
     let ground = &out.ground;
     let n_occ = system.n_occupied();
@@ -491,7 +490,8 @@ fn run_profile(
          ({} GEMM microkernel)",
         qp_linalg::gemm::active_microkernel()
     );
-    let report = qp_core::profile_case(name, build, job, threads).map_err(job_failure)?;
+    let report =
+        qp_core::profile_case(name, build, job, threads).map_err(|e| job_failure(e, None))?;
     print!("{}", report.render_text());
     let json_path = format!("{base}.json");
     let folded_path = format!("{base}.folded");
@@ -597,6 +597,35 @@ mod tests {
             assert!(err.contains(&path.display().to_string()), "{err}");
         }
         std::fs::remove_file(&path).ok();
+    }
+
+    /// A record of this job whose SCF seed does not fit the system (one a
+    /// build with other basis tables wrote) ends the run with the typed
+    /// error and the hint to start afresh, naming the record.
+    #[test]
+    fn restart_from_a_record_that_does_not_fit_fails_with_a_hint() {
+        let dir = std::env::temp_dir().join(format!("qperturb-misfit-{}", std::process::id()));
+        let argv = format!(
+            "--builtin water --grid coarse --no-dfpt --checkpoint-dir {} --restart",
+            dir.display()
+        );
+        let args = parse_args(&argv.split(' ').map(String::from).collect::<Vec<_>>()).unwrap();
+        std::fs::create_dir_all(&dir).unwrap();
+        let record = dir.join("job.qpck");
+        let mut state = start_state(&args, &load_structure(&args).unwrap(), None).unwrap();
+        state.scf = Some(qp_core::scf::ScfState {
+            iteration: 4,
+            energy: -76.0,
+            p_mat: qp_linalg::DMatrix::identity(2),
+            diis_in: Vec::new(),
+            diis_res: Vec::new(),
+        });
+        state.save(&record).unwrap();
+        let err = run(&args).unwrap_err();
+        for want in ["2 x 2", "drop --restart", &record.display().to_string()] {
+            assert!(err.contains(want), "{want:?} missing from: {err}");
+        }
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

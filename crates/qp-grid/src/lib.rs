@@ -27,4 +27,4 @@ pub use batch::{make_batches, Batch, BatchPoint};
 pub use farfield::{farfield_tol, ClusterNode, ClusterTree, FarField};
 pub use footprint::{FootprintReport, RankFootprint};
 pub use mapping::{LoadBalancingMapping, LocalityEnhancingMapping, MortonMapping, TaskMapping};
-pub use screening::{BatchScreen, NeighborList};
+pub use screening::BatchScreen;

@@ -169,33 +169,6 @@ impl DMatrix {
         Ok(out)
     }
 
-    /// The pre-blocking i-k-j triple loop (with its value-dependent
-    /// zero-skip), retained only as the baseline for the GEMM benchmarks.
-    pub fn matmul_unblocked(&self, other: &DMatrix) -> Result<DMatrix> {
-        if self.cols != other.rows {
-            return Err(LinalgError::DimensionMismatch {
-                op: "matmul_unblocked",
-                dims: vec![self.rows, self.cols, other.rows, other.cols],
-            });
-        }
-        let mut out = DMatrix::zeros(self.rows, other.cols);
-        let n = other.cols;
-        for i in 0..self.rows {
-            let arow = self.row(i);
-            let orow = out.row_mut(i);
-            for (k, &aik) in arow.iter().enumerate() {
-                if aik == 0.0 {
-                    continue;
-                }
-                let brow = &other.data[k * n..(k + 1) * n];
-                for j in 0..n {
-                    orow[j] += aik * brow[j];
-                }
-            }
-        }
-        Ok(out)
-    }
-
     /// Matrix-vector product `self * x`, rows fanned out over the pool.
     /// Each row's dot product runs in fixed k-order on one thread, so the
     /// result is bit-identical for any thread count.
@@ -362,15 +335,6 @@ mod tests {
         let a = DMatrix::from_fn(150, 170, |i, j| ((i * 7 + j * 3) % 13) as f64 - 6.0);
         let b = DMatrix::from_fn(170, 140, |i, j| ((i * 5 + j * 11) % 17) as f64 - 8.0);
         assert_eq!(a.matmul(&b).unwrap(), a.par_matmul(&b).unwrap());
-    }
-
-    #[test]
-    fn blocked_matches_unblocked_numerically() {
-        let a = DMatrix::from_fn(37, 53, |i, j| (i as f64 - j as f64) * 0.01);
-        let b = DMatrix::from_fn(53, 29, |i, j| (i as f64 + j as f64).sin());
-        let blocked = a.matmul(&b).unwrap();
-        let unblocked = a.matmul_unblocked(&b).unwrap();
-        assert!(blocked.max_abs_diff(&unblocked) < 1e-10);
     }
 
     #[test]

@@ -6,7 +6,6 @@
 //! over how many ranks, with how many bytes per rank.
 
 use parking_lot::Mutex;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 /// The collective operations the runtime meters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -53,17 +52,13 @@ pub struct TrafficRecord {
     pub bytes_per_rank: usize,
 }
 
-/// Aggregated, thread-safe traffic log.
+/// Thread-safe traffic log of one communicator world.
 ///
-/// Every record is mirrored into an embedded [`qp_trace::MetricsRegistry`]
-/// (per-kind `mpi.collective.calls` / `mpi.collective.bytes` counters) and
-/// into the process-global registry, so the unified metrics dump carries the
-/// same per-collective totals the raw records do.
+/// Every record is also counted in the process-global registry (per-kind
+/// `mpi.collective.calls` / `mpi.collective.bytes` counters), so the
+/// unified metrics dump carries the per-collective totals of every world.
 pub struct TrafficLog {
     records: Mutex<Vec<TrafficRecord>>,
-    total_calls: AtomicU64,
-    total_bytes: AtomicU64,
-    metrics: qp_trace::MetricsRegistry,
 }
 
 impl TrafficLog {
@@ -71,9 +66,6 @@ impl TrafficLog {
     pub fn new() -> Self {
         TrafficLog {
             records: Mutex::new(Vec::new()),
-            total_calls: AtomicU64::new(0),
-            total_bytes: AtomicU64::new(0),
-            metrics: qp_trace::MetricsRegistry::new(),
         }
     }
 
@@ -85,36 +77,16 @@ impl TrafficLog {
             ranks,
             bytes_per_rank,
         });
-        self.total_calls.fetch_add(1, Ordering::Relaxed);
-        self.total_bytes
-            .fetch_add(bytes_per_rank as u64, Ordering::Relaxed);
         let labels = [("kind", kind.as_str())];
-        for reg in [&self.metrics, qp_trace::global_metrics()] {
-            reg.counter("mpi.collective.calls", &labels).inc();
-            reg.counter("mpi.collective.bytes", &labels)
-                .add(bytes_per_rank as u64);
-        }
-    }
-
-    /// The per-world metrics mirror of this log (one registry per
-    /// communicator world, unpolluted by concurrent worlds).
-    pub fn metrics(&self) -> &qp_trace::MetricsRegistry {
-        &self.metrics
+        let reg = qp_trace::global_metrics();
+        reg.counter("mpi.collective.calls", &labels).inc();
+        reg.counter("mpi.collective.bytes", &labels)
+            .add(bytes_per_rank as u64);
     }
 
     /// Snapshot all records.
     pub fn snapshot(&self) -> Vec<TrafficRecord> {
         self.records.lock().clone()
-    }
-
-    /// Total collective calls.
-    pub fn calls(&self) -> u64 {
-        self.total_calls.load(Ordering::Relaxed)
-    }
-
-    /// Total per-rank payload bytes across calls.
-    pub fn bytes(&self) -> u64 {
-        self.total_bytes.load(Ordering::Relaxed)
     }
 
     /// Calls of one kind.
@@ -124,15 +96,6 @@ impl TrafficLog {
             .iter()
             .filter(|r| r.kind == kind)
             .count()
-    }
-
-    /// Clear everything (including the embedded metrics mirror; the global
-    /// registry keeps accumulating across worlds by design).
-    pub fn reset(&self) {
-        self.records.lock().clear();
-        self.total_calls.store(0, Ordering::Relaxed);
-        self.total_bytes.store(0, Ordering::Relaxed);
-        self.metrics.clear();
     }
 }
 
@@ -151,43 +114,11 @@ mod tests {
         let log = TrafficLog::new();
         log.record(CollectiveKind::AllReduce, 8, 1024);
         log.record(CollectiveKind::LocalBarrier, 4, 0);
-        assert_eq!(log.calls(), 2);
-        assert_eq!(log.bytes(), 1024);
         assert_eq!(log.calls_of(CollectiveKind::AllReduce), 1);
         let snap = log.snapshot();
         assert_eq!(snap.len(), 2);
         assert_eq!(snap[0].ranks, 8);
-    }
-
-    #[test]
-    fn reset_clears() {
-        let log = TrafficLog::new();
-        log.record(CollectiveKind::Broadcast, 2, 16);
-        log.reset();
-        assert_eq!(log.calls(), 0);
-        assert_eq!(log.bytes(), 0);
-        assert!(log.snapshot().is_empty());
-        assert!(log.metrics().snapshot().is_empty());
-    }
-
-    #[test]
-    fn metrics_mirror_matches_records() {
-        let log = TrafficLog::new();
-        log.record(CollectiveKind::AllReduce, 8, 1024);
-        log.record(CollectiveKind::AllReduce, 8, 256);
-        log.record(CollectiveKind::Broadcast, 4, 64);
-        let m = log.metrics();
-        assert_eq!(
-            m.counter_value("mpi.collective.bytes", &[("kind", "AllReduce")]),
-            Some(1280)
-        );
-        assert_eq!(
-            m.counter_value("mpi.collective.calls", &[("kind", "AllReduce")]),
-            Some(2)
-        );
-        assert_eq!(
-            m.counter_value("mpi.collective.bytes", &[("kind", "Broadcast")]),
-            Some(64)
-        );
+        assert_eq!(snap[0].bytes_per_rank, 1024);
+        assert_eq!(snap[1].kind, CollectiveKind::LocalBarrier);
     }
 }

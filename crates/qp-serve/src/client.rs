@@ -1,5 +1,5 @@
 //! Blocking protocol client — the library behind `qperturb submit` /
-//! `wait` / `stats` / `shutdown` and the `bench_serve` traffic generator.
+//! `wait` / `stats` / `shutdown` and the benchmark's `serve_mix` tenants.
 
 use crate::json::{obj, parse, Json};
 use crate::result::JobResultData;

@@ -31,8 +31,8 @@
 //!   writes its own `QPCK` record.
 //! * [`server`] — listener + connection handlers + worker pool + state-dir
 //!   durability (`job_<id>.meta.json` + `job_<id>.qpck`).
-//! * [`client`] — the blocking client the CLI subcommands and
-//!   `bench_serve` drive.
+//! * [`client`] — the blocking client the CLI subcommands and the
+//!   benchmark's `serve_mix` workload drive.
 
 pub mod cache;
 pub mod client;

@@ -14,8 +14,8 @@
 //!   allocation, no clock read (and with the `disabled` cargo feature the
 //!   check is a compile-time constant).
 //! * [`metrics`] — labeled `Counter` / `Gauge` / `Histogram` registry with
-//!   structured snapshots; a process-global registry plus instantiable
-//!   per-subsystem ones (e.g. each `qp-mpi` world's traffic mirror).
+//!   structured snapshots; one process-global registry every layer reports
+//!   into (a test can build its own).
 //! * [`attrib`] — span attribution: rebuilds the nesting forest from closed
 //!   spans, computes exclusive (self) time per span and per phase, and
 //!   emits flamegraph-compatible collapsed stacks.

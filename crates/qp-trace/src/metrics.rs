@@ -4,8 +4,7 @@
 //! incrementing is a single atomic op, so hot loops should hoist the handle
 //! (`let c = reg.counter(...); for .. { c.add(n) }`). A process-global
 //! registry ([`global_metrics`]) unifies the per-subsystem counter islands;
-//! subsystems that need isolated accounting (e.g. each `qp-mpi` world's
-//! traffic mirror) embed their own `MetricsRegistry`.
+//! a test can build a `MetricsRegistry` of its own.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};

@@ -15,18 +15,30 @@ cargo test -q --workspace
 echo "== cargo test (QP_THREADS=4: parallel substrate leg)"
 QP_THREADS=4 cargo test -q --workspace
 
-echo "== perf smoke + Sternheimer phase-regression guard (bench_perf --quick --guard)"
+echo "== perfbench: build and unit tests against the committed lock file"
+# perfbench is a workspace of its own that calls the library's entry
+# points and pins its dependency graph in perfbench/Cargo.lock. --locked
+# fails here, not in a later benchmark run, when a change to its crates
+# would rewrite that lock or break an entry point it calls.
+cargo build --release --locked --offline --manifest-path perfbench/Cargo.toml
+cargo test --release --locked --offline -q --manifest-path perfbench/Cargo.toml
+
+echo "== perf smoke: e2e, scheduling and scaling guards (bench_perf --quick --guard)"
+# The phase and ledger checks read the full run's ligand-49 case; the
+# quick run has none and reports them skipped.
 bash scripts/bench_perf.sh --quick --guard --out "$(mktemp)"
 
 echo "== regenerate BENCH_perf.json under the tightened e2e guard"
-# Full workloads with --guard: exits 4 when a case's parallel leg is slower
-# than its serial reference on a >= 2-core host (zero slack) in the median
-# of three serial/parallel pairs (the second and third are run only when
-# the first pair is over the limit). The
-# guard also covers the polymer weak-scaling sweep: exit 7 if the fitted
-# end-to-end assembly exponent exceeds 1.75, exit 9 if the tree-mode Rho
-# exponent exceeds 1.4, exit 11 if the tree far field deviates from the
-# direct oracle beyond QP_FARFIELD_TOL.
+# Full workloads with --guard: exits 3 or 6 when the ligand-49 case's
+# Sternheimer or Rho self-time outgrows its multiple of Sumup, 12 when its
+# phase rows stop adding up to the wall, and 4 when a case's parallel leg
+# is slower than its serial reference on a >= 2-core host (zero slack) in
+# the median of three serial/parallel pairs (the second and third are run
+# only when the first pair is over the limit). The guard also covers the
+# polymer weak-scaling sweep: exit 7 if the fitted end-to-end assembly
+# exponent exceeds 1.75, exit 9 if the tree-mode Rho exponent exceeds 1.4,
+# exit 11 if the tree far field deviates from the direct oracle beyond
+# QP_FARFIELD_TOL.
 QP_THREADS=2 bash scripts/bench_perf.sh --guard --out BENCH_perf.json
 
 echo "== archive weak-scaling rows (results/weak_scaling.json)"

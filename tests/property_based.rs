@@ -218,70 +218,6 @@ proptest! {
         .expect("spmd");
         prop_assert!(out.into_iter().all(|b| b));
     }
-
-    // The metrics registry embedded in the traffic log is an exact mirror
-    // of the raw records: for any random sequence of collectives, the
-    // per-kind `mpi.collective.{calls,bytes}` counters equal the sums over
-    // the `TrafficRecord`s of that kind.
-    #[test]
-    fn traffic_metrics_mirror_records_for_random_collectives(
-        ops in prop::collection::vec((0u8..5, 1usize..32), 1..12),
-    ) {
-        use qp_mpi::CollectiveKind;
-
-        let ops2 = ops.clone();
-        let out = run_spmd(4, 2, move |c| {
-            for &(op, len) in &ops2 {
-                let data: Vec<f64> = (0..len).map(|i| i as f64).collect();
-                match op {
-                    0 => drop(c.allreduce(ReduceOp::Sum, &data)?),
-                    1 => drop(c.broadcast(0, data)?),
-                    2 => drop(c.allgather(&data)?),
-                    3 => c.barrier()?,
-                    _ => drop(c.reduce(ReduceOp::Max, 0, &data)?),
-                }
-            }
-            if c.rank() != 0 {
-                return Ok(Vec::new());
-            }
-            // Collectives synchronize, so after the loop every record for
-            // the sequence exists; rank 0 audits records vs. counters.
-            let records = c.traffic().snapshot();
-            let metrics = c.traffic().metrics();
-            let kinds = [
-                CollectiveKind::AllReduce,
-                CollectiveKind::Broadcast,
-                CollectiveKind::AllGather,
-                CollectiveKind::Barrier,
-            ];
-            let mut audit = Vec::new();
-            for kind in kinds {
-                let label = [("kind", kind.as_str())];
-                let rec_calls =
-                    records.iter().filter(|r| r.kind == kind).count() as u64;
-                let rec_bytes: u64 = records
-                    .iter()
-                    .filter(|r| r.kind == kind)
-                    .map(|r| r.bytes_per_rank as u64)
-                    .sum();
-                let m_calls = metrics
-                    .counter_value("mpi.collective.calls", &label)
-                    .unwrap_or(0);
-                let m_bytes = metrics
-                    .counter_value("mpi.collective.bytes", &label)
-                    .unwrap_or(0);
-                audit.push((kind.as_str(), rec_calls, rec_bytes, m_calls, m_bytes));
-            }
-            Ok(audit)
-        })
-        .expect("spmd");
-        for (_kind, rec_calls, rec_bytes, m_calls, m_bytes) in
-            out.into_iter().flatten()
-        {
-            prop_assert_eq!(rec_calls, m_calls);
-            prop_assert_eq!(rec_bytes, m_bytes);
-        }
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -489,31 +425,6 @@ proptest! {
         let rho_dense = dense.density_on_grid(&p);
         for (gi, (a, b)) in rho_scr.iter().zip(rho_dense.iter()).enumerate() {
             prop_assert!(a.to_bits() == b.to_bits(), "density diverged at point {gi}");
-        }
-    }
-
-    #[test]
-    fn neighbor_list_symmetric_and_self_complete(
-        seed in 0u64..u64::MAX,
-        natoms in 1usize..20,
-        spread in 0.0f64..60.0,
-    ) {
-        let structure = random_structure(seed, natoms, spread);
-        let nl = qp_grid::screening::NeighborList::build(&structure);
-        prop_assert_eq!(nl.len(), natoms);
-        for i in 0..natoms {
-            // Every atom overlaps itself (cutoffs are positive)...
-            prop_assert!(nl.contains(i, i), "missing self pair {i}");
-            // ...and the strict `<` predicate is symmetric in (i, j).
-            for j in 0..natoms {
-                prop_assert_eq!(nl.contains(i, j), nl.contains(j, i));
-            }
-        }
-        // Sorted, in-range adjacency rows.
-        for i in 0..natoms {
-            let row = nl.neighbours(i);
-            prop_assert!(row.windows(2).all(|w| w[0] < w[1]));
-            prop_assert!(row.iter().all(|&j| (j as usize) < natoms));
         }
     }
 }
