@@ -11,7 +11,8 @@
 //!
 //! `--quick` shrinks every workload (water instead of the ligand, a
 //! 2-monomer polymer, GEMM at n = 256, the sweep to n ≤ 16) for CI smoke
-//! runs. Each case runs through the profiler that `qperturb --profile`
+//! runs, and writes a file only with `--out` (a full run defaults to
+//! `BENCH_perf.json`). Each case runs through the profiler that `qperturb --profile`
 //! uses, [`profile_case`]: a 1-thread serial reference, then an
 //! instrumented leg on `QP_THREADS` threads (default: available
 //! parallelism, clamped to ≥ 2 so the fan-out is actually exercised). Each
@@ -31,7 +32,7 @@
 //! 2. the end-to-end check: any case whose parallel leg is slower than
 //!    `serial × (1 + slack)` is profiled twice more, and fails (exit 4)
 //!    if the median parallel/serial ratio of its three pairs is still
-//!    over `1 + slack`. The slack is 0.0 on hosts with ≥ 2 cores — a
+//!    over `1 + slack`; the JSON records that median pair. The slack is 0.0 on hosts with ≥ 2 cores — a
 //!    parallel leg slower than serial is a hard regression there — and
 //!    0.25 only on single-core hosts (a 2-thread leg on a 1-core host
 //!    *cannot* beat serial; the guard then only catches pathological
@@ -206,10 +207,12 @@ const E2E_PAIRS: usize = 3;
 
 /// The e2e check: a case whose first pair is over the limit is profiled
 /// again until [`E2E_PAIRS`] pairs are in, and fails (exit 4) only if the
-/// median parallel/serial ratio is still over `1 + slack`.
-fn run_efficiency_guard(specs: &[CaseSpec], results: &[ProfileReport], threads: usize) {
+/// median parallel/serial ratio is still over `1 + slack`. The case's
+/// report becomes the pair whose ratio is that median, so the file records
+/// the pair the guard decided on.
+fn run_efficiency_guard(specs: &[CaseSpec], results: &mut [ProfileReport], threads: usize) {
     let slack = e2e_slack();
-    for (spec, c) in specs.iter().zip(results) {
+    for (spec, c) in specs.iter().zip(results.iter_mut()) {
         let limit = c.serial_total_s * (1.0 + slack);
         println!(
             "efficiency guard {}: parallel {:.3}s vs serial {:.3}s (limit {:.3}s), \
@@ -229,13 +232,15 @@ fn run_efficiency_guard(specs: &[CaseSpec], results: &[ProfileReport], threads: 
                 c.case, c.serial_total_s, E2E_MIN_SERIAL_S,
             );
         } else if c.parallel_total_s > limit {
-            let mut ratios = vec![c.parallel_total_s / c.serial_total_s];
-            while ratios.len() < E2E_PAIRS {
-                let again = run_case(spec, threads);
-                ratios.push(again.parallel_total_s / again.serial_total_s);
+            let ratio = |r: &ProfileReport| r.parallel_total_s / r.serial_total_s;
+            let mut pairs = vec![c.clone()];
+            while pairs.len() < E2E_PAIRS {
+                pairs.push(run_case(spec, threads));
             }
-            ratios.sort_by(f64::total_cmp);
+            pairs.sort_by(|x, y| ratio(x).total_cmp(&ratio(y)));
+            let ratios: Vec<f64> = pairs.iter().map(ratio).collect();
             let median = ratios[E2E_PAIRS / 2];
+            *c = pairs.swap_remove(E2E_PAIRS / 2);
             println!(
                 "efficiency guard {}: first pair over the limit; parallel/serial over \
                  {E2E_PAIRS} pairs {ratios:.3?}, median {median:.3} (limit {:.3})",
@@ -246,7 +251,7 @@ fn run_efficiency_guard(specs: &[CaseSpec], results: &[ProfileReport], threads: 
                 eprintln!(
                     "bench_perf: end-to-end regression on {} — the {}-thread leg took \
                      {median:.3}× its serial reference, the median of {E2E_PAIRS} pairs \
-                     (slack {:.0}%); first pair's attribution: {:.1}% serial, {:.1}% \
+                     (slack {:.0}%); the median pair's attribution: {:.1}% serial, {:.1}% \
                      scheduling overhead, {:.1}% imbalance, {:.1}% useful",
                     c.case,
                     c.threads,
@@ -786,12 +791,14 @@ fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let quick = args.iter().any(|a| a == "--quick");
     let guard = args.iter().any(|a| a == "--guard");
+    // A quick run writes a file only when asked to: its water/polymer:2
+    // document must not replace the full run's BENCH_perf.json.
     let out = args
         .iter()
         .position(|a| a == "--out")
         .and_then(|i| args.get(i + 1))
         .cloned()
-        .unwrap_or_else(|| "BENCH_perf.json".to_string());
+        .or_else(|| (!quick).then(|| "BENCH_perf.json".to_string()));
 
     let threads = default_profile_threads();
     println!(
@@ -820,14 +827,20 @@ fn main() {
     }
 
     let specs = cases(quick);
-    let reports: Vec<ProfileReport> = specs.iter().map(|spec| run_case(spec, threads)).collect();
+    let mut reports: Vec<ProfileReport> =
+        specs.iter().map(|spec| run_case(spec, threads)).collect();
     if guard {
-        run_efficiency_guard(&specs, &reports, threads);
+        run_efficiency_guard(&specs, &mut reports, threads);
         run_report_guards(&reports);
     }
-    let doc = bench_json(quick, threads, &gemm, &reports, &ws);
-    std::fs::write(&out, format!("{doc:#}\n")).expect("write BENCH_perf.json");
-    println!("wrote {out}");
+    match out {
+        Some(out) => {
+            let doc = bench_json(quick, threads, &gemm, &reports, &ws);
+            std::fs::write(&out, format!("{doc:#}\n")).expect("write BENCH_perf.json");
+            println!("wrote {out}");
+        }
+        None => println!("quick run: no --out given, nothing written"),
+    }
 }
 
 #[cfg(test)]

@@ -1,13 +1,14 @@
 //! Per-batch basis tables, kept while they fit.
 //!
 //! Grid points never move across SCF and DFPT iterations, so the basis
-//! values χμ(r), gradients ∇χμ(r) and the radial-spline evaluations behind
-//! them are a pure function of the batch. The paper's §3.1 tabulates such
-//! per-rank data once and reuses it every iteration. Here each batch's
-//! table ([`BatchBasisTable`]) is built on its first use and kept for the
-//! system's life while the kept bytes stay within [`budget_bytes`]. A
-//! table that does not fit is built for that use and dropped; a kept table
-//! is never evicted. Hits, builds and builds not kept surface through
+//! values χμ(r) and the radial-spline evaluations behind them are a pure
+//! function of the batch. (The gradients ∇χμ(r), which only the one-time
+//! kinetic matrix reads, are not kept: its pass builds them per batch.)
+//! The paper's §3.1 tabulates such per-rank data once and reuses it every
+//! iteration. Here each batch's table ([`BatchBasisTable`]) is built on
+//! its first use and kept for the system's life while the kept bytes stay
+//! within [`budget_bytes`]. A table that does not fit is built for that
+//! use and dropped; a kept table is never evicted. Hits, builds and builds not kept surface through
 //! `qp_trace::global_metrics` as `basis_cache_{hits,misses,evictions}`.
 //!
 //! Determinism: a table's contents depend only on (basis, batch), never on
@@ -21,8 +22,7 @@ use std::sync::{Arc, OnceLock};
 
 /// Approximate heap bytes held by one table.
 fn table_bytes(t: &BatchBasisTable) -> usize {
-    t.fn_indices.len() * std::mem::size_of::<usize>()
-        + (t.values.len() + t.gradients.len()) * std::mem::size_of::<f64>()
+    t.fn_indices.len() * std::mem::size_of::<usize>() + t.values.len() * std::mem::size_of::<f64>()
 }
 
 /// Bytes of basis tables a system of `n_basis` functions keeps: a 256 MiB
@@ -151,7 +151,6 @@ mod tests {
         BatchBasisTable {
             fn_indices: (0..n).collect(),
             values: vec![1.0; n * 4],
-            gradients: vec![0.5; n * 12],
         }
     }
 
@@ -211,7 +210,6 @@ mod tests {
         let rebuilt = cache.get(1, || toy_table(4));
         assert!(!Arc::ptr_eq(&first, &rebuilt), "slot 1 is not kept");
         assert_eq!(first.values, rebuilt.values);
-        assert_eq!(first.gradients, rebuilt.gradients);
         assert_eq!(kept.values, rebuilt.values);
     }
 }

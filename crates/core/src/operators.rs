@@ -111,19 +111,28 @@ pub(crate) fn weighted_block(
     block
 }
 
-/// One batch's kinetic block `B_ab = ½ Σ_p w_p ∇χ_a(p)·∇χ_b(p)`.
-fn kinetic_block(system: &System, batch: &Batch, table: &BatchBasisTable) -> DMatrix {
-    let nf = table.fn_indices.len();
+/// One batch's kinetic block `B_ab = ½ Σ_p w_p ∇χ_a(p)·∇χ_b(p)` from
+/// the gradients of its `nf` functions, `[(p * nf + k) * 3 + d]`.
+pub(crate) fn kinetic_block(
+    system: &System,
+    batch: &Batch,
+    nf: usize,
+    gradients: &[f64],
+) -> DMatrix {
+    let gradient = |p: usize, k: usize| -> [f64; 3] {
+        let g = &gradients[(p * nf + k) * 3..][..3];
+        [g[0], g[1], g[2]]
+    };
     let mut block = DMatrix::zeros(nf, nf);
     for (pi, pt) in batch.points.iter().enumerate() {
         let w = 0.5 * system.grid.points[pt.grid_index as usize].weight;
         for a in 0..nf {
-            let ga = table.gradient(pi, a);
+            let ga = gradient(pi, a);
             if ga == [0.0; 3] {
                 continue;
             }
             for b in a..nf {
-                let gb = table.gradient(pi, b);
+                let gb = gradient(pi, b);
                 block[(a, b)] += w * (ga[0] * gb[0] + ga[1] * gb[1] + ga[2] * gb[2]);
             }
         }
@@ -196,10 +205,14 @@ fn weighted_product(
     merge(system, &partials)
 }
 
-/// Assemble the kinetic-energy matrix `T_μν = ½ ∫ ∇χ_μ·∇χ_ν`.
+/// Assemble the kinetic-energy matrix `T_μν = ½ ∫ ∇χ_μ·∇χ_ν`. Each
+/// batch's basis gradients are tabulated for this pass
+/// ([`System::basis_gradients`]) and dropped with its block: the kept
+/// batch tables hold values only.
 pub fn kinetic(system: &System) -> DMatrix {
     let partials = assemble_partials(system, &all_batches(system), |batch, table| {
-        kinetic_block(system, batch, table)
+        let gradients = system.basis_gradients(batch, table);
+        kinetic_block(system, batch, table.fn_indices.len(), &gradients)
     });
     merge(system, &partials)
 }

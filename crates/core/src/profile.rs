@@ -189,6 +189,15 @@ pub struct PhaseRow {
     pub intensity: f64,
 }
 
+/// Resident bytes of a system's geometry-derived tables.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Resident {
+    /// The Hartree plan's tables.
+    pub hartree_plan_bytes: usize,
+    /// The kept per-batch basis tables.
+    pub basis_table_bytes: usize,
+}
+
 /// A complete profile of one case.
 #[derive(Debug, Clone, Default)]
 pub struct ProfileReport {
@@ -210,6 +219,10 @@ pub struct ProfileReport {
     pub alpha_diag: Vec<f64>,
     /// Basis-cache hits, misses and evictions of the parallel leg's job.
     pub basis_cache: (u64, u64, u64),
+    /// Bytes the parallel leg's system keeps resident after the job: the
+    /// Hartree plan's tables (0 when it was not built) and the kept basis
+    /// tables.
+    pub resident: Resident,
     /// 1-thread reference wall, seconds.
     pub serial_total_s: f64,
     /// Parallel-leg wall, seconds.
@@ -273,6 +286,10 @@ impl ProfileReport {
             ("evictions", num(evictions as f64)),
             ("hit_rate", num(self.cache_hit_rate())),
         ]);
+        let resident = obj(vec![
+            ("hartree_plan", int(self.resident.hartree_plan_bytes)),
+            ("basis_tables", int(self.resident.basis_table_bytes)),
+        ]);
         let attribution = obj(vec![
             ("serial_fraction", num(a.serial_fraction)),
             (
@@ -311,6 +328,7 @@ impl ProfileReport {
                 Json::Arr(self.alpha_diag.iter().map(|&v| num(v)).collect()),
             ),
             ("basis_cache", basis_cache),
+            ("resident_bytes", resident),
             ("attribution", attribution),
             ("phases", Json::Arr(phases.collect())),
         ])
@@ -349,6 +367,13 @@ impl ProfileReport {
             alpha.join("  "),
             100.0 * self.cache_hit_rate(),
             hits + misses
+        );
+        let mb = |bytes: usize| bytes as f64 / 1e6;
+        let _ = writeln!(
+            s,
+            "  resident: Hartree plan {:.1} MB, basis tables {:.1} MB",
+            mb(self.resident.hartree_plan_bytes),
+            mb(self.resident.basis_table_bytes)
         );
         let _ = writeln!(s, "  parallel wall decomposes as:");
         let bar = |frac: f64| "#".repeat((frac * 40.0).round() as usize);
@@ -475,6 +500,10 @@ pub fn profile_case(
     let out = out?;
     let snap_after = qp_trace::global_metrics().snapshot();
     let (h1, m1, e1) = sys.basis_cache().counters();
+    let resident = Resident {
+        hartree_plan_bytes: sys.hartree_plan_bytes(),
+        basis_table_bytes: sys.basis_cache().resident_bytes(),
+    };
 
     let attribution = attribute(&records, parallel_total_s, threads);
 
@@ -535,6 +564,7 @@ pub fn profile_case(
         dirs: job.dirs.clone(),
         alpha_diag: job.dirs.iter().map(|&d| out.alpha[(d, d)]).collect(),
         basis_cache: (h1 - h0, m1 - m0, e1 - e0),
+        resident,
         serial_total_s,
         parallel_total_s,
         scf_s: out.scf_s,
@@ -546,12 +576,23 @@ pub fn profile_case(
 }
 
 /// Validate a `qp-profile/v1` JSON document: well-formed JSON with the
-/// schema marker, and all four attribution fractions present, each in
-/// `[0, 1]`, summing to 1 within ±0.02.
+/// schema marker, both resident byte counts present as whole numbers
+/// `≥ 0`, and all four attribution fractions present, each in `[0, 1]`,
+/// summing to 1 within ±0.02.
 pub fn validate_profile_json(body: &str) -> std::result::Result<(), String> {
     let doc = json::parse(body).map_err(|e| format!("malformed JSON: {e}"))?;
     if doc.get("schema").and_then(Json::as_str) != Some("qp-profile/v1") {
         return Err("missing qp-profile/v1 schema marker".to_string());
+    }
+    for name in ["hartree_plan", "basis_tables"] {
+        let v = doc
+            .get("resident_bytes")
+            .and_then(|r| r.get(name))
+            .and_then(Json::as_f64)
+            .ok_or_else(|| format!("missing or non-numeric resident_bytes.{name}"))?;
+        if !(v >= 0.0 && v.fract() == 0.0) {
+            return Err(format!("resident_bytes.{name} = {v} is not a byte count"));
+        }
     }
     let names = [
         "serial_fraction",
@@ -735,6 +776,10 @@ mod tests {
             dirs: vec![1],
             alpha_diag: vec![9.5],
             basis_cache: (3, 1, 0),
+            resident: Resident {
+                hartree_plan_bytes: 2_000_000,
+                basis_table_bytes: 300_000,
+            },
             serial_total_s: 0.0002,
             parallel_total_s: 0.0002,
             scf_s: 0.0001,
@@ -758,6 +803,10 @@ mod tests {
             Some(report.case.as_str())
         );
         assert!(report.render_text().contains("dominant non-useful bucket"));
+        let plan = doc
+            .get("resident_bytes")
+            .and_then(|r| r.get("hartree_plan"));
+        assert_eq!(plan.and_then(Json::as_usize), Some(2_000_000));
     }
 
     #[test]
@@ -792,6 +841,17 @@ mod tests {
             "cache counters {:?}",
             report.basis_cache
         );
+        // The job kept the plan and every table; the report has their
+        // bytes.
+        let sys = build();
+        job.run(&sys).unwrap();
+        let plan = sys.hartree_plan().map(|p| p.memory_bytes());
+        assert_eq!(Some(report.resident.hartree_plan_bytes), plan);
+        assert_eq!(
+            report.resident.basis_table_bytes,
+            sys.basis_cache().resident_bytes()
+        );
+        assert!(report.resident.basis_table_bytes > 0);
         // The Hartree evaluations book their roofline counts under the rho
         // phase, which runs no GEMM, and the potential-matrix assemblies
         // under the h phase.
@@ -819,10 +879,21 @@ mod tests {
 
     #[test]
     fn validation_rejects_bad_fractions() {
-        let good = "{\"schema\": \"qp-profile/v1\", \"attribution\": {\"serial_fraction\": 0.5, \
+        let good = "{\"schema\": \"qp-profile/v1\", \
+                    \"resident_bytes\": {\"hartree_plan\": 1000, \"basis_tables\": 24}, \
+                    \"attribution\": {\"serial_fraction\": 0.5, \
                     \"scheduling_overhead_fraction\": 0.3, \"imbalance_fraction\": 0.1, \
                     \"useful_parallel_fraction\": 0.1}}";
         validate_profile_json(good).expect("balanced fractions validate");
+        for bytes in ["-8", "1.5", "null"] {
+            let bad = good.replace(
+                "\"basis_tables\": 24",
+                &format!("\"basis_tables\": {bytes}"),
+            );
+            assert!(validate_profile_json(&bad).is_err(), "basis_tables {bytes}");
+        }
+        let no_plan = good.replace("\"hartree_plan\": 1000, ", "");
+        assert!(validate_profile_json(&no_plan).is_err());
         let bad_sum = good.replace("0.5", "0.9");
         assert!(validate_profile_json(&bad_sum).is_err());
         let out_of_range = good

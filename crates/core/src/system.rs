@@ -1,9 +1,11 @@
 //! The assembled simulation system: structure + basis + grid + batches +
 //! tabulated basis values.
 //!
-//! Basis values (and gradients) at grid points are tabulated batch by
-//! batch with cutoff pruning — the "two-level fine-grained parallelism,
-//! across batches and grid points" data layout of §4.1.
+//! Basis values at grid points are tabulated batch by batch with cutoff
+//! pruning — the "two-level fine-grained parallelism, across batches and
+//! grid points" data layout of §4.1. Their gradients are read by one
+//! matrix only, the kinetic energy, so its pass tabulates them per batch
+//! and drops them.
 //!
 //! What a [`System`] derives from its geometry follows one rule: it is
 //! built on first use and kept for the system's life while it fits its
@@ -56,8 +58,6 @@ pub struct BatchBasisTable {
     /// `values[p * fn_indices.len() + k]` = χ of function `k` at point `p`
     /// (points in batch order).
     pub values: Vec<f64>,
-    /// Gradients, same layout × 3 (x, y, z fastest).
-    pub gradients: Vec<f64>,
 }
 
 impl BatchBasisTable {
@@ -66,17 +66,19 @@ impl BatchBasisTable {
     pub fn value(&self, p: usize, k: usize) -> f64 {
         self.values[p * self.fn_indices.len() + k]
     }
+}
 
-    /// Gradient of pruned function `k` at batch point `p`.
-    #[inline]
-    pub fn gradient(&self, p: usize, k: usize) -> [f64; 3] {
-        let base = (p * self.fn_indices.len() + k) * 3;
-        [
-            self.gradients[base],
-            self.gradients[base + 1],
-            self.gradients[base + 2],
-        ]
+/// `fn_indices` in runs of one atom's functions: `(atom, first k, end)`.
+fn atom_runs(basis: &BasisSet, fn_indices: &[usize]) -> Vec<(usize, usize, usize)> {
+    let mut runs: Vec<(usize, usize, usize)> = Vec::new();
+    for (ki, &fi) in fn_indices.iter().enumerate() {
+        let atom = basis.atom_of(fi);
+        match runs.last_mut() {
+            Some((a, _, end)) if *a == atom => *end = ki + 1,
+            _ => runs.push((atom, ki, ki + 1)),
+        }
     }
+    runs
 }
 
 /// A ready-to-run simulation system.
@@ -261,6 +263,15 @@ impl System {
             .clone()
     }
 
+    /// Bytes of the Hartree plan's tables if this system has built and
+    /// kept it, else 0; never builds it.
+    pub fn hartree_plan_bytes(&self) -> usize {
+        self.hartree_plan
+            .get()
+            .and_then(Option::as_deref)
+            .map_or(0, HartreePlan::memory_bytes)
+    }
+
     /// Multipole moments (`rho_multipole`) of a density given at every grid
     /// point, the harmonics read from the Hartree plan when it is kept and
     /// computed otherwise (bit-identical either way).
@@ -322,13 +333,10 @@ impl System {
     }
 
     /// The basis table of `batch`: every function that reaches a point of
-    /// the batch, its value at each point, and there, where the value is
-    /// non-zero, its central-difference gradient. Each atom's functions
-    /// are evaluated together ([`AtomBasis::eval`]), at the point and at
-    /// its six `±H` neighbours, and every entry has the bits of the
-    /// per-function `BasisFunction::eval`/`eval_grad`.
+    /// the batch and its value at each point. Each atom's functions are
+    /// evaluated together ([`AtomBasis::eval`]), and every value has the
+    /// bits of the per-function `BasisFunction::eval`.
     fn tabulate_batch(&self, batch: &Batch) -> BatchBasisTable {
-        const H: f64 = GRADIENT_STEP;
         let basis = &self.basis;
         // Prune: functions whose support reaches any point of the batch.
         let radius = batch
@@ -342,58 +350,69 @@ impl System {
             Some(plan) => plan.functions_near(basis, batch.center, radius),
             None => basis.functions_near(batch.center, radius),
         };
-        // The list in runs of one atom's functions: (atom, first k, end).
-        let mut runs: Vec<(usize, usize, usize)> = Vec::new();
-        for (ki, &fi) in fn_indices.iter().enumerate() {
-            let atom = basis.atom_of(fi);
-            match runs.last_mut() {
-                Some((a, _, end)) if *a == atom => *end = ki + 1,
-                _ => runs.push((atom, ki, ki + 1)),
-            }
-        }
+        let runs = atom_runs(basis, &fn_indices);
         let nf = fn_indices.len();
-        let np = batch.points.len();
-        let mut values = vec![0.0; np * nf];
-        let mut gradients = vec![0.0; np * nf * 3];
-        // One atom's values at the point, then at +H and −H along x, y, z.
+        let mut values = vec![0.0; batch.points.len() * nf];
         let width = basis.atoms.iter().map(AtomBasis::len).max().unwrap_or(0);
-        let mut at = vec![0.0; 7 * width];
+        let mut here = vec![0.0; width];
         for (pi, pt) in batch.points.iter().enumerate() {
             for &(a, k0, k1) in &runs {
                 let atom = &basis.atoms[a];
-                let (n, first) = (atom.len(), basis.atom_offsets[a]);
-                let (here, moved) = at.split_at_mut(n);
-                if !atom.eval(pt.position, here) {
+                if !atom.eval(pt.position, &mut here) {
                     continue; // beyond the cutoff: the zeros stand
                 }
-                let local = |ki: usize| fn_indices[ki] - first;
-                if (k0..k1).any(|ki| here[local(ki)] != 0.0) {
-                    for d in 0..3 {
-                        let (mut pp, mut pm) = (pt.position, pt.position);
-                        pp[d] += H;
-                        pm[d] -= H;
-                        atom.eval(pp, &mut moved[2 * d * n..]);
-                        atom.eval(pm, &mut moved[(2 * d + 1) * n..]);
-                    }
-                }
+                let first = basis.atom_offsets[a];
                 for ki in k0..k1 {
-                    let j = local(ki);
-                    let v = here[j];
-                    values[pi * nf + ki] = v;
-                    if v != 0.0 {
-                        let g = &mut gradients[(pi * nf + ki) * 3..][..3];
-                        for (d, g) in g.iter_mut().enumerate() {
-                            *g = (moved[2 * d * n + j] - moved[(2 * d + 1) * n + j]) / (2.0 * H);
-                        }
+                    values[pi * nf + ki] = here[fn_indices[ki] - first];
+                }
+            }
+        }
+        BatchBasisTable { fn_indices, values }
+    }
+
+    /// The central-difference gradients of `table`'s functions at the
+    /// points of `batch`, `[(p * nf + k) * 3 + d]`: zero where the value
+    /// is zero, elsewhere `(χ(p + H e_d) − χ(p − H e_d)) / 2H`, each atom's
+    /// functions evaluated together at the six `±H` neighbours of a point
+    /// where any of them is non-zero. Every entry has the bits of the
+    /// per-function `BasisFunction::eval_grad`. Only the kinetic matrix
+    /// reads gradients, once per system, so they are built for its pass
+    /// and not kept with the values.
+    pub(crate) fn basis_gradients(&self, batch: &Batch, table: &BatchBasisTable) -> Vec<f64> {
+        const H: f64 = GRADIENT_STEP;
+        let basis = &self.basis;
+        let fn_indices = &table.fn_indices;
+        let runs = atom_runs(basis, fn_indices);
+        let nf = fn_indices.len();
+        let mut gradients = vec![0.0; batch.points.len() * nf * 3];
+        // One atom's values at +H and −H along x, y, z.
+        let width = basis.atoms.iter().map(AtomBasis::len).max().unwrap_or(0);
+        let mut moved = vec![0.0; 6 * width];
+        for (pi, pt) in batch.points.iter().enumerate() {
+            let values = &table.values[pi * nf..(pi + 1) * nf];
+            for &(a, k0, k1) in &runs {
+                if values[k0..k1].iter().all(|&v| v == 0.0) {
+                    continue;
+                }
+                let atom = &basis.atoms[a];
+                let (n, first) = (atom.len(), basis.atom_offsets[a]);
+                for d in 0..3 {
+                    let (mut pp, mut pm) = (pt.position, pt.position);
+                    pp[d] += H;
+                    pm[d] -= H;
+                    atom.eval(pp, &mut moved[2 * d * n..]);
+                    atom.eval(pm, &mut moved[(2 * d + 1) * n..]);
+                }
+                for ki in (k0..k1).filter(|&ki| values[ki] != 0.0) {
+                    let j = fn_indices[ki] - first;
+                    let g = &mut gradients[(pi * nf + ki) * 3..][..3];
+                    for (d, g) in g.iter_mut().enumerate() {
+                        *g = (moved[2 * d * n + j] - moved[(2 * d + 1) * n + j]) / (2.0 * H);
                     }
                 }
             }
         }
-        BatchBasisTable {
-            fn_indices,
-            values,
-            gradients,
-        }
+        gradients
     }
 
     /// Number of basis functions.
@@ -651,10 +670,18 @@ mod tests {
         })
     }
 
+    /// A batch table with its gradients beside the values, as the tables
+    /// were kept before the kinetic pass built its own.
+    struct GradientTable {
+        table: BatchBasisTable,
+        /// `[(p * nf + k) * 3 + d]`.
+        gradients: Vec<f64>,
+    }
+
     /// The per-function oracle's table of `batch`: the linear scan's
     /// function list, each value by [`chi`] and, where it is non-zero, each
     /// gradient by [`chi_grad`].
-    fn oracle_table(s: &System, batch: &Batch) -> BatchBasisTable {
+    fn oracle_table(s: &System, batch: &Batch) -> GradientTable {
         let radius = batch
             .points
             .iter()
@@ -675,14 +702,22 @@ mod tests {
                 }
             }
         }
-        BatchBasisTable {
-            fn_indices,
-            values,
+        GradientTable {
+            table: BatchBasisTable { fn_indices, values },
             gradients,
         }
     }
 
-    fn assert_same_table(got: &BatchBasisTable, want: &BatchBasisTable, tag: &str) {
+    /// `got` and the gradients its kinetic pass builds have the bits of
+    /// the oracle's table of `batch`.
+    fn assert_same_table(
+        s: &System,
+        batch: &Batch,
+        got: &BatchBasisTable,
+        oracle: &GradientTable,
+        tag: &str,
+    ) {
+        let want = &oracle.table;
         assert_eq!(got.fn_indices, want.fn_indices, "{tag}: function list");
         let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
         let nf = want.fn_indices.len().max(1);
@@ -697,7 +732,11 @@ mod tests {
                 i % nf
             );
         }
-        let (gg, wg) = (bits(&got.gradients), bits(&want.gradients));
+        let (gg, wg) = (
+            bits(&s.basis_gradients(batch, got)),
+            bits(&oracle.gradients),
+        );
+        assert_eq!(gg.len(), wg.len(), "{tag}: gradient table size");
         for (i, (g, w)) in gg.iter().zip(&wg).enumerate() {
             let (p, k) = (i / 3 / nf, i / 3 % nf);
             assert_eq!(g, w, "{tag}: gradient {} at point {p}, function {k}", i % 3);
@@ -739,8 +778,9 @@ mod tests {
 
     #[test]
     fn tabulated_values_match_direct_evaluation() {
-        // Every value and gradient of every batch table has the bits of the
-        // per-function oracle: the served water (the light grid at 24
+        // Every value of every batch table, and every gradient the kinetic
+        // pass builds from it, has the bits of the per-function oracle:
+        // the served water (the light grid at 24
         // shells of 26 points), polymer:2, ligand-49 and tier2 water (the
         // d shells) on the coarse grid, at 1 and 8 threads with screening
         // on and off, and a batch of points at the nuclei.
@@ -755,7 +795,7 @@ mod tests {
             ("tier2 water", water(), BasisSettings::Tier2, &coarse),
         ];
         for (name, structure, basis, grid) in cases {
-            let mut want: Option<Vec<BatchBasisTable>> = None;
+            let mut want: Option<Vec<GradientTable>> = None;
             for mode in [ScreeningMode::On, ScreeningMode::Off] {
                 for threads in [1, 8] {
                     let _lease = qp_par::ThreadLease::exactly(threads);
@@ -767,12 +807,58 @@ mod tests {
                     s.warm_tables();
                     for (b, w) in s.batches.iter().zip(want.iter()) {
                         let tag = format!("{name}, {mode:?}, {threads} threads, batch {}", b.id);
-                        assert_same_table(&s.table(b.id), w, &tag);
+                        assert_same_table(&s, b, &s.table(b.id), w, &tag);
                     }
                     let near = nuclear_batch(&s.structure);
                     let tag = format!("{name}, {mode:?}, {threads} threads, nuclear batch");
-                    assert_same_table(&s.tabulate_batch(&near), &oracle_table(&s, &near), &tag);
+                    let (got, want) = (s.tabulate_batch(&near), oracle_table(&s, &near));
+                    assert_same_table(&s, &near, &got, &want, &tag);
                 }
+            }
+        }
+    }
+
+    #[test]
+    fn kinetic_from_per_pass_gradients_matches_the_table_gradient_form() {
+        // The kinetic matrix of the value-only tables, whose pass builds
+        // each batch's gradients and drops them, has the bits of the one
+        // assembled from tables that hold the oracle's gradients: the
+        // served water, polymer:2 and ligand-49, at 1 and 8 threads.
+        use crate::operators::{kinetic, kinetic_block, merge};
+        let mut served = GridSettings::light();
+        served.n_radial = 24;
+        served.max_angular = 26;
+        let coarse = GridSettings::coarse();
+        let cases = [
+            ("served water", water(), &served),
+            ("polymer:2", polyethylene(2), &coarse),
+            ("ligand-49", ligand49(), &coarse),
+        ];
+        for (name, structure, grid) in cases {
+            let (screen, far) = (ScreeningMode::Auto, FarFieldMode::Auto);
+            let s = System::for_job(structure, BasisSettings::Light, grid, screen, far);
+            let partials: Vec<(Arc<BatchBasisTable>, DMatrix)> = s
+                .batches
+                .iter()
+                .map(|b| {
+                    let GradientTable { table, gradients } = oracle_table(&s, b);
+                    let block = kinetic_block(&s, b, table.fn_indices.len(), &gradients);
+                    (Arc::new(table), block)
+                })
+                .collect();
+            let want = merge(&s, &partials);
+            for threads in [1, 8] {
+                let _lease = qp_par::ThreadLease::exactly(threads);
+                let got = kinetic(&s);
+                let same = got
+                    .as_slice()
+                    .iter()
+                    .zip(want.as_slice())
+                    .all(|(g, w)| g.to_bits() == w.to_bits());
+                assert!(
+                    same,
+                    "{name}, {threads} threads: kinetic matrix bits differ"
+                );
             }
         }
     }

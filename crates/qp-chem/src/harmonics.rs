@@ -35,7 +35,8 @@ pub fn lm_from_index(idx: usize) -> (usize, i64) {
 
 /// Evaluate all associated Legendre polynomials `P_l^m(x)` for
 /// `0 ≤ m ≤ l ≤ lmax` into `plm[l*(l+1)/2 + m]`, including the
-/// Condon–Shortley phase.
+/// Condon–Shortley phase. The oracle form's workspace fill.
+#[cfg(test)]
 fn assoc_legendre_all(lmax: usize, x: f64, plm: &mut [f64]) {
     let idx = |l: usize, m: usize| l * (l + 1) / 2 + m;
     let somx2 = ((1.0 - x) * (1.0 + x)).max(0.0).sqrt();
@@ -58,50 +59,126 @@ fn assoc_legendre_all(lmax: usize, x: f64, plm: &mut [f64]) {
     }
 }
 
-/// Evaluate all real spherical harmonics `Y_lm` with `l ≤ lmax` at the unit
-/// direction `(x, y, z)` (not necessarily normalized; it is normalized
-/// internally). Output is indexed by [`lm_index`]; length `(lmax+1)²`.
-///
-/// Normalization: `∫ Y_lm Y_l'm' dΩ = δ δ`.
-///
-/// Allocation-free: the Legendre workspace is on the stack, the
-/// normalizations come from `norm_table`, and `cos(mφ)`/`sin(mφ)` are
-/// formed once per `m` (from one `atan2`, skipped at `lmax = 0`) instead
-/// of once per `(l, m)`. Every value is the same expression on the same
-/// operands as the per-call form it replaced (kept as the test oracle
-/// `real_spherical_harmonics_oracle`), so each harmonic has its bits: a
-/// harmonic does not depend on `lmax`, and the grid tabulation, the direct
-/// Hartree path and the multipole moments all stay on their bit-identity
-/// contracts.
-pub fn real_spherical_harmonics(lmax: usize, dir: [f64; 3], out: &mut [f64]) {
-    assert!(lmax <= LMAX_SUPPORTED);
-    assert!(out.len() >= num_harmonics(lmax));
+/// The unit direction of `dir` (not necessarily normalized; `(0, 0, 1)`
+/// for the zero vector) as the harmonics read it: returns `cos θ` and
+/// writes `cos mφ` and `sin mφ` to `trig[2(m − 1)]` and `trig[2m − 1]` for
+/// `1 ≤ m ≤ lmax` — the azimuth step of [`real_spherical_harmonics`], one
+/// `atan2` and `2·lmax` trig calls, none at `lmax = 0`.
+fn direction_angles(lmax: usize, dir: [f64; 3], trig: &mut [f64]) -> f64 {
     let r = (dir[0] * dir[0] + dir[1] * dir[1] + dir[2] * dir[2]).sqrt();
     let (x, y, z) = if r > 0.0 {
         (dir[0] / r, dir[1] / r, dir[2] / r)
     } else {
         (0.0, 0.0, 1.0)
     };
-    let mut plm = [0.0f64; (LMAX_SUPPORTED + 1) * (LMAX_SUPPORTED + 2) / 2];
-    assoc_legendre_all(lmax, z, &mut plm);
-    let pidx = |l: usize, m: usize| l * (l + 1) / 2 + m;
-    let norms = norm_table();
-    for l in 0..=lmax {
-        out[lm_index(l, 0)] = norms[pidx(l, 0)] * plm[pidx(l, 0)];
-    }
-    if lmax == 0 {
-        return;
-    }
-    let phi = y.atan2(x);
-    for m in 1..=lmax {
-        let mm = m as f64;
-        let (cm, sm) = ((mm * phi).cos(), (mm * phi).sin());
-        for l in m..=lmax {
-            let np = norms[pidx(l, m)] * plm[pidx(l, m)];
-            out[lm_index(l, m as i64)] = np * cm;
-            out[lm_index(l, -(m as i64))] = np * sm;
+    if lmax > 0 {
+        let phi = y.atan2(x);
+        for (m, cs) in trig[..2 * lmax].chunks_exact_mut(2).enumerate() {
+            let mm = (m + 1) as f64;
+            cs[0] = (mm * phi).cos();
+            cs[1] = (mm * phi).sin();
         }
     }
+    z
+}
+
+/// Entries of a Legendre table up to [`LMAX_SUPPORTED`], indexed
+/// `l(l+1)/2 + m`.
+const PLM_LEN: usize = (LMAX_SUPPORTED + 1) * (LMAX_SUPPORTED + 2) / 2;
+
+/// `P_l^m(x)` from the entries of `plm` before it (`somx2 = √(1 − x²)`):
+/// the diagonal, first off-diagonal or upward recursion of the oracle's
+/// workspace fill, each the same expression. Inlined with constant
+/// `(l, m)`, it folds to the one recursion it is, with constant
+/// coefficients.
+#[inline(always)]
+fn legendre_step(l: usize, m: usize, x: f64, somx2: f64, plm: &[f64; PLM_LEN]) -> f64 {
+    let pidx = |l: usize, m: usize| l * (l + 1) / 2 + m;
+    if l == 0 {
+        1.0
+    } else if l == m {
+        -((2 * m - 1) as f64) * somx2 * plm[pidx(m - 1, m - 1)]
+    } else if l == m + 1 {
+        (2 * m + 1) as f64 * x * plm[pidx(m, m)]
+    } else {
+        (((2 * l - 1) as f64) * x * plm[pidx(l - 1, m)]
+            - ((l + m - 1) as f64) * plm[pidx(l - 2, m)])
+            / ((l - m) as f64)
+    }
+}
+
+/// One [`legendre_step`] per listed `(l, m)` with constant arguments, row
+/// `l` only when `l ≤ lmax`: straight-line code, which the compiler does
+/// not make of the loops for these rows.
+macro_rules! unrolled_rows {
+    ($lmax:expr, $step:expr; $($l:literal: $($m:literal)*;)*) => {
+        $(if $l <= $lmax {
+            $($step($l, $m);)*
+        })*
+    };
+}
+
+/// Every real harmonic `Y_lm` with `l ≤ lmax` from `cos θ` and the
+/// azimuth values of [`direction_angles`], into `out` indexed by
+/// [`lm_index`]: the polar step of [`real_spherical_harmonics`].
+///
+/// The associated Legendre functions (with the Condon–Shortley phase) are
+/// formed row by row, each from the rows before it, and each value is
+/// scaled by its normalization and by `cos mφ` or `sin mφ` as soon as it
+/// is formed. Rows up to 4, the orders the Hartree kernels run at, are
+/// straight-line code with constant coefficients (a division by 2 or 4
+/// becomes the exact multiplication); higher rows run as a loop. Every
+/// value is the same expression on the same operands as in the per-call
+/// form, so each harmonic has its bits.
+#[inline(always)]
+fn harmonics_from_angles(lmax: usize, cos_theta: f64, trig: &[f64], out: &mut [f64]) {
+    let x = cos_theta;
+    let norms = norm_table();
+    let trig = &trig[..2 * lmax];
+    let out = &mut out[..num_harmonics(lmax)];
+    let somx2 = ((1.0 - x) * (1.0 + x)).max(0.0).sqrt();
+    let mut plm = [0.0f64; PLM_LEN];
+    let mut step = |l: usize, m: usize| {
+        let p = legendre_step(l, m, x, somx2, &plm);
+        let i = l * (l + 1) / 2 + m;
+        plm[i] = p;
+        let np = norms[i] * p;
+        if m == 0 {
+            out[lm_index(l, 0)] = np;
+        } else {
+            out[lm_index(l, m as i64)] = np * trig[2 * m - 2];
+            out[lm_index(l, -(m as i64))] = np * trig[2 * m - 1];
+        }
+    };
+    step(0, 0);
+    unrolled_rows!(lmax, step; 1: 0 1; 2: 0 1 2; 3: 0 1 2 3; 4: 0 1 2 3 4;);
+    for l in 5..=lmax {
+        for m in 0..=l {
+            step(l, m);
+        }
+    }
+}
+
+/// Evaluate all real spherical harmonics `Y_lm` with `l ≤ lmax` at the unit
+/// direction `(x, y, z)` (not necessarily normalized; it is normalized
+/// internally). Output is indexed by [`lm_index`]; length `(lmax+1)²`.
+///
+/// Normalization: `∫ Y_lm Y_l'm' dΩ = δ δ`.
+///
+/// The azimuth step ([`direction_angles`]: one `atan2`, skipped at
+/// `lmax = 0`, and `cos(mφ)`/`sin(mφ)` once per `m`) then the polar step
+/// ([`harmonics_from_angles`]), allocation-free. Every value is the same
+/// expression on the same operands as the per-call form it replaced (kept
+/// as the test oracle `real_spherical_harmonics_oracle`), so each harmonic
+/// has its bits: a harmonic does not depend on `lmax`, and the grid
+/// tabulation, the direct and planned Hartree paths and the multipole
+/// moments all stay on their bit-identity contracts.
+pub fn real_spherical_harmonics(lmax: usize, dir: [f64; 3], out: &mut [f64]) {
+    assert!(lmax <= LMAX_SUPPORTED);
+    assert!(out.len() >= num_harmonics(lmax));
+    let mut trig = [0.0f64; 2 * LMAX_SUPPORTED];
+    let cos_theta = direction_angles(lmax, dir, &mut trig);
+    harmonics_from_angles(lmax, cos_theta, &trig, out);
 }
 
 /// The per-call form of [`real_spherical_harmonics`]: a heap Legendre
@@ -159,14 +236,14 @@ pub fn ylm_vec(lmax: usize, dir: [f64; 3]) -> Vec<f64> {
 /// Normalization constants of the real harmonics, indexed `l*(l+1)/2 + m`
 /// for `0 ≤ m ≤ l ≤ LMAX_SUPPORTED`: the per-call constants of the oracle
 /// form, each the same expression, tabulated once.
-fn norm_table() -> &'static [f64] {
+fn norm_table() -> &'static [f64; PLM_LEN] {
     use std::sync::OnceLock;
-    static NORMS: OnceLock<Vec<f64>> = OnceLock::new();
+    static NORMS: OnceLock<[f64; PLM_LEN]> = OnceLock::new();
     NORMS.get_or_init(|| {
         let lmax = LMAX_SUPPORTED;
         let pidx = |l: usize, m: usize| l * (l + 1) / 2 + m;
         let fourpi = 4.0 * std::f64::consts::PI;
-        let mut t = vec![0.0; (lmax + 1) * (lmax + 2) / 2];
+        let mut t = [0.0; PLM_LEN];
         for l in 0..=lmax {
             t[pidx(l, 0)] = ((2 * l + 1) as f64 / fourpi).sqrt();
             let mut fact_ratio = 1.0;
@@ -201,31 +278,19 @@ pub fn real_spherical_harmonics_fast(lmax: usize, dir: [f64; 3], out: &mut [f64]
     } else {
         (0.0, 0.0, 1.0)
     };
-    let mut plm = [0.0f64; (LMAX_SUPPORTED + 1) * (LMAX_SUPPORTED + 2) / 2];
-    assoc_legendre_all(lmax, z, &mut plm);
-    let pidx = |l: usize, m: usize| l * (l + 1) / 2 + m;
-    let norms = norm_table();
-
     let rho = (x * x + y * y).sqrt();
     let (cphi, sphi) = if rho > 0.0 {
         (x / rho, y / rho)
     } else {
         (1.0, 0.0)
     };
-    for l in 0..=lmax {
-        out[lm_index(l, 0)] = norms[pidx(l, 0)] * plm[pidx(l, 0)];
-    }
+    let mut trig = [0.0f64; 2 * LMAX_SUPPORTED];
     let (mut cm, mut sm) = (1.0f64, 0.0f64); // cos(mφ), sin(mφ)
-    for m in 1..=lmax {
-        let (c, s) = (cm * cphi - sm * sphi, sm * cphi + cm * sphi);
-        cm = c;
-        sm = s;
-        for l in m..=lmax {
-            let np = norms[pidx(l, m)] * plm[pidx(l, m)];
-            out[lm_index(l, m as i64)] = np * cm;
-            out[lm_index(l, -(m as i64))] = np * sm;
-        }
+    for cs in trig[..2 * lmax].chunks_exact_mut(2) {
+        (cm, sm) = (cm * cphi - sm * sphi, sm * cphi + cm * sphi);
+        (cs[0], cs[1]) = (cm, sm);
     }
+    harmonics_from_angles(lmax, z, &trig, out);
 }
 
 #[cfg(test)]

@@ -278,10 +278,25 @@ impl CPtr {
 /// segment reproduces the dense grouping and therefore the dense bits.
 pub const K_GROUP: usize = KC;
 
+/// Rows per parallel row block of an `m`-row product on `threads` pool
+/// threads: [`MC`], except that a product of at most `2·MC` rows splits
+/// into MR-aligned blocks of about `m / threads` rows, so every thread
+/// gets a share (ligand-49's n = 145 products would otherwise split
+/// 128 + 17, and any m ≤ 128 would run on one thread).
+fn row_block(m: usize, threads: usize) -> usize {
+    if m <= 2 * MC && threads > 1 {
+        m.div_ceil(threads).next_multiple_of(MR).min(MC)
+    } else {
+        MC
+    }
+}
+
 /// `c += a·b` for row-major `a` (`m×k`), `b` (`k×n`), `c` (`m×n`).
 ///
-/// `parallel` fans the MC row blocks out over the qp-par pool; the result
-/// is bit-identical either way (see module docs).
+/// `parallel` fans the row blocks ([`row_block`]) out over the qp-par
+/// pool behind a cost hint of a few flops per ns, so small products stay
+/// inline; the result is bit-identical either way (see module docs: a
+/// row's C elements accumulate in the same k order in any block).
 pub fn gemm(m: usize, n: usize, k: usize, a: &[f64], b: &[f64], c: &mut [f64], parallel: bool) {
     assert_eq!(a.len(), m * k);
     assert_eq!(b.len(), k * n);
@@ -290,7 +305,12 @@ pub fn gemm(m: usize, n: usize, k: usize, a: &[f64], b: &[f64], c: &mut [f64], p
         return;
     }
     record_roofline(m, n, k);
-    let n_row_blocks = m.div_ceil(MC);
+    let mb = if parallel {
+        row_block(m, qp_par::active_threads())
+    } else {
+        MC
+    };
+    let n_row_blocks = m.div_ceil(mb);
     let mut bp = Vec::new();
     for jc in (0..n).step_by(NC) {
         let nc = (n - jc).min(NC);
@@ -300,12 +320,14 @@ pub fn gemm(m: usize, n: usize, k: usize, a: &[f64], b: &[f64], c: &mut [f64], p
             pack_b(b, n, pc, jc, kc, nc, &mut bp);
             let cptr = CPtr(c.as_mut_ptr());
             let run_block = |blk: usize| {
-                let ic = blk * MC;
-                let mc = (m - ic).min(MC);
+                let ic = blk * mb;
+                let mc = (m - ic).min(mb);
                 macro_kernel(a, k, &bp, cptr.get(), n, ic, jc, pc, mc, nc, kc);
             };
             if parallel && n_row_blocks > 1 {
-                qp_par::for_each_index(n_row_blocks, run_block);
+                // 2·mb·nc·kc flops per block at about 4 per ns.
+                let est = (mb * nc * kc / 2) as u64;
+                qp_par::for_each_index_hinted(n_row_blocks, est, run_block);
             } else {
                 (0..n_row_blocks).for_each(run_block);
             }
@@ -381,16 +403,38 @@ mod tests {
 
     #[test]
     fn parallel_bit_identical_to_serial() {
-        let _g = qp_par::ThreadLease::at_least(4);
+        // MC row blocks (m = 300) and the per-thread split of a product of
+        // at most 2·MC rows (ligand-49's n = 145), at 1, 2 and 4 threads.
         let mut seed = 99u64;
-        let (m, n, k) = (300, 257, 190);
-        let a: Vec<f64> = (0..m * k).map(|_| pseudo(&mut seed)).collect();
-        let b: Vec<f64> = (0..k * n).map(|_| pseudo(&mut seed)).collect();
-        let mut c_serial = vec![0.0; m * n];
-        let mut c_par = vec![0.0; m * n];
-        gemm(m, n, k, &a, &b, &mut c_serial, false);
-        gemm(m, n, k, &a, &b, &mut c_par, true);
-        assert_eq!(c_serial, c_par, "parallel GEMM must be bit-identical");
+        for (m, n, k) in [(300, 257, 190), (145, 145, 145)] {
+            let a: Vec<f64> = (0..m * k).map(|_| pseudo(&mut seed)).collect();
+            let b: Vec<f64> = (0..k * n).map(|_| pseudo(&mut seed)).collect();
+            let mut c_serial = vec![0.0; m * n];
+            gemm(m, n, k, &a, &b, &mut c_serial, false);
+            for threads in [1, 2, 4] {
+                let _g = qp_par::ThreadLease::exactly(threads);
+                let mut c_par = vec![0.0; m * n];
+                gemm(m, n, k, &a, &b, &mut c_par, true);
+                let same = c_serial
+                    .iter()
+                    .zip(&c_par)
+                    .all(|(x, y)| x.to_bits() == y.to_bits());
+                assert!(
+                    same,
+                    "{m}x{n}x{k} at {threads} threads: parallel GEMM bits differ"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn small_products_split_once_per_thread() {
+        assert_eq!(row_block(145, 2), 76);
+        assert_eq!(row_block(145, 4), 40);
+        assert_eq!(row_block(96, 2), 48);
+        assert_eq!(row_block(145, 1), MC);
+        assert_eq!(row_block(2 * MC + 1, 2), MC);
+        assert_eq!(row_block(1000, 8), MC);
     }
 
     #[test]

@@ -243,11 +243,6 @@ impl MetricsRegistry {
             _ => None,
         }
     }
-
-    /// Drop every registered series (tests / between runs).
-    pub fn clear(&self) {
-        self.inner.lock().unwrap().clear();
-    }
 }
 
 /// The process-wide registry all subsystems report into by default.
@@ -323,13 +318,11 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_is_sorted_and_clear_empties() {
+    fn snapshot_is_sorted() {
         let reg = MetricsRegistry::new();
         reg.counter("b", &[]).inc();
         reg.counter("a", &[]).inc();
         let names: Vec<_> = reg.snapshot().into_iter().map(|s| s.key.name).collect();
         assert_eq!(names, vec!["a", "b"]);
-        reg.clear();
-        assert!(reg.snapshot().is_empty());
     }
 }

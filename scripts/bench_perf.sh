@@ -5,7 +5,8 @@
 # Sumup, H and Rho kernels.
 #
 #   scripts/bench_perf.sh            # full workloads, writes BENCH_perf.json
-#   scripts/bench_perf.sh --quick    # CI smoke (~1 s), writes nothing durable
+#   scripts/bench_perf.sh --quick    # CI smoke (~1 s), writes nothing
+#                                    # unless --out PATH is given
 #
 # The parallel leg runs on QP_THREADS threads (default: all cores; the
 # binary clamps to >= 2). Extra flags are passed through to the bench_perf

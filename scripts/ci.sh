@@ -25,8 +25,15 @@ cargo test --release --locked --offline -q --manifest-path perfbench/Cargo.toml
 
 echo "== perf smoke: e2e, scheduling and scaling guards (bench_perf --quick --guard)"
 # The phase and ledger checks read the full run's ligand-49 case; the
-# quick run has none and reports them skipped.
-bash scripts/bench_perf.sh --quick --guard --out "$(mktemp)"
+# quick run has none and reports them skipped. Without --out it writes
+# nothing: the committed BENCH_perf.json must come out unchanged.
+bench_before="$(mktemp)"
+cp BENCH_perf.json "$bench_before"
+bash scripts/bench_perf.sh --quick --guard
+cmp BENCH_perf.json "$bench_before" \
+  || { echo "bench_perf --quick changed BENCH_perf.json"; exit 1; }
+rm -f "$bench_before"
+echo "-- the quick run left BENCH_perf.json unchanged"
 
 echo "== regenerate BENCH_perf.json under the tightened e2e guard"
 # Full workloads with --guard: exits 3 or 6 when the ligand-49 case's
